@@ -13,8 +13,10 @@ divided by the time spent inside them), op_p50_ms, op_tail_ms (the highest
 percentile with at least 10 samples beyond it), setup_s (median of several
 fresh processes timing the ``abelpell`` import plus a warm-up of the
 workload's entry points) and peak_rss_mb (this process, or the largest CLI
-child for cli_cold).  With ``--trace 1`` a fixed number of rounds runs
-untraced and then traced, and the per-layer metrics come from the traced pass.
+child for cli_cold).  The four times are scaled to the reference host speed
+with the kernel samples of ``calibrate.Speed``; the raw figures are printed
+in the text lines.  With ``--trace 1`` a fixed number of rounds runs untraced
+and then traced, and the per-layer metrics come from the traced pass.
 
 Human-readable lines come first; the last line of standard output is one JSON
 object with the keys correct, attempted, failed and metrics.
@@ -32,6 +34,7 @@ import time
 import traceback
 from pathlib import Path
 
+from calibrate import REFERENCE_S, Speed
 from child import TRACE_MARK, WARM_UPS
 
 HERE = Path(__file__).resolve().parent
@@ -40,11 +43,19 @@ SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
 
 WORKLOADS = ("cf_solve", "triple_analysis", "moduli_census", "cli_cold")
-SETUP_REPEATS = 7
+SETUP_REPEATS = 9
 CLI_TIMEOUT_S = 60
 #: Seconds one untraced round takes on the reference machine (2-core x86-64
 #: VM, Python 3.11); see ``round_count``.
-ROUND_SECONDS = {"cf_solve": 0.6, "triple_analysis": 6.7, "moduli_census": 21.0, "cli_cold": 5.5}
+ROUND_SECONDS = {"cf_solve": 0.6, "triple_analysis": 7.4, "moduli_census": 23.3, "cli_cold": 5.5}
+#: How strongly operation times follow the speed kernel's (see ``calibrate``),
+#: fitted on the reference machine.  cf_solve's hits follow it with slope
+#: 0.8 and its misses, which are mostly big-integer arithmetic, with 0.45;
+#: 0.7 kept both its median and its tail steadiest.  cli_cold's child
+#: processes fitted 0.6 per operation and 0.8-0.9 over whole runs.
+#: ``setup`` (fresh processes importing the package) is taken as 0.6.
+SENSITIVITY = {"cf_solve": 0.7, "triple_analysis": 0.9, "moduli_census": 0.85, "cli_cold": 0.7,
+               "setup": 0.6}
 
 
 def use_checkout_source() -> None:
@@ -56,6 +67,13 @@ def use_checkout_source() -> None:
 
     if SRC.resolve() not in Path(abelpell.__file__).resolve().parents:
         raise SystemExit(f"error: abelpell was imported from {abelpell.__file__}, not {SRC}")
+
+
+def pin_to_one_cpu() -> None:
+    """Keep this process and its children on one CPU, so that the speed
+    samples (taken here) and a CLI child's work see the same core."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def child_env(tag: str = "") -> dict[str, str]:
@@ -104,25 +122,30 @@ def make_rounds(workload: str, seed: int, launch=None):
 
 class Loop:
     """The closed-loop client: runs operations one after another and keeps
-    each one's latency and verdict."""
+    each one's latency and verdict.  With a ``Speed`` it samples the host
+    speed before each operation and keeps each operation's start and end."""
 
-    def __init__(self, tracer=None):
+    def __init__(self, tracer=None, speed: Speed | None = None):
         self.latencies: list[float] = []
+        self.spans: list[tuple[float, float]] = []
         self.failed = 0
         self.tracer = tracer
+        self.speed = speed
 
     def run(self, ops) -> None:
         for op in ops:
             if self.tracer is not None:
                 self.tracer.tag = op.kind
+            if self.speed is not None:
+                self.speed.sample(self.latencies[-1] if self.latencies else 0.0)
             start = time.perf_counter()
             try:
                 out = op.call()
             except Exception:  # a raised output is a failed operation
-                self.latencies.append(time.perf_counter() - start)
+                self._record(start)
                 self._fail(op, traceback.format_exc())
                 continue
-            self.latencies.append(time.perf_counter() - start)
+            self._record(start)
             try:
                 ok = op.check(out)
             except Exception:
@@ -130,6 +153,11 @@ class Loop:
                 continue
             if not ok:
                 self._fail(op, "wrong output\n")
+
+    def _record(self, start: float) -> None:
+        end = time.perf_counter()
+        self.latencies.append(end - start)
+        self.spans.append((start, end))
 
     def _fail(self, op, detail: str) -> None:
         if self.failed < 3:
@@ -139,6 +167,11 @@ class Loop:
     @property
     def busy_s(self) -> float:
         return sum(self.latencies)
+
+    def scaled(self) -> list[float]:
+        """Latencies at the reference host speed; takes the closing sample."""
+        self.speed.sample(self.latencies[-1] if self.latencies else 0.0)
+        return [self.speed.scale(start, end) for start, end in self.spans]
 
 
 def tail(latencies: list[float]) -> tuple[float, float, int]:
@@ -161,14 +194,21 @@ def round_count(workload: str, seconds: float) -> int:
     return max(1, round(seconds / ROUND_SECONDS[workload]))
 
 
-def measure_setup(workload: str) -> float:
-    values = []
+def measure_setup(workload: str) -> tuple[float, float]:
+    """Median set-up time of fresh processes: (scaled, raw)."""
+    speed = Speed(SENSITIVITY["setup"])
+    raw, spans = [], []
     for _ in range(SETUP_REPEATS):
+        speed.sample(raw[-1] if raw else 0.0)
         proc = subprocess.run([sys.executable, str(HERE / "child.py"), "setup", workload],
                               cwd=ROOT, env=child_env(), capture_output=True, text=True,
                               timeout=CLI_TIMEOUT_S, check=True)
-        values.append(float(proc.stdout.strip().splitlines()[-1]))
-    return statistics.median(values)
+        raw.append(float(proc.stdout.strip().splitlines()[-1]))
+        end = time.perf_counter()
+        spans.append((end - raw[-1], end))
+    speed.sample(raw[-1])
+    scaled = [speed.scale(start, end) for start, end in spans]
+    return statistics.median(scaled), statistics.median(raw)
 
 
 def prechecks(workload: str) -> tuple[int, int]:
@@ -182,23 +222,25 @@ def timed_run(workload: str, seed: int, seconds: float) -> tuple[dict, list[str]
         WARM_UPS[workload]()
     rounds = make_rounds(workload, seed, CliLauncher(traced=False))
     n_rounds = round_count(workload, seconds)
-    loop = Loop()
+    loop = Loop(speed=Speed(SENSITIVITY[workload]))
     start = time.perf_counter()
     for index in range(n_rounds):
         loop.run(rounds(index))
+    latencies = loop.scaled()
     wall = time.perf_counter() - start
     pre_attempted, pre_failed = prechecks(workload)
     who = resource.RUSAGE_CHILDREN if workload == "cli_cold" else resource.RUSAGE_SELF
     peak_rss_mb = resource.getrusage(who).ru_maxrss / 1024
-    setup_s = measure_setup(workload)
+    setup_s, setup_raw_s = measure_setup(workload)
 
-    n = len(loop.latencies)
-    tail_value, tail_pct, beyond = tail(loop.latencies)
+    n = len(latencies)
+    tail_value, tail_pct, beyond = tail(latencies)
+    raw_tail = tail(loop.latencies)[0]
     attempted = n + pre_attempted
     failed = loop.failed + pre_failed
     metrics = {
-        "ops_per_s": (n / loop.busy_s, "1/s"),
-        "op_p50_ms": (statistics.median(loop.latencies) * 1e3, "ms"),
+        "ops_per_s": (n / sum(latencies), "1/s"),
+        "op_p50_ms": (statistics.median(latencies) * 1e3, "ms"),
         "op_tail_ms": (tail_value * 1e3, "ms"),
         "setup_s": (setup_s, "s"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
@@ -207,6 +249,11 @@ def timed_run(workload: str, seed: int, seconds: float) -> tuple[dict, list[str]
         f"workload {workload}, seed {seed}: {n} operations in {n_rounds} rounds, {wall:.1f} s wall",
         f"failed {failed} of {attempted} attempted: fail_ratio {failed / attempted:.6g}",
         f"op_tail_ms is p{tail_pct:.2f}, with {beyond} of {n} samples beyond it",
+        f"raw (unscaled): ops_per_s {n / loop.busy_s:.6g}, "
+        f"op_p50_ms {statistics.median(loop.latencies) * 1e3:.6g}, "
+        f"op_tail_ms {raw_tail * 1e3:.6g}, setup_s {setup_raw_s:.6g}",
+        f"host speed: kernel run {loop.speed.mean_kernel_s() * 1e3:.4g} ms on average "
+        f"over {len(loop.speed.times)} samples (reference {REFERENCE_S * 1e3:.4g} ms)",
     ]
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}
     return result, lines
@@ -283,6 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
     use_checkout_source()
+    pin_to_one_cpu()
     run = traced_run if args.trace else timed_run
     result, lines = run(args.workload, args.seed, args.seconds)
     for line in lines:

@@ -12,6 +12,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
+import calibrate  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
 import workloads as w  # noqa: E402
@@ -138,6 +139,45 @@ def test_wrong_cli_output_counts_as_failure():
     assert not w.check_cli(w.CliRun(case.code, json.dumps(report)), case)
     report = {"result": dict(case.result, is_square=not case.result["is_square"]), "checks": []}
     assert not w.check_cli(w.CliRun(case.code, json.dumps(report)), case)
+
+
+def _speed(sensitivity, samples):
+    """A Speed holding (end time, kernel seconds per run, runs) samples."""
+    speed = calibrate.Speed(sensitivity)
+    total_s, total_runs = 0.0, 0
+    for at, per_run, runs in samples:
+        total_s += per_run * runs
+        total_runs += runs
+        speed.times.append(at)
+        speed.kernel_s.append(total_s)
+        speed.runs.append(total_runs)
+    return speed
+
+
+def test_scaling_is_the_identity_at_the_reference_speed():
+    ref = calibrate.REFERENCE_S
+    speed = _speed(0.8, [(0.0, ref, 2), (1.0, ref, 2)])
+    assert abs(speed.scale(0.5, 0.75) - 0.25) < 1e-12
+
+
+def test_scaling_uses_the_samples_nearest_a_short_operation():
+    ref = calibrate.REFERENCE_S
+    # Slow (2x) samples right around the operation, fast ones farther away.
+    speed = _speed(1.0, [(0.0, ref, 2), (9.0, 2 * ref, 2), (9.1, 2 * ref, 2), (11.0, ref, 2)])
+    assert abs(speed.scale(9.02, 9.08) - 0.03) < 1e-12
+    # A 1.8 s operation also reaches the fast sample 1.8 s after it: 6 runs
+    # took 10 reference runs' time.
+    assert abs(speed.scale(9.1, 10.9) - 1.8 * 0.6) < 1e-12
+    half = _speed(0.5, [(0.0, 4 * ref, 2), (1.0, 4 * ref, 2)])
+    assert abs(half.scale(0.2, 0.6) - 0.2) < 1e-12
+
+
+def test_a_calibrated_loop_scales_every_operation():
+    loop = run.Loop(speed=calibrate.Speed(0.8))
+    loop.run(w.cf_solve_round(2, 0)[:5])
+    scaled = loop.scaled()
+    assert len(scaled) == len(loop.latencies) == 5 and loop.failed == 0
+    assert all(value > 0 for value in scaled)
 
 
 def test_tail_is_the_highest_percentile_with_ten_samples_beyond():

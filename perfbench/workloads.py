@@ -210,16 +210,20 @@ TRIPLE_CHEB_K = (2, 3, 4, 5)
 #: Chebyshev kinds of at least this order take 1-3 s each; a round holds one
 #: of them, in turn, so a three-round run holds each once.
 TRIPLE_CHEB_SLOW = 15
-#: The Chebyshev order whose kinds (deg L, k) = (3, 4), (4, 3) get a second
-#: random L per round.  A three-round run then has 3 slow triples and 12 of
-#: order 12, so op_tail_ms (the 11th slowest) falls inside the order-12
+#: The Chebyshev order whose kinds (deg L, k) = (3, 4), (4, 3) appear
+#: ``TRIPLE_CHEB_TAIL_COPIES`` times per round, each with its own random L.
+#: A three-round run then has 3 slow triples and 18 of order 12, so
+#: op_tail_ms (the 11th slowest) falls near the middle of the order-12
 #: cluster instead of on the edge of the slowest ones.
-TRIPLE_CHEB_TWICE = 12
-TRIPLE_INFLATE_DEGREES = (1, 2, 3)
+TRIPLE_CHEB_TAIL = 12
+TRIPLE_CHEB_TAIL_COPIES = 3
 TRIPLE_INFLATE_M = (2, 3, 4)
-#: Distinct random bases per inflation kind: the cheap inflations outnumber
-#: the Chebyshev triples, so op_p50_ms falls inside a dense spread of costs.
-TRIPLE_INFLATE_REPEATS = 3
+#: Distinct random bases per inflation kind, by the degree of L.  With nine
+#: of each kind for deg L = 1 (orders 2-4, 1.5-7 ms), op_p50_ms falls inside
+#: their dense top cluster (order 4, about 6 ms) instead of on the edge
+#: between the order-6 clusters (12 and 25 ms), where a few operations that
+#: swap sides moved it by 20%.
+TRIPLE_INFLATE_REPEATS = {1: 9, 2: 3, 3: 3}
 
 
 @dataclass(frozen=True)
@@ -276,11 +280,11 @@ def triple_cases(seed: int, index: int) -> list[TripleCase]:
     kinds = [(d, k) for d in TRIPLE_CHEB_DEGREES for k in TRIPLE_CHEB_K]
     slow = [(d, k) for d, k in kinds if d * k >= TRIPLE_CHEB_SLOW]
     kinds = [kind for kind in kinds if kind not in slow]
-    kinds += [(d, k) for d, k in kinds if d * k == TRIPLE_CHEB_TWICE]
+    kinds += [(d, k) for d, k in kinds if d * k == TRIPLE_CHEB_TAIL] * (TRIPLE_CHEB_TAIL_COPIES - 1)
     kinds.append(slow[index % len(slow)])
     cases = [chebyshev_case(rng, d, k) for d, k in kinds]
-    for _ in range(TRIPLE_INFLATE_REPEATS):
-        for d in TRIPLE_INFLATE_DEGREES:
+    for d, repeats in TRIPLE_INFLATE_REPEATS.items():
+        for _ in range(repeats):
             for m in TRIPLE_INFLATE_M:
                 cases.extend(inflation_cases(rng, d, m))
     rng.shuffle(cases)
@@ -356,16 +360,17 @@ CENSUS_REFERENCE = {
     (2, 8): (672, (16, 320, 320, 16), (32, 640)),
 }
 
-#: Times each (g, n) appears in a round (123 operations), so that both
-#: statistics fall inside a cluster of similar operations: op_p50_ms among
-#: the 24 of (3, 4) and (1, 6) (about 10 ms), above the 54 of the smallest
-#: cases; op_tail_ms among the 24 of (3, 5) and (2, 6) (about 0.1 s), below
-#: the 9 that take seconds.
+#: Times each (g, n) appears in a round (129 operations), so that both
+#: statistics fall in the middle of a cluster of similar operations:
+#: op_p50_ms among the 24 of (3, 4) and (1, 6) (about 7 ms), above the 54 of
+#: the smallest cases; op_tail_ms (the 11th slowest) on the middle one of
+#: the three (2, 7) cycle enumerations (about 0.4 s), below the three
+#: nonsplit (2, 7) counts and the six operations of (3, 6) and (2, 8).
 CENSUS_REPEATS = {
     (1, 4): 6, (1, 5): 6, (2, 4): 6,
     (3, 4): 4, (1, 6): 4,
     (2, 5): 4, (3, 5): 4, (2, 6): 4,
-    (3, 6): 1, (2, 7): 1, (2, 8): 1,
+    (3, 6): 1, (2, 7): 3, (2, 8): 1,
 }
 
 #: Component counts stated in the paper and asserted in the tests.
