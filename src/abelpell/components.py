@@ -7,6 +7,12 @@ simultaneous conjugation are represented by canonical keys: fixing the product
 to the standard cycle cuts the conjugation down to the cycle's centralizer, so
 a class is the lexicographic minimum over the n cyclic conjugates.
 
+The enumeration never scans the I(n) * C(n,2)^g candidate tuples: it starts
+only from involutions sigma that are least among their cyclic conjugates, and
+prunes a prefix before its last transposition when the remainder has too many
+points that no single transposition can repair (see
+:func:`enumerate_m_with_cycle`).
+
 Components of the split moduli are orbits of the keys under the adjacent swap
 and the two turn moves; the nonsplit moduli add the flip, which reverses the
 tuple while rewriting each entry in the letters before it.
@@ -14,11 +20,11 @@ tuple while rewriting each entry in the letters before it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .geometry import Partition, RamSpec
 from .perms import (
     Perm,
-    all_transpositions,
     compose,
     compose_all,
     conjugate,
@@ -31,6 +37,7 @@ from .perms import (
     is_involution,
     is_transposition,
     standard_cycle,
+    transposition,
 )
 
 VARIANT_SPLIT = "split"
@@ -41,6 +48,9 @@ VARIANTS = (VARIANT_SPLIT, VARIANT_NONSPLIT)
 CanonicalKey = tuple[int, ...]
 
 #: Enumeration work cap for fail-fast sizing (involutions * transpositions^g).
+#: The pruned scan does far less work than this brute-force count, but the
+#: cap keeps the formula I(n) * C(n,2)^g, so the set of inputs that exit 3
+#: does not depend on how the enumeration is done.
 SIZE_LIMIT = 5_000_000
 
 
@@ -90,17 +100,28 @@ def canonical_key(comps: tuple[Perm, ...]) -> CanonicalKey:
     return _key_over_cycle(comps, standard_cycle(len(comps[0])))
 
 
-def _key_over_cycle(comps: tuple[Perm, ...], cycle: Perm) -> CanonicalKey:
-    n = len(comps[0])
-    best: CanonicalKey | None = None
-    rho = identity(n)
-    for _ in range(n):
-        flat = tuple(x for comp in comps for x in conjugate(comp, rho))
-        if best is None or flat < best:
-            best = flat
+@lru_cache(maxsize=16)
+def _rotations(cycle: Perm) -> tuple[Perm, ...]:
+    """The n powers of ``cycle``, identity first."""
+    rho = identity(len(cycle))
+    powers = []
+    for _ in range(len(cycle)):
+        powers.append(rho)
         rho = compose(rho, cycle)
-    assert best is not None
-    return best
+    return tuple(powers)
+
+
+def _key_over_cycle(comps: tuple[Perm, ...], cycle: Perm) -> CanonicalKey:
+    # The first component decides the comparison unless it ties, so only the
+    # rotations that minimise it are flattened.
+    rotations = _rotations(cycle)
+    firsts = [conjugate(comps[0], rho) for rho in rotations]
+    least = min(firsts)
+    return min(
+        tuple(x for comp in comps for x in conjugate(comp, rho))
+        for rho, first in zip(rotations, firsts)
+        if first == least
+    )
 
 
 def key_to_tuple(key: CanonicalKey, n: int) -> MonodromyTuple:
@@ -130,7 +151,24 @@ def enumerate_m(g: int, n: int) -> set[CanonicalKey]:
 
 def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm) -> set[CanonicalKey]:
     """As :func:`enumerate_m` but normalising the product to an arbitrary
-    n-cycle; the count must not depend on the choice."""
+    n-cycle; the count must not depend on the choice.
+
+    Two reductions make the work follow the classes found rather than the
+    I(n) * C(n,2)^g candidate tuples:
+
+    * Orbit-least sigma.  A key's first block is the least conjugate of
+      sigma by the powers of the cycle, so every class has a tuple whose
+      sigma is least in its orbit, and only such sigma start a scan.  The
+      key of a hit is then the least flattening over the powers that fix
+      sigma.
+    * Defect pruning.  After sigma and k middles, let r be the remainder
+      (sigma s_1 ... s_k)^-1 * cycle.  A further transposition (i j) swaps
+      r[i] and r[j], and after the last middle r is tau.  So before the last
+      middle, tau can be an involution only if every defect x of r
+      (r[r[x]] != x) has x or r[x] among i, j: more than four defects prune
+      the prefix, and otherwise only the transpositions meeting {x0, r[x0]}
+      for the first defect x0 are tried.
+    """
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
     if cycle_type(base_cycle) != (n,):
@@ -142,28 +180,65 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm) -> set[CanonicalKey
         raise ResourceLimit(
             f"enumeration size ~{work} tuples exceeds the cap of {SIZE_LIMIT}"
         )
-    transpositions = all_transpositions(n)
+    rotations = _rotations(base_cycle)
+    points = tuple(range(n))
+    pairs = [(i, j, transposition(n, i, j)) for i in range(n) for j in range(i + 1, n)]
+    touching = [[pair for pair in pairs if x in pair[:2]] for x in points]
     keys: set[CanonicalKey] = set()
     target_fix = 2 * g + 2
+    ident = list(points)
+    # r, tau_fix and symmetric belong to the sigma of the current scan; the
+    # loop at the end sets them.
 
-    def scan(prefix: Perm, chosen: list[Perm], sigma: Perm, sigma_fix: int) -> None:
-        if len(chosen) == g:
-            # tau is forced: prefix * tau = base_cycle.
-            tau = compose(inverse(prefix), base_cycle)
-            if not is_involution(tau):
-                return
-            if sigma_fix + fixed_points(tau) != target_fix:
-                return
-            keys.add(_key_over_cycle((sigma, *chosen, tau), base_cycle))
+    def record(head: CanonicalKey, last: Perm, tau: list[int]) -> None:
+        if list(map(tau.__getitem__, tau)) != ident:
             return
-        for t in transpositions:
-            scan(compose(prefix, t), chosen + [t], sigma, sigma_fix)
+        if sum(map(int.__eq__, tau, points)) != tau_fix:
+            return
+        key = head + last + tuple(tau)
+        if symmetric:
+            # Other powers of the cycle fix sigma and may flatten smaller.
+            key = _key_over_cycle(key_to_tuple(key, n).components, base_cycle)
+        keys.add(key)
+
+    def close(head: CanonicalKey) -> None:
+        # Choose the last middle t; tau is r with the two points of t swapped.
+        defects = [x for x in points if r[r[x]] != x]
+        if len(defects) > 4:
+            return
+        if defects:
+            x0 = defects[0]
+            y0 = r[x0]
+            candidates = touching[x0] + [p for p in touching[y0] if x0 not in p[:2]]
+        else:
+            candidates = pairs
+        for i, j, word in candidates:
+            tau = r.copy()
+            tau[i], tau[j] = r[j], r[i]
+            record(head, word, tau)
+
+    def descend(depth: int, head: CanonicalKey) -> None:
+        if depth == g - 1:
+            close(head)
+            return
+        for i, j, word in pairs:
+            r[i], r[j] = r[j], r[i]
+            descend(depth + 1, head + word)
+            r[i], r[j] = r[j], r[i]
 
     for sigma in involutions(n):
-        fix = fixed_points(sigma)
-        if fix > target_fix:
+        tau_fix = target_fix - fixed_points(sigma)
+        if not 0 <= tau_fix <= n:
             continue
-        scan(sigma, [], sigma, fix)
+        conjugates = [conjugate(sigma, rho) for rho in rotations]
+        if min(conjugates) != sigma:
+            continue
+        symmetric = conjugates.count(sigma) > 1
+        r = list(compose(sigma, base_cycle))  # sigma^-1 * cycle
+        if g == 0:
+            record(sigma, (), r)
+        else:
+            descend(0, sigma)
     return keys
 
 
@@ -253,49 +328,35 @@ class OrbitCertificate:
             raise AssertionError("orbit sizes do not sum to the class count")
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     """Count orbits of the applicable moves on the canonical keys.
 
     The moves commute with simultaneous conjugation, so applying each move to
-    one representative per key gives the full relation; union-find computes
-    its symmetric-transitive closure.
+    one representative per key gives the full relation.  Each move is a
+    bijection on the keys, so the keys reachable from one key form its whole
+    orbit: a breadth-first search from the least unvisited key visits one
+    orbit, and starting in sorted order lists the orbits by their least key.
     """
     keys = sorted(enumerate_m(g, n))
-    index = {key: i for i, key in enumerate(keys)}
-    uf = _UnionFind(len(keys))
     moves = applicable_moves(g, variant)
-    for key, i in index.items():
-        t = key_to_tuple(key, n)
-        for move in moves:
-            j = index[canonical_key(apply_move(t, move).components)]
-            uf.union(i, j)
-    orbits: dict[int, list[CanonicalKey]] = {}
-    for key, i in index.items():
-        orbits.setdefault(uf.find(i), []).append(key)
-    reps = sorted(min(members) for members in orbits.values())
-    sizes = tuple(
-        len(members)
-        for members in sorted(orbits.values(), key=min)
-    )
-    return OrbitCertificate(g, n, variant, len(keys), len(orbits), tuple(reps), sizes)
+    seen: set[CanonicalKey] = set()
+    reps: list[CanonicalKey] = []
+    sizes: list[int] = []
+    for start in keys:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for key in orbit:  # the list grows while it is read: a FIFO queue
+            t = key_to_tuple(key, n)
+            for move in moves:
+                image = canonical_key(apply_move(t, move).components)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        reps.append(start)
+        sizes.append(len(orbit))
+    return OrbitCertificate(g, n, variant, len(keys), len(reps), tuple(reps), tuple(sizes))
 
 
 def tuple_ramspec(t: MonodromyTuple) -> RamSpec:

@@ -21,7 +21,7 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     >>> compose((1, 0, 2), (0, 2, 1))   # (01) then (12)
     (2, 0, 1)
     """
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def compose_all(perms: Sequence[Sequence[int]], n: int) -> Perm:

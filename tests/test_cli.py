@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,21 @@ def test_components_list(capsys):
     code, report, _ = run_json(capsys, "components", "list", "--genus", "1", "--order", "2")
     assert code == 0
     assert report["result"]["classes"] == [[[0, 1], [1, 0], [0, 1]]]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("components_count_g2_n6", "components count --genus 2 --order 6"),
+    ("components_count_g2_n7_split", "components count --genus 2 --order 7 --split"),
+    ("components_list_g2_n5", "components list --genus 2 --order 5"),
+])
+def test_components_golden_output(capsys, name, argv):
+    # Recorded from the brute-force enumeration with union-find orbit closure.
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "structured")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_structured_output_deterministic(capsys):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelpell.components import (
     MonodromyTuple,
@@ -17,17 +19,58 @@ from abelpell.components import (
 )
 from abelpell.geometry import genus_of_ramspec
 from abelpell.perms import (
+    all_transpositions,
     compose,
     compose_all,
+    conjugate,
     cycle_type,
     fixed_points,
     identity,
     inverse,
+    involutions,
     is_involution,
     is_n_cycle,
     standard_cycle,
     transposition,
 )
+
+
+def brute_force_keys(g, n, base_cycle):
+    """Slow reference for enumerate_m_with_cycle, the full scan: every
+    involution sigma, every g-tuple of transpositions, tau forced by the
+    product, and the key as the least flattening over all n powers of the
+    cycle."""
+    powers = [identity(n)]
+    for _ in range(n - 1):
+        powers.append(compose(powers[-1], base_cycle))
+    transpositions = all_transpositions(n)
+    keys = set()
+
+    def scan(prefix, chosen, sigma):
+        if len(chosen) == g:
+            tau = compose(inverse(prefix), base_cycle)
+            if is_involution(tau) and fixed_points(sigma) + fixed_points(tau) == 2 * g + 2:
+                comps = (sigma, *chosen, tau)
+                keys.add(min(
+                    tuple(x for comp in comps for x in conjugate(comp, rho)) for rho in powers
+                ))
+            return
+        for t in transpositions:
+            scan(compose(prefix, t), chosen + [t], sigma)
+
+    for sigma in involutions(n):
+        if fixed_points(sigma) <= 2 * g + 2:
+            scan(sigma, [], sigma)
+    return keys
+
+
+def random_n_cycle(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    cycle = [0] * n
+    for i, x in enumerate(order):
+        cycle[x] = order[(i + 1) % n]
+    return tuple(cycle)
 
 
 def test_enumerate_small_by_hand():
@@ -221,3 +264,78 @@ def test_tuple_ramspec_genus_everywhere():
             spec = tuple_ramspec(key_to_tuple(key, n))
             assert genus_of_ramspec(spec) == g
             assert spec.total_ramification() == n - 1
+
+
+def test_enumeration_matches_brute_force_oracle():
+    rng = random.Random(2024)
+    cases = [(g, n) for g in range(4) for n in range(1, 7)] + [(2, 7)]
+    for g, n in cases:
+        cycles = [standard_cycle(n), random_n_cycle(rng, n), random_n_cycle(rng, n)]
+        for cycle in cycles:
+            assert is_n_cycle(cycle)
+            assert enumerate_m_with_cycle(g, n, cycle) == brute_force_keys(g, n, cycle), (
+                g, n, cycle)
+
+
+#: (g, n) -> (|M|, split orbit sizes, nonsplit orbit sizes).  The first three
+#: are the benchmark's census reference values; (4, 6) was confirmed once
+#: against the brute-force enumeration with union-find orbit closure.
+CENSUS = {
+    (3, 6): (324, (54, 216, 54), (108, 216)),
+    (2, 7): (294, (49, 196, 49), (98, 196)),
+    (2, 8): (672, (16, 320, 320, 16), (32, 640)),
+    (4, 6): (432, (216, 216), (432,)),
+}
+
+
+@pytest.mark.parametrize("g, n", sorted(CENSUS))
+def test_census_reference(g, n):
+    m_count, split_sizes, nonsplit_sizes = CENSUS[(g, n)]
+    for variant, sizes in (("split", split_sizes), ("nonsplit", nonsplit_sizes)):
+        cert = component_count(g, n, variant)
+        assert cert.m_count == m_count
+        assert sorted(cert.orbit_sizes) == sorted(sizes), variant
+        assert cert.component_count == len(sizes)
+
+
+# -- algebraic laws on small cases ---------------------------------------------------
+
+LAW_CASES = ((1, 3), (1, 4), (2, 4), (2, 5))
+SORTED_KEYS = {case: sorted(enumerate_m(*case)) for case in LAW_CASES}
+LAWS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def case_and_key(draw):
+    g, n = draw(st.sampled_from(LAW_CASES))
+    return g, n, draw(st.sampled_from(SORTED_KEYS[(g, n)]))
+
+
+@LAWS
+@given(st.sampled_from(LAW_CASES), st.data())
+def test_each_move_is_a_bijection_on_keys(case, data):
+    g, n = case
+    move = data.draw(st.sampled_from(applicable_moves(g, "nonsplit")))
+    keys = SORTED_KEYS[case]
+    images = [canonical_key(apply_move(key_to_tuple(k, n), move).components) for k in keys]
+    assert sorted(images) == keys
+
+
+@LAWS
+@given(case_and_key())
+def test_flip_is_an_involution_on_classes(drawn):
+    g, n, key = drawn
+    once = apply_move(key_to_tuple(key, n), "flip")
+    twice = apply_move(key_to_tuple(canonical_key(once.components), n), "flip")
+    assert canonical_key(twice.components) == key
+
+
+@LAWS
+@given(case_and_key(), st.integers(min_value=0, max_value=7))
+def test_canonical_key_invariant_under_cycle_conjugation(drawn, power):
+    g, n, key = drawn
+    rho = identity(n)
+    for _ in range(power % n):
+        rho = compose(rho, standard_cycle(n))
+    comps = key_to_tuple(key, n).components
+    assert canonical_key(tuple(conjugate(comp, rho) for comp in comps)) == key

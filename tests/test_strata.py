@@ -1,4 +1,3 @@
-import itertools
 
 import pytest
 
@@ -15,11 +14,20 @@ from abelpell.unipoly import poly
 
 
 def exponent_lists(max_total: int):
-    """All lists [e_1, ..., e_m] with e_i >= 2 and sum (e_i - 1) <= max_total."""
+    """All lists [e_1, ..., e_m] with e_i >= 2 and sum (e_i - 1) <= max_total,
+    by length and then lexicographically."""
+
+    def lists(m: int, budget: int):
+        # m entries, each taking e - 1 >= 1 of the budget
+        if m == 0:
+            yield []
+            return
+        for e in range(2, budget - m + 3):
+            for rest in lists(m - 1, budget - (e - 1)):
+                yield [e, *rest]
+
     for m in range(1, max_total + 1):
-        for combo in itertools.product(range(2, max_total + 2), repeat=m):
-            if sum(e - 1 for e in combo) <= max_total:
-                yield list(combo)
+        yield from lists(m, max_total)
 
 
 def test_truncated_ring():
