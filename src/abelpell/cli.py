@@ -67,14 +67,11 @@ def _triple_from_args(args, names=("p", "q", "r")) -> pell.PellTriple:
 def _cmd_pell_solve(args):
     r = parse_poly(args.r)
     steps = pell.cf_expand(r, args.n_max + 2)
-    searched = []
-    for step in steps:
-        if step.p.degree > args.n_max:
-            break
-        searched.append(step.p.degree)
-        if step.constant_norm:
-            break
-    triple = pell.pell_solve(r, args.n_max)
+    unit = pell.least_unit(steps, r, args.n_max)
+    triple = pell.minimal_solution(r, unit, args.n_max)
+    # Convergent degrees rise strictly, so the search stopped at the unit.
+    last = args.n_max if unit is None else unit.p.degree
+    searched = [step.p.degree for step in steps if step.p.degree <= last]
     checks = [check("orders_searched_up_to_n_max", True, orders=searched)]
     if triple is None:
         result = {"solution": None, "n_max": args.n_max}

@@ -162,7 +162,8 @@ def laurent_sqrt_polypart(r: UniPoly) -> UniPoly:
     >>> laurent_sqrt_polypart(poly(1, 0, 0, 0, 1))
     UniPoly('x^2')
     """
-    y = sqrt_tail(r, 2 * r.degree + 4).poly_part()
+    # The root's terms of degree >= 0 need r only down to degree (deg r)/2.
+    y = sqrt_tail(r, r.degree // 2 + 1).poly_part()
     # Exact sanity check of the defining property, independent of the series.
     half = r.degree // 2
     if not (y.is_monic() and y.degree == half and (r - y * y).degree <= half - 1):

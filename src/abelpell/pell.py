@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .laurent import laurent_sqrt_polypart
 from .rationals import rational_nth_root, rational_sqrt
@@ -130,7 +130,12 @@ class QuadraticSurd:
 @dataclass(frozen=True)
 class CFStep:
     """One step of the expansion: the surd, its polynomial part, and the
-    convergent accumulated so far together with its norm P^2 - R*Q^2."""
+    convergent accumulated so far together with its norm P^2 - R*Q^2.
+
+    At step k the norm is P_k^2 - R*Q_k^2 = (-1)^(k+1) B_(k+1), with B_(k+1)
+    the denominator of the next surd; it is read off that denominator rather
+    than multiplied out.
+    """
 
     index: int
     surd: QuadraticSurd
@@ -163,7 +168,13 @@ def _check_pell_r(r: UniPoly) -> None:
 
 
 def _cf_steps(r: UniPoly) -> Iterator[CFStep]:
-    """Exact continued-fraction steps for sqrt(R), without termination."""
+    """Exact continued-fraction steps for sqrt(R), without termination.
+
+    Step k expands the surd (A_k + sqrt(R))/B_k, starting from A_0 = 0 and
+    B_0 = 1.  The next surd, A_(k+1) = a_k B_k - A_k and
+    B_(k+1) = (R - A_(k+1)^2)/B_k, is found before step k is yielded, because
+    B_(k+1) gives the convergent's norm: P_k^2 - R*Q_k^2 = (-1)^(k+1) B_(k+1).
+    """
     y = laurent_sqrt_polypart(r)
     a, b = UniPoly(()), UniPoly((1,))
     p_prev, p_prev2 = UniPoly((1,)), UniPoly(())
@@ -174,11 +185,11 @@ def _cf_steps(r: UniPoly) -> Iterator[CFStep]:
         partial = (a + y) // b
         p_k = partial * p_prev + p_prev2
         q_k = partial * q_prev + q_prev2
-        yield CFStep(k, surd, partial, p_k, q_k, p_k * p_k - r * q_k * q_k)
-        p_prev, p_prev2 = p_k, p_prev
-        q_prev, q_prev2 = q_k, q_prev
         a = partial * b - a
         b = (r - a * a).exact_div(b)
+        yield CFStep(k, surd, partial, p_k, q_k, b if k % 2 else -b)
+        p_prev, p_prev2 = p_k, p_prev
+        q_prev, q_prev2 = q_k, q_prev
         k += 1
 
 
@@ -199,36 +210,46 @@ def cf_expand(r: UniPoly, max_steps: int) -> list[CFStep]:
     return steps
 
 
+def least_unit(
+    steps: Iterable[CFStep], r: UniPoly, max_order: int
+) -> FundamentalUnit | None:
+    """The first constant-norm convergent among ``steps`` (the expansion of
+    sqrt(R) from step 0) of degree up to ``max_order``; None if there is none.
+
+    The norm of the returned unit is checked once against P^2 - R*Q^2.
+    """
+    for step in steps:
+        if step.p.degree > max_order:
+            return None
+        if step.constant_norm:
+            if step.p * step.p - r * step.q * step.q != step.norm:
+                raise AssertionError("convergent norm differs from its surd denominator")
+            return FundamentalUnit(step.p, step.q, step.norm.constant_value())
+    return None
+
+
 def fundamental_unit(r: UniPoly, max_order: int) -> FundamentalUnit | None:
     """The least-degree convergent with constant norm, searching convergents
     of degree up to ``max_order``; None if there is none in range."""
     _check_pell_r(r)
-    for step in _cf_steps(r):
-        if step.p.degree > max_order:
-            return None
-        if step.constant_norm:
-            return FundamentalUnit(step.p, step.q, step.norm.constant_value())
+    return least_unit(_cf_steps(r), r, max_order)
 
 
-def pell_solve(r: UniPoly, n_max: int) -> PellTriple | None:
-    """The minimal-order rational solution of P^2 - R*Q^2 = 1 with order
-    <= n_max, or None.
+def minimal_solution(
+    r: UniPoly, unit: FundamentalUnit | None, n_max: int
+) -> PellTriple | None:
+    """The minimal-order rational solution of order <= n_max, given the
+    fundamental unit of R found up to degree n_max (None if there is none).
 
     The fundamental unit has some constant norm c.  When c is a rational
     square the unit scales to a norm-1 solution of the same order; otherwise
     the square of the unit scaled by 1/c is the minimal rational solution
     (any rational solution is a scalar times a power of the unit, and norm
     c^k can only be scaled to 1 when it is a square, forcing k even).
-
-    >>> from .unipoly import poly
-    >>> pell_solve(poly(-2, 0, 1), 5).p
-    UniPoly('x^2 - 1')
     """
-    _check_pell_r(r)
     genus = r.degree // 2 - 1
     if n_max < genus + 1:
         raise ValueError(f"n_max = {n_max} is below genus + 1 = {genus + 1}")
-    unit = fundamental_unit(r, n_max)
     if unit is None:
         return None
     root = rational_sqrt(unit.norm)
@@ -243,6 +264,18 @@ def pell_solve(r: UniPoly, n_max: int) -> PellTriple | None:
     if p.degree > n_max:
         return None
     return PellTriple.build(p, q, r)
+
+
+def pell_solve(r: UniPoly, n_max: int) -> PellTriple | None:
+    """The minimal-order rational solution of P^2 - R*Q^2 = 1 with order
+    <= n_max, or None (see :func:`minimal_solution`).
+
+    >>> from .unipoly import poly
+    >>> pell_solve(poly(-2, 0, 1), 5).p
+    UniPoly('x^2 - 1')
+    """
+    _check_pell_r(r)
+    return minimal_solution(r, least_unit(_cf_steps(r), r, n_max), n_max)
 
 
 # -- group law ------------------------------------------------------------------

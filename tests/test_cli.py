@@ -144,6 +144,29 @@ def test_components_golden_output(capsys, name, argv):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("name, argv, exit_code", [
+    ("pell_solve_hit_affine_x6", ["pell", "solve", "x^6 + 9*x^5 + 135/4*x^4 + 135/2*x^3"
+                                  " + 1215/16*x^2 + 729/16*x - 729/64", "--n-max", "12"], 0),
+    ("pell_solve_miss_x4_x_1", ["pell", "solve", "x^4+x+1", "--n-max", "10"], 1),
+    ("pell_solve_nonsquare_norm_x2_2", ["pell", "solve", "x^2+2"], 0),
+])
+def test_pell_solve_golden_output(capsys, name, argv, exit_code):
+    # Recorded when the command expanded the continued fraction twice.
+    code, out, _ = run_cli(capsys, *argv, "--format", "structured")
+    assert code == exit_code
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_pell_solve_expands_once(capsys, monkeypatch):
+    from abelpell import pell
+
+    calls = []
+    steps = pell._cf_steps
+    monkeypatch.setattr(pell, "_cf_steps", lambda r: calls.append(r) or steps(r))
+    assert run_cli(capsys, "pell", "solve", "x^2+2")[0] == 0
+    assert len(calls) == 1
+
+
 def test_structured_output_deterministic(capsys):
     runs = [
         run_cli(capsys, "components", "count", "--genus", "1", "--order", "4",

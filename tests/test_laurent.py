@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelpell.laurent import LaurentTail, PrecisionError, laurent_sqrt_polypart, sqrt_tail
 from abelpell.unipoly import UniPoly, poly
@@ -70,3 +72,17 @@ def test_polypart_roundtrip():
         y = UniPoly([Fraction(rng.randint(-6, 6)) for _ in range(deg_y)] + [Fraction(1)])
         r = UniPoly([Fraction(rng.randint(-6, 6)) for _ in range(rng.randint(0, deg_y))])
         assert laurent_sqrt_polypart(y * y + r) == y
+
+
+FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FRACTIONS, min_size=1, max_size=6), st.data())
+def test_polypart_property_against_long_expansion(lower, data):
+    # Y monic of degree len(lower); any r with deg r < deg Y.
+    y = UniPoly(lower + [Fraction(1)])
+    r = UniPoly(data.draw(st.lists(FRACTIONS, max_size=y.degree)))
+    big_r = y * y + r
+    assert laurent_sqrt_polypart(big_r) == y
+    assert sqrt_tail(big_r, 2 * big_r.degree + 4).poly_part() == y

@@ -1,7 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from abelpell import pell
 from abelpell.rationals import rational_sqrt
 from abelpell.pell import (
     CHART_GENERAL,
@@ -12,6 +16,8 @@ from abelpell.pell import (
     cf_expand,
     fundamental_unit,
     inflate,
+    least_unit,
+    minimal_solution,
     normalize,
     pell_compose,
     pell_power,
@@ -19,7 +25,7 @@ from abelpell.pell import (
     pell_verify,
     unit_compose,
 )
-from abelpell.unipoly import UniPoly, poly
+from abelpell.unipoly import UniPoly, is_squarefree, poly
 
 R_MINUS2 = poly(-2, 0, 1)
 R_PLUS2 = poly(2, 0, 1)
@@ -78,6 +84,77 @@ def test_fundamental_unit():
     unit = fundamental_unit(R_MINUS2, 5)
     assert (unit.p, unit.q, unit.norm) == (poly(0, 1), poly(1), 2)
     assert fundamental_unit(R_QUARTIC, 10) is None
+
+
+def affine_image(r, a, b):
+    """R(a*x + b) / a^deg R: monic, squarefree, and Pellian exactly when R is."""
+    return r.compose_linear(a, b) * (1 / Fraction(a) ** r.degree)
+
+
+L_CUBIC = poly(1, -2, 1, 1)  # L^2 - 1 is Pellian of order 3
+NORM_ORACLE_R = [
+    R_MINUS2,
+    R_PLUS2,
+    poly(1, 0, 0, 0, 1),
+    poly(-2, 0, 0, 0, 0, 0, 1),
+    L_CUBIC * L_CUBIC - 1,
+    R_QUARTIC,
+    poly(-3, 1, 1, 0, 0, 0, 1),
+    affine_image(poly(-2, 0, 0, 0, 0, 0, 1), Fraction(2, 3), 1),
+    affine_image(L_CUBIC * L_CUBIC - 1, Fraction(3, 2), -2),
+    affine_image(R_QUARTIC, Fraction(2, 3), 3),
+    affine_image(R_QUARTIC, Fraction(3, 2), -1),
+]
+
+
+@pytest.mark.parametrize("r", NORM_ORACLE_R, ids=str)
+def test_cf_norm_matches_convergent_norm(r):
+    # The norm read off the surd denominator against the multiplied-out one.
+    for step in cf_expand(r, 12):
+        assert step.norm == step.p * step.p - r * step.q * step.q
+
+
+@st.composite
+def monic_squarefree(draw):
+    degree = draw(st.sampled_from([2, 4, 6]))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    r = UniPoly(draw(st.lists(coeff, min_size=degree, max_size=degree)) + [1])
+    assume(is_squarefree(r))
+    return r
+
+
+@settings(max_examples=40, deadline=None)
+@given(monic_squarefree())
+def test_cf_norm_identity_property(r):
+    for step in cf_expand(r, 8):
+        assert step.norm == step.p * step.p - r * step.q * step.q
+
+
+def test_least_unit_checks_the_norm_it_returns():
+    steps = cf_expand(R_MINUS2, 3)
+    assert least_unit(steps, R_MINUS2, 5).norm == 2
+    forged = [dataclasses.replace(steps[0], norm=poly(3))] + steps[1:]
+    with pytest.raises(AssertionError):
+        least_unit(forged, R_MINUS2, 5)
+
+
+def test_minimal_solution_from_expanded_steps():
+    for r in NORM_ORACLE_R:
+        unit = least_unit(cf_expand(r, 14), r, 12)
+        assert minimal_solution(r, unit, 12) == pell_solve(r, 12)
+    with pytest.raises(ValueError):
+        minimal_solution(R_QUARTIC, None, 1)  # n_max below genus + 1
+
+
+def test_solve_checks_r_once(monkeypatch):
+    calls = []
+    check = pell._check_pell_r
+    monkeypatch.setattr(pell, "_check_pell_r", lambda r: calls.append(r) or check(r))
+    assert pell_solve(R_MINUS2, 5) is not None
+    assert pell_solve(R_QUARTIC, 10) is None
+    assert len(calls) == 2
+    fundamental_unit(R_MINUS2, 5)
+    assert len(calls) == 3
 
 
 def test_verify_examples():
