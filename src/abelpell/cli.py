@@ -66,7 +66,7 @@ def _triple_from_args(args, names=("p", "q", "r")) -> pell.PellTriple:
 
 def _cmd_pell_solve(args):
     r = parse_poly(args.r)
-    steps = pell.cf_expand(r, args.n_max + 2)
+    steps = pell.cf_expand_to_degree(r, args.n_max)
     unit = pell.least_unit(steps, r, args.n_max)
     triple = pell.minimal_solution(r, unit, args.n_max)
     # Convergent degrees rise strictly, so the search stopped at the unit.
@@ -148,10 +148,13 @@ def _cmd_pell_inflate(args):
 
 def _cmd_abel_ramspec(args):
     t = _triple_from_args(args)
-    spec = geometry.ramspec_of(t)
+    # ramspec_of(t) spelled out, so that the branch classes are found once.
+    plus, minus, _ = geometry.assigned_profile(t)
+    branch = geometry.unassigned_branch(t)
+    members = [plus, minus] + [c.partition for c in branch for _ in range(c.count)]
+    spec = geometry.RamSpec(t.order, tuple(members), (plus, minus))
     genus = geometry.genus_of_ramspec(spec)
     dim = geometry.polt_dimension(spec)
-    branch = geometry.unassigned_branch(t)
     result = {
         "order": spec.order,
         "members": [list(m) for m in spec.members],

@@ -14,7 +14,8 @@ charts record how far a solution has been normalised:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -114,16 +115,23 @@ class PellTriple:
 
 @dataclass(frozen=True)
 class QuadraticSurd:
-    """The surd (A + sqrt(R))/B in reduced form: B divides R - A^2."""
+    """The surd (A + sqrt(R))/B in reduced form: B divides R - A^2.
+
+    A caller that already holds R - A^2 passes it as ``rest``, so that the
+    check divides it instead of multiplying A out again.
+    """
 
     a: UniPoly
     b: UniPoly
     r: UniPoly
+    rest: InitVar[UniPoly | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, rest):
         if self.b.is_zero():
             raise ValueError("surd denominator is zero")
-        if not self.b.divides(self.r - self.a * self.a):
+        if rest is None:
+            rest = self.r - self.a * self.a
+        if not self.b.divides(rest):
             raise ValueError("surd is not reduced: B does not divide R - A^2")
 
 
@@ -174,19 +182,22 @@ def _cf_steps(r: UniPoly) -> Iterator[CFStep]:
     B_0 = 1.  The next surd, A_(k+1) = a_k B_k - A_k and
     B_(k+1) = (R - A_(k+1)^2)/B_k, is found before step k is yielded, because
     B_(k+1) gives the convergent's norm: P_k^2 - R*Q_k^2 = (-1)^(k+1) B_(k+1).
+    R - A_(k+1)^2 is computed once, for B_(k+1) and for the check of the
+    surd it belongs to.
     """
     y = laurent_sqrt_polypart(r)
-    a, b = UniPoly(()), UniPoly((1,))
+    a, b, rest = UniPoly(()), UniPoly((1,)), r
     p_prev, p_prev2 = UniPoly((1,)), UniPoly(())
     q_prev, q_prev2 = UniPoly(()), UniPoly((1,))
     k = 0
     while True:
-        surd = QuadraticSurd(a, b, r)
+        surd = QuadraticSurd(a, b, r, rest)
         partial = (a + y) // b
         p_k = partial * p_prev + p_prev2
         q_k = partial * q_prev + q_prev2
         a = partial * b - a
-        b = (r - a * a).exact_div(b)
+        rest = r - a * a
+        b = rest.exact_div(b)
         yield CFStep(k, surd, partial, p_k, q_k, b if k % 2 else -b)
         p_prev, p_prev2 = p_k, p_prev
         q_prev, q_prev2 = q_k, q_prev
@@ -202,12 +213,15 @@ def cf_expand(r: UniPoly, max_steps: int) -> list[CFStep]:
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     _check_pell_r(r)
-    steps = []
-    for step in _cf_steps(r):
-        steps.append(step)
-        if step.index + 1 >= max_steps:
-            break
-    return steps
+    return list(itertools.islice(_cf_steps(r), max_steps))
+
+
+def cf_expand_to_degree(r: UniPoly, max_degree: int) -> list[CFStep]:
+    """The steps of the continued fraction of sqrt(R) whose convergents have
+    degree <= ``max_degree``; the expansion stops at the first convergent
+    above it (convergent degrees rise strictly)."""
+    _check_pell_r(r)
+    return list(itertools.takewhile(lambda step: step.p.degree <= max_degree, _cf_steps(r)))
 
 
 def least_unit(

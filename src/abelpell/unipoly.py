@@ -5,10 +5,16 @@ constant term first, with trailing zeros trimmed; the zero polynomial is the
 empty tuple.  Every operation in this module (and this package) is exact --
 there is no floating point and no epsilon anywhere.
 
+Resultants come from the Euclidean remainder sequence, not from a Sylvester
+determinant: res(a, b) = (-1)^(deg a * deg b) lc(b)^(deg a - deg r) res(b, r)
+with r = a mod b.
+
 >>> poly(-2, 0, 1)
 UniPoly('x^2 - 2')
 >>> poly(-2, 0, 1).degree
 2
+>>> resultant(poly(-2, 0, 1), poly(0, 2))
+Fraction(-8, 1)
 """
 from __future__ import annotations
 
@@ -328,60 +334,32 @@ def is_squarefree(p: UniPoly) -> bool:
     return gcd(p, p.derivative()).degree == 0
 
 
-def sylvester_matrix(p: UniPoly, q: UniPoly) -> list[list[Fraction]]:
-    """The (deg p + deg q) square Sylvester matrix of two nonzero polynomials."""
-    if p.is_zero() or q.is_zero():
-        raise ValueError("Sylvester matrix needs nonzero polynomials")
-    m, n = p.degree, q.degree
-    size = m + n
-    rows: list[list[Fraction]] = []
-    prow = list(reversed(p.coeffs))
-    qrow = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + prow + [Fraction(0)] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + qrow + [Fraction(0)] * (size - i - n - 1))
-    return rows
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    # Exact Gaussian elimination; pivots are tested against literal zero.
-    n = len(rows)
-    rows = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    return det
-
-
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:
-    """The resultant as the determinant of the Sylvester matrix.
+    """The resultant of two nonzero polynomials, by the Euclidean remainder
+    sequence.
 
-    Zero exactly when p and q have a nontrivial common factor.
+    With r = a mod b, res(a, b) = (-1)^(deg a * deg b) lc(b)^(deg a - deg r)
+    res(b, r); a zero remainder (a common factor) gives 0, and a constant c
+    gives res(a, c) = c^(deg a).  Each step is one division, so the cost is
+    O(deg p * deg q) field operations.  Zero exactly when p and q have a
+    nontrivial common factor.
 
     >>> resultant(poly(-1, 1), poly(1, 1))
     Fraction(2, 1)
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
-    if p.degree == 0:
-        return p.leading**q.degree
-    if q.degree == 0:
-        return q.leading**p.degree
-    return _det(sylvester_matrix(p, q))
+    acc = Fraction(1)
+    a, b = p, q
+    while b.degree > 0:
+        r = a % b
+        if r.is_zero():
+            return Fraction(0)
+        if a.degree * b.degree % 2:
+            acc = -acc
+        acc *= b.leading ** (a.degree - r.degree)
+        a, b = b, r
+    return acc * b.leading**a.degree
 
 
 def discriminant(p: UniPoly) -> Fraction:

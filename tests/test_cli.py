@@ -167,6 +167,50 @@ def test_pell_solve_expands_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_pell_solve_stops_above_n_max(capsys, monkeypatch):
+    # The unit of this affine image of x^6 - 2 has degree 3 and the
+    # convergent degrees are 3, 6, 9, ...: 13 of them are <= 40, and the
+    # expansion stops after building the first one above (degree 42).
+    from abelpell import pell
+
+    built = []
+    step = pell.CFStep
+    monkeypatch.setattr(pell, "CFStep", lambda *args: built.append(args[3].degree) or step(*args))
+    argv = ["pell", "solve", "x^6 + 9*x^5 + 135/4*x^4 + 135/2*x^3 + 1215/16*x^2 + 729/16*x"
+            " - 729/64", "--n-max", "40", "--format", "structured"]
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert built == list(range(3, 43, 3))
+    assert json.loads(report)["checks"][0]["orders"] == [3]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("conjugate_x3_x", ["x^3+x", "1", "x^6+2*x^4+x^2-1"]),
+    ("chebyshev_order6", ["4*x^6+12*x^5+36*x^4+52*x^3+69*x^2+45*x+26",
+                          "4*x^4+8*x^3+20*x^2+16*x+15", "x^4+2*x^3+5*x^2+4*x+3"]),
+    ("inflated_divides_m3", ["x^3+2", "1", "x^6+4*x^3+3"]),
+])
+@pytest.mark.parametrize("command", ["ramspec", "hurwitz"])
+def test_abel_golden_output(capsys, command, name, argv):
+    # Recorded from Sylvester-determinant resultants, with `abel ramspec`
+    # computing the branch classes twice.  The triples: conjugate branch
+    # values (t^2 + 4/27), T_3(L) for L = x^2 + x + 2, and (x + 2, 1,
+    # x^2 + 4x + 3) inflated by s -> s^3 in the divides_g_plus_1 case.
+    code, out, _ = run_cli(capsys, "abel", command, *argv, "--format", "structured")
+    assert code == 0
+    assert out == (GOLDEN / f"abel_{command}_{name}.json").read_text()
+
+
+def test_abel_ramspec_finds_branch_classes_once(capsys, monkeypatch):
+    from abelpell import geometry
+
+    calls = []
+    branch = geometry.branch_polynomial
+    monkeypatch.setattr(geometry, "branch_polynomial", lambda t: calls.append(t) or branch(t))
+    assert run_cli(capsys, "abel", "ramspec", "x^3+x", "1", "x^6+2*x^4+x^2-1")[0] == 0
+    assert len(calls) == 1
+
+
 def test_structured_output_deterministic(capsys):
     runs = [
         run_cli(capsys, "components", "count", "--genus", "1", "--order", "4",

@@ -1,4 +1,6 @@
 import pytest
+from conftest import chebyshev_triple, fixture_family
+from test_unipoly import sylvester_resultant
 
 from abelpell.geometry import (
     RamSpec,
@@ -11,7 +13,7 @@ from abelpell.geometry import (
     unassigned_branch,
 )
 from abelpell.pell import PellTriple, inflate
-from abelpell.unipoly import poly
+from abelpell.unipoly import interpolate, poly
 
 T_GENUS0 = lambda: PellTriple.build(poly(-1, 0, 1), poly(0, 1), poly(-2, 0, 1))
 T_GENUS1 = lambda: PellTriple.build(poly(0, 0, 1), poly(1), poly(-1, 0, 0, 0, 1))
@@ -135,3 +137,11 @@ def test_branch_polynomial_degree_bound(triples):
     for t in triples:
         b = branch_polynomial(t)
         assert b.degree <= t.order - 1
+
+
+def test_branch_polynomial_matches_sylvester_oracle():
+    # The interpolation of Sylvester determinants at s = 0 .. n - 1.
+    for t in fixture_family() + [chebyshev_triple(12)]:
+        dp = t.p.derivative()
+        oracle = interpolate([(s, sylvester_resultant(t.p - s, dp)) for s in range(t.order)])
+        assert branch_polynomial(t) == oracle

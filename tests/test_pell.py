@@ -57,6 +57,29 @@ def test_cf_surd_invariant_and_rejections():
         cf_expand(poly(0, 1), 3)  # odd degree
 
 
+def test_cf_loop_hands_each_surd_its_rest(monkeypatch):
+    # The loop computes R - A^2 once and each surd divides that value.
+    r = poly(-3, 1, 1, 0, 0, 0, 1)
+    seen = []
+    surd = pell.QuadraticSurd
+    monkeypatch.setattr(pell, "QuadraticSurd",
+                        lambda a, b, r, rest=None: seen.append((a, rest)) or surd(a, b, r, rest))
+    cf_expand(r, 8)
+    assert len(seen) == 8
+    assert all(rest == r - a * a for a, rest in seen)
+
+
+def test_surd_checks_itself_and_the_rest_it_is_given():
+    r = poly(-3, 1, 1, 0, 0, 0, 1)
+    assert pell.QuadraticSurd(poly(0), poly(0, 1), r + 3)  # x divides x^6 + x^2 + x
+    with pytest.raises(ValueError):
+        pell.QuadraticSurd(poly(1), poly(0, 1), r)  # x does not divide R - 1
+    with pytest.raises(ValueError):
+        pell.QuadraticSurd(poly(0), poly(0, 1), r + 3, poly(1))  # x does not divide 1
+    with pytest.raises(ValueError):
+        pell.QuadraticSurd(poly(0), poly(), r)
+
+
 def test_solve_examples():
     t = pell_solve(R_MINUS2, 5)
     assert (t.p, t.q, t.order) == (poly(-1, 0, 1), poly(0, 1), 2)

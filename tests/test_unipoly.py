@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abelpell.unipoly import (
     UniPoly,
@@ -72,6 +74,64 @@ def test_squarefree_reassembles(triples):
         assert reassemble_squarefree(parts, p.leading) == p
         for factor, _ in parts:
             assert is_squarefree(factor) and factor.is_monic()
+
+
+def sylvester_matrix(p: UniPoly, q: UniPoly) -> list[list[Fraction]]:
+    """The (deg p + deg q) square Sylvester matrix of two nonzero polynomials."""
+    m, n = p.degree, q.degree
+    size = m + n
+    prow = list(reversed(p.coeffs))
+    qrow = list(reversed(q.coeffs))
+    rows = [[Fraction(0)] * i + prow + [Fraction(0)] * (size - i - m - 1) for i in range(n)]
+    rows += [[Fraction(0)] * i + qrow + [Fraction(0)] * (size - i - n - 1) for i in range(m)]
+    return rows
+
+
+def sylvester_resultant(p: UniPoly, q: UniPoly) -> Fraction:
+    """Oracle: the determinant of the Sylvester matrix, by exact Gaussian
+    elimination with pivots tested against literal zero."""
+    rows = sylvester_matrix(p, q)
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] * inv
+            for c in range(col, n):
+                rows[r][c] -= factor * rows[col][c]
+    return det
+
+
+COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+def nonzero_polys(max_degree: int):
+    """Rational coefficients and a leading coefficient that is rarely 1."""
+    return st.builds(
+        lambda low, lead: UniPoly(low + [lead]),
+        st.lists(COEFF, max_size=max_degree),
+        COEFF.filter(bool),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero_polys(6), nonzero_polys(6), nonzero_polys(3))
+@example(poly(Fraction(-3, 2)), poly(1, 2, Fraction(1, 3)), poly(1))  # deg p = 0
+@example(poly(0, 2, -3, 5), poly(Fraction(7, 4)), poly(1))  # deg q = 0
+@example(poly(1, -2), poly(3, 0, Fraction(-1, 2), 4), poly(Fraction(2, 3), -1))  # deg p < deg q
+def test_resultant_matches_sylvester_property(p, q, common):
+    assert resultant(p, q) == sylvester_resultant(p, q)
+    assert resultant(q, p) == (-1) ** (p.degree * q.degree) * resultant(p, q)
+    if common.degree >= 1:
+        assert sylvester_resultant(p * common, q * common) == 0
+        assert resultant(p * common, q * common) == 0
 
 
 def test_resultant_examples():
