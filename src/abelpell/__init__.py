@@ -27,7 +27,6 @@ from .geometry import (
     ramspec_of,
     unassigned_branch,
 )
-from .laurent import LaurentTail, PrecisionError, laurent_sqrt_polypart
 from .multipoly import MultiPoly
 from .parsing import ParseError, parse_poly
 from .pell import (
@@ -40,6 +39,7 @@ from .pell import (
     cf_expand,
     fundamental_unit,
     inflate,
+    laurent_sqrt_polypart,
     normalize,
     pell_compose,
     pell_power,

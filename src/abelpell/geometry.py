@@ -5,18 +5,25 @@ fibres over +1, -1 and infinity are constrained: infinity is totally ramified
 and the fibres over +-1 are read off the squarefree structure of P -+ 1, with
 the odd multiplicities sitting exactly at the roots of R.  All other branch
 points are "unassigned" and live wherever P' vanishes.  Everything reduces to
-exact squarefree decompositions; conjugate algebraic branch points are handled
-in Q[t]/(m(t)) rather than numerically.
+exact squarefree decompositions and gcds over Q: the fibres over a Galois orbit
+of branch values are read off gcds with the squarefree factors of P', so no
+algebraic extension is built and nothing is numerical.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extfield import ExtField, multiplicity_partition
 from .factorization import factor_rational
 from .pell import PellTriple
-from .unipoly import UniPoly, interpolate, resultant, squarefree_decomposition, squarefree_part
+from .unipoly import (
+    UniPoly,
+    gcd,
+    interpolate,
+    resultant,
+    squarefree_decomposition,
+    squarefree_part,
+)
 
 #: A partition of the map degree: part multiplicities sorted descending.
 Partition = tuple[int, ...]
@@ -164,13 +171,41 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
     return interpolate(points)
 
 
+def multiplicity_partition(m: UniPoly, p: UniPoly) -> Partition:
+    """Fibre partition of p over a root theta of the irreducible m, over Q.
+
+    A root of p - theta has multiplicity k + 1 exactly where p' vanishes to
+    order k.  With p' = lc * prod f_k^k (Yun), the points of multiplicity
+    k + 1 over all the conjugates of theta together are the roots of
+    gcd(f_k, m(p) mod f_k); Galois conjugation shares them equally among the
+    deg m conjugates, and every other point of the fibre is simple.  Gcds
+    over Q suffice (dynamic evaluation: Della Dora, Dicrescenzo and Duval,
+    EUROCAL '85); an m whose roots have different fibres fails the equal
+    share and raises ``AssertionError``.
+
+    >>> multiplicity_partition(UniPoly((0, 1)), UniPoly((-2, 0, 1)) ** 2)
+    (2, 2)
+    """
+    parts: list[int] = []
+    for f, k in squarefree_decomposition(p.derivative()):
+        residue, value = p % f, UniPoly(())
+        for c in reversed(m.coeffs):
+            value = (value * residue + c) % f
+        points, leftover = divmod(gcd(f, value).degree, m.degree)
+        if leftover:
+            raise AssertionError(f"{m} has roots with different fibres of {p}")
+        parts.extend([k + 1] * points)
+    parts.extend([1] * (p.degree - sum(parts)))
+    return tuple(sorted(parts, reverse=True))
+
+
 def unassigned_branch(t: PellTriple) -> list[BranchClass]:
     """The unassigned branch points, grouped into Galois orbits over Q.
 
     Factors of the branch polynomial at the assigned values +-1 are dropped;
     each remaining irreducible factor m contributes deg m conjugate branch
-    points, all with the same fibre partition, computed by a squarefree
-    decomposition of P(x) - theta over Q[theta] = Q[t]/(m).
+    points, all with the same fibre partition, computed over Q by
+    :func:`multiplicity_partition`.
     """
     b = branch_polynomial(t)
     for assigned in (Fraction(1), Fraction(-1)):
@@ -179,16 +214,10 @@ def unassigned_branch(t: PellTriple) -> list[BranchClass]:
             b = b.exact_div(linear)
     if b.degree < 1:
         return []
-    out = []
-    for factor, _ in factor_rational(squarefree_part(b)):
-        if factor.degree == 1:
-            theta = -factor.coeff(0)
-            parts = _partition_of_decomposition(squarefree_decomposition(t.p - theta))
-        else:
-            field = ExtField(factor)
-            parts = multiplicity_partition(field, t.p, field.generator())
-        out.append(BranchClass(factor, parts))
-    return out
+    return [
+        BranchClass(factor, multiplicity_partition(factor, t.p))
+        for factor, _ in factor_rational(squarefree_part(b))
+    ]
 
 
 def ramspec_of(t: PellTriple) -> RamSpec:

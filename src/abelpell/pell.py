@@ -19,7 +19,6 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .laurent import laurent_sqrt_polypart
 from .rationals import rational_nth_root, rational_sqrt
 from .unipoly import UniPoly, is_squarefree
 
@@ -173,6 +172,32 @@ def _check_pell_r(r: UniPoly) -> None:
         raise ValueError("R must be monic")
     if not is_squarefree(r):
         raise ValueError("R must be squarefree")
+
+
+def laurent_sqrt_polypart(r: UniPoly) -> UniPoly:
+    """The polynomial part of sqrt(r) at infinity: the unique monic Y of
+    degree h = (deg r)/2 with deg(r - Y^2) < deg Y.
+
+    Top-down: with Y = sum s_j x^(h-j) and s_0 = 1, matching x^(2h-j) in Y^2
+    gives 2 s_j = r_(2h-j) - sum_(0<i<j) s_i s_(j-i), so only the h + 1
+    coefficients of Y are computed, from r down to degree h.
+
+    >>> laurent_sqrt_polypart(UniPoly((-2, 0, 1)))
+    UniPoly('x')
+    >>> laurent_sqrt_polypart(UniPoly((1, 0, 0, 0, 1)))
+    UniPoly('x^2')
+    """
+    if not r.is_monic() or r.degree % 2:
+        raise ValueError("need a monic polynomial of even degree")
+    n, half = r.degree, r.degree // 2
+    s = [Fraction(1)]
+    for j in range(1, half + 1):
+        s.append((r.coeffs[n - j] - sum(s[i] * s[j - i] for i in range(1, j))) / 2)
+    y = UniPoly(reversed(s))
+    # Exact check of the defining property, independent of the recurrence.
+    if (r - y * y).degree >= half:
+        raise AssertionError("square-root polynomial part failed its contract")
+    return y
 
 
 def _cf_steps(r: UniPoly) -> Iterator[CFStep]:

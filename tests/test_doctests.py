@@ -17,6 +17,7 @@ def test_module_doctests(name):
 
 
 def test_doctests_are_found():
-    # pell_solve and laurent_sqrt_polypart carry examples; losing them is a failure.
-    for name in ("abelpell.pell", "abelpell.laurent"):
+    # pell_solve, laurent_sqrt_polypart and multiplicity_partition carry
+    # examples; losing them is a failure.
+    for name in ("abelpell.pell", "abelpell.geometry"):
         assert doctest.testmod(importlib.import_module(name)).attempted > 0

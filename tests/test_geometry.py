@@ -1,5 +1,7 @@
 import pytest
 from conftest import chebyshev_triple, fixture_family
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_unipoly import sylvester_resultant
 
 from abelpell.geometry import (
@@ -8,12 +10,21 @@ from abelpell.geometry import (
     branch_polynomial,
     genus_of_ramspec,
     hurwitz_report,
+    multiplicity_partition,
     polt_dimension,
     ramspec_of,
     unassigned_branch,
 )
 from abelpell.pell import PellTriple, inflate
-from abelpell.unipoly import interpolate, poly
+from abelpell.factorization import factor_rational
+from abelpell.unipoly import (
+    UniPoly,
+    interpolate,
+    poly,
+    resultant,
+    squarefree_decomposition,
+    squarefree_part,
+)
 
 T_GENUS0 = lambda: PellTriple.build(poly(-1, 0, 1), poly(0, 1), poly(-2, 0, 1))
 T_GENUS1 = lambda: PellTriple.build(poly(0, 0, 1), poly(1), poly(-1, 0, 0, 0, 1))
@@ -47,7 +58,7 @@ def test_unassigned_branch_rational_values():
 
 def test_unassigned_branch_conjugate_points():
     # x^3 + x has the conjugate critical values t with t^2 = -4/27; both
-    # carry the fibre partition (2, 1), computed in Q[t]/(t^2 + 4/27).
+    # carry the fibre partition (2, 1), read off gcds over Q.
     from fractions import Fraction
 
     p = poly(0, 1, 0, 1)
@@ -145,3 +156,74 @@ def test_branch_polynomial_matches_sylvester_oracle():
         dp = t.p.derivative()
         oracle = interpolate([(s, sylvester_resultant(t.p - s, dp)) for s in range(t.order)])
         assert branch_polynomial(t) == oracle
+
+
+def norm_partition(m: UniPoly, p: UniPoly) -> tuple[int, ...]:
+    """Oracle: m(p) is the product of p - theta over the roots theta of m, so
+    a squarefree part of multiplicity e and degree d of m(p) holds d / deg m
+    points of multiplicity e over each conjugate."""
+    norm = UniPoly(())
+    for c in reversed(m.coeffs):
+        norm = norm * p + c
+    parts = []
+    for factor, e in squarefree_decomposition(norm):
+        assert factor.degree % m.degree == 0
+        parts.extend([e] * (factor.degree // m.degree))
+    return tuple(sorted(parts, reverse=True))
+
+
+def branch_values(p: UniPoly) -> list[UniPoly]:
+    """The irreducible factors of res_x(p(x) - s, p'(x)), all branch values."""
+    dp = p.derivative()
+    b = interpolate([(s, resultant(p - s, dp)) for s in range(p.degree)])
+    return [m for m, _ in factor_rational(squarefree_part(b))]
+
+
+def test_multiplicity_partition_rational_point():
+    base = poly(-1, 1) ** 2 * poly(2, 1)  # (x - 1)^2 (x + 2), over theta = 3
+    assert multiplicity_partition(poly(-3, 1), base + 3) == (2, 1)
+
+
+def test_multiplicity_partition_true_extension():
+    # x^4 - 2 - sqrt 2 is separable.
+    assert multiplicity_partition(poly(-2, 0, 1), poly(-2, 0, 0, 0, 1)) == (1, 1, 1, 1)
+    # (x^2 - 2)^2 has the two roots +-sqrt 2 over 0, each double.
+    assert multiplicity_partition(poly(0, 1), poly(-2, 0, 1) ** 2) == (2, 2)
+    assert multiplicity_partition(poly(0, 1), poly(0, 0, 0, 0, 1)) == (4,)
+
+
+def test_multiplicity_partition_rejects_unequal_fibres():
+    # m = (x - 1)(x - 2): p = (x - 1)^2 + 1 is ramified over 1 but not over 2.
+    with pytest.raises(AssertionError):
+        multiplicity_partition(poly(2, -3, 1), poly(2, -2, 1))
+
+
+def test_multiplicity_partition_matches_norm_oracle_chebyshev():
+    t = chebyshev_triple(12)
+    values = branch_values(t.p)
+    assert values == [poly(-1, 1), poly(1, 1)]
+    for m in values:
+        assert multiplicity_partition(m, t.p) == norm_partition(m, t.p)
+
+
+SMALL = st.integers(min_value=-3, max_value=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(SMALL, max_size=1),
+    st.sampled_from([1, -1, 2]),
+    st.lists(SMALL, min_size=2, max_size=3),
+    SMALL,
+)
+def test_multiplicity_partition_matches_norm_oracle_property(a_low, a_lead, b_low, c):
+    # p = A(B(x)) + c with A = x^2 (...): the double root of A and the
+    # critical points of B force ramification, often over irrational values.
+    a = poly(0, 0, *a_low, a_lead)
+    b = poly(*b_low, 1)
+    p = UniPoly(())
+    for coeff in reversed(a.coeffs):
+        p = p * b + coeff
+    p = p + c
+    for m in branch_values(p):
+        assert multiplicity_partition(m, p) == norm_partition(m, p)
