@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import Partition, RamSpec
+from .limits import ResourceLimit
 from .perms import (
     Perm,
     compose,
@@ -52,10 +53,6 @@ CanonicalKey = tuple[int, ...]
 #: cap keeps the formula I(n) * C(n,2)^g, so the set of inputs that exit 3
 #: does not depend on how the enumeration is done.
 SIZE_LIMIT = 5_000_000
-
-
-class ResourceLimit(RuntimeError):
-    """Raised when an enumeration would exceed the sizing cap."""
 
 
 @dataclass(frozen=True)

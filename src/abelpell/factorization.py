@@ -1,37 +1,333 @@
-"""Irreducible factorization over Q, delegated to sympy.
+"""Irreducible factorization over Q by Zassenhaus's algorithm.
 
-This is the one place the package leans on a computer-algebra dependency:
-everything else is hand-rolled exact arithmetic, but reimplementing Zassenhaus
-factorization would buy nothing.  The import is deferred so that the rest of
-the package stays cheap to load.
+Each squarefree part of the input (Yun's decomposition gives the
+multiplicities) is scaled to a primitive integer polynomial f and factored
+modulo the smallest odd prime p that keeps f squarefree of full degree:
+distinct-degree factorization, then Cantor-Zassenhaus equal-degree splitting
+with a fixed-seed generator, so every run does the same work.  The modular
+factors are Hensel-lifted, quadratically, to a modulus past twice the leading
+coefficient times the Mignotte bound on the coefficients of any factor of f,
+and the true factors are found by trying products of subsets of the lifted
+factors, smallest first, by exact division over Z (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 14-15; Cantor and Zassenhaus,
+*Math. Comp.* 36, 1981).  Recombination is exponential in the number of
+modular factors in the worst case, so it is capped (``RECOMBINATION_LIMIT``).
+
+The modular kernel is plain functions on lists of ``int`` coefficients,
+constant term first, trailing zeros trimmed, entries reduced to [0, m).
+``fp_mul`` and ``fp_divmod`` work modulo any m (Hensel lifting uses m = p^k)
+as long as the divisor's leading coefficient is a unit; ``fp_gcd``,
+``fp_xgcd`` and ``fp_powmod`` need a prime modulus.
+
+>>> factor_rational(UniPoly((-1, 0, 0, 0, 1)))
+[(UniPoly('x - 1'), 1), (UniPoly('x + 1'), 1), (UniPoly('x^2 + 1'), 1)]
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import combinations
+from math import gcd, isqrt, lcm
 
-from .unipoly import UniPoly
+from .limits import ResourceLimit
+from .unipoly import UniPoly, squarefree_decomposition
+
+#: Most subsets of lifted factors one recombination may try before it raises
+#: ``ResourceLimit``.  Irreducible polynomials with many modular factors (the
+#: Swinnerton-Dyer polynomials split into factors of degree <= 2 modulo every
+#: prime) need about 2^(r - 1) tries for r modular factors; branch polynomials
+#: of the orders the package handles stay far below the cap.
+RECOMBINATION_LIMIT = 1 << 16
+
+# -- the modular kernel ---------------------------------------------------------
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a: list[int], b: list[int], m: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim([c % m for c in out])
+
+
+def _sub(a: list[int], b: list[int], m: int) -> list[int]:
+    return _add(a, [-c for c in b], m)
+
+
+def _scale(a: list[int], c: int, m: int) -> list[int]:
+    return _trim([x * c % m for x in a])
+
+
+def fp_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    """The product a * b modulo m."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def fp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b modulo m; lc(b) must be a unit mod m."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * inv % m
+        if c:
+            quo[i - db] = c
+            for j, y in enumerate(b):
+                rem[i - db + j] -= c * y
+    return _trim(quo), _trim([c % m for c in rem[:db]])
+
+
+def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic greatest common divisor modulo the prime p ([] when both are 0)."""
+    while b:
+        a, b = b, fp_divmod(a, b, p)[1]
+    return _scale(a, pow(a[-1], -1, p), p) if a else a
+
+
+def fp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
+    """(g, s, t) with s*a + t*b = g, the monic gcd, modulo the prime p.
+
+    For coprime nonconstant a and b, deg s < deg b and deg t < deg a.
+    """
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, fp_mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, fp_mul(q, t1, p), p)
+    inv = pow(r0[-1], -1, p)
+    return _scale(r0, inv, p), _scale(s0, inv, p), _scale(t0, inv, p)
+
+
+def fp_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e modulo f and the prime p, by repeated squaring."""
+    result, base = fp_divmod([1], f, p)[1], fp_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            result = fp_divmod(fp_mul(result, base, p), f, p)[1]
+        e >>= 1
+        if e:
+            base = fp_divmod(fp_mul(base, base, p), f, p)[1]
+    return result
+
+
+# -- factoring modulo p ----------------------------------------------------------
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """(g_d, d) pairs: g_d is the product of the degree-d irreducible factors
+    of the monic squarefree f modulo p."""
+    out = []
+    h = x = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = fp_powmod(h, p, f, p)
+        g = fp_gcd(f, _sub(h, x, p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = fp_divmod(f, g, p)[0]
+            h = fp_divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(f: list[int], d: int, p: int, rng) -> list[list[int]]:
+    """The degree-d monic irreducible factors of f, a monic product of them,
+    modulo the odd prime p (Cantor-Zassenhaus)."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        g = fp_gcd(a, f, p)
+        if len(g) == 1:
+            g = fp_gcd(_sub(fp_powmod(a, (p**d - 1) // 2, f, p), [1], p), f, p)
+        if 1 < len(g) <= n:
+            return _equal_degree(g, d, p, rng) + _equal_degree(fp_divmod(f, g, p)[0], d, p, rng)
+
+
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
+def _good_prime(f: list[int]) -> int:
+    """The smallest odd prime not dividing lc(f) modulo which f stays squarefree."""
+    p = 3
+    while True:
+        if _is_prime(p) and f[-1] % p:
+            fp = [c % p for c in f]
+            df = _trim([i * c % p for i, c in enumerate(fp)][1:])
+            if len(fp_gcd(fp, df, p)) == 1:
+                return p
+        p += 2
+
+
+# -- Hensel lifting and recombination ------------------------------------------------
+
+
+def _hensel_lift(f: list[int], factors: list[list[int]], p: int, modulus: int) -> list[list[int]]:
+    """Monic lifts modulo ``modulus`` (a power p^(2^j)) of the monic factors
+    modulo p of f = lc(f) * prod(factors) mod p.
+
+    The factors are split in two halves, g = lc(f) * (first half) and h, the
+    pair is lifted by quadratic Hensel steps (von zur Gathen-Gerhard,
+    Alg. 15.10) and each half recursively.
+    """
+    if len(factors) == 1:
+        return [_scale(f, pow(f[-1], -1, modulus), modulus)]
+    half = len(factors) // 2
+    g, h = [f[-1] % p], [1]
+    for factor in factors[:half]:
+        g = fp_mul(g, factor, p)
+    for factor in factors[half:]:
+        h = fp_mul(h, factor, p)
+    _, s, t = fp_xgcd(g, h, p)
+    m = p
+    while m < modulus:
+        m *= m
+        e = _sub([c % m for c in f], fp_mul(g, h, m), m)
+        q, r = fp_divmod(fp_mul(s, e, m), h, m)
+        g = _add(g, _add(fp_mul(t, e, m), fp_mul(q, g, m), m), m)
+        h = _add(h, r, m)
+        b = _sub(_add(fp_mul(s, g, m), fp_mul(t, h, m), m), [1], m)
+        c, d = fp_divmod(fp_mul(s, b, m), h, m)
+        s = _sub(s, d, m)
+        t = _sub(t, _add(fp_mul(t, b, m), fp_mul(c, g, m), m), m)
+    return (_hensel_lift(g, factors[:half], p, modulus)
+            + _hensel_lift(h, factors[half:], p, modulus))
+
+
+def _divide_exact(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g over Z, or None when g does not divide f."""
+    rem = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    quo = [0] * (len(f) - dg)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        c, r = divmod(rem[i], lg)
+        if r:
+            return None
+        if c:
+            quo[i - dg] = c
+            for j, y in enumerate(g):
+                rem[i - dg + j] -= c * y
+    return None if any(rem[:dg]) else quo
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its content, with a positive leading coefficient."""
+    content = 0
+    for c in f:
+        content = gcd(content, c)
+    if f[-1] < 0:
+        content = -content
+    return [c // content for c in f]
+
+
+def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
+    """The irreducible factors over Z of the primitive f, from the monic
+    lifts of its modular factors: subsets are tried smallest first, each
+    product (times lc of what is left) reduced to the symmetric range; its
+    primitive part is a factor exactly when it divides f.  A cheap test on
+    the constant terms rejects most subsets before any polynomial is built.
+    """
+    half = modulus // 2
+    found = []
+    remaining = list(range(len(lifted)))
+    tried = 0
+    size = 1
+    while 2 * size <= len(remaining):
+        lc = f[-1]
+        for subset in combinations(remaining, size):
+            tried += 1
+            if tried > RECOMBINATION_LIMIT:
+                raise ResourceLimit(
+                    f"factor recombination of {len(lifted)} modular factors "
+                    f"exceeds the cap of {RECOMBINATION_LIMIT} subsets"
+                )
+            const = lc
+            for i in subset:
+                const = const * lifted[i][0] % modulus
+            if const > half:
+                const -= modulus
+            if f[0] and (not const or lc * f[0] % const):
+                continue
+            cand = [lc]
+            for i in subset:
+                cand = fp_mul(cand, lifted[i], modulus)
+            cand = _primitive([c - modulus if c > half else c for c in cand])
+            quo = _divide_exact(f, cand)
+            if quo is not None:
+                found.append(cand)
+                f = quo
+                remaining = [i for i in remaining if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [f]
+
+
+def _factor_squarefree(part: UniPoly, rng) -> list[UniPoly]:
+    """Monic irreducible factors over Q of a monic squarefree polynomial."""
+    if part.degree == 1:
+        return [part]
+    scale = lcm(*(c.denominator for c in part.coeffs))
+    f = _primitive([int(c * scale) for c in part.coeffs])
+    p = _good_prime(f)
+    fp = _scale([c % p for c in f], pow(f[-1], -1, p), p)
+    modular = [
+        factor
+        for g, d in _distinct_degree(fp, p)
+        for factor in _equal_degree(g, d, p, rng)
+    ]
+    if len(modular) == 1:
+        return [part]
+    # Any factor of f has coefficients below sqrt(n + 1) 2^n max|f_i|
+    # (Mignotte); lc(f) times it must fit in the symmetric range.
+    n = len(f) - 1
+    bound = 2 * f[-1] * (isqrt(n + 1) + 1) * 2**n * max(abs(c) for c in f)
+    modulus = p
+    while modulus <= bound:
+        modulus *= modulus
+    lifted = _hensel_lift(f, modular, p, modulus)
+    return [UniPoly(g).monic() for g in _recombine(f, lifted, modulus)]
 
 
 def factor_rational(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """Monic irreducible factors of p over Q with multiplicities.
 
     The constant content is dropped; factors are sorted by degree and then by
-    coefficients so the output is deterministic.
+    coefficients so the output is deterministic.  Raises ``ResourceLimit``
+    when recombining the modular factors of a squarefree part would try more
+    than ``RECOMBINATION_LIMIT`` subsets.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if p.degree == 0:
-        return []
-    import sympy
+    import random  # deferred: most commands never factor, and startup counts
 
-    x = sympy.Symbol("x")
-    expr = sympy.Add(
-        *(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs))
-    )
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
-    out = []
-    for fac, mult in factors:
-        coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        out.append((UniPoly(coeffs).monic(), int(mult)))
+    rng = random.Random(0)
+    out = [
+        (factor, mult)
+        for part, mult in squarefree_decomposition(p)
+        for factor in _factor_squarefree(part, rng)
+    ]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out

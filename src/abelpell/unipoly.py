@@ -153,7 +153,20 @@ class UniPoly:
         return divmod(self, other)[0]
 
     def __mod__(self, other: UniPoly) -> UniPoly:
-        return divmod(self, other)[1]
+        """The remainder of :meth:`__divmod__`, without building the quotient."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dd, dl = other.degree, other.leading
+        # rem[i] itself is not updated: its new value is 0 and it is dropped.
+        low = other.coeffs[:-1]
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i] / dl
+            if c == 0:
+                continue
+            for j, b in enumerate(low):
+                rem[i - dd + j] -= c * b
+        return UniPoly(rem[:dd])
 
     def divides(self, other: UniPoly) -> bool:
         return (other % self).is_zero()
@@ -297,6 +310,8 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     f = p.monic()
     df = f.derivative()
     a = gcd(f, df)
+    if a.degree == 0:
+        return [(f, 1)]
     b = f.exact_div(a)
     c = df.exact_div(a) - b.derivative()
     m = 1

@@ -49,6 +49,16 @@ def test_resource_exit(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_abel_resource_exit(capsys, monkeypatch):
+    # x^3 - 3x has the branch values +-2: t^2 - 4 has two modular factors,
+    # and with no recombination allowed the command exits 3.
+    from abelpell import factorization
+
+    monkeypatch.setattr(factorization, "RECOMBINATION_LIMIT", 0)
+    code, out, err = run_cli(capsys, "abel", "ramspec", "x^3-3*x", "1", "(x^3-3*x)^2-1")
+    assert code == 3 and "cap" in err and out == ""
+
+
 def test_verify(capsys):
     code, report, _ = run_json(capsys, "pell", "verify", "x^2", "1", "x^4-1")
     assert code == 0

@@ -1,0 +1,202 @@
+"""Zassenhaus factorization over Q, checked against sympy's ``factor_list``.
+
+sympy is only a test dependency: it is the oracle here and nowhere else.
+"""
+import os
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_unipoly import nonzero_polys
+
+from abelpell import geometry
+from abelpell.factorization import (
+    factor_rational,
+    fp_divmod,
+    fp_gcd,
+    fp_mul,
+    fp_powmod,
+    fp_xgcd,
+)
+from abelpell.limits import ResourceLimit
+from abelpell.pell import PellTriple
+from abelpell.unipoly import UniPoly, poly
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def sympy_factors(p: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Oracle: sympy's factorization over QQ, in factor_rational's form."""
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    _, factors = sympy.Poly(coeffs, x, domain="QQ").factor_list()
+    out = [
+        (UniPoly(Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())).monic(), int(m))
+        for f, m in factors
+    ]
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def swinnerton_dyer(primes: list[int]) -> UniPoly:
+    """prod (x - sum of +-sqrt(q)) over all sign choices: irreducible of
+    degree 2^len(primes), yet a product of factors of degree <= 2 modulo
+    every prime.  Each q doubles f by f(x - y) f(x + y) with y^2 = q."""
+    f = poly(0, 1)
+    for q in primes:
+        even, odd = UniPoly(()), UniPoly(())  # f(x + y) = even + y * odd
+        pe, po = poly(1), UniPoly(())  # (x + y)^i = pe + y * po
+        for c in f.coeffs:
+            even, odd = even + pe * c, odd + po * c
+            pe, po = pe * poly(0, 1) + po * q, pe + po * poly(0, 1)
+        f = even * even - odd * odd * q
+    return f
+
+
+def workload_factor_inputs() -> set[UniPoly]:
+    """Every polynomial the benchmark's triple_analysis workload (seeds
+    101-103, rounds 0-2) passes to factor_rational, through unassigned_branch."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench import workloads
+    finally:
+        sys.path.remove(str(ROOT))
+    seen: set[UniPoly] = set()
+    saved = geometry.factor_rational
+    geometry.factor_rational = lambda p: seen.add(p) or []
+    try:
+        for seed in (101, 102, 103):
+            for index in range(3):
+                for case in workloads.triple_cases(seed, index):
+                    t = PellTriple.build(UniPoly(case.p), UniPoly(case.q), UniPoly(case.r))
+                    geometry.unassigned_branch(t)
+    finally:
+        geometry.factor_rational = saved
+    return seen
+
+
+def test_matches_sympy_on_workload_inputs():
+    inputs = workload_factor_inputs()
+    assert len(inputs) > 100
+    for p in inputs:
+        assert factor_rational(p) == sympy_factors(p), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(nonzero_polys(4), st.integers(1, 3)), min_size=1, max_size=3),
+    st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
+)
+def test_matches_sympy_on_products_property(parts, scale):
+    p = poly(scale)
+    for factor, mult in parts:
+        p = p * factor**mult
+    assert factor_rational(p) == sympy_factors(p)
+
+
+def test_explicit_cases():
+    assert factor_rational(poly(3, 2)) == [(poly(Fraction(3, 2), 1), 1)]
+    assert factor_rational(poly(Fraction(-7, 3))) == []
+    with pytest.raises(ValueError):
+        factor_rational(UniPoly(()))
+    # Non-monic, with denominators and a repeated factor.
+    p = poly(Fraction(-1, 3), 2) ** 2 * poly(1, 0, Fraction(3, 5)) * Fraction(7, 4)
+    assert factor_rational(p) == [
+        (poly(Fraction(-1, 6), 1), 2),
+        (poly(Fraction(5, 3), 0, 1), 1),
+    ]
+    for primes in ([2, 3], [2, 3, 5]):
+        sd = swinnerton_dyer(primes)
+        assert factor_rational(sd) == [(sd, 1)] == sympy_factors(sd)
+
+
+def test_cyclotomic():
+    # x^n - 1 is the product of the cyclotomic Phi_d over d | n, each
+    # irreducible; Phi_n is computed by exact division, without sympy.
+    phi = {}
+    for n in range(1, 31):
+        rest = poly(-1, *([0] * (n - 1)), 1)
+        for d in range(1, n):
+            if n % d == 0:
+                rest = rest.exact_div(phi[d])
+        phi[n] = rest
+        assert factor_rational(phi[n]) == [(phi[n], 1)]
+        expected = [(phi[d], 1) for d in range(1, n + 1) if n % d == 0]
+        expected.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        assert factor_rational(poly(-1, *([0] * (n - 1)), 1)) == expected
+
+
+def test_recombination_cap():
+    # Degree 64, irreducible, and 32 quadratic factors modulo every good
+    # prime: recombination would try about 2^31 subsets.
+    sd = swinnerton_dyer([2, 3, 5, 7, 11, 13])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="cap"):
+        factor_rational(sd)
+    assert time.perf_counter() - start < 2
+
+
+def reduced(coeffs, p: int) -> list[int]:
+    out = [c % p for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def fp_add(a: list[int], b: list[int], p: int) -> list[int]:
+    longer, shorter = (a, b) if len(a) >= len(b) else (b, a)
+    return reduced([c + (shorter[i] if i < len(shorter) else 0) for i, c in enumerate(longer)], p)
+
+
+FP_POLY = st.lists(st.integers(0, 10**6), max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 7, 101, 10007]), FP_POLY, FP_POLY.filter(any), st.integers(0, 40))
+def test_fp_kernel_laws(p, a, b, e):
+    a, b = reduced(a, p), reduced(b, p)
+    if not b:
+        return
+    q, r = fp_divmod(a, b, p)
+    assert len(r) < len(b) and fp_add(fp_mul(q, b, p), r, p) == a
+    g, s, t = fp_xgcd(a, b, p)
+    assert g == fp_gcd(a, b, p) and g[-1] == 1
+    assert fp_add(fp_mul(s, a, p), fp_mul(t, b, p), p) == g
+    assert not fp_divmod(a, g, p)[1] and not fp_divmod(b, g, p)[1]
+    power = fp_divmod([1], b, p)[1]
+    for _ in range(e):
+        power = fp_divmod(fp_mul(power, a, p), b, p)[1]
+    assert fp_powmod(a, e, b, p) == power
+
+
+CONJUGATE_X3_X = ("x^3+x", "1", "x^6+2*x^4+x^2-1")
+
+
+@pytest.mark.parametrize("script", [
+    "from abelpell.cli import main\n"
+    f"assert main(['abel', 'ramspec', *{CONJUGATE_X3_X!r}]) == 0\n"
+    f"assert main(['abel', 'hurwitz', *{CONJUGATE_X3_X!r}]) == 0\n",
+    "from abelpell import hurwitz_report, ramspec_of\n"
+    "from abelpell.parsing import parse_poly\n"
+    "from abelpell.pell import PellTriple\n"
+    f"t = PellTriple.build(*map(parse_poly, {CONJUGATE_X3_X!r}))\n"
+    "assert ramspec_of(t).unassigned() == ((2, 1), (2, 1))\n"
+    "hurwitz_report(t)\n",
+], ids=["cli", "library"])
+def test_runtime_never_imports_sympy(script):
+    # x^3 + x has the conjugate branch values t^2 = -4/27, so the modular
+    # factorization runs.
+    script += "import sys\nassert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -134,6 +134,13 @@ def test_resultant_matches_sylvester_property(p, q, common):
         assert resultant(p * common, q * common) == 0
 
 
+@settings(max_examples=80, deadline=None)
+@given(nonzero_polys(8), nonzero_polys(4))
+@example(poly(1, 2), poly(0, 0, 3))  # deg a < deg b
+def test_mod_is_divmod_remainder_property(a, b):
+    assert a % b == divmod(a, b)[1]
+
+
 def test_resultant_examples():
     assert resultant(poly(-1, 1), poly(1, 1)) == 2
     # Sylvester determinant of (x^2 - 2, 2x) by hand:
