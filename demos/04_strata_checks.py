@@ -2,6 +2,7 @@
 elementary-symmetric generators and exact tangent ranks."""
 from abelpell import (
     PellTriple,
+    format_monomials,
     nilpotence_identity_check,
     odd_nilpotency_check,
     tangent_rank,
@@ -19,7 +20,7 @@ for exponents in ([2], [2, 2], [3, 2], [4, 3]):
     sys = weighted_sigma(exponents)
     print(f"  e_i = {exponents}: e = {sys.total}")
     for j, sigma in enumerate(sys.generators, start=1):
-        print(f"    sigma_{j} = {sigma}")
+        print(f"    sigma_{j} = {format_monomials(sigma, sys.variables)}")
     ok = all(nilpotence_identity_check(sys, i + 1) for i in range(len(exponents)))
     print(f"    substitution identity at every a_i: {ok}")
 

@@ -16,7 +16,6 @@ from .components import (
     tuple_ramspec,
 )
 from .geometry import (
-    AbelMapView,
     BranchClass,
     HurwitzReport,
     RamSpec,
@@ -27,7 +26,6 @@ from .geometry import (
     ramspec_of,
     unassigned_branch,
 )
-from .multipoly import MultiPoly
 from .parsing import ParseError, parse_poly
 from .pell import (
     CFStep,
@@ -49,8 +47,8 @@ from .pell import (
 )
 from .strata import (
     TangentReport,
-    TruncatedRing,
     WeightedSymmetricSystem,
+    format_monomials,
     nilpotence_identity_check,
     odd_nilpotency_check,
     tangent_rank,

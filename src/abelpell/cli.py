@@ -82,7 +82,7 @@ def _cmd_pell_solve(args):
         s
         for s in steps
         if s.constant_norm and s.p.degree < triple.order and s.norm.constant_value() > 0
-        and pell.rational_sqrt(s.norm.constant_value()) is not None
+        and pell.rational_nth_root(s.norm.constant_value(), 2) is not None
     ]
     checks.append(check("minimal_among_convergents", not smaller))
     result = {"solution": triple_json(triple), "n_max": args.n_max}

@@ -37,28 +37,6 @@ def _partition_of_decomposition(parts: list[tuple[UniPoly, int]]) -> Partition:
 
 
 @dataclass(frozen=True)
-class AbelMapView:
-    """The solution's P seen as a branched self-map of the line, with the
-    branch values +1, -1 and infinity assigned in that order."""
-
-    triple: PellTriple
-    map: UniPoly
-    assigned_values: tuple[Fraction, Fraction]
-
-    @classmethod
-    def of(cls, triple: PellTriple) -> AbelMapView:
-        view = cls(triple, triple.p, (Fraction(1), Fraction(-1)))
-        view.check_divisor_identity()
-        return view
-
-    def check_divisor_identity(self) -> None:
-        """The pullback of {+1, -1} must be (roots of R) + 2*(roots of Q)."""
-        t = self.triple
-        if not ((t.p - 1) * (t.p + 1) - t.r * t.q * t.q).is_zero():
-            raise ValueError("P^2 - 1 differs from R*Q^2: invalid triple")
-
-
-@dataclass(frozen=True)
 class RamSpec:
     """A ramification specification: the multiset of branch-point partitions
     (finite branch points only) with the two assigned ones marked.
@@ -140,7 +118,9 @@ def assigned_profile(t: PellTriple) -> tuple[Partition, Partition, Partition]:
     The odd multiplicities of P -+ 1 must sit exactly at the roots of R; a
     mismatch means the triple was invalid and raises.
     """
-    AbelMapView.of(t)
+    # The pullback of {+1, -1} must be (roots of R) + 2*(roots of Q).
+    if not ((t.p - 1) * (t.p + 1) - t.r * t.q * t.q).is_zero():
+        raise ValueError("P^2 - 1 differs from R*Q^2: invalid triple")
     plus = squarefree_decomposition(t.p - 1)
     minus = squarefree_decomposition(t.p + 1)
     odd_radical = UniPoly((1,))

@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .rationals import rational_nth_root, rational_sqrt
+from .rationals import rational_nth_root
 from .unipoly import UniPoly, is_squarefree
 
 CHART_GENERAL = "general"
@@ -291,7 +291,7 @@ def minimal_solution(
         raise ValueError(f"n_max = {n_max} is below genus + 1 = {genus + 1}")
     if unit is None:
         return None
-    root = rational_sqrt(unit.norm)
+    root = rational_nth_root(unit.norm, 2)
     if root is not None:
         p, q = unit.p * (1 / root), unit.q * (1 / root)
     else:

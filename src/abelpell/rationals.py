@@ -8,16 +8,27 @@ from .unipoly import Rat, _as_fraction
 
 
 def int_nth_root(n: int, k: int) -> int | None:
-    """The exact k-th root of a nonnegative integer, or None."""
+    """The exact k-th root of a nonnegative integer, or None.
+
+    Integers only: ``math.isqrt`` for square roots, otherwise Newton's
+    iteration from above on floor(n^(1/k)), so no radicand is too large.
+
+    >>> int_nth_root((10**20 + 1) ** 3, 3)
+    100000000000000000001
+    >>> int_nth_root(10**400 + 1, 2) is None
+    True
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))  # float seed only; verified exactly below
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+        while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = y
+    return r if r**k == n else None
 
 
 def rational_nth_root(c: Rat, k: int) -> Fraction | None:
@@ -40,13 +51,3 @@ def rational_nth_root(c: Rat, k: int) -> Fraction | None:
         return None
     return sign * Fraction(num, den)
 
-
-def rational_sqrt(c: Rat) -> Fraction | None:
-    """The nonnegative rational square root of c, or None."""
-    c = _as_fraction(c)
-    if c < 0:
-        return None
-    num, den = math.isqrt(c.numerator), math.isqrt(c.denominator)
-    if num * num != c.numerator or den * den != c.denominator:
-        return None
-    return Fraction(num, den)

@@ -1,10 +1,12 @@
 """Symbolic verification of stratum-local structure.
 
 Three independent checks live here: a square-testing criterion in the
-truncated ring Q[a]/(a^k), the weighted elementary-symmetric identity behind
-the non-reduced strata, and the exact tangent rank of the Pell equation at a
-chart point.  Everything is decided by exact arithmetic; ranks come from
-fraction-free elimination over the integers.
+truncated ring Q[a]/(a^k), whose elements are ``UniPoly`` values in a cut to
+their first k coefficients; the weighted elementary-symmetric identity behind
+the non-reduced strata, expanded as integer polynomials in a_1, ..., a_m
+stored as ``{exponent tuple: coefficient}`` dicts; and the exact tangent rank
+of the Pell equation at a chart point.  Everything is decided by exact
+arithmetic; ranks come from fraction-free elimination over the integers.
 """
 from __future__ import annotations
 
@@ -12,63 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .multipoly import MultiPoly
 from .pell import CHART_MONIC, CHART_NORMALIZED, PellTriple
-from .unipoly import Rat, UniPoly, _as_fraction
-
-TruncElem = tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class TruncatedRing:
-    """Q[a]/(a^k): elements are coefficient tuples of length k."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("nilpotency order must be >= 1")
-
-    def element(self, coeffs) -> TruncElem:
-        cs = [_as_fraction(c) for c in coeffs][: self.k]
-        cs += [Fraction(0)] * (self.k - len(cs))
-        return tuple(cs)
-
-    def zero(self) -> TruncElem:
-        return self.element(())
-
-    def one(self) -> TruncElem:
-        return self.element((1,))
-
-    def gen_power(self, i: int) -> TruncElem:
-        """The class of a^i (zero once i reaches the nilpotency order)."""
-        if i >= self.k:
-            return self.zero()
-        return self.element((0,) * i + (1,))
-
-    def add(self, x: TruncElem, y: TruncElem) -> TruncElem:
-        return tuple(a + b for a, b in zip(x, y))
-
-    def sub(self, x: TruncElem, y: TruncElem) -> TruncElem:
-        return tuple(a - b for a, b in zip(x, y))
-
-    def mul(self, x: TruncElem, y: TruncElem) -> TruncElem:
-        out = [Fraction(0)] * self.k
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                if i + j >= self.k:
-                    break
-                out[i + j] += a * b
-        return tuple(out)
-
-    def scale(self, c: Rat, x: TruncElem) -> TruncElem:
-        c = _as_fraction(c)
-        return tuple(c * a for a in x)
-
-    def is_zero(self, x: TruncElem) -> bool:
-        return all(a == 0 for a in x)
+from .unipoly import ONE, ZERO, UniPoly
 
 
 def odd_nilpotency_check(n: int, k: int) -> bool:
@@ -83,43 +30,79 @@ def odd_nilpotency_check(n: int, k: int) -> bool:
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    ring = TruncatedRing(k)
+
+    def cut(f: UniPoly) -> UniPoly:
+        return UniPoly(f.coeffs[:k])
+
     # q[d] is the t^d coefficient: a^(2n-d).
-    q = [ring.gen_power(2 * n - d) for d in range(2 * n + 1)]
-    s = [ring.zero()] * (n + 1)
-    s[n] = ring.one()
+    q = [cut(ONE.shift_degree(2 * n - d)) for d in range(2 * n + 1)]
+    s = [ZERO] * (n + 1)
+    s[n] = ONE
     for j in range(1, n + 1):
         acc = q[2 * n - j]
         for i in range(1, j):
-            acc = ring.sub(acc, ring.mul(s[n - i], s[n - j + i]))
-        s[n - j] = ring.scale(Fraction(1, 2), acc)
-    square = [ring.zero()] * (2 * n + 1)
+            acc = acc - s[n - i] * s[n - j + i]
+        s[n - j] = cut(acc * Fraction(1, 2))
+    square = [ZERO] * (2 * n + 1)
     for i in range(n + 1):
         for j in range(n + 1):
-            square[i + j] = ring.add(square[i + j], ring.mul(s[i], s[j]))
-    return all(ring.is_zero(ring.sub(square[d], q[d])) for d in range(2 * n + 1))
+            square[i + j] = square[i + j] + s[i] * s[j]
+    return all(cut(square[d]) == q[d] for d in range(2 * n + 1))
 
 
 # -- weighted elementary-symmetric systems -------------------------------------
+
+#: An integer polynomial in a_1, ..., a_m: exponent tuple -> nonzero coefficient.
+Monomials = dict[tuple[int, ...], int]
+
+
+def _add_term(acc: Monomials, exp: tuple[int, ...], c: int) -> None:
+    c += acc.pop(exp, 0)
+    if c:
+        acc[exp] = c
+
+
+def _bump(exp: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
+    """The exponent of a_(i+1)^k times the monomial exp (i is 0-based)."""
+    return exp[:i] + (exp[i] + k,) + exp[i + 1 :]
+
+
+def format_monomials(terms: Monomials, variables: tuple[str, ...]) -> str:
+    """Display form, highest total degree first.
+
+    >>> format_monomials({(2, 0): 3, (1, 1): 6, (0, 2): 1, (0, 0): -1}, ("a1", "a2"))
+    '3*a1^2 + 6*a1*a2 + a2^2 - 1'
+    """
+    if not terms:
+        return "0"
+    parts = []
+    for exp in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        c = terms[exp]
+        mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(variables, exp) if k)
+        if not mono:
+            body = str(abs(c))
+        else:
+            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if parts:
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return " ".join(parts)
 
 
 @dataclass(frozen=True)
 class WeightedSymmetricSystem:
     """The coefficients sigma_j of prod_i (s - a_i)^(e_i - 1) read against
-    s^e + sum_j (-1)^j sigma_j s^(e-j), where e = sum (e_i - 1)."""
+    s^e + sum_j (-1)^j sigma_j s^(e-j), where e = sum (e_i - 1).
+
+    ``generators[j - 1]`` is sigma_j as an integer polynomial in
+    ``variables`` = (a1, ..., am), a :data:`Monomials` dict.
+    """
 
     exponents: tuple[int, ...]
     total: int
     variables: tuple[str, ...]
-    generators: tuple[MultiPoly, ...]
-
-
-def _s_poly_mul(f: list[MultiPoly], g: list[MultiPoly], vars_: tuple[str, ...]) -> list[MultiPoly]:
-    out = [MultiPoly.zero(vars_) for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return out
+    generators: tuple[Monomials, ...]
 
 
 def weighted_sigma(exponents: list[int]) -> WeightedSymmetricSystem:
@@ -129,23 +112,30 @@ def weighted_sigma(exponents: list[int]) -> WeightedSymmetricSystem:
     """
     if not exponents or any(e < 2 for e in exponents):
         raise ValueError("all exponents must be >= 2")
-    names = tuple(f"a{i + 1}" for i in range(len(exponents)))
-    one = MultiPoly.const(names, 1)
-    product = [one]
+    m = len(exponents)
+    one = (0,) * m
+    product: list[Monomials] = [{one: 1}]  # coefficients of s^0, s^1, ...
     for i, e in enumerate(exponents):
-        a_i = MultiPoly.var(names, names[i])
-        factor = [-a_i, one]  # s - a_i, constant term first in s
-        for _ in range(e - 1):
-            product = _s_poly_mul(product, factor, names)
+        for _ in range(e - 1):  # multiply by s - a_i
+            nxt: list[Monomials] = [{} for _ in range(len(product) + 1)]
+            for d, coeff in enumerate(product):
+                for exp, c in coeff.items():
+                    _add_term(nxt[d + 1], exp, c)
+                    _add_term(nxt[d], _bump(exp, i, 1), -c)
+            product = nxt
     e_total = sum(e - 1 for e in exponents)
-    sigmas = tuple(((-1) ** j) * product[e_total - j] for j in range(1, e_total + 1))
+    sigmas = tuple(
+        {exp: (-1) ** j * c for exp, c in product[e_total - j].items()}
+        for j in range(1, e_total + 1)
+    )
     # Re-expansion check: s^e + sum (-1)^j sigma_j s^(e-j) must be the product.
-    rebuilt = [MultiPoly.zero(names) for _ in range(e_total + 1)]
-    rebuilt[e_total] = one
+    rebuilt: list[Monomials] = [{} for _ in range(e_total + 1)]
+    rebuilt[e_total] = {one: 1}
     for j in range(1, e_total + 1):
-        rebuilt[e_total - j] = ((-1) ** j) * sigmas[j - 1]
+        rebuilt[e_total - j] = {exp: (-1) ** j * c for exp, c in sigmas[j - 1].items()}
     if rebuilt != product:
         raise AssertionError("weighted symmetric expansion failed its identity")
+    names = tuple(f"a{i + 1}" for i in range(m))
     return WeightedSymmetricSystem(tuple(exponents), e_total, names, sigmas)
 
 
@@ -157,11 +147,12 @@ def nilpotence_identity_check(sys: WeightedSymmetricSystem, i: int) -> bool:
     """
     if not 1 <= i <= len(sys.exponents):
         raise ValueError(f"index {i} out of range")
-    a_i = MultiPoly.var(sys.variables, sys.variables[i - 1])
-    acc = a_i**sys.total
-    for j in range(1, sys.total + 1):
-        acc = acc + ((-1) ** j) * sys.generators[j - 1] * a_i ** (sys.total - j)
-    return acc.is_zero()
+    e = sys.total
+    acc: Monomials = {_bump((0,) * len(sys.exponents), i - 1, e): 1}
+    for j in range(1, e + 1):
+        for exp, c in sys.generators[j - 1].items():
+            _add_term(acc, _bump(exp, i - 1, e - j), (-1) ** j * c)
+    return not acc
 
 
 # -- tangent rank of the chart equations ------------------------------------------

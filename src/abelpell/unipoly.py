@@ -240,9 +240,6 @@ def constant(c: Rat) -> UniPoly:
     return UniPoly((c,))
 
 
-#: The variable x as a polynomial.
-X = UniPoly((0, 1))
-
 ZERO = UniPoly(())
 ONE = UniPoly((1,))
 
@@ -375,17 +372,6 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
         acc *= b.leading ** (a.degree - r.degree)
         a, b = b, r
     return acc * b.leading**a.degree
-
-
-def discriminant(p: UniPoly) -> Fraction:
-    """The discriminant of a nonconstant polynomial; zero iff p has a repeated root."""
-    n = p.degree
-    if n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if n == 1:
-        return Fraction(1)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.leading
 
 
 def interpolate(points: Sequence[tuple[Rat, Rat]]) -> UniPoly:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelpell import pell
-from abelpell.rationals import rational_sqrt
+from abelpell.rationals import rational_nth_root
 from abelpell.pell import (
     CHART_GENERAL,
     CHART_MONIC,
@@ -100,7 +100,7 @@ def test_solve_minimality_against_convergents():
             if step.p.degree >= t.order:
                 break
             if step.constant_norm:
-                assert rational_sqrt(step.norm.constant_value()) is None
+                assert rational_nth_root(step.norm.constant_value(), 2) is None
 
 
 def test_fundamental_unit():
@@ -250,6 +250,15 @@ def test_normalize_scaling_recovers_monic_form():
     r = poly(Fraction(-1, 2), 0, 1)  # R(2x) / 4
     assert pell_verify(p, q, r).valid
     out = normalize(p, q, r, CHART_MONIC)
+    assert isinstance(out, PellTriple)
+    assert (out.p, out.q, out.r) == (poly(-1, 0, 1), poly(0, 1), R_MINUS2)
+
+
+@pytest.mark.parametrize("b", [10**6, 10**200])
+def test_normalize_huge_leading_coefficient(b):
+    # a = 1/b needs the square root of b^2; 10^400 is beyond any float.
+    p, q, r = poly(-1, 0, b * b), poly(0, b * b), poly(Fraction(-2, b * b), 0, 1)
+    out = normalize(p, q, r, CHART_NORMALIZED)
     assert isinstance(out, PellTriple)
     assert (out.p, out.q, out.r) == (poly(-1, 0, 1), poly(0, 1), R_MINUS2)
 

@@ -1,10 +1,13 @@
 
+import dataclasses
+import itertools
+from collections import Counter
+
 import pytest
 
-from abelpell.multipoly import MultiPoly
 from abelpell.pell import PellTriple, inflate
 from abelpell.strata import (
-    TruncatedRing,
+    format_monomials,
     nilpotence_identity_check,
     odd_nilpotency_check,
     tangent_rank,
@@ -30,12 +33,20 @@ def exponent_lists(max_total: int):
         yield from lists(m, max_total)
 
 
-def test_truncated_ring():
-    ring = TruncatedRing(3)
-    a = ring.gen_power(1)
-    assert ring.mul(a, a) == ring.gen_power(2)
-    assert ring.is_zero(ring.mul(ring.gen_power(2), a))
-    assert ring.gen_power(5) == ring.zero()
+def sigma_by_combinations(exponents: list[int]) -> tuple[dict, ...]:
+    """sigma_j as the j-th elementary symmetric polynomial of the multiset in
+    which a_i appears e_i - 1 times: one monomial per choice of j positions."""
+    positions = [i for i, e in enumerate(exponents) for _ in range(e - 1)]
+    sigmas = []
+    for j in range(1, len(positions) + 1):
+        counts = Counter()
+        for chosen in itertools.combinations(positions, j):
+            exp = [0] * len(exponents)
+            for i in chosen:
+                exp[i] += 1
+            counts[tuple(exp)] += 1
+        sigmas.append(dict(counts))
+    return tuple(sigmas)
 
 
 def test_odd_nilpotency_paper_values():
@@ -53,18 +64,34 @@ def test_odd_nilpotency_exhaustive():
 
 def test_weighted_sigma_examples():
     sys = weighted_sigma([2])
-    a1 = MultiPoly.var(("a1",), "a1")
-    assert sys.total == 1 and sys.generators == (a1,)
+    assert sys.total == 1 and sys.generators == ({(1,): 1},)
 
     sys = weighted_sigma([2, 2])
-    names = ("a1", "a2")
-    a1, a2 = (MultiPoly.var(names, v) for v in names)
-    assert sys.total == 2
-    assert sys.generators == (a1 + a2, a1 * a2)
+    assert sys.total == 2 and sys.variables == ("a1", "a2")
+    assert sys.generators == ({(1, 0): 1, (0, 1): 1}, {(1, 1): 1})
 
     sys = weighted_sigma([3, 2])
     assert sys.total == 3
-    assert sys.generators == (2 * a1 + a2, a1 * a1 + 2 * a1 * a2, a1 * a1 * a2)
+    assert sys.generators == ({(1, 0): 2, (0, 1): 1}, {(2, 0): 1, (1, 1): 2}, {(2, 1): 1})
+    assert [format_monomials(g, sys.variables) for g in sys.generators] == [
+        "2*a1 + a2",
+        "a1^2 + 2*a1*a2",
+        "a1^2*a2",
+    ]
+
+
+def test_weighted_sigma_against_combinations():
+    for exps in exponent_lists(6):
+        assert weighted_sigma(exps).generators == sigma_by_combinations(exps), exps
+
+
+def test_nilpotence_identity_detects_a_wrong_generator():
+    sys = weighted_sigma([3, 2])
+    broken = dataclasses.replace(sys, generators=({(1, 0): 1, (0, 1): 1}, *sys.generators[1:]))
+    assert not nilpotence_identity_check(broken, 1)
+    assert not nilpotence_identity_check(broken, 2)
+    with pytest.raises(ValueError):
+        nilpotence_identity_check(sys, 3)
 
 
 def test_weighted_sigma_rejects_small_exponents():
