@@ -3,7 +3,9 @@
 Grammar: integer and rational literals (``3``, ``5/2``), one variable name
 (``x`` unless the expression introduces another), ``+``, ``-``, ``*``, ``^``
 with nonnegative integer exponents, and parentheses.  Anything else is
-rejected with a position-annotated :class:`ParseError`.  The printer
+rejected with a position-annotated :class:`ParseError`; a power or product
+whose degree would exceed :data:`abelpell.limits.MAX_DEGREE` raises
+:class:`abelpell.limits.ResourceLimit` before it is computed.  The printer
 :func:`abelpell.unipoly.format_poly` emits this grammar, so parse/print is a
 round trip.
 """
@@ -12,9 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .limits import MAX_DEGREE, ResourceLimit
 from .unipoly import UniPoly
 
 MAX_EXPONENT = 100_000
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ResourceLimit(f"polynomial degree {degree} exceeds the cap of {MAX_DEGREE}")
 
 
 class ParseError(ValueError):
@@ -113,7 +121,9 @@ class _Parser:
         acc = self.signed()
         while self.peek().kind == "op" and self.peek().text == "*":
             self.take()
-            acc = acc * self.signed()
+            factor = self.signed()
+            _check_degree(acc.degree + factor.degree)
+            acc = acc * factor
         return acc
 
     def signed(self) -> UniPoly:
@@ -135,6 +145,7 @@ class _Parser:
             exponent = tok.value.numerator
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", tok.position)
+            _check_degree(base.degree * exponent)
             return base**exponent
         return base
 

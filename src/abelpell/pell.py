@@ -19,6 +19,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .limits import MAX_DEGREE, ResourceLimit
 from .rationals import rational_nth_root
 from .unipoly import UniPoly, is_squarefree
 
@@ -417,10 +418,15 @@ def inflate(base: PellTriple, m: int, case: str) -> PellTriple:
     * ``odd`` (m odd, R(0) = 0, R = t*r): -> (p(s^m), s^((m-1)/2) q(s^m), s*r(s^m)).
 
     The result is re-verified before it is returned; an R that loses
-    squarefreeness under the substitution is reported as an error.
+    squarefreeness under the substitution is reported as an error.  An
+    order m * deg P above :data:`abelpell.limits.MAX_DEGREE` raises
+    ``ResourceLimit`` before anything is substituted.
     """
     if m < 2:
         raise ValueError("inflation needs m >= 2")
+    order = m * base.p.degree
+    if order > MAX_DEGREE:
+        raise ResourceLimit(f"inflated order {order} exceeds the cap of {MAX_DEGREE}")
     if case not in INFLATE_CASES:
         raise ValueError(f"unknown inflation case {case!r}")
     if not (base.p.is_monic() and base.q.is_monic()):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .pell import CHART_MONIC, CHART_NORMALIZED, PellTriple
 from .unipoly import ONE, ZERO, UniPoly
@@ -67,6 +67,11 @@ def _bump(exp: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
     return exp[:i] + (exp[i] + k,) + exp[i + 1 :]
 
 
+def _evaluate(terms: Monomials, point: tuple[int, ...]) -> int:
+    """The value of an integer polynomial at an integer point."""
+    return sum(c * prod(map(pow, point, exp)) for exp, c in terms.items())
+
+
 def format_monomials(terms: Monomials, variables: tuple[str, ...]) -> str:
     """Display form, highest total degree first.
 
@@ -108,7 +113,8 @@ class WeightedSymmetricSystem:
 def weighted_sigma(exponents: list[int]) -> WeightedSymmetricSystem:
     """Expand prod_i (s - a_i)^(e_i - 1) and read off the sigma_j.
 
-    The defining identity is re-verified by expanding both sides.
+    The defining identity is re-verified at integer points, with the product
+    evaluated directly rather than read off the expansion.
     """
     if not exponents or any(e < 2 for e in exponents):
         raise ValueError("all exponents must be >= 2")
@@ -128,13 +134,20 @@ def weighted_sigma(exponents: list[int]) -> WeightedSymmetricSystem:
         {exp: (-1) ** j * c for exp, c in product[e_total - j].items()}
         for j in range(1, e_total + 1)
     )
-    # Re-expansion check: s^e + sum (-1)^j sigma_j s^(e-j) must be the product.
-    rebuilt: list[Monomials] = [{} for _ in range(e_total + 1)]
-    rebuilt[e_total] = {one: 1}
-    for j in range(1, e_total + 1):
-        rebuilt[e_total - j] = {exp: (-1) ** j * c for exp, c in sigmas[j - 1].items()}
-    if rebuilt != product:
-        raise AssertionError("weighted symmetric expansion failed its identity")
+    # Independent check, without the expansion: at fixed integer points a,
+    # s^e + sum (-1)^j sigma_j(a) s^(e-j) must equal prod (s - a_i)^(e_i - 1)
+    # computed directly, at e + 1 values of s, which fixes the polynomial in s.
+    for point in (tuple(range(1, m + 1)), tuple(3 - 2 * i for i in range(m))):
+        values = [_evaluate(sigma, point) for sigma in sigmas]
+        for s in range(e_total + 1):
+            direct = 1
+            for a, k in zip(point, exponents):
+                direct *= (s - a) ** (k - 1)
+            expanded = s**e_total + sum(
+                (-1) ** j * v * s ** (e_total - j) for j, v in enumerate(values, 1)
+            )
+            if direct != expanded:
+                raise AssertionError("weighted symmetric expansion failed its identity")
     names = tuple(f"a{i + 1}" for i in range(m))
     return WeightedSymmetricSystem(tuple(exponents), e_total, names, sigmas)
 

@@ -5,6 +5,13 @@ constant term first, with trailing zeros trimmed; the zero polynomial is the
 empty tuple.  Every operation in this module (and this package) is exact --
 there is no floating point and no epsilon anywhere.
 
+Multiplication and division run on integers, not on ``Fraction`` objects: each
+operand becomes integer numerators over one common denominator, and a
+``Fraction`` is built once per result coefficient.  Division first makes the
+divisor primitive (integer numerators, content removed), which leaves the
+remainder unchanged, and then pseudo-divides lazily: the running remainder is
+scaled by lead / gcd(top, lead) per step, not by the whole leading coefficient.
+
 Resultants come from the Euclidean remainder sequence, not from a Sylvester
 determinant: res(a, b) = (-1)^(deg a * deg b) lc(b)^(deg a - deg r) res(b, r)
 with r = a mod b.
@@ -21,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _int_gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = int | Fraction
@@ -109,11 +117,14 @@ class UniPoly:
     def __mul__(self, other: UniPoly | Rat) -> UniPoly:
         if isinstance(other, (int, Fraction)):
             return UniPoly(c * other for c in self.coeffs)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        a, da = _numerators(self.coeffs)
+        b, db = _numerators(other.coeffs)
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _from_numerators(out, da * db)
 
     __rmul__ = __mul__
 
@@ -135,38 +146,14 @@ class UniPoly:
         >>> divmod(poly(-1, 0, 1), poly(1, 1))
         (UniPoly('x - 1'), UniPoly('0'))
         """
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dl = other.degree, other.leading
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] / dl
-            if c == 0:
-                continue
-            quo[i - dd] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i - dd + j] -= c * b
-        return UniPoly(quo), UniPoly(rem)
+        return _divide(self, other, True)
 
     def __floordiv__(self, other: UniPoly) -> UniPoly:
         return divmod(self, other)[0]
 
     def __mod__(self, other: UniPoly) -> UniPoly:
         """The remainder of :meth:`__divmod__`, without building the quotient."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dl = other.degree, other.leading
-        # rem[i] itself is not updated: its new value is 0 and it is dropped.
-        low = other.coeffs[:-1]
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] / dl
-            if c == 0:
-                continue
-            for j, b in enumerate(low):
-                rem[i - dd + j] -= c * b
-        return UniPoly(rem[:dd])
+        return _divide(self, other, False)[1]
 
     def divides(self, other: UniPoly) -> bool:
         return (other % self).is_zero()
@@ -223,6 +210,64 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly('{format_poly(self)}')"
+
+
+def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators, and that lcm."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_numerators(nums: list[int], den: int) -> UniPoly:
+    """The polynomial sum_i (nums[i]/den) x^i, trimmed, without re-coercion.
+
+    Tuples here (and the star-args in :func:`_numerators`) are built from
+    lists, not generators: the tuples a generator grows and then shrinks were
+    left on the interpreter's free lists and raised peak RSS by about 2 MB.
+    """
+    while nums and not nums[-1]:
+        nums.pop()
+    out = object.__new__(UniPoly)
+    object.__setattr__(out, "coeffs", tuple([Fraction(c, den) for c in nums]))
+    return out
+
+
+def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None, UniPoly]:
+    """Euclidean division of a by b over Q, run on integers.
+
+    b is replaced by its primitive integer part bp with a positive leading
+    coefficient: the remainder does not change, and the quotient by b is
+    (den b / content b) times the quotient by bp.  The running remainder is
+    kept as integers over one running denominator; eliminating its top
+    coefficient scales it by lead // gcd(top, lead) only, so a monic bp never
+    scales it.  Fractions are built once, at the end.  Without
+    ``with_quotient`` the quotient returned is None.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, den = _numerators(a.coeffs)
+    low, bden = _numerators(b.coeffs)
+    content = _int_gcd(*low) if low[-1] > 0 else -_int_gcd(*low)
+    low = [c // content for c in low]
+    lead = low.pop()
+    dd = len(low)
+    quo: list[tuple[int, int]] = []  # (numerator, denominator), top term first
+    for i in range(len(rem) - 1, dd - 1, -1):
+        top = rem[i]
+        g = _int_gcd(top, lead)
+        s, t = lead // g, top // g
+        if s != 1:
+            rem[:i] = [c * s for c in rem[:i]]
+            den *= s
+        # rem[i] itself is not updated: its new value is 0 and it is dropped.
+        for j, c in enumerate(low, i - dd):
+            rem[j] -= t * c
+        quo.append((t, den))
+    remainder = _from_numerators(rem[:dd], den)
+    if not with_quotient:
+        return None, remainder
+    quotient = _from_numerators([t * bden * (den // d) for t, d in reversed(quo)], den * content)
+    return quotient, remainder
 
 
 def _coerce(value: UniPoly | Rat) -> UniPoly:

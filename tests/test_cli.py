@@ -49,6 +49,15 @@ def test_resource_exit(capsys):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pell", "verify", "(x+1)^3000", "1", "x^2-1"],
+    ["pell", "inflate", "x", "1", "x^2-1", "--m", "100000", "--case", "divides_g_plus_1"],
+])
+def test_degree_cap_exit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and "exceeds the cap of 500" in err and out == ""
+
+
 def test_abel_resource_exit(capsys, monkeypatch):
     # x^3 - 3x has the branch values +-2: t^2 - 4 has two modular factors,
     # and with no recombination allowed the command exits 3.

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from abelpell.limits import MAX_DEGREE, ResourceLimit
 from abelpell.parsing import ParseError, parse_poly
 from abelpell.unipoly import UniPoly, format_poly, poly
 
@@ -53,6 +54,17 @@ def test_no_implicit_multiplication():
 def test_huge_exponent_rejected():
     with pytest.raises(ParseError):
         parse_poly("x^1000000")
+
+
+def test_degree_cap():
+    # The cap is checked before the power or product is computed.
+    assert parse_poly(f"(x+1)^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_poly(f"x^{MAX_DEGREE - 1}*(x+1)").degree == MAX_DEGREE
+    assert parse_poly("7^1000").degree == 0
+    for text in (f"x^{MAX_DEGREE + 1}", f"(x^2+1)^{MAX_DEGREE // 2 + 1}",
+                 f"x^{MAX_DEGREE}*x", "(x+1)^3000"):
+        with pytest.raises(ResourceLimit, match="cap"):
+            parse_poly(text)
 
 
 def test_roundtrip_fixtures(triples):

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -128,6 +130,20 @@ NORM_ORACLE_R = [
     affine_image(R_QUARTIC, Fraction(2, 3), 3),
     affine_image(R_QUARTIC, Fraction(3, 2), -1),
 ]
+
+
+def test_cf_steps_deep_golden():
+    # Recorded when the kernel ran Fraction schoolbook loops.  By step 20 the
+    # convergents of x^4 + x + 1 carry coefficients of about 1,000 bits, and
+    # those of the affine image of x^6 - 2 have rational coefficients.
+    golden = json.loads((Path(__file__).parent / "golden" / "cf_steps_deep.json").read_text())
+    for r in (R_QUARTIC, affine_image(poly(-2, 0, 0, 0, 0, 0, 1), Fraction(2, 3), 1)):
+        steps = [
+            {"index": step.index, "p": str(step.p), "q": str(step.q), "norm": str(step.norm),
+             "partial_quotient": str(step.partial_quotient)}
+            for step in cf_expand(r, 20)
+        ]
+        assert steps == golden[str(r)]
 
 
 @pytest.mark.parametrize("r", NORM_ORACLE_R, ids=str)

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from abelpell import strata
 from abelpell.pell import PellTriple, inflate
 from abelpell.strata import (
     format_monomials,
@@ -83,6 +84,23 @@ def test_weighted_sigma_examples():
 def test_weighted_sigma_against_combinations():
     for exps in exponent_lists(6):
         assert weighted_sigma(exps).generators == sigma_by_combinations(exps), exps
+
+
+def test_weighted_sigma_rejects_a_wrong_expansion(monkeypatch):
+    # Each multiplication by (s - a_i) adds c to s * term and then -c to
+    # a_i * term; negating every second addition multiplies by (s + a_i).
+    add, calls = strata._add_term, itertools.count()
+    monkeypatch.setattr(
+        strata, "_add_term", lambda acc, exp, c: add(acc, exp, -c if next(calls) % 2 else c)
+    )
+    with pytest.raises(AssertionError, match="identity"):
+        weighted_sigma([3, 2])
+    # Multiplying by (s - a_i^2) instead.
+    bump = strata._bump
+    monkeypatch.setattr(strata, "_add_term", add)
+    monkeypatch.setattr(strata, "_bump", lambda exp, i, k: bump(exp, i, 2 * k))
+    with pytest.raises(AssertionError, match="identity"):
+        weighted_sigma([2, 2])
 
 
 def test_nilpotence_identity_detects_a_wrong_generator():

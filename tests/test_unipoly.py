@@ -141,6 +141,78 @@ def test_mod_is_divmod_remainder_property(a, b):
     assert a % b == divmod(a, b)[1]
 
 
+# -- the kernel against the Fraction schoolbook loops -------------------------
+
+
+def schoolbook_mul(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Oracle: one Fraction multiply and add per pair of terms."""
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return UniPoly(out)
+
+
+def schoolbook_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Oracle: long division with one Fraction division per quotient term."""
+    rem = list(a.coeffs)
+    dd, dl = b.degree, b.leading
+    quo = [Fraction(0)] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i] / dl
+        quo[i - dd] = c
+        for j, y in enumerate(b.coeffs):
+            rem[i - dd + j] -= c * y
+    return UniPoly(quo), UniPoly(rem)
+
+
+def well_formed(p: UniPoly) -> bool:
+    return all(type(c) is Fraction for c in p.coeffs) and (not p.coeffs or p.coeffs[-1] != 0)
+
+
+WIDE = st.one_of(
+    COEFF,
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(2**64 + 1, 2**80)),
+)
+
+
+def polys(max_degree: int):
+    """Possibly zero, with small and above-2^64 denominators and any lead."""
+    return st.lists(WIDE, max_size=max_degree + 1).map(UniPoly)
+
+
+def divisors(max_degree: int):
+    """Nonzero: rational, non-primitive integer (content k > 1), or constant."""
+    nonzero_int = st.integers(-9, 9).filter(bool)
+    return st.one_of(
+        st.builds(lambda low, lead: UniPoly(low + [lead]), st.lists(WIDE, max_size=max_degree),
+                  WIDE.filter(bool)),
+        st.builds(lambda low, lead, k: UniPoly([k * c for c in low + [lead]]),
+                  st.lists(st.integers(-9, 9), max_size=max_degree), nonzero_int,
+                  st.integers(2, 12)),
+        WIDE.filter(bool).map(lambda c: UniPoly([c])),
+    )
+
+
+BIG = Fraction(2**65 + 3, 2**67 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(9), divisors(5))
+@example(poly(1, 2, 3, 4, 5), poly(4, 0, 6))  # 6x^2 + 4 is not primitive
+@example(UniPoly(()), poly(3))  # zero dividend, constant divisor
+@example(poly(1, 2), poly(0, 0, -3))  # deg a < deg b
+@example(poly(BIG, -1, 0, BIG), poly(1, -BIG, Fraction(-7, 2**70 + 1)))
+def test_kernel_matches_schoolbook_property(a, b):
+    product = a * b
+    assert product == schoolbook_mul(a, b) == b * a
+    quo, rem = divmod(a, b)
+    assert (quo, rem) == schoolbook_divmod(a, b)
+    assert a % b == rem and a // b == quo
+    assert schoolbook_mul(quo, b) + rem == a and rem.degree < b.degree
+    assert all(well_formed(p) for p in (product, quo, rem))
+
+
 def test_resultant_examples():
     assert resultant(poly(-1, 1), poly(1, 1)) == 2
     # Sylvester determinant of (x^2 - 2, 2x) by hand:
