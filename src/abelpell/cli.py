@@ -66,10 +66,12 @@ def _triple_from_args(args, names=("p", "q", "r")) -> pell.PellTriple:
 
 def _cmd_pell_solve(args):
     r = parse_poly(args.r)
-    steps = pell.cf_expand_to_degree(r, args.n_max)
-    unit = pell.least_unit(steps, r, args.n_max)
+    expansion = pell.cf_steps(r)
+    steps: list[pell.CFStep] = []
+    # One lazy expansion: the search reads it up to the unit, or to the first
+    # convergent above n_max on a miss (convergent degrees rise strictly).
+    unit = pell.least_unit((steps.append(step) or step for step in expansion), r, args.n_max)
     triple = pell.minimal_solution(r, unit, args.n_max)
-    # Convergent degrees rise strictly, so the search stopped at the unit.
     last = args.n_max if unit is None else unit.p.degree
     searched = [step.p.degree for step in steps if step.p.degree <= last]
     checks = [check("orders_searched_up_to_n_max", True, orders=searched)]
@@ -78,6 +80,10 @@ def _cmd_pell_solve(args):
         lines = [f"no solution of order <= {args.n_max} over the rationals"]
         return EXIT_EMPTY, result, checks, lines
     checks.append(check("solution_verifies", pell.pell_verify(triple.p, triple.q, triple.r).valid))
+    # The minimality check reads every convergent below the solution's order,
+    # which is twice the unit's when the unit's norm is not a square.
+    while steps[-1].p.degree < triple.order:
+        steps.append(next(expansion))
     smaller = [
         s
         for s in steps
@@ -386,7 +392,11 @@ def main(argv: list[str] | None = None) -> int:
         "result": result,
         "checks": checks,
     }
-    _emit(report, lines, args)
+    try:
+        _emit(report, lines, args)
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     return code
 
 

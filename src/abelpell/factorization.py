@@ -25,7 +25,7 @@ as long as the divisor's leading coefficient is a unit; ``fp_gcd``,
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .limits import ResourceLimit
 from .unipoly import UniPoly, squarefree_decomposition
@@ -289,8 +289,7 @@ def _factor_squarefree(part: UniPoly, rng) -> list[UniPoly]:
     """Monic irreducible factors over Q of a monic squarefree polynomial."""
     if part.degree == 1:
         return [part]
-    scale = lcm(*(c.denominator for c in part.coeffs))
-    f = _primitive([int(c * scale) for c in part.coeffs])
+    f = _primitive(list(part.num))
     p = _good_prime(f)
     fp = _scale([c % p for c in f], pow(f[-1], -1, p), p)
     modular = [

@@ -4,8 +4,9 @@ Grammar: integer and rational literals (``3``, ``5/2``), one variable name
 (``x`` unless the expression introduces another), ``+``, ``-``, ``*``, ``^``
 with nonnegative integer exponents, and parentheses.  Anything else is
 rejected with a position-annotated :class:`ParseError`; a power or product
-whose degree would exceed :data:`abelpell.limits.MAX_DEGREE` raises
-:class:`abelpell.limits.ResourceLimit` before it is computed.  The printer
+whose degree would exceed :data:`abelpell.limits.MAX_DEGREE`, and
+parentheses nested deeper than :data:`abelpell.limits.MAX_NESTING`, raise
+:class:`abelpell.limits.ResourceLimit` before they are parsed further.  The printer
 :func:`abelpell.unipoly.format_poly` emits this grammar, so parse/print is a
 round trip.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .limits import MAX_DEGREE, ResourceLimit
+from .limits import MAX_DEGREE, MAX_NESTING, ResourceLimit
 from .unipoly import UniPoly
 
 MAX_EXPONENT = 100_000
@@ -87,6 +88,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.var = var
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -127,12 +129,12 @@ class _Parser:
         return acc
 
     def signed(self) -> UniPoly:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.take()
-            inner = self.signed()
-            return inner if tok.text == "+" else -inner
-        return self.power()
+        # A loop, not recursion: a run of signs costs no stack.
+        negate = False
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            negate ^= self.take().text == "-"
+        inner = self.power()
+        return -inner if negate else inner
 
     def power(self) -> UniPoly:
         base = self.atom()
@@ -166,8 +168,15 @@ class _Parser:
                 )
             return UniPoly((0, 1))
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ResourceLimit(
+                    f"parentheses nested deeper than the cap of {MAX_NESTING}"
+                    f" (column {tok.position + 1})"
+                )
             self.take()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ParseError(

@@ -230,6 +230,13 @@ def _cf_steps(r: UniPoly) -> Iterator[CFStep]:
         k += 1
 
 
+def cf_steps(r: UniPoly) -> Iterator[CFStep]:
+    """The continued fraction of sqrt(R) as an endless iterator: R is checked
+    now, and each step is computed only when it is asked for."""
+    _check_pell_r(r)
+    return _cf_steps(r)
+
+
 def cf_expand(r: UniPoly, max_steps: int) -> list[CFStep]:
     """The first ``max_steps`` steps of the continued fraction of sqrt(R).
 
@@ -238,16 +245,7 @@ def cf_expand(r: UniPoly, max_steps: int) -> list[CFStep]:
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    _check_pell_r(r)
-    return list(itertools.islice(_cf_steps(r), max_steps))
-
-
-def cf_expand_to_degree(r: UniPoly, max_degree: int) -> list[CFStep]:
-    """The steps of the continued fraction of sqrt(R) whose convergents have
-    degree <= ``max_degree``; the expansion stops at the first convergent
-    above it (convergent degrees rise strictly)."""
-    _check_pell_r(r)
-    return list(itertools.takewhile(lambda step: step.p.degree <= max_degree, _cf_steps(r)))
+    return list(itertools.islice(cf_steps(r), max_steps))
 
 
 def least_unit(
@@ -271,8 +269,7 @@ def least_unit(
 def fundamental_unit(r: UniPoly, max_order: int) -> FundamentalUnit | None:
     """The least-degree convergent with constant norm, searching convergents
     of degree up to ``max_order``; None if there is none in range."""
-    _check_pell_r(r)
-    return least_unit(_cf_steps(r), r, max_order)
+    return least_unit(cf_steps(r), r, max_order)
 
 
 def minimal_solution(
@@ -314,8 +311,7 @@ def pell_solve(r: UniPoly, n_max: int) -> PellTriple | None:
     >>> pell_solve(poly(-2, 0, 1), 5).p
     UniPoly('x^2 - 1')
     """
-    _check_pell_r(r)
-    return minimal_solution(r, least_unit(_cf_steps(r), r, n_max), n_max)
+    return minimal_solution(r, least_unit(cf_steps(r), r, n_max), n_max)
 
 
 # -- group law ------------------------------------------------------------------

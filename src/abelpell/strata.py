@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .pell import CHART_MONIC, CHART_NORMALIZED, PellTriple
-from .unipoly import ONE, ZERO, UniPoly
+from .unipoly import ONE, ZERO
 
 
 def odd_nilpotency_check(n: int, k: int) -> bool:
@@ -30,24 +30,20 @@ def odd_nilpotency_check(n: int, k: int) -> bool:
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-
-    def cut(f: UniPoly) -> UniPoly:
-        return UniPoly(f.coeffs[:k])
-
     # q[d] is the t^d coefficient: a^(2n-d).
-    q = [cut(ONE.shift_degree(2 * n - d)) for d in range(2 * n + 1)]
+    q = [ONE.shift_degree(2 * n - d).truncate(k) for d in range(2 * n + 1)]
     s = [ZERO] * (n + 1)
     s[n] = ONE
     for j in range(1, n + 1):
         acc = q[2 * n - j]
         for i in range(1, j):
             acc = acc - s[n - i] * s[n - j + i]
-        s[n - j] = cut(acc * Fraction(1, 2))
+        s[n - j] = (acc * Fraction(1, 2)).truncate(k)
     square = [ZERO] * (2 * n + 1)
     for i in range(n + 1):
         for j in range(n + 1):
             square[i + j] = square[i + j] + s[i] * s[j]
-    return all(cut(square[d]) == q[d] for d in range(2 * n + 1))
+    return all(square[d].truncate(k) == q[d] for d in range(2 * n + 1))
 
 
 # -- weighted elementary-symmetric systems -------------------------------------
@@ -223,14 +219,8 @@ def tangent_rank(t: PellTriple) -> TangentReport:
     q_dirs = [(t.r * t.q * -2).shift_degree(j) for j in range(t.q.degree)]
     r_top = 2 * g + 2 if t.chart == CHART_MONIC else 2 * g + 1
     r_dirs = [(t.q * t.q * -1).shift_degree(j) for j in range(r_top)]
-    columns = p_dirs + q_dirs + r_dirs
-    nrows = 2 * n
-    matrix: list[list[Fraction]] = [
-        [col.coeff(d) for col in columns] for d in range(nrows)
-    ]
-    int_rows = []
-    for row in matrix:
-        denom = lcm(*(c.denominator for c in row)) if row else 1
-        int_rows.append([int(c * denom) for c in row])
-    rank = _integer_rank(int_rows)
+    # Column j holds the numerators of direction j: the direction scaled by
+    # its denominator, which leaves the rank unchanged.
+    columns = [d.num + (0,) * (2 * n - len(d.num)) for d in p_dirs + q_dirs + r_dirs]
+    rank = _integer_rank([list(row) for row in zip(*columns)])
     return TangentReport(len(columns), rank, len(columns) - rank)

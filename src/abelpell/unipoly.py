@@ -1,16 +1,19 @@
 """Dense univariate polynomials over exact rationals.
 
-A polynomial is stored as a tuple of ``fractions.Fraction`` coefficients,
-constant term first, with trailing zeros trimmed; the zero polynomial is the
-empty tuple.  Every operation in this module (and this package) is exact --
-there is no floating point and no epsilon anywhere.
+A polynomial is stored as integer numerators over one denominator: ``num``
+holds the numerators, constant term first, with trailing zeros trimmed, and
+``den`` is positive with gcd(den, *num) == 1, so every polynomial has exactly
+one representation and the zero polynomial is ``((), 1)``.  ``coeffs`` gives
+the coefficients as ``fractions.Fraction`` values, built on first use.  Every
+operation in this module (and this package) is exact -- there is no floating
+point and no epsilon anywhere.
 
-Multiplication and division run on integers, not on ``Fraction`` objects: each
-operand becomes integer numerators over one common denominator, and a
-``Fraction`` is built once per result coefficient.  Division first makes the
-divisor primitive (integer numerators, content removed), which leaves the
-remainder unchanged, and then pseudo-divides lazily: the running remainder is
-scaled by lead / gcd(top, lead) per step, not by the whole leading coefficient.
+The ring operations never build a ``Fraction``: they work on the numerators
+and reduce each result once, with a single gcd of the denominator and all the
+numerators.  Division first makes the divisor primitive (integer numerators,
+content removed), which leaves the remainder unchanged, and then
+pseudo-divides lazily: the running remainder is scaled by lead / gcd(top,
+lead) per step, not by the whole leading coefficient.
 
 Resultants come from the Euclidean remainder sequence, not from a Sylvester
 determinant: res(a, b) = (-1)^(deg a * deg b) lc(b)^(deg a - deg r) res(b, r)
@@ -20,13 +23,13 @@ with r = a mod b.
 UniPoly('x^2 - 2')
 >>> poly(-2, 0, 1).degree
 2
+>>> (poly(Fraction(1, 2), 0, 3).num, poly(Fraction(1, 2), 0, 3).den)
+((1, 0, 6), 2)
 >>> resultant(poly(-2, 0, 1), poly(0, 2))
 Fraction(-8, 1)
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm
 from typing import Iterable, Sequence
@@ -40,98 +43,134 @@ def _as_fraction(c: Rat) -> Fraction:
     return Fraction(c)
 
 
-@dataclass(frozen=True)
 class UniPoly:
     """A univariate polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of x^i; the last coefficient is nonzero
-    unless the polynomial is zero (empty tuple).
+    ``num[i] / den`` is the coefficient of x^i.  ``num`` is trimmed (its last
+    entry is nonzero unless the polynomial is zero, the empty tuple), ``den``
+    is positive and gcd(den, *num) == 1.  Instances are immutable.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("num", "den", "_coeffs")
+
+    num: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        # Over the lcm of the reduced denominators the numerators are coprime
+        # to it already, so no gcd is needed here.
+        den = lcm(*[c.denominator for c in cs])
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        _init(self, tuple(nums), den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UniPoly is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"UniPoly is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _made, (self.num, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     # -- basic structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as ``Fraction`` values, constant term first.
+
+        Built once, on first use; two threads that race here build equal
+        tuples, so the value is the same whichever is kept.
+        """
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            cs = tuple([Fraction(c, den) for c in self.num])
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def is_normalized(self) -> bool:
         """Monic with zero next-to-highest coefficient (degree 0 counts)."""
-        return self.is_monic() and (len(self.coeffs) < 2 or self.coeffs[-2] == 0)
+        return self.is_monic() and (len(self.num) < 2 or self.num[-2] == 0)
 
     def coeff(self, i: int) -> Fraction:
         """The coefficient of x^i (zero beyond the stored range)."""
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i < len(self.num):
             return self.coeffs[i]
         return Fraction(0)
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: UniPoly | Rat) -> UniPoly:
-        other = _coerce(other)
-        return UniPoly(
-            a + b
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))
-        )
+        return _sum(self, _coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: UniPoly | Rat) -> UniPoly:
-        return self + (-_coerce(other))
+        return _sum(self, _coerce(other), -1)
 
     def __rsub__(self, other: UniPoly | Rat) -> UniPoly:
-        return _coerce(other) - self
+        return _sum(_coerce(other), self, -1)
 
     def __neg__(self) -> UniPoly:
-        return UniPoly(-c for c in self.coeffs)
+        return _made(tuple([-c for c in self.num]), self.den)
 
     def __mul__(self, other: UniPoly | Rat) -> UniPoly:
         if isinstance(other, (int, Fraction)):
-            return UniPoly(c * other for c in self.coeffs)
-        a, da = _numerators(self.coeffs)
-        b, db = _numerators(other.coeffs)
-        out = [0] * (len(a) + len(b))
+            return _reduced([c * other.numerator for c in self.num], self.den * other.denominator)
+        a, b = self.num, other.num
+        if not a or not b:
+            return ZERO
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        return _from_numerators(out, da * db)
+        return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> UniPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPoly((1,))
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -167,41 +206,58 @@ class UniPoly:
     # -- calculus and substitution ------------------------------------------
 
     def derivative(self) -> UniPoly:
-        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _reduced([i * c for i, c in enumerate(self.num[1:], 1)], self.den)
 
     def monic(self) -> UniPoly:
         """Scale by the inverse of the leading coefficient."""
-        return self * (1 / self.leading)
+        if not self.num:
+            raise ValueError("zero polynomial has no leading coefficient")
+        lead = self.num[-1]
+        if lead == self.den:
+            return self
+        if lead < 0:
+            return _reduced([-c for c in self.num], -lead)
+        return _reduced(list(self.num), lead)
 
     def evaluate(self, x: Rat) -> Fraction:
-        """Horner evaluation at an exact rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation at an exact rational point, on integers: with
+        x = p/q, the value is sum num_i p^i q^(d-i) / (den q^d)."""
+        if not self.num:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, scale = self.num[-1], 1
+        for c in reversed(self.num[:-1]):
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, self.den * scale)
 
     def compose_linear(self, a: Rat, b: Rat) -> UniPoly:
         """The polynomial p(a*x + b)."""
         arg = UniPoly((b, a))
-        acc = UniPoly(())
-        for c in reversed(self.coeffs):
+        acc = ZERO
+        for c in reversed(self.num):
             acc = acc * arg + c
-        return acc
+        return acc * Fraction(1, self.den)
 
     def substitute_power(self, m: int) -> UniPoly:
         """The polynomial p(x^m) for m >= 1."""
         if m < 1:
             raise ValueError("power substitution needs m >= 1")
-        out = [Fraction(0)] * (m * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[m * i] = c
-        return UniPoly(out)
+        out = [0] * (m * len(self.num) - m + 1) if self.num else []
+        out[::m] = self.num
+        return _made(tuple(out), self.den)
 
     def shift_degree(self, k: int) -> UniPoly:
         """Multiply by x^k (k >= 0)."""
         if k < 0:
             raise ValueError("negative degree shift")
-        return UniPoly((Fraction(0),) * k + self.coeffs)
+        if not k or not self.num:
+            return self
+        return _made((0,) * k + self.num, self.den)
+
+    def truncate(self, k: int) -> UniPoly:
+        """The remainder mod x^k: the terms of degree below k (k >= 0)."""
+        return _reduced(list(self.num[:k]), self.den)
 
     # -- display ------------------------------------------------------------
 
@@ -212,24 +268,50 @@ class UniPoly:
         return f"UniPoly('{format_poly(self)}')"
 
 
-def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators over the lcm of the denominators, and that lcm."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _init(p: UniPoly, num: tuple[int, ...], den: int) -> None:
+    """Set the two slots; ``_coeffs`` stays unset until ``coeffs`` is read."""
+    object.__setattr__(p, "num", num)
+    object.__setattr__(p, "den", den)
 
 
-def _from_numerators(nums: list[int], den: int) -> UniPoly:
-    """The polynomial sum_i (nums[i]/den) x^i, trimmed, without re-coercion.
-
-    Tuples here (and the star-args in :func:`_numerators`) are built from
-    lists, not generators: the tuples a generator grows and then shrinks were
-    left on the interpreter's free lists and raised peak RSS by about 2 MB.
-    """
-    while nums and not nums[-1]:
-        nums.pop()
+def _made(num: tuple[int, ...], den: int) -> UniPoly:
+    """A polynomial from numerators and a denominator already in normal form."""
     out = object.__new__(UniPoly)
-    object.__setattr__(out, "coeffs", tuple([Fraction(c, den) for c in nums]))
+    _init(out, num, den)
     return out
+
+
+def _reduced(num: list[int], den: int) -> UniPoly:
+    """The polynomial sum_i (num[i]/den) x^i for den > 0: trimmed, then
+    reduced by one gcd of den with all the numerators.
+
+    The tuple is built from a list, not a generator: the tuples a generator
+    grows and then shrinks were left on the interpreter's free lists and
+    raised peak RSS by about 2 MB.
+    """
+    while num and not num[-1]:
+        num.pop()
+    if den != 1:
+        g = _int_gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _made(tuple(num), den)
+
+
+def _sum(a: UniPoly, b: UniPoly, sign: int) -> UniPoly:
+    """a + sign * b over the lcm of the two denominators."""
+    if a.den == b.den:
+        den, sa, sb = a.den, 1, sign
+    else:
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, sign * (den // b.den)
+    out = list(a.num) if sa == 1 else [c * sa for c in a.num]
+    if len(out) < len(b.num):
+        out.extend([0] * (len(b.num) - len(out)))
+    for i, c in enumerate(b.num):
+        out[i] += c * sb
+    return _reduced(out, den)
 
 
 def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None, UniPoly]:
@@ -240,17 +322,16 @@ def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None
     (den b / content b) times the quotient by bp.  The running remainder is
     kept as integers over one running denominator; eliminating its top
     coefficient scales it by lead // gcd(top, lead) only, so a monic bp never
-    scales it.  Fractions are built once, at the end.  Without
-    ``with_quotient`` the quotient returned is None.
+    scales it.  Without ``with_quotient`` the quotient returned is None.
     """
-    if b.is_zero():
+    if not b.num:
         raise ZeroDivisionError("polynomial division by zero")
-    rem, den = _numerators(a.coeffs)
-    low, bden = _numerators(b.coeffs)
+    low = list(b.num)
     content = _int_gcd(*low) if low[-1] > 0 else -_int_gcd(*low)
     low = [c // content for c in low]
     lead = low.pop()
     dd = len(low)
+    rem, den = list(a.num), a.den
     quo: list[tuple[int, int]] = []  # (numerator, denominator), top term first
     for i in range(len(rem) - 1, dd - 1, -1):
         top = rem[i]
@@ -263,10 +344,12 @@ def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None
         for j, c in enumerate(low, i - dd):
             rem[j] -= t * c
         quo.append((t, den))
-    remainder = _from_numerators(rem[:dd], den)
+    del rem[dd:]
+    remainder = _reduced(rem, den)
     if not with_quotient:
         return None, remainder
-    quotient = _from_numerators([t * bden * (den // d) for t, d in reversed(quo)], den * content)
+    scale = b.den if content > 0 else -b.den
+    quotient = _reduced([t * scale * (den // d) for t, d in reversed(quo)], den * abs(content))
     return quotient, remainder
 
 
@@ -406,17 +489,18 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
-    acc = Fraction(1)
+    num = den = 1  # the product of the lc(b) powers so far, as num / den
     a, b = p, q
     while b.degree > 0:
         r = a % b
         if r.is_zero():
             return Fraction(0)
         if a.degree * b.degree % 2:
-            acc = -acc
-        acc *= b.leading ** (a.degree - r.degree)
+            num = -num
+        num *= b.num[-1] ** (a.degree - r.degree)
+        den *= b.den ** (a.degree - r.degree)
         a, b = b, r
-    return acc * b.leading**a.degree
+    return Fraction(num * b.num[-1] ** a.degree, den * b.den**a.degree)
 
 
 def interpolate(points: Sequence[tuple[Rat, Rat]]) -> UniPoly:

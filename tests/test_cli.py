@@ -186,21 +186,63 @@ def test_pell_solve_expands_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_pell_solve_stops_above_n_max(capsys, monkeypatch):
-    # The unit of this affine image of x^6 - 2 has degree 3 and the
-    # convergent degrees are 3, 6, 9, ...: 13 of them are <= 40, and the
-    # expansion stops after building the first one above (degree 42).
+def built_degrees(monkeypatch) -> list[int]:
+    """The convergent degrees of the continued-fraction steps built from now on."""
     from abelpell import pell
 
     built = []
     step = pell.CFStep
     monkeypatch.setattr(pell, "CFStep", lambda *args: built.append(args[3].degree) or step(*args))
+    return built
+
+
+def test_pell_solve_stops_above_n_max(capsys, monkeypatch):
+    # x^4 + x + 1 has no unit: the convergent degrees are 2, 3, 4, ..., and
+    # the expansion stops after building the first one above n_max = 10.
+    built = built_degrees(monkeypatch)
+    code, report, _ = run_cli(capsys, "pell", "solve", "x^4+x+1", "--n-max", "10",
+                              "--format", "structured")
+    assert code == 1
+    assert built == list(range(2, 12))
+    assert json.loads(report)["checks"][0]["orders"] == list(range(2, 11))
+
+
+def test_pell_solve_stops_at_the_solution(capsys, monkeypatch):
+    # The unit of this affine image of x^6 - 2 has degree 3 and the
+    # convergent degrees are 3, 6, 9, ...  Its norm 729/32 is not a square,
+    # so the solution has order 6; the minimality check reads the convergents
+    # below 6, and the expansion stops at the first of degree >= 6, however
+    # large n_max is.
+    built = built_degrees(monkeypatch)
     argv = ["pell", "solve", "x^6 + 9*x^5 + 135/4*x^4 + 135/2*x^3 + 1215/16*x^2 + 729/16*x"
             " - 729/64", "--n-max", "40", "--format", "structured"]
     code, report, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert built == list(range(3, 43, 3))
+    assert built == [3, 6]
     assert json.loads(report)["checks"][0]["orders"] == [3]
+
+
+def test_pell_solve_huge_n_max(capsys):
+    # Expanding to n_max before looking for the unit never finished here.
+    reports = []
+    for n_max in (8, 100000):
+        code, report, _ = run_json(capsys, "pell", "solve", "x^2-2", "--n-max", str(n_max))
+        assert code == 0 and report["inputs"].pop("n_max") == report["result"].pop("n_max")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_out_unwritable_exit(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "pell", "solve", "x^2-2", "--n-max", "5", "--out",
+                             str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("error: cannot write the output") and "Traceback" not in err
+
+
+def test_nesting_cap_exit(capsys):
+    code, out, err = run_cli(capsys, "pell", "solve", "(" * 200 + "x^2-2" + ")" * 200)
+    assert code == 3 and out == "" and "nested deeper than the cap" in err
 
 
 @pytest.mark.parametrize("name, argv", [

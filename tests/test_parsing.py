@@ -1,9 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abelpell.limits import MAX_DEGREE, ResourceLimit
+from abelpell.limits import MAX_DEGREE, MAX_NESTING, ResourceLimit
 from abelpell.parsing import ParseError, parse_poly
 from abelpell.unipoly import UniPoly, format_poly, poly
 
@@ -67,6 +70,20 @@ def test_degree_cap():
             parse_poly(text)
 
 
+def test_nesting_cap():
+    # Past the cap the parser stops before it recurses further, so a nesting
+    # that would exhaust the interpreter stack fails fast and cleanly.
+    assert parse_poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == poly(0, 1)
+    for depth in (MAX_NESTING + 1, 200, 100_000):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="nested deeper than the cap"):
+            parse_poly("(" * depth + "x" + ")" * depth)
+        assert time.perf_counter() - start < 1
+    # Runs of signs are read in a loop, not by recursion.
+    assert parse_poly("-" * 5001 + "x^2") == poly(0, 0, -1)
+    assert parse_poly("-(-(+x))") == poly(0, 1)
+
+
 def test_roundtrip_fixtures(triples):
     for t in triples:
         for p in (t.p, t.q, t.r):
@@ -81,3 +98,17 @@ def test_roundtrip_random():
         ]
         p = UniPoly(coeffs)
         assert parse_poly(format_poly(p)) == p
+
+
+WIDE = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(WIDE, max_size=8), st.sampled_from(["x", "t", "a_1"]))
+def test_roundtrip_property(coeffs, var):
+    p = UniPoly(coeffs)
+    assert parse_poly(format_poly(p)) == p
+    assert parse_poly(format_poly(p, var), var=var) == p

@@ -313,3 +313,73 @@ def test_inflate_rejections():
 def test_every_operation_output_verifies(triples):
     for t in triples:
         assert pell_verify(t.p, t.q, t.r).valid
+
+
+# -- algebraic laws on random Chebyshev-type units ----------------------------
+
+
+@st.composite
+def chebyshev_bases(draw, constant=None):
+    """(L, 1, L^2 - 1) for a random monic L, with L^2 - 1 squarefree."""
+    degree = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    low = draw(st.lists(coeff, min_size=degree, max_size=degree))
+    if constant is not None:
+        low[0] = draw(constant)
+    ell = UniPoly(low + [1])
+    r = ell * ell - 1
+    assume(is_squarefree(r))
+    return PellTriple.build(ell, poly(1), r)
+
+
+def signed_power(t: PellTriple, k: int, sign: int) -> PellTriple:
+    """sign * t^k: the solutions of one R that never cancel under the group law."""
+    u = pell_power(t, k)
+    return PellTriple.build(u.p * sign, u.q * sign, u.r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chebyshev_bases(), st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, -1])),
+                                   min_size=3, max_size=3))
+def test_compose_associative_and_inverse_property(base, exponents):
+    a, b, c = (signed_power(base, k, sign) for k, sign in exponents)
+    assert pell_compose(pell_compose(a, b), c) == pell_compose(a, pell_compose(b, c))
+    for t in (a, b, c):
+        # (P, -Q) is the inverse: the product is the identity (1, 0).
+        assert unit_compose(t.p, t.q, t.p, -t.q, t.r) == (poly(1), UniPoly(()))
+
+
+@st.composite
+def inflation_inputs(draw):
+    case = draw(st.sampled_from(pell.INFLATE_CASES))
+    if case == pell.INFLATE_DIVIDES:
+        # R(s^m) stays squarefree exactly when R(0) = L(0)^2 - 1 is not 0.
+        constant = st.fractions(-3, 3, max_denominator=3).filter(lambda c: c * c != 1)
+        m = draw(st.integers(2, 4))
+    else:
+        constant = st.sampled_from([Fraction(1), Fraction(-1)])
+        m = draw(st.sampled_from([2, 4] if case == pell.INFLATE_EVEN_HALF else [3, 5]))
+    return draw(chebyshev_bases(constant)), m, case
+
+
+@settings(max_examples=30, deadline=None)
+@given(inflation_inputs())
+def test_inflate_verifies_property(inputs):
+    base, m, case = inputs
+    out = inflate(base, m, case)
+    assert pell_verify(out.p, out.q, out.r).valid
+    assert out.order == m * base.order and out.p == base.p.substitute_power(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chebyshev_bases(), st.fractions(-3, 3, max_denominator=4).filter(bool),
+       st.fractions(-3, 3, max_denominator=4), st.sampled_from(pell.CHARTS))
+def test_normalize_idempotent_property(base, a, b, target):
+    # Move the base to the general chart by x -> a*x + b, keeping R monic.
+    g = base.genus
+    p = base.p.compose_linear(a, b)
+    q = base.q.compose_linear(a, b) * a ** (g + 1)
+    r = base.r.compose_linear(a, b) * a ** (-2 * g - 2)
+    once = normalize(p, q, r, target)
+    assert isinstance(once, PellTriple)
+    assert normalize(once.p, once.q, once.r, target) == once

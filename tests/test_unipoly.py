@@ -1,5 +1,8 @@
+import math
+import pickle
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,8 +169,37 @@ def schoolbook_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(quo), UniPoly(rem)
 
 
-def well_formed(p: UniPoly) -> bool:
-    return all(type(c) is Fraction for c in p.coeffs) and (not p.coeffs or p.coeffs[-1] != 0)
+def canonical(p: UniPoly) -> bool:
+    """The normal form: integer numerators, trimmed, over a positive
+    denominator sharing no factor with all of them; Fraction coefficients."""
+    return (
+        type(p.den) is int and p.den > 0 and all(type(c) is int for c in p.num)
+        and (not p.num or p.num[-1] != 0) and math.gcd(p.den, *p.num) == 1
+        and all(type(c) is Fraction for c in p.coeffs)
+    )
+
+
+def trimmed(cs) -> tuple[Fraction, ...]:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def fraction_oracles(a: UniPoly, b: UniPoly, c: Fraction) -> dict:
+    """Coefficient tuples of each kernel operation, computed on Fractions."""
+    pairs = list(zip_longest(a.coeffs, b.coeffs, fillvalue=Fraction(0)))
+    oracles = {
+        "a + b": [x + y for x, y in pairs],
+        "a - b": [x - y for x, y in pairs],
+        "-a": [-x for x in a.coeffs],
+        "a * c": [x * c for x in a.coeffs],
+        "a'": [i * x for i, x in enumerate(a.coeffs)][1:],
+        "a x^2": [Fraction(0)] * 2 + list(a.coeffs),
+        "a mod x^3": a.coeffs[:3],
+        "b monic": [y / b.coeffs[-1] for y in b.coeffs],
+    }
+    return {name: trimmed(cs) for name, cs in oracles.items()}
 
 
 WIDE = st.one_of(
@@ -198,19 +230,54 @@ BIG = Fraction(2**65 + 3, 2**67 - 1)
 
 
 @settings(max_examples=150, deadline=None)
-@given(polys(9), divisors(5))
-@example(poly(1, 2, 3, 4, 5), poly(4, 0, 6))  # 6x^2 + 4 is not primitive
-@example(UniPoly(()), poly(3))  # zero dividend, constant divisor
-@example(poly(1, 2), poly(0, 0, -3))  # deg a < deg b
-@example(poly(BIG, -1, 0, BIG), poly(1, -BIG, Fraction(-7, 2**70 + 1)))
-def test_kernel_matches_schoolbook_property(a, b):
+@given(polys(9), divisors(5), WIDE)
+@example(poly(1, 2, 3, 4, 5), poly(4, 0, 6), Fraction(1, 2))  # 6x^2 + 4 is not primitive
+@example(UniPoly(()), poly(3), Fraction(0))  # zero dividend, constant divisor
+@example(poly(1, 2), poly(0, 0, -3), Fraction(2))  # deg a < deg b
+@example(poly(BIG, -1, 0, BIG), poly(1, -BIG, Fraction(-7, 2**70 + 1)), BIG)
+@example(poly(Fraction(1, 2), Fraction(1, 2)), poly(Fraction(-1, 2), Fraction(1, 2)), Fraction(2))
+def test_kernel_matches_schoolbook_property(a, b, c):
     product = a * b
     assert product == schoolbook_mul(a, b) == b * a
     quo, rem = divmod(a, b)
-    assert (quo, rem) == schoolbook_divmod(a, b)
+    school_quo, school_rem = schoolbook_divmod(a, b)
+    assert (quo, rem) == (school_quo, school_rem)
     assert a % b == rem and a // b == quo
     assert schoolbook_mul(quo, b) + rem == a and rem.degree < b.degree
-    assert all(well_formed(p) for p in (product, quo, rem))
+    results = {
+        "a * b": product, "a // b": quo, "a % b": rem,
+        "a + b": a + b, "a - b": a - b, "-a": -a, "a * c": a * c, "a'": a.derivative(),
+        "a x^2": a.shift_degree(2), "a mod x^3": a.truncate(3), "b monic": b.monic(),
+    }
+    oracles = fraction_oracles(a, b, c)
+    oracles.update({"a * b": schoolbook_mul(a, b).coeffs, "a // b": school_quo.coeffs,
+                    "a % b": school_rem.coeffs})
+    for name, p in results.items():
+        assert canonical(p), name
+        assert p.coeffs == oracles[name], name
+        # Equal coefficients, equal representation: == and hash follow.
+        rebuilt = UniPoly(oracles[name])
+        assert p == rebuilt and hash(p) == hash(rebuilt), name
+
+
+def test_normal_form_examples():
+    half = poly(Fraction(1, 2), 0, 3)
+    assert (half.num, half.den) == ((1, 0, 6), 2)
+    assert (UniPoly(()).num, UniPoly(()).den) == ((), 1)
+    assert UniPoly([Fraction(2, 4)]) == UniPoly([Fraction(1, 2)])
+    assert (poly(2, 4, 0) * Fraction(1, 2)).num == (1, 2)
+    assert (poly(2, 4) * Fraction(1, 2)).den == 1
+    assert poly(Fraction(1, 2), Fraction(1, 2)) - poly(Fraction(1, 2)) == poly(0, Fraction(1, 2))
+    assert (poly(1, 3) * 0).den == 1 and (poly(Fraction(1, 3)) - Fraction(1, 3)).den == 1
+    assert hash(poly(1, 2) * Fraction(1, 2)) == hash(poly(Fraction(1, 2), 1))
+    assert poly(Fraction(1, 2), 1) != poly(1, 2)
+    # coeffs is built once and shared.
+    assert half.coeffs is half.coeffs and half.coeffs == (Fraction(1, 2), 0, 3)
+    assert half.leading == 3 and half.coeff(0) == Fraction(1, 2) and half.coeff(9) == 0
+    assert poly(Fraction(1, 2), 1).is_monic() and poly(Fraction(1, 2), 0, 1).is_normalized()
+    with pytest.raises(AttributeError):
+        half.num = (1,)
+    assert pickle.loads(pickle.dumps(half)) == half
 
 
 def test_resultant_examples():
