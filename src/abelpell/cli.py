@@ -250,6 +250,7 @@ def _cmd_components_count(args):
         "orbit_sizes": list(cert.orbit_sizes),
         "representatives": [_key_json(k, cert.n) for k in cert.representatives],
     }
+    # component_count raises unless every move's image has its key in M.
     checks = [
         check("moves_preserve_validity", True, applied=cert.m_count * len(moves)),
         check("orbit_sizes_sum_to_m_count", sum(cert.orbit_sizes) == cert.m_count),

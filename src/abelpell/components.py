@@ -15,12 +15,14 @@ points that no single transposition can repair (see
 
 Components of the split moduli are orbits of the keys under the adjacent swap
 and the two turn moves; the nonsplit moduli add the flip, which reverses the
-tuple while rewriting each entry in the letters before it.
+tuple while rewriting each entry in the letters before it.  No image of a
+move is validated on its own: :func:`component_count` finds its key in M.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .geometry import Partition, RamSpec
 from .limits import ResourceLimit
@@ -47,6 +49,8 @@ VARIANTS = (VARIANT_SPLIT, VARIANT_NONSPLIT)
 
 #: Flattened canonical form: the g+2 component words concatenated.
 CanonicalKey = tuple[int, ...]
+#: A power rho of the cycle with the flat index of rho^-1 over a whole tuple.
+Tie = tuple[Perm, tuple[int, ...]]
 
 #: Enumeration work cap for fail-fast sizing (involutions * transpositions^g).
 #: The pruned scan does far less work than this brute-force count, but the
@@ -93,8 +97,13 @@ class MonodromyTuple:
 
 def canonical_key(comps: tuple[Perm, ...]) -> CanonicalKey:
     """Lexicographic minimum of the flattened tuple over conjugation by
-    powers of the standard cycle (the centralizer of the fixed product)."""
-    return _key_over_cycle(comps, standard_cycle(len(comps[0])))
+    powers of the standard cycle (the centralizer of the fixed product).
+
+    >>> canonical_key(((1, 0, 2), (2, 1, 0)))   # ((0 1), (0 2)), product (0 1 2)
+    (0, 2, 1, 1, 0, 2)
+    """
+    ties = _ties(comps[0], standard_cycle(len(comps[0])), len(comps))
+    return _least_conjugate(tuple(chain.from_iterable(comps)), ties)
 
 
 @lru_cache(maxsize=16)
@@ -108,17 +117,24 @@ def _rotations(cycle: Perm) -> tuple[Perm, ...]:
     return tuple(powers)
 
 
-def _key_over_cycle(comps: tuple[Perm, ...], cycle: Perm) -> CanonicalKey:
-    # The first component decides the comparison unless it ties, so only the
-    # rotations that minimise it are flattened.
+def _ties(sigma: Perm, cycle: Perm, blocks: int) -> tuple[Tie, ...]:
+    """The powers rho of ``cycle`` that minimise rho^-1 sigma rho: the first
+    block decides the key unless it ties, so only these can give the least
+    flattening of a tuple of ``blocks`` words starting with sigma."""
     rotations = _rotations(cycle)
-    firsts = [conjugate(comps[0], rho) for rho in rotations]
+    firsts = [conjugate(sigma, rho) for rho in rotations]
     least = min(firsts)
-    return min(
-        tuple(x for comp in comps for x in conjugate(comp, rho))
+    n = len(cycle)
+    return tuple(
+        (rho, tuple(b + x for b in range(0, blocks * n, n) for x in inverse(rho)))
         for rho, first in zip(rotations, firsts)
         if first == least
     )
+
+
+def _least_conjugate(flat: CanonicalKey, ties: tuple[Tie, ...]) -> CanonicalKey:
+    # (rho^-1 p rho)[j] = rho[p[rho^-1[j]]] on every block at once.
+    return min(tuple(map(rho.__getitem__, map(flat.__getitem__, idx))) for rho, idx in ties)
 
 
 def key_to_tuple(key: CanonicalKey, n: int) -> MonodromyTuple:
@@ -184,7 +200,7 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm) -> set[CanonicalKey
     keys: set[CanonicalKey] = set()
     target_fix = 2 * g + 2
     ident = list(points)
-    # r, tau_fix and symmetric belong to the sigma of the current scan; the
+    # r, tau_fix and ties belong to the sigma of the current scan; the
     # loop at the end sets them.
 
     def record(head: CanonicalKey, last: Perm, tau: list[int]) -> None:
@@ -193,9 +209,9 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm) -> set[CanonicalKey
         if sum(map(int.__eq__, tau, points)) != tau_fix:
             return
         key = head + last + tuple(tau)
-        if symmetric:
+        if ties:
             # Other powers of the cycle fix sigma and may flatten smaller.
-            key = _key_over_cycle(key_to_tuple(key, n).components, base_cycle)
+            key = _least_conjugate(key, ties)
         keys.add(key)
 
     def close(head: CanonicalKey) -> None:
@@ -230,7 +246,7 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm) -> set[CanonicalKey
         conjugates = [conjugate(sigma, rho) for rho in rotations]
         if min(conjugates) != sigma:
             continue
-        symmetric = conjugates.count(sigma) > 1
+        ties = _ties(sigma, base_cycle, g + 2) if conjugates.count(sigma) > 1 else ()
         r = list(compose(sigma, base_cycle))  # sigma^-1 * cycle
         if g == 0:
             record(sigma, (), r)
@@ -256,8 +272,8 @@ def applicable_moves(g: int, variant: str) -> list[Move]:
 
 
 def apply_move(t: MonodromyTuple, move: Move) -> MonodromyTuple:
-    """One braid move; the result is re-validated, so the exact product and
-    the type constraints are guaranteed, not assumed."""
+    """One braid move, not validated: :func:`component_count` certifies each
+    image by its key's membership in M; other callers call ``validate()``."""
     if isinstance(move, str) and move.startswith("swap_"):
         move = ("swap", int(move.split("_", 1)[1]))
     g = t.genus
@@ -301,7 +317,6 @@ def apply_move(t: MonodromyTuple, move: Move) -> MonodromyTuple:
         out = MonodromyTuple.from_components(flipped)
     else:
         raise ValueError(f"unknown move {move!r}")
-    out.validate()
     return out
 
 
@@ -333,13 +348,17 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     bijection on the keys, so the keys reachable from one key form its whole
     orbit: a breadth-first search from the least unvisited key visits one
     orbit, and starting in sorted order lists the orbits by their least key.
+    An image's key is its conjugate by a power of the cycle, which keeps the
+    product and the cycle types, so an image is valid exactly when its key is
+    in M; a miss raises AssertionError.
     """
-    keys = sorted(enumerate_m(g, n))
     moves = applicable_moves(g, variant)
+    members = enumerate_m(g, n)
+    ties: dict[Perm, tuple[Tie, ...]] = {}
     seen: set[CanonicalKey] = set()
     reps: list[CanonicalKey] = []
     sizes: list[int] = []
-    for start in keys:
+    for start in sorted(members):
         if start in seen:
             continue
         seen.add(start)
@@ -347,13 +366,18 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
         for key in orbit:  # the list grows while it is read: a FIFO queue
             t = key_to_tuple(key, n)
             for move in moves:
-                image = canonical_key(apply_move(t, move).components)
+                comps = apply_move(t, move).components
+                if comps[0] not in ties:
+                    ties[comps[0]] = _ties(comps[0], standard_cycle(n), g + 2)
+                image = _least_conjugate(tuple(chain.from_iterable(comps)), ties[comps[0]])
+                if image not in members:
+                    raise AssertionError(f"move {move!r} takes {key} out of M")
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)
         reps.append(start)
         sizes.append(len(orbit))
-    return OrbitCertificate(g, n, variant, len(keys), len(reps), tuple(reps), tuple(sizes))
+    return OrbitCertificate(g, n, variant, len(members), len(reps), tuple(reps), tuple(sizes))
 
 
 def tuple_ramspec(t: MonodromyTuple) -> RamSpec:

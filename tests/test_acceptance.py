@@ -183,7 +183,7 @@ def test_criterion_7_component_counts():
             for key in enumerate_m(g, n):
                 t = key_to_tuple(key, n)
                 for move in applicable_moves(g, "nonsplit"):
-                    apply_move(t, move)  # validates product and types exactly
+                    apply_move(t, move).validate()  # product and types, exactly
                     applied += 1
         assert applied > 0
         # base-cycle invariance by full-conjugation brute force for n <= 4

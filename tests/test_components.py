@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelpell import components
 from abelpell.components import (
     MonodromyTuple,
     ResourceLimit,
@@ -35,14 +36,24 @@ from abelpell.perms import (
 )
 
 
+def cycle_powers(cycle):
+    powers = [identity(len(cycle))]
+    for _ in range(len(cycle) - 1):
+        powers.append(compose(powers[-1], cycle))
+    return powers
+
+
+def brute_force_key(comps, powers):
+    """The least flattening over all the given conjugators."""
+    return min(tuple(x for comp in comps for x in conjugate(comp, rho)) for rho in powers)
+
+
 def brute_force_keys(g, n, base_cycle):
     """Slow reference for enumerate_m_with_cycle, the full scan: every
     involution sigma, every g-tuple of transpositions, tau forced by the
     product, and the key as the least flattening over all n powers of the
     cycle."""
-    powers = [identity(n)]
-    for _ in range(n - 1):
-        powers.append(compose(powers[-1], base_cycle))
+    powers = cycle_powers(base_cycle)
     transpositions = all_transpositions(n)
     keys = set()
 
@@ -50,10 +61,7 @@ def brute_force_keys(g, n, base_cycle):
         if len(chosen) == g:
             tau = compose(inverse(prefix), base_cycle)
             if is_involution(tau) and fixed_points(sigma) + fixed_points(tau) == 2 * g + 2:
-                comps = (sigma, *chosen, tau)
-                keys.add(min(
-                    tuple(x for comp in comps for x in conjugate(comp, rho)) for rho in powers
-                ))
+                keys.add(brute_force_key((sigma, *chosen, tau), powers))
             return
         for t in transpositions:
             scan(compose(prefix, t), chosen + [t], sigma)
@@ -171,7 +179,7 @@ def test_moves_preserve_validity_everywhere():
         for key in enumerate_m(g, n):
             t = key_to_tuple(key, n)
             for move in applicable_moves(g, variant):
-                out = apply_move(t, move)  # validates internally
+                out = apply_move(t, move)  # apply_move does not validate
                 out.validate()
                 assert compose_all(out.components, n) == standard_cycle(n)
 
@@ -246,6 +254,78 @@ def test_union_order_independence():
             if ra != rb:
                 parent[ra] = rb
         assert len({find(i) for i in range(len(keys))}) == base.component_count
+
+
+def slow_orbits(g, n, variant):
+    """Slow reference for component_count: union-find over the moves, each
+    image validated explicitly and keyed by the least flattening over all n
+    powers of the cycle.  Returns (representatives, orbit sizes, the number
+    of images whose sigma is fixed by a power other than the identity)."""
+    keys = sorted(enumerate_m(g, n))
+    powers = cycle_powers(standard_cycle(n))
+    index = {k: i for i, k in enumerate(keys)}
+    parent = list(range(len(keys)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    symmetric = 0
+    for key in keys:
+        t = key_to_tuple(key, n)
+        for move in applicable_moves(g, variant):
+            out = apply_move(t, move)
+            out.validate()
+            symmetric += sum(conjugate(out.sigma, rho) == out.sigma for rho in powers) > 1
+            ra, rb = find(index[key]), find(index[brute_force_key(out.components, powers)])
+            if ra != rb:
+                parent[ra] = rb
+    orbits = {}
+    for key in keys:
+        orbits.setdefault(find(index[key]), []).append(key)
+    ordered = sorted(orbits.values())
+    return tuple(o[0] for o in ordered), tuple(len(o) for o in ordered), symmetric
+
+
+def test_component_count_matches_slow_orbit_oracle():
+    cases = [(g, n) for g in range(4) for n in range(1, 7) if enumerate_m(g, n)] + [(2, 7)]
+    symmetric = 0
+    for g, n in cases:
+        for variant in ("split", "nonsplit"):
+            reps, sizes, sym = slow_orbits(g, n, variant)
+            cert = component_count(g, n, variant)
+            assert (cert.representatives, cert.orbit_sizes) == (reps, sizes), (g, n, variant)
+            symmetric += sym
+    # sigma with a nontrivial stabiliser in the cycle's powers occur, so the
+    # closure's branch with several least rotations is exercised
+    assert symmetric > 0
+
+
+def test_unknown_variant_rejected_before_enumerating(monkeypatch):
+    def fail(g, n):
+        raise AssertionError("enumerate_m called for an unknown variant")
+
+    monkeypatch.setattr(components, "enumerate_m", fail)
+    with pytest.raises(ValueError, match="unknown variant"):
+        component_count(4, 6, "bogus")
+
+
+def test_closure_rejects_a_move_that_leaves_m(monkeypatch):
+    # right_turn followed by an extra transposition on tau breaks the product,
+    # so its image's key is not among the enumerated keys
+    real = components.apply_move
+
+    def broken(t, move):
+        out = real(t, move)
+        if move != "right_turn":
+            return out
+        return MonodromyTuple(out.sigma, out.middles, compose(out.tau, transposition(t.n, 0, 1)))
+
+    monkeypatch.setattr(components, "apply_move", broken)
+    with pytest.raises(AssertionError, match="out of M"):
+        component_count(2, 5, "split")
 
 
 def test_tuple_ramspec():
@@ -339,3 +419,20 @@ def test_canonical_key_invariant_under_cycle_conjugation(drawn, power):
         rho = compose(rho, standard_cycle(n))
     comps = key_to_tuple(key, n).components
     assert canonical_key(tuple(conjugate(comp, rho) for comp in comps)) == key
+
+
+@LAWS
+@given(case_and_key(), st.lists(st.integers(min_value=0, max_value=99), max_size=3),
+       st.integers(min_value=0, max_value=7))
+def test_canonical_key_is_least_over_all_powers(drawn, picks, power):
+    # valid tuples off the key set: a few moves from a key, then conjugation
+    # by a power of the cycle
+    g, n, key = drawn
+    moves = applicable_moves(g, "nonsplit")
+    t = key_to_tuple(key, n)
+    for pick in picks:
+        t = apply_move(t, moves[pick % len(moves)])
+    t.validate()
+    powers = cycle_powers(standard_cycle(n))
+    comps = tuple(conjugate(comp, powers[power % n]) for comp in t.components)
+    assert canonical_key(comps) == brute_force_key(comps, powers)

@@ -17,7 +17,8 @@ def test_module_doctests(name):
 
 
 def test_doctests_are_found():
-    # pell_solve, laurent_sqrt_polypart and multiplicity_partition carry
-    # examples; losing them is a failure.
-    for name in ("abelpell.pell", "abelpell.geometry"):
+    # pell_solve, laurent_sqrt_polypart, multiplicity_partition,
+    # canonical_key and the perms helpers carry examples; losing them is a
+    # failure.
+    for name in ("abelpell.pell", "abelpell.geometry", "abelpell.components", "abelpell.perms"):
         assert doctest.testmod(importlib.import_module(name)).attempted > 0
