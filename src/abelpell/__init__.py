@@ -5,55 +5,38 @@ in exact surd form, builds the branched line maps the solutions induce,
 verifies their ramification and deformation identities symbolically, and
 counts connected components of the solution moduli by braid-move orbits of
 permutation tuples.
-"""
-from .components import (
-    MonodromyTuple,
-    OrbitCertificate,
-    apply_move,
-    canonical_key,
-    component_count,
-    enumerate_m,
-    tuple_ramspec,
-)
-from .geometry import (
-    BranchClass,
-    HurwitzReport,
-    RamSpec,
-    assigned_profile,
-    genus_of_ramspec,
-    hurwitz_report,
-    polt_dimension,
-    ramspec_of,
-    unassigned_branch,
-)
-from .parsing import ParseError, parse_poly
-from .pell import (
-    CFStep,
-    FundamentalUnit,
-    Obstruction,
-    PellCheck,
-    PellTriple,
-    QuadraticSurd,
-    cf_expand,
-    fundamental_unit,
-    inflate,
-    laurent_sqrt_polypart,
-    normalize,
-    pell_compose,
-    pell_power,
-    pell_solve,
-    pell_verify,
-    unit_compose,
-)
-from .strata import (
-    TangentReport,
-    WeightedSymmetricSystem,
-    format_monomials,
-    nilpotence_identity_check,
-    odd_nilpotency_check,
-    tangent_rank,
-    weighted_sigma,
-)
-from .unipoly import UniPoly, format_poly, poly, resultant, squarefree_decomposition
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+Importing the package loads none of its modules: each public name below is
+imported from its home module on first use (PEP 562).
+"""
+from importlib import import_module
+
+_HOMES = {
+    "components": ("MonodromyTuple", "OrbitCertificate", "apply_move", "canonical_key",
+                   "component_count", "enumerate_m"),
+    "geometry": ("BranchClass", "HurwitzReport", "RamSpec", "assigned_profile",
+                 "genus_of_ramspec", "hurwitz_report", "polt_dimension", "ramspec_of",
+                 "tuple_ramspec", "unassigned_branch"),
+    "parsing": ("ParseError", "parse_poly"),
+    "pell": ("CFStep", "FundamentalUnit", "Obstruction", "PellCheck", "PellTriple",
+             "QuadraticSurd", "cf_expand", "fundamental_unit", "inflate",
+             "laurent_sqrt_polypart", "normalize", "pell_compose", "pell_power", "pell_solve",
+             "pell_verify", "unit_compose"),
+    "strata": ("TangentReport", "WeightedSymmetricSystem", "format_monomials",
+               "nilpotence_identity_check", "odd_nilpotency_check", "tangent_rank",
+               "weighted_sigma"),
+    "unipoly": ("UniPoly", "format_poly", "poly", "resultant", "squarefree_decomposition"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Only the table is consulted: ``from . import pell`` first asks for the
+    # attribute ``pell``, which must fail here so that the submodule loads.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

@@ -15,8 +15,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import components as comp
-from . import geometry, pell, strata
+# The handlers import the layers they run; pell holds the --case choices.
+from . import pell
+from .limits import ResourceLimit
 from .parsing import ParseError, parse_poly
 from .unipoly import UniPoly, format_poly
 
@@ -153,6 +154,8 @@ def _cmd_pell_inflate(args):
 
 
 def _cmd_abel_ramspec(args):
+    from . import geometry
+
     t = _triple_from_args(args)
     # ramspec_of(t) spelled out, so that the branch classes are found once.
     plus, minus, _ = geometry.assigned_profile(t)
@@ -186,6 +189,8 @@ def _cmd_abel_ramspec(args):
 
 
 def _cmd_abel_hurwitz(args):
+    from . import geometry
+
     t = _triple_from_args(args)
     rep = geometry.hurwitz_report(t)
     result = {
@@ -212,6 +217,8 @@ def _cmd_abel_hurwitz(args):
 
 
 def _cmd_strata_nilpotency(args):
+    from . import strata
+
     value = strata.odd_nilpotency_check(args.n, args.k)
     result = {"n": args.n, "k": args.k, "is_square": value}
     checks = [check("matches_nilpotency_bound", value == (args.k <= args.n + 1))]
@@ -220,6 +227,8 @@ def _cmd_strata_nilpotency(args):
 
 
 def _cmd_strata_tangent_rank(args):
+    from . import strata
+
     t = _triple_from_args(args)
     rep = strata.tangent_rank(t)
     result = {
@@ -234,12 +243,11 @@ def _cmd_strata_tangent_rank(args):
     return EXIT_OK, result, checks, lines
 
 
-def _variant(args) -> str:
-    return comp.VARIANT_SPLIT if args.split else comp.VARIANT_NONSPLIT
-
-
 def _cmd_components_count(args):
-    cert = comp.component_count(args.genus, args.order, _variant(args))
+    from . import components as comp
+
+    variant = comp.VARIANT_SPLIT if args.split else comp.VARIANT_NONSPLIT
+    cert = comp.component_count(args.genus, args.order, variant)
     moves = comp.applicable_moves(args.genus, cert.variant)
     result = {
         "genus": cert.g,
@@ -264,6 +272,8 @@ def _cmd_components_count(args):
 
 
 def _cmd_components_list(args):
+    from . import components as comp, geometry
+
     keys = sorted(comp.enumerate_m(args.genus, args.order))
     result = {
         "genus": args.genus,
@@ -275,7 +285,7 @@ def _cmd_components_list(args):
         check(
             "ramspec_genus_matches",
             all(
-                geometry.genus_of_ramspec(comp.tuple_ramspec(comp.key_to_tuple(k, args.order)))
+                geometry.genus_of_ramspec(geometry.tuple_ramspec(comp.key_to_tuple(k, args.order)))
                 == args.genus
                 for k in keys
             ),
@@ -286,7 +296,7 @@ def _cmd_components_list(args):
     return code, result, checks, lines
 
 
-def _key_json(key: comp.CanonicalKey, n: int) -> list[list[int]]:
+def _key_json(key: tuple[int, ...], n: int) -> list[list[int]]:
     return [list(key[i : i + n]) for i in range(0, len(key), n)]
 
 
@@ -376,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except comp.ResourceLimit as exc:
+    except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .geometry import Partition, RamSpec
 from .limits import ResourceLimit
 from .perms import (
     Perm,
@@ -107,29 +106,27 @@ def canonical_key(comps: tuple[Perm, ...]) -> CanonicalKey:
 
 
 @lru_cache(maxsize=16)
-def _rotations(cycle: Perm) -> tuple[Perm, ...]:
-    """The n powers of ``cycle``, identity first."""
-    rho = identity(len(cycle))
-    powers = []
-    for _ in range(len(cycle)):
-        powers.append(rho)
+def _rotations(cycle: Perm, blocks: int) -> tuple[Tie, ...]:
+    """The n powers rho of ``cycle``, identity first, each with the flat
+    index of rho^-1 over a tuple of ``blocks`` words."""
+    n = len(cycle)
+    rho, out = identity(n), []
+    for _ in range(n):
+        out.append((rho, tuple(b + x for b in range(0, blocks * n, n) for x in inverse(rho))))
         rho = compose(rho, cycle)
-    return tuple(powers)
+    return tuple(out)
 
 
-def _ties(sigma: Perm, cycle: Perm, blocks: int) -> tuple[Tie, ...]:
+def _ties(sigma: Perm, cycle: Perm, blocks: int, conjugates=None) -> tuple[Tie, ...]:
     """The powers rho of ``cycle`` that minimise rho^-1 sigma rho: the first
     block decides the key unless it ties, so only these can give the least
-    flattening of a tuple of ``blocks`` words starting with sigma."""
-    rotations = _rotations(cycle)
-    firsts = [conjugate(sigma, rho) for rho in rotations]
-    least = min(firsts)
-    n = len(cycle)
-    return tuple(
-        (rho, tuple(b + x for b in range(0, blocks * n, n) for x in inverse(rho)))
-        for rho, first in zip(rotations, firsts)
-        if first == least
-    )
+    flattening of a tuple of ``blocks`` words starting with sigma.  A caller
+    that has the n ``conjugates`` rho^-1 sigma rho passes them."""
+    rotations = _rotations(cycle, blocks)
+    if conjugates is None:
+        conjugates = [conjugate(sigma, rho) for rho, _ in rotations]
+    least = min(conjugates)
+    return tuple(tie for tie, first in zip(rotations, conjugates) if first == least)
 
 
 def _least_conjugate(flat: CanonicalKey, ties: tuple[Tie, ...]) -> CanonicalKey:
@@ -142,13 +139,23 @@ def key_to_tuple(key: CanonicalKey, n: int) -> MonodromyTuple:
     return MonodromyTuple.from_components(comps)
 
 
-def _feasible(g: int, n: int) -> bool:
-    # fix(sigma) + fix(tau) = 2g+2 with each fix count <= n and congruent
-    # to n mod 2.
-    return any(
-        f1 % 2 == n % 2 and (2 * g + 2 - f1) % 2 == n % 2 and 0 <= 2 * g + 2 - f1 <= n
-        for f1 in range(0, n + 1)
-    )
+def _admitted(g: int, n: int) -> bool:
+    """Whether (g, n) is feasible, that is n >= g + 1 (the ends' fixed points
+    total 2g+2, each count at most n and congruent to n mod 2).  Raises
+    ``ResourceLimit`` when I(n) * C(n,2)^g exceeds ``SIZE_LIMIT``, multiplying
+    the count out only until it passes the cap, so a few steps whatever n is."""
+    if g < 0 or n < 1:
+        raise ValueError("need g >= 0 and n >= 1")
+    if n < g + 1:
+        return False
+    work = count_involutions(n, SIZE_LIMIT)
+    for _ in range(g):
+        if work > SIZE_LIMIT:
+            break
+        work *= n * (n - 1) // 2
+    if work > SIZE_LIMIT:
+        raise ResourceLimit(f"enumeration size I(n) * C(n,2)^g exceeds the cap of {SIZE_LIMIT}")
+    return True
 
 
 def enumerate_m(g: int, n: int) -> set[CanonicalKey]:
@@ -159,6 +166,8 @@ def enumerate_m(g: int, n: int) -> set[CanonicalKey]:
     cycle's centralizer, so distinct keys are distinct classes.  Infeasible
     parameters yield the empty set.
     """
+    if not _admitted(g, n):
+        return set()
     return enumerate_m_with_cycle(g, n, standard_cycle(n))
 
 
@@ -182,18 +191,12 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm) -> set[CanonicalKey
       the prefix, and otherwise only the transpositions meeting {x0, r[x0]}
       for the first defect x0 are tried.
     """
-    if g < 0 or n < 1:
-        raise ValueError("need g >= 0 and n >= 1")
+    feasible = _admitted(g, n)
     if cycle_type(base_cycle) != (n,):
         raise ValueError("base cycle must be an n-cycle")
-    if not _feasible(g, n):
+    if not feasible:
         return set()
-    work = count_involutions(n) * (n * (n - 1) // 2) ** g
-    if work > SIZE_LIMIT:
-        raise ResourceLimit(
-            f"enumeration size ~{work} tuples exceeds the cap of {SIZE_LIMIT}"
-        )
-    rotations = _rotations(base_cycle)
+    rotations = [rho for rho, _ in _rotations(base_cycle, g + 2)]
     points = tuple(range(n))
     pairs = [(i, j, transposition(n, i, j)) for i in range(n) for j in range(i + 1, n)]
     touching = [[pair for pair in pairs if x in pair[:2]] for x in points]
@@ -246,7 +249,7 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm) -> set[CanonicalKey
         conjugates = [conjugate(sigma, rho) for rho in rotations]
         if min(conjugates) != sigma:
             continue
-        ties = _ties(sigma, base_cycle, g + 2) if conjugates.count(sigma) > 1 else ()
+        ties = _ties(sigma, base_cycle, g + 2, conjugates) if conjugates.count(sigma) > 1 else ()
         r = list(compose(sigma, base_cycle))  # sigma^-1 * cycle
         if g == 0:
             record(sigma, (), r)
@@ -272,10 +275,10 @@ def applicable_moves(g: int, variant: str) -> list[Move]:
 
 
 def apply_move(t: MonodromyTuple, move: Move) -> MonodromyTuple:
-    """One braid move, not validated: :func:`component_count` certifies each
-    image by its key's membership in M; other callers call ``validate()``."""
-    if isinstance(move, str) and move.startswith("swap_"):
-        move = ("swap", int(move.split("_", 1)[1]))
+    """One braid move on a valid tuple, not validated: :func:`component_count`
+    certifies each image by its key's membership in M; other callers call
+    ``validate()``.  Every entry of a valid tuple is its own inverse, which
+    the swap and the turns rely on; on other tuples their images are wrong."""
     g = t.genus
     if isinstance(move, tuple):
         name, i = move
@@ -285,25 +288,24 @@ def apply_move(t: MonodromyTuple, move: Move) -> MonodromyTuple:
             raise ValueError(f"swap index {i} needs 1 <= i < g = {g}")
         m = list(t.middles)
         a, b = m[i - 1], m[i]
-        m[i - 1] = compose(compose(a, b), inverse(a))
+        m[i - 1] = compose(compose(a, b), a)
         m[i] = a
         out = MonodromyTuple(t.sigma, tuple(m), t.tau)
     elif move == "left_turn":
         if g < 1:
             raise ValueError("left_turn needs g >= 1")
         sigma, s1 = t.sigma, t.middles[0]
-        # [s1, sigma] = s1 sigma s1^-1 sigma^-1, left to right.
-        comm = compose_all([s1, sigma, inverse(s1), inverse(sigma)], t.n)
-        new_sigma = compose(sigma, comm)
-        new_s1 = compose_all([sigma, s1, inverse(sigma)], t.n)
+        # sigma [s1, sigma] = sigma s1 sigma s1^-1 sigma^-1, left to right.
+        new_s1 = compose(compose(sigma, s1), sigma)
+        new_sigma = compose(compose(new_s1, s1), sigma)
         out = MonodromyTuple(new_sigma, (new_s1, *t.middles[1:]), t.tau)
     elif move == "right_turn":
         if g < 1:
             raise ValueError("right_turn needs g >= 1")
         sg, tau = t.middles[-1], t.tau
-        new_sg = compose_all([inverse(tau), sg, tau], t.n)
-        comm = compose_all([inverse(tau), inverse(sg), tau, sg], t.n)
-        new_tau = compose(comm, tau)
+        # [tau, sg] tau = tau^-1 sg^-1 tau sg tau, left to right.
+        new_sg = compose(compose(tau, sg), tau)
+        new_tau = compose(compose(new_sg, sg), tau)
         out = MonodromyTuple(t.sigma, (*t.middles[:-1], new_sg), new_tau)
     elif move == "flip":
         comps = t.components
@@ -354,6 +356,7 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     """
     moves = applicable_moves(g, variant)
     members = enumerate_m(g, n)
+    cycle = standard_cycle(n)
     ties: dict[Perm, tuple[Tie, ...]] = {}
     seen: set[CanonicalKey] = set()
     reps: list[CanonicalKey] = []
@@ -368,7 +371,7 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
             for move in moves:
                 comps = apply_move(t, move).components
                 if comps[0] not in ties:
-                    ties[comps[0]] = _ties(comps[0], standard_cycle(n), g + 2)
+                    ties[comps[0]] = _ties(comps[0], cycle, g + 2)
                 image = _least_conjugate(tuple(chain.from_iterable(comps)), ties[comps[0]])
                 if image not in members:
                     raise AssertionError(f"move {move!r} takes {key} out of M")
@@ -378,14 +381,3 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
         reps.append(start)
         sizes.append(len(orbit))
     return OrbitCertificate(g, n, variant, len(members), len(reps), tuple(reps), tuple(sizes))
-
-
-def tuple_ramspec(t: MonodromyTuple) -> RamSpec:
-    """The ramification specification read off a monodromy tuple: the cycle
-    types of the ends are the marked profiles, each middle contributes a
-    single simple branch point."""
-    t.validate()
-    members: list[Partition] = [cycle_type(t.sigma)]
-    members.extend(cycle_type(m) for m in t.middles)
-    members.append(cycle_type(t.tau))
-    return RamSpec(t.n, tuple(members), (cycle_type(t.sigma), cycle_type(t.tau)))

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .factorization import factor_rational
 from .pell import PellTriple
+from .perms import cycle_type
 from .unipoly import (
     UniPoly,
     gcd,
@@ -207,6 +208,15 @@ def ramspec_of(t: PellTriple) -> RamSpec:
     for cls in unassigned_branch(t):
         members.extend([cls.partition] * cls.count)
     return RamSpec(t.order, tuple(members), (plus, minus))
+
+
+def tuple_ramspec(t) -> RamSpec:
+    """The ramification specification read off a ``components.MonodromyTuple``:
+    the cycle types of the ends are the marked profiles, each middle
+    contributes a single simple branch point."""
+    t.validate()
+    members = [cycle_type(t.sigma), *map(cycle_type, t.middles), cycle_type(t.tau)]
+    return RamSpec(t.n, tuple(members), (cycle_type(t.sigma), cycle_type(t.tau)))
 
 
 def genus_of_ramspec(spec: RamSpec) -> int:

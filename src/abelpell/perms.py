@@ -89,10 +89,6 @@ def transposition(n: int, i: int, j: int) -> Perm:
     return tuple(word)
 
 
-def all_transpositions(n: int) -> list[Perm]:
-    return [transposition(n, i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def involutions(n: int) -> Iterator[Perm]:
     """All involutions of S_n (identity included), by recursive pairing."""
     word = list(range(n))
@@ -114,10 +110,14 @@ def involutions(n: int) -> Iterator[Perm]:
     return fill(list(range(n)))
 
 
-def count_involutions(n: int) -> int:
-    """Telephone numbers: I(n) = I(n-1) + (n-1) I(n-2)."""
+def count_involutions(n: int, cap: int | None = None) -> int:
+    """Telephone numbers: I(n) = I(n-1) + (n-1) I(n-2).  Given ``cap``, the
+    recurrence stops at its first term above the cap and returns that term,
+    so a size guard takes O(log cap) steps whatever n is."""
     a, b = 1, 1
     for m in range(2, n + 1):
+        if cap is not None and b > cap:
+            break
         a, b = b, b + (m - 1) * a
     return b
 
@@ -125,7 +125,3 @@ def count_involutions(n: int) -> int:
 def standard_cycle(n: int) -> Perm:
     """The n-cycle 0 -> 1 -> ... -> n-1 -> 0."""
     return tuple((i + 1) % n for i in range(n))
-
-
-def is_n_cycle(p: Sequence[int]) -> bool:
-    return cycle_type(p) == (len(p),)

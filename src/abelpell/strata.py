@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
+from .limits import MAX_DEGREE, ResourceLimit
 from .pell import CHART_MONIC, CHART_NORMALIZED, PellTriple
 from .unipoly import ONE, ZERO
 
@@ -26,10 +27,12 @@ def odd_nilpotency_check(n: int, k: int) -> bool:
     Decided constructively: the candidate root is extracted coefficientwise
     from the leading term down (the leading coefficient 1 is a unit and the
     sign ambiguity is global, fixed to +), then the remainder is compared to
-    zero exactly.
+    zero exactly.  The sum has degree 2n in t, capped at ``MAX_DEGREE``.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
+    if 2 * n > MAX_DEGREE:
+        raise ResourceLimit(f"degree 2n = {2 * n} exceeds the cap of {MAX_DEGREE}")
     # q[d] is the t^d coefficient: a^(2n-d).
     q = [ONE.shift_degree(2 * n - d).truncate(k) for d in range(2 * n + 1)]
     s = [ZERO] * (n + 1)

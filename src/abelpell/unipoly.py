@@ -450,14 +450,6 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-def reassemble_squarefree(parts: Sequence[tuple[UniPoly, int]], lc: Rat = 1) -> UniPoly:
-    """Inverse of :func:`squarefree_decomposition` (up to the given constant)."""
-    acc = constant(lc)
-    for f, m in parts:
-        acc = acc * f**m
-    return acc
-
-
 def squarefree_part(p: UniPoly) -> UniPoly:
     """The monic radical: the product of the distinct monic irreducible factors."""
     acc = ONE

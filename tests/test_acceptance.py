@@ -25,7 +25,6 @@ from abelpell.perms import (
     fixed_points,
     inverse,
     is_involution,
-    is_n_cycle,
 )
 from abelpell.strata import nilpotence_identity_check, odd_nilpotency_check, tangent_rank, weighted_sigma
 from abelpell.unipoly import poly
@@ -151,7 +150,7 @@ def _brute_force_class_count(g: int, n: int) -> int:
             for tau in involutions_n:
                 if fixed_points(sigma) + fixed_points(tau) != 2 * g + 2:
                     continue
-                if not is_n_cycle(compose_all((sigma, *middles, tau), n)):
+                if cycle_type(compose_all((sigma, *middles, tau), n)) != (n,):
                     continue
                 tuples.append((sigma, *middles, tau))
     orbits = set()

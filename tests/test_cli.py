@@ -52,10 +52,27 @@ def test_resource_exit(capsys):
 @pytest.mark.parametrize("argv", [
     ["pell", "verify", "(x+1)^3000", "1", "x^2-1"],
     ["pell", "inflate", "x", "1", "x^2-1", "--m", "100000", "--case", "divides_g_plus_1"],
+    ["strata", "nilpotency", "--n", "251", "--k", "3"],
 ])
 def test_degree_cap_exit(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and "exceeds the cap of 500" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["count", "list"])
+@pytest.mark.parametrize("order", ["3000", "1000000000"])
+def test_components_size_cap_before_any_work(capsys, monkeypatch, command, order):
+    # I(3000) has more digits than int-to-str conversion allows, which once
+    # made this bad input (exit 2).  The guard must also run before any
+    # O(n) work such as building the standard n-cycle.
+    from abelpell import components
+
+    def fail(n):
+        raise AssertionError("standard_cycle built before the size guard")
+
+    monkeypatch.setattr(components, "standard_cycle", fail)
+    code, out, err = run_cli(capsys, "components", command, "--genus", "0", "--order", order)
+    assert code == 3 and "exceeds the cap of 5000000" in err and out == ""
 
 
 def test_abel_resource_exit(capsys, monkeypatch):

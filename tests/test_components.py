@@ -16,21 +16,19 @@ from abelpell.components import (
     enumerate_m,
     enumerate_m_with_cycle,
     key_to_tuple,
-    tuple_ramspec,
 )
-from abelpell.geometry import genus_of_ramspec
+from abelpell.geometry import genus_of_ramspec, tuple_ramspec
 from abelpell.perms import (
-    all_transpositions,
     compose,
     compose_all,
     conjugate,
+    count_involutions,
     cycle_type,
     fixed_points,
     identity,
     inverse,
     involutions,
     is_involution,
-    is_n_cycle,
     standard_cycle,
     transposition,
 )
@@ -54,7 +52,7 @@ def brute_force_keys(g, n, base_cycle):
     product, and the key as the least flattening over all n powers of the
     cycle."""
     powers = cycle_powers(base_cycle)
-    transpositions = all_transpositions(n)
+    transpositions = [transposition(n, i, j) for i in range(n) for j in range(i + 1, n)]
     keys = set()
 
     def scan(prefix, chosen, sigma):
@@ -114,6 +112,23 @@ def test_size_guard():
         enumerate_m(5, 12)
 
 
+def test_feasible_exactly_when_n_exceeds_g():
+    # The ends' fixed points total 2g+2, each count at most n and congruent
+    # to n mod 2; the guard reads this as n >= g + 1 and returns at once.
+    for g in range(6):
+        for n in range(1, 10):
+            if count_involutions(n) * (n * (n - 1) // 2) ** g <= components.SIZE_LIMIT:
+                assert bool(enumerate_m(g, n)) == (n >= g + 1), (g, n)
+    assert enumerate_m(10**9, 5) == set()
+
+
+def test_count_involutions_cap():
+    # with a cap the recurrence stops at its first term above the cap
+    assert [count_involutions(n) for n in range(7)] == [1, 1, 2, 4, 10, 26, 76]
+    assert count_involutions(6, 76) == 76 and count_involutions(6, 75) == 76
+    assert count_involutions(10**9, 20) == 26
+
+
 def test_brute_force_full_conjugation_n_le_4():
     # Quotient of all valid tuples (product any n-cycle) by all of S_n equals
     # the canonical-key count.
@@ -131,7 +146,7 @@ def test_brute_force_full_conjugation_n_le_4():
                         continue
                     if fixed_points(sigma) + fixed_points(tau) != 2 * g + 2:
                         continue
-                    if not is_n_cycle(compose_all((sigma, *middles, tau), n)):
+                    if cycle_type(compose_all((sigma, *middles, tau), n)) != (n,):
                         continue
                     tuples.append((sigma, *middles, tau))
         orbits = set()
@@ -146,7 +161,7 @@ def test_brute_force_full_conjugation_n_le_4():
 
 def test_base_cycle_invariance_n_le_5():
     for n in range(2, 6):
-        cycles = [p for p in itertools.permutations(range(n)) if is_n_cycle(p)]
+        cycles = [p for p in itertools.permutations(range(n)) if cycle_type(p) == (n,)]
         for g in range(0, 3):
             reference = len(enumerate_m(g, n))
             for cycle in cycles:
@@ -352,7 +367,7 @@ def test_enumeration_matches_brute_force_oracle():
     for g, n in cases:
         cycles = [standard_cycle(n), random_n_cycle(rng, n), random_n_cycle(rng, n)]
         for cycle in cycles:
-            assert is_n_cycle(cycle)
+            assert cycle_type(cycle) == (n,)
             assert enumerate_m_with_cycle(g, n, cycle) == brute_force_keys(g, n, cycle), (
                 g, n, cycle)
 

@@ -1,7 +1,9 @@
-"""The docstring examples of every abelpell module, run as part of the suite."""
+"""The docstring examples of every abelpell module and of the README, run as
+part of the suite."""
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +24,10 @@ def test_doctests_are_found():
     # failure.
     for name in ("abelpell.pell", "abelpell.geometry", "abelpell.components", "abelpell.perms"):
         assert doctest.testmod(importlib.import_module(name)).attempted > 0
+
+
+def test_readme_examples():
+    # "Library at a glance" imports through the package's lazy name table.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

@@ -1,0 +1,71 @@
+"""The package loads only the layers a command runs.
+
+Module sets are read in a fresh interpreter, since this process has long
+imported everything.
+"""
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import abelpell
+
+SRC = Path(abelpell.__file__).resolve().parents[1]
+
+LOADED = """
+import contextlib, io, json, sys
+import abelpell
+argv = json.loads(sys.argv[1])
+if argv:
+    from abelpell.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+else:
+    assert not hasattr(abelpell, "no_such_name")
+print(json.dumps(sorted(m[len("abelpell."):] for m in sys.modules if m.startswith("abelpell."))))
+"""
+
+
+def loaded_modules(argv: list[str]) -> set[str]:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    ).stdout
+    return set(json.loads(out))
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ([], None),
+    (["pell", "verify", "x^2", "1", "x^4-1"],
+     {"geometry", "factorization", "components", "perms", "strata"}),
+    (["components", "count", "--genus", "1", "--order", "4"],
+     {"geometry", "factorization", "strata"}),
+])
+def test_commands_load_only_their_layers(argv, absent):
+    loaded = loaded_modules(argv)
+    if absent is None:
+        assert loaded == set()  # import abelpell loads no submodule
+    else:
+        assert loaded and not loaded & absent, loaded & absent
+
+
+def test_components_imports_no_polynomial_layer():
+    tree = ast.parse((SRC / "abelpell" / "components.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported & {"geometry", "pell", "unipoly", "factorization"} == set()
+    assert {"perms", "limits"} <= imported
+
+
+def test_public_names_are_their_home_objects():
+    assert len(abelpell.__all__) == 46
+    for name in abelpell.__all__:
+        value = getattr(abelpell, name)
+        assert value.__module__.startswith("abelpell."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError):
+        abelpell.no_such_name

@@ -14,7 +14,6 @@ from abelpell.unipoly import (
     interpolate,
     is_squarefree,
     poly,
-    reassemble_squarefree,
     resultant,
     squarefree_decomposition,
 )
@@ -74,7 +73,7 @@ def test_squarefree_reassembles(triples):
     fixtures += [random_poly(rng, 6) * random_poly(rng, 3) ** 2 for _ in range(20)]
     for p in fixtures:
         parts = squarefree_decomposition(p)
-        assert reassemble_squarefree(parts, p.leading) == p
+        assert math.prod((f**m for f, m in parts), start=poly(p.leading)) == p
         for factor, _ in parts:
             assert is_squarefree(factor) and factor.is_monic()
 
