@@ -249,6 +249,7 @@ def _cmd_components_count(args):
     variant = comp.VARIANT_SPLIT if args.split else comp.VARIANT_NONSPLIT
     cert = comp.component_count(args.genus, args.order, variant)
     moves = comp.applicable_moves(args.genus, cert.variant)
+    reps = [comp.key_to_tuple(k, cert.n) for k in cert.representatives]
     result = {
         "genus": cert.g,
         "order": cert.n,
@@ -256,7 +257,7 @@ def _cmd_components_count(args):
         "m_count": cert.m_count,
         "component_count": cert.component_count,
         "orbit_sizes": list(cert.orbit_sizes),
-        "representatives": [_key_json(k, cert.n) for k in cert.representatives],
+        "representatives": [list(map(list, t.components)) for t in reps],
     }
     # component_count raises unless every move's image has its key in M.
     checks = [
@@ -275,29 +276,26 @@ def _cmd_components_list(args):
     from . import components as comp, geometry
 
     keys = sorted(comp.enumerate_m(args.genus, args.order))
+    tuples = [comp.key_to_tuple(k, args.order) for k in keys]
+    classes = [list(map(list, t.components)) for t in tuples]
     result = {
         "genus": args.genus,
         "order": args.order,
         "m_count": len(keys),
-        "classes": [_key_json(k, args.order) for k in keys],
+        "classes": classes,
     }
     checks = [
         check(
             "ramspec_genus_matches",
             all(
-                geometry.genus_of_ramspec(geometry.tuple_ramspec(comp.key_to_tuple(k, args.order)))
-                == args.genus
-                for k in keys
+                geometry.genus_of_ramspec(geometry.tuple_ramspec(t)) == args.genus
+                for t in tuples
             ),
         )
     ]
-    lines = [f"|M| = {len(keys)}"] + [str(_key_json(k, args.order)) for k in keys]
+    lines = [f"|M| = {len(keys)}"] + [str(c) for c in classes]
     code = EXIT_OK if keys else EXIT_EMPTY
     return code, result, checks, lines
-
-
-def _key_json(key: tuple[int, ...], n: int) -> list[list[int]]:
-    return [list(key[i : i + n]) for i in range(0, len(key), n)]
 
 
 # -- wiring -----------------------------------------------------------------------

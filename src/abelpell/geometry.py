@@ -140,16 +140,13 @@ def assigned_profile(t: PellTriple) -> tuple[Partition, Partition, Partition]:
 def branch_polynomial(t: PellTriple) -> UniPoly:
     """res_x(P(x) - s, P'(x)) as a polynomial in the branch value s.
 
-    Computed by interpolation: the resultant is evaluated at deg P distinct
-    rational values and the degree <= deg P - 1 interpolant is exact.
+    Computed by interpolation: the resultant is evaluated at the deg P values
+    s = 0, 1, ..., deg P - 1 and the degree <= deg P - 1 interpolant is exact.
     """
     dp = t.p.derivative()
     if dp.is_zero():
         raise AssertionError("P' = 0 cannot happen in characteristic zero")
-    points = []
-    for s in range(t.order):
-        points.append((Fraction(s), resultant(t.p - s, dp)))
-    return interpolate(points)
+    return interpolate([resultant(t.p - s, dp) for s in range(t.order)])
 
 
 def multiplicity_partition(m: UniPoly, p: UniPoly) -> Partition:

@@ -4,14 +4,17 @@ Grammar: integer and rational literals (``3``, ``5/2``), one variable name
 (``x`` unless the expression introduces another), ``+``, ``-``, ``*``, ``^``
 with nonnegative integer exponents, and parentheses.  Anything else is
 rejected with a position-annotated :class:`ParseError`; a power or product
-whose degree would exceed :data:`abelpell.limits.MAX_DEGREE`, and
-parentheses nested deeper than :data:`abelpell.limits.MAX_NESTING`, raise
+whose degree would exceed :data:`abelpell.limits.MAX_DEGREE` or whose
+coefficients could not be printed, and parentheses nested deeper than
+:data:`abelpell.limits.MAX_NESTING`, raise
 :class:`abelpell.limits.ResourceLimit` before they are parsed further.  The printer
 :func:`abelpell.unipoly.format_poly` emits this grammar, so parse/print is a
 round trip.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +27,22 @@ MAX_EXPONENT = 100_000
 def _check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise ResourceLimit(f"polynomial degree {degree} exceeds the cap of {MAX_DEGREE}")
+
+
+def _check_height(bits: int) -> None:
+    # Twice the bits of a number with the int-to-str digit limit (0, or absent
+    # before 3.10.7: none); _height_bits overshoots printable sizes by <= 2x.
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    cap = 2 * math.ceil(digits * math.log2(10))
+    if digits and bits > cap:
+        raise ResourceLimit(f"coefficients of up to {bits} bits exceed the cap of {cap} bits")
+
+
+def _height_bits(p: UniPoly) -> int:
+    """ceil(log2 max(sum |num|, den)): bounds every numerator and the
+    denominator, and adds up under products; for c^e with an integer c >= 2,
+    e times it is at most twice the bit length of c^e."""
+    return (max(sum(map(abs, p.num)), p.den) - 1).bit_length()
 
 
 class ParseError(ValueError):
@@ -125,6 +144,7 @@ class _Parser:
             self.take()
             factor = self.signed()
             _check_degree(acc.degree + factor.degree)
+            _check_height(_height_bits(acc) + _height_bits(factor))
             acc = acc * factor
         return acc
 
@@ -148,6 +168,7 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", tok.position)
             _check_degree(base.degree * exponent)
+            _check_height(_height_bits(base) * exponent)
             return base**exponent
         return base
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .unipoly import Rat, _as_fraction
+from .unipoly import Rat
 
 
 def int_nth_root(n: int, k: int) -> int | None:
@@ -37,7 +37,6 @@ def rational_nth_root(c: Rat, k: int) -> Fraction | None:
     For odd k a negative radicand yields the negative root; for even k it
     yields None.
     """
-    c = _as_fraction(c)
     if k < 1:
         raise ValueError("root index must be positive")
     sign = 1

@@ -1,52 +1,45 @@
 """Symbolic verification of stratum-local structure.
 
-Three independent checks live here: a square-testing criterion in the
-truncated ring Q[a]/(a^k), whose elements are ``UniPoly`` values in a cut to
-their first k coefficients; the weighted elementary-symmetric identity behind
-the non-reduced strata, expanded as integer polynomials in a_1, ..., a_m
-stored as ``{exponent tuple: coefficient}`` dicts; and the exact tangent rank
-of the Pell equation at a chart point.  Everything is decided by exact
-arithmetic; ranks come from fraction-free elimination over the integers.
+Three independent checks live here: a square-testing criterion in
+(Q[a]/(a^k))[t], reduced by homogeneity to the top-down square root
+``pell.laurent_sqrt_polypart`` of 1 + x + ... + x^(2n); the weighted
+elementary-symmetric identity behind the non-reduced strata, expanded as
+integer polynomials in a_1, ..., a_m stored as ``{exponent tuple:
+coefficient}`` dicts; and the exact tangent rank of the Pell equation at a
+chart point.  Everything is decided by exact arithmetic; ranks come from
+fraction-free elimination over the integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .limits import MAX_DEGREE, ResourceLimit
-from .pell import CHART_MONIC, CHART_NORMALIZED, PellTriple
-from .unipoly import ONE, ZERO
+from .pell import CHART_MONIC, CHART_NORMALIZED, PellTriple, laurent_sqrt_polypart
+from .unipoly import UniPoly
 
 
 def odd_nilpotency_check(n: int, k: int) -> bool:
-    """Whether sum_{i=0..2n} a^i t^(2n-i) is a square in (Q[a]/(a^k))[t].
+    """Whether G = sum_{i=0..2n} a^i t^(2n-i) is a square in (Q[a]/(a^k))[t];
+    the criterion is that it is exactly when a^(n+1) = 0, i.e. k <= n+1.
 
-    This geometric sum is the exact quotient (t - a^(2n+1))/(t - a); the
-    criterion is that it is a square precisely when a^(n+1) = 0, i.e. k <= n+1.
-    Decided constructively: the candidate root is extracted coefficientwise
-    from the leading term down (the leading coefficient 1 is a unit and the
-    sign ambiguity is global, fixed to +), then the remainder is compared to
-    zero exactly.  The sum has degree 2n in t, capped at ``MAX_DEGREE``.
+    Decided constructively, by homogeneity in (a, t): G(t) = a^(2n) R(t/a)
+    with R = 1 + x + ... + x^(2n), so the top-down root of G (the leading
+    coefficient 1 is a unit; the sign is fixed to +) is a^n Y(t/a) with
+    Y = ``laurent_sqrt_polypart(R)``.  The remainder
+    G - (a^n Y(t/a))^2 = a^(2n) (R - Y^2)(t/a) turns each x^d term of R - Y^2
+    into a multiple of a^(2n-d) t^d, so its lowest power of a is
+    a^(2n - deg(R - Y^2)), and G is a square mod a^k exactly when R = Y^2 or
+    k <= 2n - deg(R - Y^2).  The degree 2n is capped at ``MAX_DEGREE``.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     if 2 * n > MAX_DEGREE:
         raise ResourceLimit(f"degree 2n = {2 * n} exceeds the cap of {MAX_DEGREE}")
-    # q[d] is the t^d coefficient: a^(2n-d).
-    q = [ONE.shift_degree(2 * n - d).truncate(k) for d in range(2 * n + 1)]
-    s = [ZERO] * (n + 1)
-    s[n] = ONE
-    for j in range(1, n + 1):
-        acc = q[2 * n - j]
-        for i in range(1, j):
-            acc = acc - s[n - i] * s[n - j + i]
-        s[n - j] = (acc * Fraction(1, 2)).truncate(k)
-    square = [ZERO] * (2 * n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            square[i + j] = square[i + j] + s[i] * s[j]
-    return all(square[d].truncate(k) == q[d] for d in range(2 * n + 1))
+    r = UniPoly((1,) * (2 * n + 1))
+    y = laurent_sqrt_polypart(r)
+    rest = r - y * y
+    return rest.is_zero() or k <= 2 * n - rest.degree
 
 
 # -- weighted elementary-symmetric systems -------------------------------------

@@ -37,12 +37,6 @@ from typing import Iterable, Sequence
 Rat = int | Fraction
 
 
-def _as_fraction(c: Rat) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    return Fraction(c)
-
-
 class UniPoly:
     """A univariate polynomial with exact rational coefficients.
 
@@ -255,10 +249,6 @@ class UniPoly:
             return self
         return _made((0,) * k + self.num, self.den)
 
-    def truncate(self, k: int) -> UniPoly:
-        """The remainder mod x^k: the terms of degree below k (k >= 0)."""
-        return _reduced(list(self.num[:k]), self.den)
-
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -362,10 +352,6 @@ def _coerce(value: UniPoly | Rat) -> UniPoly:
 def poly(*coeffs: Rat) -> UniPoly:
     """Build a polynomial from coefficients, constant term first."""
     return UniPoly(coeffs)
-
-
-def constant(c: Rat) -> UniPoly:
-    return UniPoly((c,))
 
 
 ZERO = UniPoly(())
@@ -495,21 +481,26 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
     return Fraction(num * b.num[-1] ** a.degree, den * b.den**a.degree)
 
 
-def interpolate(points: Sequence[tuple[Rat, Rat]]) -> UniPoly:
-    """The unique polynomial of degree < len(points) through the given points.
+def interpolate(values: Sequence[Rat]) -> UniPoly:
+    """The polynomial of degree < m = len(values) taking values[s] at the
+    nodes s = 0, 1, ..., m - 1.
 
-    Newton's divided differences, exact over the rationals.
+    Newton's forward form on integers: over the common denominator D of the
+    values the forward differences d_j are integers, and D (m-1)! p(s) is
+    sum_j d_j ((m-1)!/j!) s(s-1)...(s-j+1), expanded by Horner.  The one
+    division is the final reduction.
     """
-    xs = [_as_fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    if not points:
-        return ZERO
-    coeffs = [_as_fraction(y) for _, y in points]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    acc = constant(coeffs[-1])
-    for i in range(len(points) - 2, -1, -1):
-        acc = acc * UniPoly((-xs[i], 1)) + coeffs[i]
-    return acc
+    den = lcm(*[y.denominator for y in values])
+    d = [y.numerator * (den // y.denominator) for y in values]
+    m = len(d)
+    for level in range(1, m):  # d[i] becomes the i-th forward difference at 0
+        for i in range(m - 1, level - 1, -1):
+            d[i] -= d[i - 1]
+    acc, weight = d[-1:], 1
+    for j in range(m - 2, -1, -1):  # acc <- acc * (s - j) + d_j (m-1)!/j!
+        weight *= j + 1
+        acc = [0, *acc]
+        for i in range(len(acc) - 1):
+            acc[i] -= j * acc[i + 1]
+        acc[0] += d[j] * weight
+    return _reduced(acc, den * weight)

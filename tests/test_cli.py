@@ -1,7 +1,9 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
+from test_parsing import int_digit_limit
 
 from abelpell.cli import main
 
@@ -47,6 +49,17 @@ def test_bad_input_exit(capsys):
 def test_resource_exit(capsys):
     code, out, err = run_cli(capsys, "components", "count", "--genus", "5", "--order", "12")
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize("text", ["(9^100000)^400", "2^40000"])
+def test_height_cap_exit(capsys, text):
+    # Coefficients past what the output could print are refused while parsing,
+    # before the power is computed: the first once ran for minutes.
+    with int_digit_limit(4300):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "pell", "verify", text, "1", "x^2-1")
+        assert time.perf_counter() - start < 1
+    assert code == 3 and "bits exceed the cap of 28570 bits" in err and out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -154,7 +154,7 @@ def test_branch_polynomial_matches_sylvester_oracle():
     # The interpolation of Sylvester determinants at s = 0 .. n - 1.
     for t in fixture_family() + [chebyshev_triple(12)]:
         dp = t.p.derivative()
-        oracle = interpolate([(s, sylvester_resultant(t.p - s, dp)) for s in range(t.order)])
+        oracle = interpolate([sylvester_resultant(t.p - s, dp) for s in range(t.order)])
         assert branch_polynomial(t) == oracle
 
 
@@ -175,7 +175,7 @@ def norm_partition(m: UniPoly, p: UniPoly) -> tuple[int, ...]:
 def branch_values(p: UniPoly) -> list[UniPoly]:
     """The irreducible factors of res_x(p(x) - s, p'(x)), all branch values."""
     dp = p.derivative()
-    b = interpolate([(s, resultant(p - s, dp)) for s in range(p.degree)])
+    b = interpolate([resultant(p - s, dp) for s in range(p.degree)])
     return [m for m, _ in factor_rational(squarefree_part(b))]
 
 

@@ -45,6 +45,8 @@ def loaded_modules(argv: list[str]) -> set[str]:
      {"geometry", "factorization", "components", "perms", "strata"}),
     (["components", "count", "--genus", "1", "--order", "4"],
      {"geometry", "factorization", "strata"}),
+    (["strata", "nilpotency", "--n", "3", "--k", "4"],
+     {"geometry", "factorization", "components", "perms"}),
 ])
 def test_commands_load_only_their_layers(argv, absent):
     loaded = loaded_modules(argv)

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -68,6 +70,42 @@ def test_degree_cap():
                  f"x^{MAX_DEGREE}*x", "(x+1)^3000"):
         with pytest.raises(ResourceLimit, match="cap"):
             parse_poly(text)
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits: int):
+    """Run with the interpreter's int-to-str digit limit set to digits."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_height_cap():
+    # A power or product whose coefficients could outgrow twice the bits of a
+    # number with the int-to-str digit limit is refused before it is computed.
+    with int_digit_limit(4300):
+        assert parse_poly("10^4000") == poly(10**4000)
+        assert parse_poly("7^1000") == poly(7**1000)
+        assert parse_poly(f"(x+1)^{MAX_DEGREE}").coeffs[1] == MAX_DEGREE
+        assert parse_poly("(-1)^100000") == poly(1)  # a unit costs no bits
+        for text in ("(9^100000)^400", "9^100000", "(1/2)^100000", "9^7000*9^7000"):
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimit, match="bits exceed the cap of 28570 bits"):
+                parse_poly(text)
+            assert time.perf_counter() - start < 1
+
+
+def test_height_cap_follows_the_interpreter_limit():
+    with int_digit_limit(0):  # no limit: no height cap either
+        assert parse_poly("2^40000") == poly(2**40000)
+    with int_digit_limit(8600):  # twice the digits: twice the cap
+        assert parse_poly("2^40000") == poly(2**40000)
+    with int_digit_limit(4300):
+        with pytest.raises(ResourceLimit, match="bits exceed the cap"):
+            parse_poly("2^40000")
 
 
 def test_nesting_cap():

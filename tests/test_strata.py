@@ -2,10 +2,12 @@
 import dataclasses
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from abelpell import strata
+from abelpell.limits import MAX_DEGREE, ResourceLimit
 from abelpell.pell import PellTriple, inflate
 from abelpell.strata import (
     format_monomials,
@@ -14,7 +16,7 @@ from abelpell.strata import (
     tangent_rank,
     weighted_sigma,
 )
-from abelpell.unipoly import poly
+from abelpell.unipoly import ONE, ZERO, UniPoly, poly
 
 
 def exponent_lists(max_total: int):
@@ -50,6 +52,31 @@ def sigma_by_combinations(exponents: list[int]) -> tuple[dict, ...]:
     return tuple(sigmas)
 
 
+def truncated_ring_square_check(n: int, k: int) -> bool:
+    """Oracle: the root of sum_i a^i t^(2n-i) extracted coefficient by
+    coefficient in (Q[a]/(a^k))[t], each coefficient a polynomial in a cut to
+    its first k terms, from the leading (unit) coefficient down; then the
+    square is compared with the sum mod a^k."""
+
+    def cut(p: UniPoly) -> UniPoly:
+        return UniPoly(p.coeffs[:k])
+
+    # q[d] is the t^d coefficient: a^(2n-d).
+    q = [cut(ONE.shift_degree(2 * n - d)) for d in range(2 * n + 1)]
+    s = [ZERO] * (n + 1)
+    s[n] = ONE
+    for j in range(1, n + 1):
+        acc = q[2 * n - j]
+        for i in range(1, j):
+            acc = acc - s[n - i] * s[n - j + i]
+        s[n - j] = cut(acc * Fraction(1, 2))
+    square = [ZERO] * (2 * n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            square[i + j] = square[i + j] + s[i] * s[j]
+    return all(cut(square[d]) == q[d] for d in range(2 * n + 1))
+
+
 def test_odd_nilpotency_paper_values():
     assert odd_nilpotency_check(1, 2) is True
     assert odd_nilpotency_check(1, 3) is False
@@ -58,9 +85,23 @@ def test_odd_nilpotency_paper_values():
 
 
 def test_odd_nilpotency_exhaustive():
-    for n in range(1, 6):
+    for n in range(1, 21):
         for k in range(1, 2 * n + 3):
             assert odd_nilpotency_check(n, k) == (k <= n + 1), (n, k)
+
+
+def test_odd_nilpotency_matches_truncated_ring_oracle():
+    for n in range(1, 13):
+        for k in range(1, 2 * n + 3):
+            assert odd_nilpotency_check(n, k) == truncated_ring_square_check(n, k), (n, k)
+
+
+def test_odd_nilpotency_bounds():
+    for n, k in ((0, 1), (1, 0), (-1, -1)):
+        with pytest.raises(ValueError):
+            odd_nilpotency_check(n, k)
+    with pytest.raises(ResourceLimit, match="cap"):
+        odd_nilpotency_check(MAX_DEGREE // 2 + 1, 1)
 
 
 def test_weighted_sigma_examples():

@@ -195,7 +195,6 @@ def fraction_oracles(a: UniPoly, b: UniPoly, c: Fraction) -> dict:
         "a * c": [x * c for x in a.coeffs],
         "a'": [i * x for i, x in enumerate(a.coeffs)][1:],
         "a x^2": [Fraction(0)] * 2 + list(a.coeffs),
-        "a mod x^3": a.coeffs[:3],
         "b monic": [y / b.coeffs[-1] for y in b.coeffs],
     }
     return {name: trimmed(cs) for name, cs in oracles.items()}
@@ -246,7 +245,7 @@ def test_kernel_matches_schoolbook_property(a, b, c):
     results = {
         "a * b": product, "a // b": quo, "a % b": rem,
         "a + b": a + b, "a - b": a - b, "-a": -a, "a * c": a * c, "a'": a.derivative(),
-        "a x^2": a.shift_degree(2), "a mod x^3": a.truncate(3), "b monic": b.monic(),
+        "a x^2": a.shift_degree(2), "b monic": b.monic(),
     }
     oracles = fraction_oracles(a, b, c)
     oracles.update({"a * b": schoolbook_mul(a, b).coeffs, "a // b": school_quo.coeffs,
@@ -312,9 +311,33 @@ def test_exact_rational_identity():
         assert (Fraction(a, b) + Fraction(c, d)) * d * b == a * d + c * b
 
 
+def newton_interpolate(points) -> UniPoly:
+    """Oracle: Newton's divided differences on Fractions, at any distinct nodes."""
+    xs = [Fraction(x) for x, _ in points]
+    coeffs = [Fraction(y) for _, y in points]
+    for level in range(1, len(points)):
+        for i in range(len(points) - 1, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    acc = UniPoly(())
+    for x, c in zip(reversed(xs), reversed(coeffs)):
+        acc = acc * UniPoly((-x, 1)) + c
+    return acc
+
+
 def test_interpolate_roundtrip():
     rng = random.Random(5)
     for _ in range(20):
         p = random_poly(rng, 6)
-        points = [(Fraction(i), p.evaluate(Fraction(i))) for i in range(p.degree + 1)]
-        assert interpolate(points) == p
+        assert interpolate([p.evaluate(Fraction(s)) for s in range(p.degree + 1)]) == p
+    assert interpolate([]) == UniPoly(()) and interpolate([Fraction(-3, 4)]) == poly(Fraction(-3, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(WIDE, max_size=12))
+@example([0, 0, 0])
+@example([1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1])
+def test_interpolate_matches_newton_property(values):
+    p = interpolate(values)
+    assert canonical(p) and p.degree < len(values)
+    assert p == newton_interpolate(list(enumerate(values)))
+    assert [p.evaluate(s) for s in range(len(values))] == values
