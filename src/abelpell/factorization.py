@@ -8,10 +8,10 @@ with a fixed-seed generator, so every run does the same work.  The modular
 factors are Hensel-lifted, quadratically, to a modulus past twice the leading
 coefficient times the Mignotte bound on the coefficients of any factor of f,
 and the true factors are found by trying products of subsets of the lifted
-factors, smallest first, by exact division over Z (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, ch. 14-15; Cantor and Zassenhaus,
-*Math. Comp.* 36, 1981).  Recombination is exponential in the number of
-modular factors in the worst case, so it is capped (``RECOMBINATION_LIMIT``).
+factors, smallest first, by division (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 14-15; Cantor and Zassenhaus, *Math. Comp.* 36,
+1981).  Recombination is exponential in the number of modular factors in the
+worst case, so it is capped (``RECOMBINATION_LIMIT``).
 
 The modular kernel is plain functions on lists of ``int`` coefficients,
 constant term first, trailing zeros trimmed, entries reduced to [0, m).
@@ -216,22 +216,6 @@ def _hensel_lift(f: list[int], factors: list[list[int]], p: int, modulus: int) -
             + _hensel_lift(h, factors[half:], p, modulus))
 
 
-def _divide_exact(f: list[int], g: list[int]) -> list[int] | None:
-    """f / g over Z, or None when g does not divide f."""
-    rem = list(f)
-    dg, lg = len(g) - 1, g[-1]
-    quo = [0] * (len(f) - dg)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c, r = divmod(rem[i], lg)
-        if r:
-            return None
-        if c:
-            quo[i - dg] = c
-            for j, y in enumerate(g):
-                rem[i - dg + j] -= c * y
-    return None if any(rem[:dg]) else quo
-
-
 def _primitive(f: list[int]) -> list[int]:
     """f divided by its content, with a positive leading coefficient."""
     content = 0
@@ -246,8 +230,9 @@ def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list
     """The irreducible factors over Z of the primitive f, from the monic
     lifts of its modular factors: subsets are tried smallest first, each
     product (times lc of what is left) reduced to the symmetric range; its
-    primitive part is a factor exactly when it divides f.  A cheap test on
-    the constant terms rejects most subsets before any polynomial is built.
+    primitive part is a factor exactly when it divides f over Q (by Gauss's
+    lemma the quotient of two primitive polynomials is over Z).  A cheap test
+    on the constant terms rejects most subsets before any polynomial is built.
     """
     half = modulus // 2
     found = []
@@ -274,10 +259,10 @@ def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list
             for i in subset:
                 cand = fp_mul(cand, lifted[i], modulus)
             cand = _primitive([c - modulus if c > half else c for c in cand])
-            quo = _divide_exact(f, cand)
-            if quo is not None:
+            quo, rem = divmod(UniPoly(f), UniPoly(cand))
+            if rem.is_zero():
                 found.append(cand)
-                f = quo
+                f = list(quo.num)
                 remaining = [i for i in remaining if i not in subset]
                 break
         else:

@@ -12,7 +12,6 @@ algebraic extension is built and nothing is numerical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .factorization import factor_rational
 from .pell import PellTriple
@@ -23,7 +22,6 @@ from .unipoly import (
     interpolate,
     resultant,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 #: A partition of the map degree: part multiplicities sorted descending.
@@ -180,21 +178,20 @@ def multiplicity_partition(m: UniPoly, p: UniPoly) -> Partition:
 def unassigned_branch(t: PellTriple) -> list[BranchClass]:
     """The unassigned branch points, grouped into Galois orbits over Q.
 
-    Factors of the branch polynomial at the assigned values +-1 are dropped;
-    each remaining irreducible factor m contributes deg m conjugate branch
-    points, all with the same fibre partition, computed over Q by
-    :func:`multiplicity_partition`.
+    The classes are the distinct irreducible factors of the branch
+    polynomial once its roots at the assigned values +-1 are divided out;
+    each factor m contributes deg m conjugate branch points, all with the
+    same fibre partition, computed over Q by :func:`multiplicity_partition`.
+    Dividing the roots out first, rather than factoring them, spares the
+    factorization most of the degree of a Chebyshev triple's polynomial.
     """
     b = branch_polynomial(t)
-    for assigned in (Fraction(1), Fraction(-1)):
-        linear = UniPoly((-assigned, 1))
-        while b.degree >= 1 and b.evaluate(assigned) == 0:
-            b = b.exact_div(linear)
-    if b.degree < 1:
-        return []
+    for value in (1, -1):
+        while b.evaluate(value) == 0:
+            b = b.exact_div(UniPoly((-value, 1)))
     return [
         BranchClass(factor, multiplicity_partition(factor, t.p))
-        for factor, _ in factor_rational(squarefree_part(b))
+        for factor, _ in factor_rational(b)
     ]
 
 

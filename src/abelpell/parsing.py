@@ -1,9 +1,10 @@
 """Recursive-descent parser for exact polynomial expressions.
 
-Grammar: integer and rational literals (``3``, ``5/2``), one variable name
-(``x`` unless the expression introduces another), ``+``, ``-``, ``*``, ``^``
-with nonnegative integer exponents, and parentheses.  Anything else is
-rejected with a position-annotated :class:`ParseError`; a power or product
+Grammar: integer and rational literals of ASCII digits (``3``, ``5/2``), one
+variable name ``[A-Za-z_][A-Za-z0-9_]*`` (``x`` unless the expression
+introduces another), ``+``, ``-``, ``*``, ``^`` with nonnegative integer
+exponents, and parentheses.  Anything else is rejected with a
+position-annotated :class:`ParseError`; a power or product
 whose degree would exceed :data:`abelpell.limits.MAX_DEGREE` or whose
 coefficients could not be printed, and parentheses nested deeper than
 :data:`abelpell.limits.MAX_NESTING`, raise
@@ -38,6 +39,14 @@ def _check_height(bits: int) -> None:
         raise ResourceLimit(f"coefficients of up to {bits} bits exceed the cap of {cap} bits")
 
 
+def printable(p: UniPoly) -> bool:
+    """Whether ``str(p)`` succeeds: no numerator or denominator of a
+    coefficient has more digits than the int-to-str digit limit."""
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    bound = 10**digits
+    return not digits or all(max(abs(c.numerator), c.denominator) < bound for c in p.coeffs)
+
+
 def _height_bits(p: UniPoly) -> int:
     """ceil(log2 max(sum |num|, den)): bounds every numerator and the
     denominator, and adds up under products; for c^e with an integer c >= 2,
@@ -49,6 +58,10 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (column {position + 1})")
         self.position = position
+
+
+_DIGITS = frozenset("0123456789")
+_NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_") | _DIGITS
 
 
 @dataclass(frozen=True)
@@ -67,18 +80,18 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             numerator = int(text[start:i])
             value = Fraction(numerator)
             # A slash glues two integers into one rational literal.
             if i < n and text[i] == "/":
                 j = i + 1
-                if j >= n or not text[j].isdigit():
+                if j >= n or text[j] not in _DIGITS:
                     raise ParseError("expected digits after '/' in rational literal", i)
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 denominator = int(text[i + 1 : j])
                 if denominator == 0:
@@ -87,9 +100,9 @@ def _tokenize(text: str) -> list[_Token]:
                 i = j
             tokens.append(_Token("number", text[start:i], start, value))
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_CHARS:  # not a digit: digits start a number
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _NAME_CHARS:
                 i += 1
             tokens.append(_Token("name", text[start:i], start))
             continue

@@ -3,7 +3,9 @@
 R is monic, squarefree, of even degree 2g+2; a solution of order n has
 deg P = n and deg Q = n - g - 1.  Solutions are found by the continued
 fraction of sqrt(R), carried in exact quadratic-surd form (A + sqrt(R))/B --
-no series truncation enters the main loop.
+no series truncation enters the main loop.  Exact division keeps each surd
+reduced: the next denominator is (R - A^2)/B, a division that raises unless
+B divides R - A^2.
 
 Solutions of a fixed R form a group under (P1 + sqrt(R) Q1)(P2 + sqrt(R) Q2);
 charts record how far a solution has been normalised:
@@ -15,11 +17,12 @@ charts record how far a solution has been normalised:
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .limits import MAX_DEGREE, ResourceLimit
+from .parsing import printable
 from .rationals import rational_nth_root
 from .unipoly import UniPoly, is_squarefree
 
@@ -76,7 +79,8 @@ def pell_verify(p: UniPoly, q: UniPoly, r: UniPoly) -> PellCheck:
         failures.append("R is not squarefree")
     defect = p * p - r * q * q - 1
     if not defect.is_zero():
-        failures.append(f"defect of P^2 - R*Q^2 - 1 is {defect}, expected 0")
+        shown = defect if printable(defect) else "nonzero and too large to print"
+        failures.append(f"defect of P^2 - R*Q^2 - 1 is {shown}, expected 0")
     order = p.degree
     genus = r.degree // 2 - 1 if r.degree >= 2 else -1
     if not failures and q.degree != order - genus - 1:
@@ -117,22 +121,13 @@ class PellTriple:
 class QuadraticSurd:
     """The surd (A + sqrt(R))/B in reduced form: B divides R - A^2.
 
-    A caller that already holds R - A^2 passes it as ``rest``, so that the
-    check divides it instead of multiplying A out again.
+    The expansion keeps each surd reduced by exact division: the next B is
+    (R - A^2)/B, and that division raises unless it is exact.
     """
 
     a: UniPoly
     b: UniPoly
     r: UniPoly
-    rest: InitVar[UniPoly | None] = None
-
-    def __post_init__(self, rest):
-        if self.b.is_zero():
-            raise ValueError("surd denominator is zero")
-        if rest is None:
-            rest = self.r - self.a * self.a
-        if not self.b.divides(rest):
-            raise ValueError("surd is not reduced: B does not divide R - A^2")
 
 
 @dataclass(frozen=True)
@@ -208,22 +203,20 @@ def _cf_steps(r: UniPoly) -> Iterator[CFStep]:
     B_0 = 1.  The next surd, A_(k+1) = a_k B_k - A_k and
     B_(k+1) = (R - A_(k+1)^2)/B_k, is found before step k is yielded, because
     B_(k+1) gives the convergent's norm: P_k^2 - R*Q_k^2 = (-1)^(k+1) B_(k+1).
-    R - A_(k+1)^2 is computed once, for B_(k+1) and for the check of the
-    surd it belongs to.
+    ``exact_div`` is the check that each surd is reduced.
     """
     y = laurent_sqrt_polypart(r)
-    a, b, rest = UniPoly(()), UniPoly((1,)), r
+    a, b = UniPoly(()), UniPoly((1,))
     p_prev, p_prev2 = UniPoly((1,)), UniPoly(())
     q_prev, q_prev2 = UniPoly(()), UniPoly((1,))
     k = 0
     while True:
-        surd = QuadraticSurd(a, b, r, rest)
+        surd = QuadraticSurd(a, b, r)
         partial = (a + y) // b
         p_k = partial * p_prev + p_prev2
         q_k = partial * q_prev + q_prev2
         a = partial * b - a
-        rest = r - a * a
-        b = rest.exact_div(b)
+        b = (r - a * a).exact_div(b)
         yield CFStep(k, surd, partial, p_k, q_k, b if k % 2 else -b)
         p_prev, p_prev2 = p_k, p_prev
         q_prev, q_prev2 = q_k, q_prev
@@ -376,7 +369,7 @@ def normalize(
     if not check.valid:
         raise ValueError("input is not a Pell solution: " + "; ".join(check.failures))
     if target == CHART_GENERAL:
-        return PellTriple.build(p, q, r)
+        return PellTriple(p, q, r, check.order, check.genus, check.chart)
     n, genus = check.order, check.genus
     shift = Fraction(0)
     if target == CHART_NORMALIZED:
@@ -427,27 +420,18 @@ def inflate(base: PellTriple, m: int, case: str) -> PellTriple:
         raise ValueError(f"unknown inflation case {case!r}")
     if not (base.p.is_monic() and base.q.is_monic()):
         raise ValueError("inflation needs a base with monic P and Q")
-    p, q, r = base.p, base.q, base.r
-    if case == INFLATE_DIVIDES:
-        new_p = p.substitute_power(m)
-        new_q = q.substitute_power(m)
-        new_r = r.substitute_power(m)
-    else:
+    r, q_shift, r_shift = base.r, 0, 0
+    if case != INFLATE_DIVIDES:
         if case == INFLATE_EVEN_HALF and m % 2 != 0:
             raise ValueError("case even_half needs m even")
         if case == INFLATE_ODD and m % 2 == 0:
             raise ValueError("case odd needs m odd")
         if r.coeff(0) != 0:
             raise ValueError("cases even_half/odd need R(0) = 0")
-        r_factor = r // UniPoly((0, 1))
-        if case == INFLATE_EVEN_HALF:
-            new_p = p.substitute_power(m)
-            new_q = q.substitute_power(m).shift_degree(m // 2)
-            new_r = r_factor.substitute_power(m)
-        else:
-            new_p = p.substitute_power(m)
-            new_q = q.substitute_power(m).shift_degree((m - 1) // 2)
-            new_r = r_factor.substitute_power(m).shift_degree(1)
+        r, q_shift, r_shift = r // UniPoly((0, 1)), m // 2, m % 2
+    new_p = base.p.substitute_power(m)
+    new_q = base.q.substitute_power(m).shift_degree(q_shift)
+    new_r = r.substitute_power(m).shift_degree(r_shift)
     if not is_squarefree(new_r):
         raise ValueError("inflated R is not squarefree (a root of the base R at 0?)")
     out = PellTriple.build(new_p, new_q, new_r)

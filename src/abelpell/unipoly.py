@@ -188,9 +188,6 @@ class UniPoly:
         """The remainder of :meth:`__divmod__`, without building the quotient."""
         return _divide(self, other, False)[1]
 
-    def divides(self, other: UniPoly) -> bool:
-        return (other % self).is_zero()
-
     def exact_div(self, other: UniPoly) -> UniPoly:
         quo, rem = divmod(self, other)
         if not rem.is_zero():
@@ -434,14 +431,6 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
         c = c.exact_div(g) - b.derivative()
         m += 1
     return out
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """The monic radical: the product of the distinct monic irreducible factors."""
-    acc = ONE
-    for f, _ in squarefree_decomposition(p):
-        acc = acc * f
-    return acc
 
 
 def is_squarefree(p: UniPoly) -> bool:

@@ -46,6 +46,32 @@ def test_bad_input_exit(capsys):
     assert code == 2 and "squarefree" in err
 
 
+def test_non_ascii_input_exit(capsys):
+    code, out, err = run_cli(capsys, "pell", "solve", "x²-2")
+    assert code == 2 and out == "" and "unexpected character '²' (column 2)" in err
+
+
+@pytest.mark.parametrize("argv, code_at_limit", [
+    (["pell", "verify", "10^4000", "1", "x^2-1"], 0),
+    (["pell", "solve", "x^2-1/10^4400"], 3),
+    (["pell", "compose", "10^2200*x", "10^2200", "10^2200*x", "10^2200", "x^2-1/10^4400"], 3),
+])
+def test_answer_too_large_to_print(capsys, argv, code_at_limit):
+    # The inputs parse under the digit limit, but the defect (verify) or the
+    # answer (solve, compose) has more digits than str() may print.
+    with int_digit_limit(4300):
+        code, out, err = run_cli(capsys, *argv, "--format", "structured")
+    assert code == code_at_limit
+    if code == 0:
+        assert json.loads(out)["result"]["failures"] == [
+            "defect of P^2 - R*Q^2 - 1 is nonzero and too large to print, expected 0"]
+    else:
+        assert out == "" and "exceeds the int-to-str digit limit" in err
+    with int_digit_limit(0):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and len(out) > 4400 and err == ""
+
+
 def test_resource_exit(capsys):
     code, out, err = run_cli(capsys, "components", "count", "--genus", "5", "--order", "12")
     assert code == 3 and "cap" in err
@@ -275,12 +301,15 @@ def test_nesting_cap_exit(capsys):
     assert code == 3 and out == "" and "nested deeper than the cap" in err
 
 
-@pytest.mark.parametrize("name, argv", [
+ABEL_GOLDEN_TRIPLES = [
     ("conjugate_x3_x", ["x^3+x", "1", "x^6+2*x^4+x^2-1"]),
     ("chebyshev_order6", ["4*x^6+12*x^5+36*x^4+52*x^3+69*x^2+45*x+26",
                           "4*x^4+8*x^3+20*x^2+16*x+15", "x^4+2*x^3+5*x^2+4*x+3"]),
     ("inflated_divides_m3", ["x^3+2", "1", "x^6+4*x^3+3"]),
-])
+]
+
+
+@pytest.mark.parametrize("name, argv", ABEL_GOLDEN_TRIPLES)
 @pytest.mark.parametrize("command", ["ramspec", "hurwitz"])
 def test_abel_golden_output(capsys, command, name, argv):
     # Recorded from Sylvester-determinant resultants, with `abel ramspec`

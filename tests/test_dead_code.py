@@ -1,0 +1,75 @@
+"""Every module-level name in the package is used somewhere else in it.
+
+A function, class or assignment at the top of a module in ``src/abelpell``
+must be referenced outside its own definition: by a name, an attribute, or a
+``from ... import``, in any module of the package.  A public name counts as
+referenced through ``abelpell.__init__._HOMES``; dunders are exempt.
+"""
+import ast
+from pathlib import Path
+
+import abelpell
+
+PACKAGE = Path(abelpell.__file__).resolve().parent
+
+
+def defined_names(stmt: ast.stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def referenced_names(stmt: ast.stmt) -> set[str]:
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def public_names(tree: ast.Module) -> set[str]:
+    """The strings in the ``_HOMES`` table of the package ``__init__``."""
+    for stmt in tree.body:
+        if "_HOMES" in defined_names(stmt):
+            return {node.value for node in ast.walk(stmt.value)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    raise AssertionError("abelpell/__init__.py has no _HOMES table")
+
+
+def unreferenced_names(package: Path) -> list[str]:
+    statements = []  # (module, statement)
+    public = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        statements.extend((path.stem, stmt) for stmt in tree.body)
+        if path.stem == "__init__":
+            public = public_names(tree)
+    refs = [referenced_names(stmt) for _, stmt in statements]
+    out = []
+    for i, (module, stmt) in enumerate(statements):
+        for name in sorted(defined_names(stmt)):
+            if name.startswith("__") and name.endswith("__") or name in public:
+                continue
+            if not any(name in r for j, r in enumerate(refs) if j != i):
+                out.append(f"{module}.{name}")
+    return out
+
+
+def test_every_module_level_name_is_used():
+    assert unreferenced_names(PACKAGE) == []
+
+
+def test_the_guard_flags_a_leftover(tmp_path):
+    # A copy of the package with a function that only calls itself.
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "unipoly.py", "a") as handle:
+        handle.write("\n\ndef squarefree_part(p):\n    return squarefree_part(p)\n")
+    assert unreferenced_names(tmp_path) == ["unipoly.squarefree_part"]

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from conftest import chebyshev_triple, fixture_family
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import ABEL_GOLDEN_TRIPLES
 from test_unipoly import sylvester_resultant
 
 from abelpell.geometry import (
+    BranchClass,
     RamSpec,
     assigned_profile,
     branch_polynomial,
@@ -17,13 +21,13 @@ from abelpell.geometry import (
 )
 from abelpell.pell import PellTriple, inflate
 from abelpell.factorization import factor_rational
+from abelpell.parsing import parse_poly
 from abelpell.unipoly import (
     UniPoly,
     interpolate,
     poly,
     resultant,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 T_GENUS0 = lambda: PellTriple.build(poly(-1, 0, 1), poly(0, 1), poly(-2, 0, 1))
@@ -59,8 +63,6 @@ def test_unassigned_branch_rational_values():
 def test_unassigned_branch_conjugate_points():
     # x^3 + x has the conjugate critical values t with t^2 = -4/27; both
     # carry the fibre partition (2, 1), read off gcds over Q.
-    from fractions import Fraction
-
     p = poly(0, 1, 0, 1)
     t = PellTriple.build(p, poly(1), p * p - 1)
     classes = unassigned_branch(t)
@@ -112,9 +114,69 @@ def test_hurwitz_examples():
     assert rep.genus_check
 
 
-def test_family_invariants(triples):
-    from abelpell.unipoly import squarefree_part
+def squarefree_part(p: UniPoly) -> UniPoly:
+    """Oracle: the monic radical, the product of the distinct irreducible factors."""
+    acc = poly(1)
+    for f, _ in squarefree_decomposition(p):
+        acc = acc * f
+    return acc
 
+
+def stripped_branch_classes(t: PellTriple) -> list[BranchClass]:
+    """Oracle: the branch classes found by dividing the roots +-1 out of the
+    branch polynomial and factoring the squarefree part of what is left."""
+    b = branch_polynomial(t)
+    for assigned in (Fraction(1), Fraction(-1)):
+        linear = UniPoly((-assigned, 1))
+        while b.degree >= 1 and b.evaluate(assigned) == 0:
+            b = b.exact_div(linear)
+    if b.degree < 1:
+        return []
+    return [
+        BranchClass(factor, multiplicity_partition(factor, t.p))
+        for factor, _ in factor_rational(squarefree_part(b))
+    ]
+
+
+def chebyshev_of(ell: UniPoly, k: int) -> PellTriple:
+    """T_k(L): P = T_k(L), Q = U_(k-1)(L), R = L^2 - 1."""
+    p_prev, p = poly(1), ell
+    q_prev, q = poly(), poly(1)
+    for _ in range(k - 1):
+        p_prev, p = p, 2 * ell * p - p_prev
+        q_prev, q = q, 2 * ell * q - q_prev
+    return PellTriple.build(p, q, ell * ell - 1)
+
+
+def chebyshev_and_inflated(max_order: int) -> list[PellTriple]:
+    """T_k(L) and (L, 1, L^2 - 1) inflated by s -> s^m, of order <= max_order,
+    for L of degree 1-4; L(0) = +-1 takes the even_half and odd cases."""
+    out = []
+    for ell in (poly(0, 1), poly(2, 1, 1), poly(3, -2, 0, 1), poly(3, 1, 0, 0, 1),
+                poly(1, 1, 1), poly(-1, 2, 0, 1)):
+        base = PellTriple.build(ell, poly(1), ell * ell - 1)
+        for k in range(2, max_order // ell.degree + 1):
+            out.append(chebyshev_of(ell, k))
+            if abs(ell.coeff(0)) != 1:
+                out.append(inflate(base, k, "divides_g_plus_1"))
+            else:
+                out.append(inflate(base, k, "even_half" if k % 2 == 0 else "odd"))
+    return out
+
+
+def test_unassigned_branch_matches_stripping_oracle(triples):
+    golden = [PellTriple.build(*map(parse_poly, argv)) for _, argv in ABEL_GOLDEN_TRIPLES]
+    cases = triples + golden + chebyshev_and_inflated(20)
+    for t in cases:
+        assert unassigned_branch(t) == stripped_branch_classes(t), t
+    # The cases reach both things the oracle does differently: branch values
+    # at +-1, and unassigned factors of multiplicity above 1.
+    factored = [(f, m) for t in cases for f, m in factor_rational(branch_polynomial(t))]
+    assert {poly(-1, 1), poly(1, 1)} <= {f for f, _ in factored}
+    assert any(m > 1 and f.evaluate(1) and f.evaluate(-1) for f, m in factored)
+
+
+def test_family_invariants(triples):
     for t in triples:
         spec = ramspec_of(t)
         assert spec.total_ramification() == t.order - 1

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelpell.limits import MAX_DEGREE, MAX_NESTING, ResourceLimit
-from abelpell.parsing import ParseError, parse_poly
+from abelpell.parsing import ParseError, parse_poly, printable
 from abelpell.unipoly import UniPoly, format_poly, poly
 
 
@@ -39,6 +39,19 @@ def test_error_positions():
     with pytest.raises(ParseError) as err:
         parse_poly("(x+1")
     assert "expected ')'" in str(err.value)
+
+
+@pytest.mark.parametrize("text, position, message", [
+    ("x²-2", 1, "unexpected character '²'"),  # superscript two
+    ("x^2-2/٣", 5, "expected digits after '/'"),  # Arabic-Indic three
+    ("x^²", 2, "unexpected character '²'"),
+    ("é^2-2", 0, "unexpected character 'é'"),  # a non-ASCII letter
+])
+def test_only_ascii_digits_and_letters(text, position, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_poly(text)
+    assert err.value.position == position
+    assert parse_poly("x_1^2 - 2") == poly(-2, 0, 1)
 
 
 def test_unknown_identifier():
@@ -96,6 +109,15 @@ def test_height_cap():
             with pytest.raises(ResourceLimit, match="bits exceed the cap of 28570 bits"):
                 parse_poly(text)
             assert time.perf_counter() - start < 1
+
+
+def test_printable_is_exact_at_the_digit_limit():
+    with int_digit_limit(4300):
+        assert printable(poly(-(10**4300 - 1), Fraction(1, 10**4300 - 1)))
+        assert not printable(poly(10**4300))
+        assert not printable(poly(0, Fraction(1, 10**4300)))
+    with int_digit_limit(0):
+        assert printable(poly(10**9000))
 
 
 def test_height_cap_follows_the_interpreter_limit():

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_parsing import int_digit_limit
 
 from abelpell import pell
+from abelpell.parsing import parse_poly
 from abelpell.rationals import rational_nth_root
 from abelpell.pell import (
     CHART_GENERAL,
@@ -52,34 +54,11 @@ def test_cf_no_constant_norm_for_quartic():
 def test_cf_surd_invariant_and_rejections():
     for step in cf_expand(poly(-3, 1, 1, 0, 0, 0, 1), 8):
         surd = step.surd
-        assert surd.b.divides(surd.r - surd.a * surd.a)
+        assert ((surd.r - surd.a * surd.a) % surd.b).is_zero()
     with pytest.raises(ValueError):
         cf_expand(poly(0, 0, 1), 3)  # x^2 is not squarefree
     with pytest.raises(ValueError):
         cf_expand(poly(0, 1), 3)  # odd degree
-
-
-def test_cf_loop_hands_each_surd_its_rest(monkeypatch):
-    # The loop computes R - A^2 once and each surd divides that value.
-    r = poly(-3, 1, 1, 0, 0, 0, 1)
-    seen = []
-    surd = pell.QuadraticSurd
-    monkeypatch.setattr(pell, "QuadraticSurd",
-                        lambda a, b, r, rest=None: seen.append((a, rest)) or surd(a, b, r, rest))
-    cf_expand(r, 8)
-    assert len(seen) == 8
-    assert all(rest == r - a * a for a, rest in seen)
-
-
-def test_surd_checks_itself_and_the_rest_it_is_given():
-    r = poly(-3, 1, 1, 0, 0, 0, 1)
-    assert pell.QuadraticSurd(poly(0), poly(0, 1), r + 3)  # x divides x^6 + x^2 + x
-    with pytest.raises(ValueError):
-        pell.QuadraticSurd(poly(1), poly(0, 1), r)  # x does not divide R - 1
-    with pytest.raises(ValueError):
-        pell.QuadraticSurd(poly(0), poly(0, 1), r + 3, poly(1))  # x does not divide 1
-    with pytest.raises(ValueError):
-        pell.QuadraticSurd(poly(0), poly(), r)
 
 
 def test_solve_examples():
@@ -206,6 +185,19 @@ def test_verify_examples():
     assert not rep.valid and any("defect" in f for f in rep.failures)
 
 
+def test_verify_reports_an_unprintable_defect():
+    # The defect 10^8000 - x^2 has more digits than str() may print; the
+    # report says so instead of raising.
+    args = (parse_poly("10^4000"), poly(1), poly(-1, 0, 1))
+    with int_digit_limit(4300):
+        rep = pell_verify(*args)
+    assert not rep.valid
+    assert rep.failures == ("defect of P^2 - R*Q^2 - 1 is nonzero and too large to print, expected 0",)
+    with int_digit_limit(0):
+        (failure,) = pell_verify(*args).failures
+    assert failure.startswith("defect of P^2 - R*Q^2 - 1 is -x^2 + 1000") and len(failure) > 8000
+
+
 def test_verify_rejects_structure():
     assert not pell_verify(poly(0, 1), UniPoly(()), poly(-1, 0, 1)).valid
     assert not pell_verify(poly(-1, 0, 1), poly(0, 1), poly(-2, 0, 2)).valid  # not monic
@@ -245,6 +237,8 @@ def test_normalize_fixed_point_and_obstruction():
     assert obs.root_degree == 4 and obs.radicand == 2
     with pytest.raises(ValueError):
         normalize(poly(0, 1), poly(1), R_MINUS2, CHART_MONIC)  # not a solution
+    general = (poly(0, 2), poly(2), poly(Fraction(-1, 4), 0, 1))
+    assert normalize(*general, CHART_GENERAL) == PellTriple.build(*general)
 
 
 def test_normalize_shift_clears_odd_part():
