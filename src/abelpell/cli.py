@@ -13,12 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-# The handlers import the layers they run; pell holds the --case choices.
-from . import pell
+# Each handler imports the layers it runs, so a command loads no other layer.
+from .cases import INFLATE_CASES
 from .limits import ResourceLimit
-from .parsing import parse_poly, printable
-from .unipoly import UniPoly, format_poly
+
+if TYPE_CHECKING:
+    from . import pell
+    from .unipoly import UniPoly
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -26,7 +29,17 @@ EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
 
 
+def parse_poly(text: str) -> UniPoly:
+    """``parsing.parse_poly``, imported on the first call."""
+    from .parsing import parse_poly
+
+    return parse_poly(text)
+
+
 def poly_json(p: UniPoly) -> dict:
+    from .parsing import printable
+    from .unipoly import format_poly
+
     # Handlers build the result before their text lines, so p is checked
     # here before anything prints it.
     if not printable(p):
@@ -52,6 +65,8 @@ def check(name: str, ok: bool, **extra) -> dict:
 
 
 def _triple_from_args(args) -> pell.PellTriple:
+    from . import pell
+
     return pell.PellTriple.build(parse_poly(args.p), parse_poly(args.q), parse_poly(args.r))
 
 
@@ -59,6 +74,8 @@ def _triple_from_args(args) -> pell.PellTriple:
 
 
 def _cmd_pell_solve(args):
+    from . import pell
+
     r = parse_poly(args.r)
     expansion = pell.cf_steps(r)
     steps: list[pell.CFStep] = []
@@ -96,6 +113,8 @@ def _cmd_pell_solve(args):
 
 
 def _cmd_pell_verify(args):
+    from . import pell
+
     p, q, r = parse_poly(args.p), parse_poly(args.q), parse_poly(args.r)
     rep = pell.pell_verify(p, q, r)
     result = {
@@ -116,6 +135,8 @@ def _cmd_pell_verify(args):
 
 
 def _cmd_pell_compose(args):
+    from . import pell
+
     r = parse_poly(args.r)
     t1 = pell.PellTriple.build(parse_poly(args.p1), parse_poly(args.q1), r)
     t2 = pell.PellTriple.build(parse_poly(args.p2), parse_poly(args.q2), r)
@@ -130,6 +151,8 @@ def _cmd_pell_compose(args):
 
 
 def _cmd_pell_inflate(args):
+    from . import pell
+
     base = _triple_from_args(args)
     out = pell.inflate(base, args.m, args.case)
     checks = [
@@ -220,7 +243,7 @@ def _cmd_strata_nilpotency(args):
 
 
 def _cmd_strata_tangent_rank(args):
-    from . import strata
+    from . import pell, strata
 
     t = _triple_from_args(args)
     rep = strata.tangent_rank(t)
@@ -322,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("p", "q", "r"):
         sp.add_argument(name)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--case", choices=pell.INFLATE_CASES, required=True)
+    sp.add_argument("--case", choices=INFLATE_CASES, required=True)
     sp.set_defaults(func=_cmd_pell_inflate)
 
     g_abel = groups.add_parser("abel", help="ramification data of the induced line map")

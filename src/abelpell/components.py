@@ -7,11 +7,14 @@ simultaneous conjugation are represented by canonical keys: fixing the product
 to the standard cycle cuts the conjugation down to the cycle's centralizer, so
 a class is the lexicographic minimum over the n cyclic conjugates.
 
-The enumeration never scans the I(n) * C(n,2)^g candidate tuples: it starts
-only from involutions sigma that are least among their cyclic conjugates, and
-prunes a prefix before its last transposition when the remainder has too many
-points that no single transposition can repair (see
-:func:`enumerate_m_with_cycle`).
+The enumeration never scans the I(n) * C(n,2)^g candidate tuples.  Write
+ind p = n - #cycles(p).  The ends' fixed points a + b = 2g + 2 give
+ind sigma + g + ind tau = (n - a)/2 + g + (n - b)/2 = n - 1, the index of the
+n-cycle, and the index is subadditive, so equality holds on every prefix:
+each middle must split one cycle of the remainder (sigma s_1 ... s_k)^-1 *
+cycle, never merge two.  The scan tries only those splits, and it builds
+only tuples that are least among their cyclic conjugates, so each class is
+reached once (see :func:`enumerate_m_with_cycle`).
 
 Components of the split moduli are orbits of the keys under the adjacent swap
 and the two turn moves; the nonsplit moduli add the flip, which reverses the
@@ -117,14 +120,12 @@ def _rotations(cycle: Perm, blocks: int) -> tuple[Tie, ...]:
     return tuple(out)
 
 
-def _ties(sigma: Perm, cycle: Perm, blocks: int, conjugates=None) -> tuple[Tie, ...]:
+def _ties(sigma: Perm, cycle: Perm, blocks: int) -> tuple[Tie, ...]:
     """The powers rho of ``cycle`` that minimise rho^-1 sigma rho: the first
     block decides the key unless it ties, so only these can give the least
-    flattening of a tuple of ``blocks`` words starting with sigma.  A caller
-    that has the n ``conjugates`` rho^-1 sigma rho passes them."""
+    flattening of a tuple of ``blocks`` words starting with sigma."""
     rotations = _rotations(cycle, blocks)
-    if conjugates is None:
-        conjugates = [conjugate(sigma, rho) for rho, _ in rotations]
+    conjugates = [conjugate(sigma, rho) for rho, _ in rotations]
     least = min(conjugates)
     return tuple(tie for tie, first in zip(rotations, conjugates) if first == least)
 
@@ -166,95 +167,123 @@ def enumerate_m(g: int, n: int) -> set[CanonicalKey]:
     cycle's centralizer, so distinct keys are distinct classes.  Infeasible
     parameters yield the empty set.
     """
-    if not _admitted(g, n):
-        return set()
-    return enumerate_m_with_cycle(g, n, standard_cycle(n))
+    return enumerate_m_with_cycle(g, n, None)
 
 
-def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm) -> set[CanonicalKey]:
+def _cycles(p: list[int]) -> list[list[int]]:
+    """The cycles of p, each listed from its least point along p."""
+    seen = [False] * len(p)
+    out = []
+    for x in range(len(p)):
+        if not seen[x]:
+            cycle = []
+            while not seen[x]:
+                seen[x] = True
+                cycle.append(x)
+                x = p[x]
+            out.append(cycle)
+    return out
+
+
+def _splits(p: list[int]) -> list[tuple[int, int]]:
+    """The pairs (i, j) in one cycle of p: swapping p[i] and p[j] splits
+    that cycle in two."""
+    return [(i, j) for c in _cycles(p) for a, i in enumerate(c) for j in c[a + 1 :]]
+
+
+def _involution_splits(p: list[int]) -> list[tuple[int, int]]:
+    """The splits of p that leave an involution: each 2-cycle of an
+    involution, the three pairs of a lone 3-cycle, or the two opposite pairs
+    of a lone 4-cycle, when every other cycle has length at most 2."""
+    cycles = _cycles(p)
+    long = [c for c in cycles if len(c) > 2]
+    if not long:
+        return [(c[0], c[1]) for c in cycles if len(c) == 2]
+    if len(long) > 1 or len(long[0]) > 4:
+        return []
+    c = long[0]
+    if len(c) == 3:
+        return [(c[0], c[1]), (c[0], c[2]), (c[1], c[2])]
+    return [(c[0], c[2]), (c[1], c[3])]
+
+
+def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[CanonicalKey]:
     """As :func:`enumerate_m` but normalising the product to an arbitrary
-    n-cycle; the count must not depend on the choice.
+    n-cycle (``None`` is the standard cycle); the count must not depend on
+    the choice.
 
     Two reductions make the work follow the classes found rather than the
     I(n) * C(n,2)^g candidate tuples:
 
-    * Orbit-least sigma.  A key's first block is the least conjugate of
-      sigma by the powers of the cycle, so every class has a tuple whose
-      sigma is least in its orbit, and only such sigma start a scan.  The
-      key of a hit is then the least flattening over the powers that fix
-      sigma.
-    * Defect pruning.  After sigma and k middles, let r be the remainder
-      (sigma s_1 ... s_k)^-1 * cycle.  A further transposition (i j) swaps
-      r[i] and r[j], and after the last middle r is tau.  So before the last
-      middle, tau can be an involution only if every defect x of r
-      (r[r[x]] != x) has x or r[x] among i, j: more than four defects prune
-      the prefix, and otherwise only the transpositions meeting {x0, r[x0]}
-      for the first defect x0 are tried.
+    * Cycle splitting.  With ind p = n - #cycles(p), a tuple has
+      ind sigma + g + ind tau = (n - a)/2 + g + (n - b)/2 = n - 1, the index
+      of the cycle, where a + b = 2g + 2 are the ends' fixed points.  The
+      index is subadditive, so equality holds on every prefix: the
+      remainder r = (sigma s_1 ... s_k)^-1 * cycle has index exactly
+      n - 1 - ind sigma - k.  A further transposition (i j) swaps r[i] and
+      r[j], which splits a cycle of r when i and j lie in it and merges two
+      cycles otherwise.  So sigma needs ind r = n - 1 - ind sigma at the
+      start, and every middle must split a cycle of r (a minimal transitive
+      factorization, Goulden and Jackson, Proc. AMS 125 (1997)).  The last
+      middle must leave tau, an involution; its cycle count, and so its
+      fixed-point count 2g + 2 - a, is already fixed, and the candidates are
+      read off r (:func:`_involution_splits`).
+    * Least tuples only.  A key is the least flattening of a tuple over the
+      powers of the cycle, so every class has one tuple that is its own key,
+      and only that tuple is built: sigma must be least among its
+      conjugates, and each middle least among its conjugates by the powers
+      that fix every word before it.  Those powers commute with the cycle,
+      so the ones that fix sigma and every middle fix tau as well.
     """
     feasible = _admitted(g, n)
-    if cycle_type(base_cycle) != (n,):
+    if base_cycle is not None and cycle_type(base_cycle) != (n,):
         raise ValueError("base cycle must be an n-cycle")
     if not feasible:
         return set()
-    rotations = [rho for rho, _ in _rotations(base_cycle, g + 2)]
-    points = tuple(range(n))
-    pairs = [(i, j, transposition(n, i, j)) for i in range(n) for j in range(i + 1, n)]
-    touching = [[pair for pair in pairs if x in pair[:2]] for x in points]
+    cycle = standard_cycle(n) if base_cycle is None else base_cycle
+    rotations = [rho for rho, _ in _rotations(cycle, g + 2)]
+    # swap[i][j] is the word of (i j); conjugation by rho maps it to
+    # swap[rho[i]][rho[j]], the same object exactly when rho fixes it.
+    swap = [[()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            swap[i][j] = swap[j][i] = transposition(n, i, j)
     keys: set[CanonicalKey] = set()
-    target_fix = 2 * g + 2
-    ident = list(points)
-    # r, tau_fix and ties belong to the sigma of the current scan; the
-    # loop at the end sets them.
+    # r belongs to the sigma of the current scan; the loop at the end sets it.
 
-    def record(head: CanonicalKey, last: Perm, tau: list[int]) -> None:
-        if list(map(tau.__getitem__, tau)) != ident:
+    def visit(depth: int, head: CanonicalKey, stab: list[Perm]) -> None:
+        # head is sigma and `depth` middles, r their remainder, and stab the
+        # powers of the cycle other than the identity that fix head.
+        if depth == g:
+            keys.add(head + tuple(r))
             return
-        if sum(map(int.__eq__, tau, points)) != tau_fix:
-            return
-        key = head + last + tuple(tau)
-        if ties:
-            # Other powers of the cycle fix sigma and may flatten smaller.
-            key = _least_conjugate(key, ties)
-        keys.add(key)
-
-    def close(head: CanonicalKey) -> None:
-        # Choose the last middle t; tau is r with the two points of t swapped.
-        defects = [x for x in points if r[r[x]] != x]
-        if len(defects) > 4:
-            return
-        if defects:
-            x0 = defects[0]
-            y0 = r[x0]
-            candidates = touching[x0] + [p for p in touching[y0] if x0 not in p[:2]]
-        else:
-            candidates = pairs
-        for i, j, word in candidates:
-            tau = r.copy()
-            tau[i], tau[j] = r[j], r[i]
-            record(head, word, tau)
-
-    def descend(depth: int, head: CanonicalKey) -> None:
-        if depth == g - 1:
-            close(head)
-            return
-        for i, j, word in pairs:
+        for i, j in _splits(r) if depth < g - 1 else _involution_splits(r):
+            word, fixing = swap[i][j], stab
+            if stab:
+                if any(swap[rho[i]][rho[j]] < word for rho in stab):
+                    continue
+                fixing = [rho for rho in stab if swap[rho[i]][rho[j]] is word]
             r[i], r[j] = r[j], r[i]
-            descend(depth + 1, head + word)
+            visit(depth + 1, head + word, fixing)
             r[i], r[j] = r[j], r[i]
 
     for sigma in involutions(n):
-        tau_fix = target_fix - fixed_points(sigma)
-        if not 0 <= tau_fix <= n:
+        sigma_fix = fixed_points(sigma)
+        if not 0 <= 2 * g + 2 - sigma_fix <= n:
             continue
-        conjugates = [conjugate(sigma, rho) for rho in rotations]
-        if min(conjugates) != sigma:
+        r = list(compose(sigma, cycle))  # sigma^-1 * cycle
+        if len(_cycles(r)) != 1 + (n - sigma_fix) // 2:
             continue
-        ties = _ties(sigma, base_cycle, g + 2, conjugates) if conjugates.count(sigma) > 1 else ()
-        r = list(compose(sigma, base_cycle))  # sigma^-1 * cycle
-        if g == 0:
-            record(sigma, (), r)
+        stab = []
+        for rho in rotations[1:]:
+            image = conjugate(sigma, rho)
+            if image < sigma:
+                break
+            if image == sigma:
+                stab.append(rho)
         else:
-            descend(0, sigma)
+            if g or is_involution(r):
+                visit(0, sigma, stab)
     return keys
 
 

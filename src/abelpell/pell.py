@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .cases import INFLATE_CASES, INFLATE_DIVIDES, INFLATE_EVEN_HALF, INFLATE_ODD
 from .limits import MAX_DEGREE, ResourceLimit
 from .parsing import printable
 from .rationals import rational_nth_root
@@ -30,11 +31,6 @@ CHART_GENERAL = "general"
 CHART_MONIC = "monic"
 CHART_NORMALIZED = "normalized"
 CHARTS = (CHART_GENERAL, CHART_MONIC, CHART_NORMALIZED)
-
-INFLATE_DIVIDES = "divides_g_plus_1"
-INFLATE_EVEN_HALF = "even_half"
-INFLATE_ODD = "odd"
-INFLATE_CASES = (INFLATE_DIVIDES, INFLATE_EVEN_HALF, INFLATE_ODD)
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,10 @@ def laurent_sqrt_polypart(r: UniPoly) -> UniPoly:
 
     Top-down: with Y = sum s_j x^(h-j) and s_0 = 1, matching x^(2h-j) in Y^2
     gives 2 s_j = r_(2h-j) - sum_(0<i<j) s_i s_(j-i), so only the h + 1
-    coefficients of Y are computed, from r down to degree h.
+    coefficients of Y are computed, from r down to degree h.  With r stored
+    as numerators c over one denominator d and w = 4d, s_j = 2 u_j / w^j for
+    j >= 1, where u_j = c_(2h-j) w^(j-1) - sum_(0<i<j) u_i u_(j-i) are
+    integers, so the recurrence runs on integers and Y is reduced once.
 
     >>> laurent_sqrt_polypart(UniPoly((-2, 0, 1)))
     UniPoly('x')
@@ -185,11 +184,20 @@ def laurent_sqrt_polypart(r: UniPoly) -> UniPoly:
     """
     if not r.is_monic() or r.degree % 2:
         raise ValueError("need a monic polynomial of even degree")
-    n, half = r.degree, r.degree // 2
-    s = [Fraction(1)]
+    n, half, w = r.degree, r.degree // 2, 4 * r.den
+    powers = [1]
+    for _ in range(half):
+        powers.append(powers[-1] * w)
+    u = [0]
     for j in range(1, half + 1):
-        s.append((r.coeffs[n - j] - sum(s[i] * s[j - i] for i in range(1, j))) / 2)
-    y = UniPoly(reversed(s))
+        # sum_(0<i<j) u_i u_(j-i), pairing i with j - i
+        acc = 2 * sum(u[i] * u[j - i] for i in range(1, (j + 1) // 2))
+        if j % 2 == 0:
+            acc += u[j // 2] ** 2
+        u.append(r.num[n - j] * powers[j - 1] - acc)
+    # Over the denominator w^h, s_j x^(h-j) has numerator 2 u_j w^(h-j).
+    top = [2 * u[half - d] * powers[d] for d in range(half)] + [powers[half]]
+    y = UniPoly(top) * Fraction(1, powers[half])
     # Exact check of the defining property, independent of the recurrence.
     if (r - y * y).degree >= half:
         raise AssertionError("square-root polynomial part failed its contract")

@@ -370,6 +370,48 @@ def test_enumeration_matches_brute_force_oracle():
             assert cycle_type(cycle) == (n,)
             assert enumerate_m_with_cycle(g, n, cycle) == brute_force_keys(g, n, cycle), (
                 g, n, cycle)
+    # g = 4 splits a cycle at three depths before the last middle
+    cycle = random_n_cycle(rng, 5)
+    assert enumerate_m_with_cycle(4, 5, cycle) == brute_force_keys(4, 5, cycle), cycle
+
+
+def test_every_middle_splits_a_cycle_of_the_remainder():
+    # The premise of the scan's pruning, checked on the tuples it found: the
+    # remainder r = (sigma s_1 ... s_k)^-1 * cycle starts with
+    # 1 + (n - fix sigma)/2 cycles, each middle adds exactly one, and the
+    # last remainder is tau.
+    checked = 0
+    for g in range(4):
+        for n in range(1, 8):
+            cycle = standard_cycle(n)
+            for key in enumerate_m(g, n):
+                t = key_to_tuple(key, n)
+                prefix = t.sigma
+                count = len(cycle_type(compose(inverse(prefix), cycle)))
+                assert count == 1 + (n - fixed_points(t.sigma)) // 2, key
+                for middle in t.middles:
+                    prefix = compose(prefix, middle)
+                    rest = len(cycle_type(compose(inverse(prefix), cycle)))
+                    assert rest == count + 1, key
+                    count = rest
+                assert compose(inverse(prefix), cycle) == t.tau, key
+                checked += 1
+    assert checked > 1000
+
+
+def test_involution_splits_oracle():
+    # the pairs whose swap turns p into an involution with one more cycle
+    for n in range(1, 7):
+        for p in itertools.permutations(range(n)):
+            expected = set()
+            for i, j in itertools.combinations(range(n), 2):
+                q = list(p)
+                q[i], q[j] = p[j], p[i]
+                if is_involution(q) and len(cycle_type(q)) == len(cycle_type(p)) + 1:
+                    expected.add((i, j))
+            found = components._involution_splits(list(p))
+            assert len(found) == len(expected), p
+            assert {tuple(sorted(pair)) for pair in found} == expected, p
 
 
 #: (g, n) -> (|M|, split orbit sizes, nonsplit orbit sizes).  The first three

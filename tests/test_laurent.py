@@ -53,3 +53,14 @@ def test_polypart_property_against_long_expansion(lower, data):
     big_r = y * y + r
     assert laurent_sqrt_polypart(big_r) == y
     assert long_expansion_polypart(big_r, 2 * big_r.degree + 4) == y
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FRACTIONS, min_size=0, max_size=11), st.integers(min_value=1, max_value=10**6))
+def test_polypart_matches_the_fraction_recurrence(lower, scale):
+    # Any monic r of even degree, with denominators up to 12 * scale: the
+    # integer recurrence gives the Fraction recurrence's coefficients.
+    if len(lower) % 2:
+        lower = lower[:-1]
+    r = UniPoly([c / scale for c in lower] + [Fraction(1)])
+    assert laurent_sqrt_polypart(r) == long_expansion_polypart(r, r.degree // 2 + 1)

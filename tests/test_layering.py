@@ -44,7 +44,7 @@ def loaded_modules(argv: list[str]) -> set[str]:
     (["pell", "verify", "x^2", "1", "x^4-1"],
      {"geometry", "factorization", "components", "perms", "strata"}),
     (["components", "count", "--genus", "1", "--order", "4"],
-     {"geometry", "factorization", "strata"}),
+     {"geometry", "factorization", "strata", "parsing", "unipoly", "pell", "rationals"}),
     (["strata", "nilpotency", "--n", "3", "--k", "4"],
      {"geometry", "factorization", "components", "perms"}),
 ])
