@@ -275,7 +275,10 @@ def _cmd_components_count(args):
         "orbit_sizes": list(cert.orbit_sizes),
         "representatives": [list(map(list, t.components)) for t in reps],
     }
-    # component_count raises unless every move's image has its key in M.
+    # component_count raises unless every image it computes has its key in M.
+    # It flips only the least key of each split orbit; the flip's images of
+    # the other keys follow from F swap_i F = swap_(g-i) and F turn F = turn^-1,
+    # so every move still holds on all m_count keys.
     checks = [
         check("moves_preserve_validity", True, applied=cert.m_count * len(moves)),
         check("orbit_sizes_sum_to_m_count", sum(cert.orbit_sizes) == cert.m_count),

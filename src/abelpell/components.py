@@ -18,8 +18,11 @@ reached once (see :func:`enumerate_m_with_cycle`).
 
 Components of the split moduli are orbits of the keys under the adjacent swap
 and the two turn moves; the nonsplit moduli add the flip, which reverses the
-tuple while rewriting each entry in the letters before it.  No image of a
-move is validated on its own: :func:`component_count` finds its key in M.
+tuple while rewriting each entry in the letters before it.  The flip is
+Garside's half-twist Delta (Quart. J. Math. 20 (1969)), which normalises the
+braid group, so it maps split orbits onto split orbits: the closure runs on
+the split moves and flips only one key per split orbit.  No image of a move
+is validated on its own: :func:`component_count` finds its key in M.
 """
 from __future__ import annotations
 
@@ -337,15 +340,12 @@ def apply_move(t: MonodromyTuple, move: Move) -> MonodromyTuple:
         new_tau = compose(compose(new_sg, sg), tau)
         out = MonodromyTuple(t.sigma, (*t.middles[:-1], new_sg), new_tau)
     elif move == "flip":
-        comps = t.components
-        prefixes = [identity(t.n)]
-        for comp in comps[:-1]:
-            prefixes.append(compose(prefixes[-1], comp))
-        flipped = tuple(
-            compose_all([prefixes[i], comps[i], inverse(prefixes[i])], t.n)
-            for i in range(len(comps) - 1, 0, -1)
-        ) + (comps[0],)
-        out = MonodromyTuple.from_components(flipped)
+        # Entry i becomes P c_i P^-1 with P = c_0 ... c_(i-1), last entry first.
+        comps, prefix, rewritten = t.components, t.sigma, []
+        for comp in comps[1:]:
+            rewritten.append(conjugate(comp, inverse(prefix)))
+            prefix = compose(prefix, comp)
+        out = MonodromyTuple.from_components((*reversed(rewritten), comps[0]))
     else:
         raise ValueError(f"unknown move {move!r}")
     return out
@@ -382,31 +382,79 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     An image's key is its conjugate by a power of the cycle, which keeps the
     product and the cycle types, so an image is valid exactly when its key is
     in M; a miss raises AssertionError.
+
+    The search closes under the split moves only, for both variants; the
+    nonsplit orbits are then unions of split orbits, joined by the flip of
+    each split orbit's least key.  With b_1, ..., b_(g+1) the braid
+    generators acting on the g + 2 entries (b_j takes (x, y) at entries
+    j - 1, j to (x y x^-1, x)), swap_i is b_(i+1), left_turn is b_1^2 and
+    right_turn is b_(g+1)^-2, and the flip F acts as Garside's half-twist
+    Delta, with Delta b_j Delta^-1 = b_(g+2-j) (Garside, Quart. J. Math. 20
+    (1969)).  Delta^2 conjugates every entry by the product, a power of the
+    cycle, so F is an involution on keys and there F swap_i F = swap_(g-i),
+    F left_turn F = right_turn^-1 and F right_turn F = left_turn^-1.  So if
+    k = w(k0) for a word w in the split moves, F(k) = w'(F(k0)) with w' the
+    conjugated word: F maps the split orbit of k0 onto the split orbit of
+    F(k0), and flipping one key per split orbit gives every nonsplit orbit.
+
+    An image whose sigma is tie-free, least among its conjugates and fixed
+    by no power of the cycle but the identity, is already its own key: every
+    other conjugate's first word is larger.  Only the other images are
+    conjugated (:func:`_least_conjugate`).
     """
-    moves = applicable_moves(g, variant)
+    split = [move for move in applicable_moves(g, variant) if move != "flip"]
     members = enumerate_m(g, n)
     cycle = standard_cycle(n)
-    ties: dict[Perm, tuple[Tie, ...]] = {}
-    seen: set[CanonicalKey] = set()
+    alone = _rotations(cycle, g + 2)[:1]
+    # sigma -> its least rotations, or None when the identity is the only one
+    ties: dict[Perm, tuple[Tie, ...] | None] = {}
+
+    def image_key(key: CanonicalKey, t: MonodromyTuple, move: Move) -> CanonicalKey:
+        comps = apply_move(t, move).components
+        sigma = comps[0]
+        if sigma not in ties:
+            least = _ties(sigma, cycle, g + 2)
+            ties[sigma] = None if least == alone else least
+        flat = tuple(chain.from_iterable(comps))
+        image = flat if ties[sigma] is None else _least_conjugate(flat, ties[sigma])
+        if image not in members:
+            raise AssertionError(f"move {move!r} takes {key} out of M")
+        return image
+
+    orbit_of: dict[CanonicalKey, int] = {}
     reps: list[CanonicalKey] = []
     sizes: list[int] = []
     for start in sorted(members):
-        if start in seen:
+        if start in orbit_of:
             continue
-        seen.add(start)
+        orbit_of[start] = len(reps)
         orbit = [start]
         for key in orbit:  # the list grows while it is read: a FIFO queue
             t = key_to_tuple(key, n)
-            for move in moves:
-                comps = apply_move(t, move).components
-                if comps[0] not in ties:
-                    ties[comps[0]] = _ties(comps[0], cycle, g + 2)
-                image = _least_conjugate(tuple(chain.from_iterable(comps)), ties[comps[0]])
-                if image not in members:
-                    raise AssertionError(f"move {move!r} takes {key} out of M")
-                if image not in seen:
-                    seen.add(image)
+            for move in split:
+                image = image_key(key, t, move)
+                if image not in orbit_of:
+                    orbit_of[image] = len(reps)
                     orbit.append(image)
         reps.append(start)
         sizes.append(len(orbit))
+    if variant == VARIANT_NONSPLIT:
+        # Union-find over split orbits, each root the least index of its set,
+        # so merged orbits keep the least key as representative, in order.
+        parent = list(range(len(reps)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, rep in enumerate(reps):
+            j = orbit_of[image_key(rep, key_to_tuple(rep, n), "flip")]
+            a, b = sorted((find(i), find(j)))
+            parent[b] = a
+        merged: dict[int, int] = {}  # root -> orbit size, roots ascending
+        for i, size in enumerate(sizes):
+            root = find(i)
+            merged[root] = merged.get(root, 0) + size
+        reps, sizes = [reps[i] for i in merged], list(merged.values())
     return OrbitCertificate(g, n, variant, len(members), len(reps), tuple(reps), tuple(sizes))

@@ -12,9 +12,9 @@ algebraic extension is built and nothing is numerical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .factorization import factor_rational
-from .pell import PellTriple
 from .perms import cycle_type
 from .unipoly import (
     UniPoly,
@@ -23,6 +23,9 @@ from .unipoly import (
     resultant,
     squarefree_decomposition,
 )
+
+if TYPE_CHECKING:
+    from .pell import PellTriple
 
 #: A partition of the map degree: part multiplicities sorted descending.
 Partition = tuple[int, ...]

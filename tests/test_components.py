@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -341,6 +342,84 @@ def test_closure_rejects_a_move_that_leaves_m(monkeypatch):
     monkeypatch.setattr(components, "apply_move", broken)
     with pytest.raises(AssertionError, match="out of M"):
         component_count(2, 5, "split")
+
+
+def test_closure_rejects_a_flip_that_leaves_m(monkeypatch):
+    # the nonsplit closure flips one key per split orbit; a flip broken on
+    # every tuple must still be caught
+    real = components.apply_move
+
+    def broken(t, move):
+        out = real(t, move)
+        if move != "flip":
+            return out
+        return MonodromyTuple(out.sigma, out.middles, compose(out.tau, transposition(t.n, 0, 1)))
+
+    monkeypatch.setattr(components, "apply_move", broken)
+    with pytest.raises(AssertionError, match="out of M"):
+        component_count(2, 5, "nonsplit")
+
+
+def test_flip_conjugates_split_moves_on_keys():
+    # The premise of the nonsplit closure: on keys, F swap_i F = swap_(g-i),
+    # F left_turn F = right_turn^-1 and F right_turn F = left_turn^-1 (the
+    # last two checked as F left_turn F right_turn = F right_turn F
+    # left_turn = 1).
+    cases = [(g, n) for g in range(4) for n in range(1, 8)] + [(4, 6)]
+    checked = 0
+    for g, n in cases:
+        for key in enumerate_m(g, n):
+            t = key_to_tuple(key, n)
+
+            def run(*moves):
+                out = t
+                for move in moves:
+                    out = apply_move(out, move)
+                return canonical_key(out.components)
+
+            for i in range(1, g):
+                assert run("flip", ("swap", i), "flip") == run(("swap", g - i)), (key, i)
+            if g:
+                assert run("flip", "left_turn", "flip", "right_turn") == key, key
+                assert run("flip", "right_turn", "flip", "left_turn") == key, key
+            checked += 1
+    assert checked > 2500
+
+
+def test_tie_free_images_are_their_own_keys():
+    # An image whose sigma is smaller than each of its other conjugates by
+    # powers of the cycle is its own key, so the closure skips conjugating it.
+    tie_free = 0
+    for g, n in ((1, 4), (2, 5), (2, 6), (3, 5)):
+        powers = cycle_powers(standard_cycle(n))
+        for key in enumerate_m(g, n):
+            t = key_to_tuple(key, n)
+            for move in applicable_moves(g, "nonsplit"):
+                comps = apply_move(t, move).components
+                if all(conjugate(comps[0], rho) > comps[0] for rho in powers[1:]):
+                    flat = tuple(x for comp in comps for x in comp)
+                    assert brute_force_key(comps, powers) == flat, (key, move)
+                    tie_free += 1
+    assert tie_free > 100
+
+
+#: One SHA-256 over repr(component_count(g, n, v)) for g in 0..5, n in
+#: 1..10 and both variants in VARIANTS order, cases past the size cap
+#: skipped; recorded from the closure that applied every move to every key.
+CENSUS_SHA256 = "3df958a1d0456d712ed19248735aefa76d1766e0815ad0325fdb652dc9bce32f"
+
+
+def test_census_certificates_pinned():
+    digest = hashlib.sha256()
+    for g in range(6):
+        for n in range(1, 11):
+            for variant in components.VARIANTS:
+                try:
+                    cert = component_count(g, n, variant)
+                except ResourceLimit:
+                    continue
+                digest.update(repr(cert).encode())
+    assert digest.hexdigest() == CENSUS_SHA256
 
 
 def test_tuple_ramspec():

@@ -45,6 +45,8 @@ def loaded_modules(argv: list[str]) -> set[str]:
      {"geometry", "factorization", "components", "perms", "strata"}),
     (["components", "count", "--genus", "1", "--order", "4"],
      {"geometry", "factorization", "strata", "parsing", "unipoly", "pell", "rationals"}),
+    (["components", "list", "--genus", "1", "--order", "4"],
+     {"strata", "parsing", "pell", "rationals"}),
     (["strata", "nilpotency", "--n", "3", "--k", "4"],
      {"geometry", "factorization", "components", "perms"}),
 ])
