@@ -4,10 +4,15 @@ P^2 - 1 = R*Q^2 makes the polynomial P a degree-n self-map of the line whose
 fibres over +1, -1 and infinity are constrained: infinity is totally ramified
 and the fibres over +-1 are read off the squarefree structure of P -+ 1, with
 the odd multiplicities sitting exactly at the roots of R.  All other branch
-points are "unassigned" and live wherever P' vanishes.  Everything reduces to
-exact squarefree decompositions and gcds over Q: the fibres over a Galois orbit
-of branch values are read off gcds with the squarefree factors of P', so no
-algebraic extension is built and nothing is numerical.
+points are "unassigned".  Differentiating the Pell equation gives P' = Q*W
+with W of degree g, the integrand of Abel's integral of W dx / sqrt(R) =
+log(P + Q sqrt(R)) (Crelle J. 1 (1826)), and every root of Q lies over +-1;
+so the unassigned critical points are roots of W, and the branch polynomial
+needs only g + 1 resultants.
+Everything reduces to exact squarefree decompositions and gcds over Q: the
+fibres over a Galois orbit of branch values are read off gcds with the
+squarefree factors of W, so no algebraic extension is built and nothing is
+numerical.
 """
 from __future__ import annotations
 
@@ -141,16 +146,48 @@ def assigned_profile(t: PellTriple) -> tuple[Partition, Partition, Partition]:
 def branch_polynomial(t: PellTriple) -> UniPoly:
     """res_x(P(x) - s, P'(x)) as a polynomial in the branch value s.
 
-    Computed by interpolation: the resultant is evaluated at the deg P values
-    s = 0, 1, ..., deg P - 1 and the degree <= deg P - 1 interpolant is exact.
+    Differentiating P^2 - R Q^2 = 1 gives 2 P P' = Q (R' Q + 2 R Q'), and P
+    is prime to Q, so P' = Q W with deg W = n - 1 - deg Q = g; W is the rho
+    of Abel's integral of rho dx / sqrt(R) = log(P + Q sqrt(R)).  The
+    resultant is multiplicative:
+    b(s) = res(P - s, Q) res(P - s, W).  At a root of Q, P^2 = 1; a = deg
+    gcd(Q, P - 1) of them (with multiplicity) lie over +1 and deg Q - a over
+    -1, so with res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A) prod_{B = 0} A,
+
+        b(s) = (-1)^((n + 1)(g + 1)) lc(Q)^n (s - 1)^a (s + 1)^(deg Q - a)
+               res(P - s, W),
+
+    using deg Q = n - g - 1 for the sign.  The last factor has degree g in s
+    and is interpolated from its values at s = 0, 1, ..., g, so the work
+    grows with the genus, not the order.  A constant Q leaves nothing to
+    split off (g = n - 1), and b itself is interpolated at s = 0, ..., n - 1.
+
+    T_3(x) = 4x^3 - 3x has its critical points +-1/2 over -+1:
+
+    >>> from .pell import PellTriple
+    >>> t = PellTriple.build(UniPoly((0, -3, 0, 4)), UniPoly((-1, 0, 4)), UniPoly((-1, 0, 1)))
+    >>> branch_polynomial(t)
+    UniPoly('1728*x^2 - 1728')
     """
     dp = t.p.derivative()
     if dp.is_zero():
         raise AssertionError("P' = 0 cannot happen in characteristic zero")
-    return interpolate([resultant(t.p - s, dp) for s in range(t.order)])
+    q, n = t.q, t.order
+    if q.is_constant():
+        return interpolate([resultant(t.p - s, dp) for s in range(n)])
+    w = dp.exact_div(q)
+    a = gcd(t.p - 1, q).degree
+    ends = [1]  # (s - 1)^a (s + 1)^(deg Q - a), constant term first
+    for root in [1] * a + [-1] * (q.degree - a):
+        ends = [low - root * high for low, high in zip([0, *ends], [*ends, 0])]
+    scale = (-1) ** ((n + 1) * (t.genus + 1)) * q.leading ** n
+    rest = interpolate([resultant(t.p - s, w) * scale for s in range(t.genus + 1)])
+    return rest * UniPoly(ends)
 
 
-def multiplicity_partition(m: UniPoly, p: UniPoly) -> Partition:
+def multiplicity_partition(
+    m: UniPoly, p: UniPoly, yun: list[tuple[UniPoly, int]] | None = None
+) -> Partition:
     """Fibre partition of p over a root theta of the irreducible m, over Q.
 
     A root of p - theta has multiplicity k + 1 exactly where p' vanishes to
@@ -162,11 +199,14 @@ def multiplicity_partition(m: UniPoly, p: UniPoly) -> Partition:
     EUROCAL '85); an m whose roots have different fibres fails the equal
     share and raises ``AssertionError``.
 
+    ``yun`` may replace Yun(p') by the decomposition of any polynomial that
+    vanishes to the same order as p' at every point over the roots of m.
+
     >>> multiplicity_partition(UniPoly((0, 1)), UniPoly((-2, 0, 1)) ** 2)
     (2, 2)
     """
     parts: list[int] = []
-    for f, k in squarefree_decomposition(p.derivative()):
+    for f, k in squarefree_decomposition(p.derivative()) if yun is None else yun:
         residue, value = p % f, UniPoly(())
         for c in reversed(m.coeffs):
             value = (value * residue + c) % f
@@ -187,15 +227,14 @@ def unassigned_branch(t: PellTriple) -> list[BranchClass]:
     same fibre partition, computed over Q by :func:`multiplicity_partition`.
     Dividing the roots out first, rather than factoring them, spares the
     factorization most of the degree of a Chebyshev triple's polynomial.
+    The partitions are read off Yun(W) for P' = Q W: an unassigned point is
+    not a root of Q, so it has the same multiplicity in W as in P'.
     """
-    b = branch_polynomial(t)
-    for value in (1, -1):
-        while b.evaluate(value) == 0:
-            b = b.exact_div(UniPoly((-value, 1)))
-    return [
-        BranchClass(factor, multiplicity_partition(factor, t.p))
-        for factor, _ in factor_rational(b)
-    ]
+    factors = factor_rational(branch_polynomial(t).deflate(1).deflate(-1))
+    if not factors:
+        return []
+    yun = squarefree_decomposition(t.p.derivative().exact_div(t.q))
+    return [BranchClass(factor, multiplicity_partition(factor, t.p, yun)) for factor, _ in factors]
 
 
 def ramspec_of(t: PellTriple) -> RamSpec:

@@ -222,6 +222,24 @@ class UniPoly:
             acc = acc * p + c * scale
         return Fraction(acc, self.den * scale)
 
+    def deflate(self, root: int) -> UniPoly:
+        """The quotient by (x - root)^k for the largest k, for an integer
+        root: synthetic division on the numerators, one reduction at the end.
+
+        >>> poly(1, -1, -1, 1).deflate(1)
+        UniPoly('x + 1')
+        """
+        num = list(self.num)
+        while len(num) > 1:
+            carry, quo = 0, []
+            for c in reversed(num):
+                carry = carry * root + c
+                quo.append(carry)
+            if quo.pop():
+                break
+            num = quo[::-1]
+        return _reduced(num, self.den)
+
     def compose_linear(self, a: Rat, b: Rat) -> UniPoly:
         """The polynomial p(a*x + b)."""
         arg = UniPoly((b, a))
@@ -343,7 +361,10 @@ def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None
 def _coerce(value: UniPoly | Rat) -> UniPoly:
     if isinstance(value, UniPoly):
         return value
-    return UniPoly((value,))
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    # An int or Fraction is in lowest terms with a positive denominator.
+    return _made((value.numerator,), value.denominator) if value else ZERO
 
 
 def poly(*coeffs: Rat) -> UniPoly:

@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from conftest import chebyshev_triple, fixture_family
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_cli import ABEL_GOLDEN_TRIPLES
 from test_unipoly import sylvester_resultant
@@ -19,12 +20,14 @@ from abelpell.geometry import (
     ramspec_of,
     unassigned_branch,
 )
-from abelpell.pell import PellTriple, inflate
+from abelpell import geometry
+from abelpell.pell import PellTriple, inflate, pell_power
 from abelpell.factorization import factor_rational
 from abelpell.parsing import parse_poly
 from abelpell.unipoly import (
     UniPoly,
     interpolate,
+    is_squarefree,
     poly,
     resultant,
     squarefree_decomposition,
@@ -213,11 +216,80 @@ def test_branch_polynomial_degree_bound(triples):
 
 
 def test_branch_polynomial_matches_sylvester_oracle():
-    # The interpolation of Sylvester determinants at s = 0 .. n - 1.
-    for t in fixture_family() + [chebyshev_triple(12)]:
+    # The interpolation of Sylvester determinants at s = 0 .. n - 1, over
+    # constant Q (one with lc != +-1 among them) and over Q = U_(k-1)(L)
+    # and the powers of s of the inflations.
+    constant_q = PellTriple.build(poly(0, 2), poly(2), poly(Fraction(-1, 4), 0, 1))
+    for t in fixture_family() + [chebyshev_triple(12), constant_q] + chebyshev_and_inflated(12):
         dp = t.p.derivative()
         oracle = interpolate([sylvester_resultant(t.p - s, dp) for s in range(t.order)])
         assert branch_polynomial(t) == oracle
+
+
+def n_node_branch(p: UniPoly) -> UniPoly:
+    """Oracle: res_x(p(x) - s, p'(x)) interpolated from its values at the
+    deg p nodes s = 0 .. deg p - 1, with no use of Q."""
+    dp = p.derivative()
+    return interpolate([resultant(p - s, dp) for s in range(p.degree)])
+
+
+@st.composite
+def pell_triples(draw) -> PellTriple:
+    """The k-th power of (cM, c, M^2 - 1/c^2), that is P = T_k(cM) with
+    lc(Q) = 2^(k-1) c^k, and (M, 1, M^2 - 1) inflated by s -> s^m, then
+    raised to a power: orders 1-12, constant and nonconstant Q."""
+    m_poly = poly(*draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)), 1)
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]))
+        r = m_poly * m_poly - Fraction(1) / (c * c)
+        assume(is_squarefree(r))
+        base = PellTriple.build(m_poly * c, poly(c), r)
+        return pell_power(base, draw(st.integers(1, 12 // m_poly.degree)))
+    r = m_poly * m_poly - 1
+    assume(is_squarefree(r))
+    m = draw(st.integers(2, 4))
+    if m_poly.coeff(0) ** 2 != 1:
+        case = "divides_g_plus_1"
+    else:
+        case = "even_half" if m % 2 == 0 else "odd"
+    try:
+        t = inflate(PellTriple.build(m_poly, poly(1), r), m, case)
+    except ValueError:  # an R that loses squarefreeness under s -> s^m
+        assume(False)
+    return pell_power(t, draw(st.integers(1, max(1, 12 // t.order))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pell_triples())
+def test_branch_data_matches_n_node_oracle_property(t):
+    assert branch_polynomial(t) == n_node_branch(t.p)
+    # The partitions from Yun(W), against Yun(P') in the stripping oracle.
+    assert unassigned_branch(t) == stripped_branch_classes(t)
+
+
+def test_branch_polynomial_interpolates_g_plus_1_resultants(monkeypatch):
+    # T_5(L) with deg L = 4 has order 20 but genus 3: four resultants, not 20.
+    t = chebyshev_of(poly(3, 1, 0, 0, 1), 5)
+    assert (t.order, t.genus) == (20, 3)
+    calls = []
+    res = geometry.resultant
+    monkeypatch.setattr(geometry, "resultant", lambda p, q: calls.append(q) or res(p, q))
+    geometry.branch_polynomial(t)
+    assert len(calls) == t.genus + 1 == 4
+
+
+#: One SHA-256 over the reprs of branch_polynomial, unassigned_branch,
+#: ramspec_of and hurwitz_report on chebyshev_and_inflated(12), recorded
+#: from the n-node interpolation of res(P - s, P') and partitions off Yun(P').
+BRANCH_DATA_SHA256 = "514468422ba195dacd318f8007d02b2fa41766fd4dfd5feb110494263e65b3bd"
+
+
+def test_branch_data_pinned():
+    digest = hashlib.sha256()
+    for t in chebyshev_and_inflated(12):
+        for f in (branch_polynomial, unassigned_branch, ramspec_of, hurwitz_report):
+            digest.update(repr(f(t)).encode())
+    assert digest.hexdigest() == BRANCH_DATA_SHA256
 
 
 def norm_partition(m: UniPoly, p: UniPoly) -> tuple[int, ...]:
@@ -236,9 +308,7 @@ def norm_partition(m: UniPoly, p: UniPoly) -> tuple[int, ...]:
 
 def branch_values(p: UniPoly) -> list[UniPoly]:
     """The irreducible factors of res_x(p(x) - s, p'(x)), all branch values."""
-    dp = p.derivative()
-    b = interpolate([resultant(p - s, dp) for s in range(p.degree)])
-    return [m for m, _ in factor_rational(squarefree_part(b))]
+    return [m for m, _ in factor_rational(squarefree_part(n_node_branch(p)))]
 
 
 def test_multiplicity_partition_rational_point():

@@ -195,6 +195,8 @@ def fraction_oracles(a: UniPoly, b: UniPoly, c: Fraction) -> dict:
         "a * c": [x * c for x in a.coeffs],
         "a'": [i * x for i, x in enumerate(a.coeffs)][1:],
         "a x^2": [Fraction(0)] * 2 + list(a.coeffs),
+        "a + c": [x + y for x, y in zip_longest(a.coeffs, [c], fillvalue=Fraction(0))],
+        "c - a": [y - x for x, y in zip_longest(a.coeffs, [c], fillvalue=Fraction(0))],
         "b monic": [y / b.coeffs[-1] for y in b.coeffs],
     }
     return {name: trimmed(cs) for name, cs in oracles.items()}
@@ -245,7 +247,7 @@ def test_kernel_matches_schoolbook_property(a, b, c):
     results = {
         "a * b": product, "a // b": quo, "a % b": rem,
         "a + b": a + b, "a - b": a - b, "-a": -a, "a * c": a * c, "a'": a.derivative(),
-        "a x^2": a.shift_degree(2), "b monic": b.monic(),
+        "a x^2": a.shift_degree(2), "b monic": b.monic(), "a + c": a + c, "c - a": c - a,
     }
     oracles = fraction_oracles(a, b, c)
     oracles.update({"a * b": schoolbook_mul(a, b).coeffs, "a // b": school_quo.coeffs,
@@ -256,6 +258,26 @@ def test_kernel_matches_schoolbook_property(a, b, c):
         # Equal coefficients, equal representation: == and hash follow.
         rebuilt = UniPoly(oracles[name])
         assert p == rebuilt and hash(p) == hash(rebuilt), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(6), st.integers(-2, 2), st.integers(0, 3))
+@example(UniPoly(()), 1, 2)  # zero stays zero
+@example(poly(3), -1, 0)  # a nonzero constant has no root
+def test_deflate_property(p, root, k):
+    # Multiply the root in k times; deflate takes out every copy, the k
+    # and any p had, and nothing else.
+    linear = poly(-root, 1)
+    q = p * linear**k
+    out = q.deflate(root)
+    assert canonical(out)
+    if p.is_zero():
+        assert out.is_zero()
+        return
+    assert out.evaluate(root) != 0
+    copies = q.degree - out.degree
+    assert copies >= k and out * linear**copies == q
+    assert out == p.deflate(root)
 
 
 def test_normal_form_examples():
