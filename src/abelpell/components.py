@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator
 
 from .limits import ResourceLimit
 from .perms import (
@@ -189,31 +188,17 @@ def _cycles(p: list[int]) -> list[list[int]]:
     return out
 
 
-def _splits(cycles: list[list[int]]) -> Iterator[tuple[int, int]]:
-    """Each pair (i, j) in one cycle of p, given the list of the cycles of
-    p: swapping p[i] and p[j] splits that cycle in two.
-
-    While a pair is out, ``cycles`` holds the cycles after its swap, and it
-    is restored before the next pair.  For i = c_a and j = c_b, a < b, in
-    the cycle c = c_0 -> c_1 -> ..., the swap sends i to c_(b+1) and j to
-    c_(a+1), so c falls into c_0 .. c_a, c_(b+1) .. and c_(a+1) .. c_b, each
-    still listed along p.
-    """
-    for k, c in enumerate(cycles):
-        for a, i in enumerate(c):
-            for b in range(a + 1, len(c)):
-                cycles[k] = c[: a + 1] + c[b + 1 :]
-                cycles.append(c[a + 1 : b + 1])
-                yield i, c[b]
-                cycles.pop()
-                cycles[k] = c
+def _splits(p: list[int]) -> list[tuple[int, int]]:
+    """The pairs (i, j) in one cycle of p: swapping p[i] and p[j] splits
+    that cycle in two."""
+    return [(i, j) for c in _cycles(p) for a, i in enumerate(c) for j in c[a + 1 :]]
 
 
-def _involution_splits(cycles: list[list[int]]) -> list[tuple[int, int]]:
-    """The splits of p that leave an involution, given the cycles of p: each
-    2-cycle of an involution, the three pairs of a lone 3-cycle, or the two
-    opposite pairs of a lone 4-cycle, when every other cycle has length at
-    most 2."""
+def _involution_splits(p: list[int]) -> list[tuple[int, int]]:
+    """The splits of p that leave an involution: each 2-cycle of an
+    involution, the three pairs of a lone 3-cycle, or the two opposite pairs
+    of a lone 4-cycle, when every other cycle has length at most 2."""
+    cycles = _cycles(p)
     long = [c for c in cycles if len(c) > 2]
     if not long:
         return [(c[0], c[1]) for c in cycles if len(c) == 2]
@@ -269,22 +254,20 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
     keys: set[CanonicalKey] = set()
     # r belongs to the sigma of the current scan; the loop at the end sets it.
 
-    def visit(depth: int, head: CanonicalKey, stab: list[Perm], cycles: list[list[int]]) -> None:
-        # head is sigma and `depth` < g middles, r their remainder, cycles
-        # the cycles of r, and stab the powers of the cycle other than the
-        # identity that fix head.  A swap splits one cycle, so _splits
-        # updates the cycles in place instead of recomputing them.
-        last = depth == g - 1
-        for i, j in _involution_splits(cycles) if last else _splits(cycles):
-            word = swap[i][j]
-            if stab and any(swap[rho[i]][rho[j]] < word for rho in stab):
-                continue
-            r[i], r[j] = r[j], r[i]
-            if last:
-                keys.add(head + word + tuple(r))
-            else:
+    def visit(depth: int, head: CanonicalKey, stab: list[Perm]) -> None:
+        # head is sigma and `depth` middles, r their remainder, and stab the
+        # powers of the cycle other than the identity that fix head.
+        if depth == g:
+            keys.add(head + tuple(r))
+            return
+        for i, j in _splits(r) if depth < g - 1 else _involution_splits(r):
+            word, fixing = swap[i][j], stab
+            if stab:
+                if any(swap[rho[i]][rho[j]] < word for rho in stab):
+                    continue
                 fixing = [rho for rho in stab if swap[rho[i]][rho[j]] is word]
-                visit(depth + 1, head + word, fixing, cycles)
+            r[i], r[j] = r[j], r[i]
+            visit(depth + 1, head + word, fixing)
             r[i], r[j] = r[j], r[i]
 
     for sigma in involutions(n):
@@ -292,8 +275,7 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
         if not 0 <= 2 * g + 2 - sigma_fix <= n:
             continue
         r = list(compose(sigma, cycle))  # sigma^-1 * cycle
-        cycles = _cycles(r)
-        if len(cycles) != 1 + (n - sigma_fix) // 2:
+        if len(_cycles(r)) != 1 + (n - sigma_fix) // 2:
             continue
         stab = []
         for rho in rotations[1:]:
@@ -303,10 +285,8 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
             if image == sigma:
                 stab.append(rho)
         else:
-            if g:
-                visit(0, sigma, stab, cycles)
-            elif is_involution(r):
-                keys.add(sigma + tuple(r))
+            if g or is_involution(r):
+                visit(0, sigma, stab)
     return keys
 
 

@@ -148,19 +148,20 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
 
     Differentiating P^2 - R Q^2 = 1 gives 2 P P' = Q (R' Q + 2 R Q'), and P
     is prime to Q, so P' = Q W with deg W = n - 1 - deg Q = g; W is the rho
-    of Abel's integral of rho dx / sqrt(R) = log(P + Q sqrt(R)).  The
-    resultant is multiplicative:
-    b(s) = res(P - s, Q) res(P - s, W).  At a root of Q, P^2 = 1; a = deg
-    gcd(Q, P - 1) of them (with multiplicity) lie over +1 and deg Q - a over
-    -1, so with res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A) prod_{B = 0} A,
+    of Abel's integral of rho dx / sqrt(R) = log(P + Q sqrt(R)).  Split P'
+    instead by the monic q = Q / lc(Q): the resultant is multiplicative, so
+    b(s) = res(P - s, q) res(P - s, P' / q).  At a root of q, P^2 = 1; a =
+    deg gcd(q, P - 1) of them (with multiplicity) lie over +1 and deg Q - a
+    over -1, so with res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A) prod_{B = 0} A,
 
-        b(s) = (-1)^((n + 1)(g + 1)) lc(Q)^n (s - 1)^a (s + 1)^(deg Q - a)
-               res(P - s, W),
+        b(s) = (-1)^((n + 1)(g + 1)) (s - 1)^a (s + 1)^(deg Q - a)
+               res(P - s, P' / q),
 
-    using deg Q = n - g - 1 for the sign.  The last factor has degree g in s
-    and is interpolated from its values at s = 0, 1, ..., g, so the work
-    grows with the genus, not the order.  A constant Q leaves nothing to
-    split off (g = n - 1), and b itself is interpolated at s = 0, ..., n - 1.
+    the sign being (-1)^((n + 1) deg Q) with deg Q = n - g - 1 and n (n + 1)
+    even.  The last factor has degree g in s and is interpolated from its
+    values at s = 0, 1, ..., g, so the work grows with the genus, not the
+    order.  A constant Q gives a = 0 and g + 1 = n, so the formula covers it
+    too.
 
     T_3(x) = 4x^3 - 3x has its critical points +-1/2 over -+1:
 
@@ -172,17 +173,14 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
     dp = t.p.derivative()
     if dp.is_zero():
         raise AssertionError("P' = 0 cannot happen in characteristic zero")
-    q, n = t.q, t.order
-    if q.is_constant():
-        return interpolate([resultant(t.p - s, dp) for s in range(n)])
-    w = dp.exact_div(q)
+    q, n = t.q.monic(), t.order
     a = gcd(t.p - 1, q).degree
-    ends = [1]  # (s - 1)^a (s + 1)^(deg Q - a), constant term first
+    # the sign times (s - 1)^a (s + 1)^(deg Q - a), constant term first
+    ends = [(-1) ** ((n + 1) * (t.genus + 1))]
     for root in [1] * a + [-1] * (q.degree - a):
         ends = [low - root * high for low, high in zip([0, *ends], [*ends, 0])]
-    scale = (-1) ** ((n + 1) * (t.genus + 1)) * q.leading ** n
-    rest = interpolate([resultant(t.p - s, w) * scale for s in range(t.genus + 1)])
-    return rest * UniPoly(ends)
+    w = dp.exact_div(q)
+    return interpolate([resultant(t.p - s, w) for s in range(t.genus + 1)]) * UniPoly(ends)
 
 
 def multiplicity_partition(
@@ -199,8 +197,7 @@ def multiplicity_partition(
     EUROCAL '85); an m whose roots have different fibres fails the equal
     share and raises ``AssertionError``.
 
-    ``yun`` may replace Yun(p') by the decomposition of any polynomial that
-    vanishes to the same order as p' at every point over the roots of m.
+    ``yun`` may stand in for Yun(p') if it has p''s multiplicities over m.
 
     >>> multiplicity_partition(UniPoly((0, 1)), UniPoly((-2, 0, 1)) ** 2)
     (2, 2)

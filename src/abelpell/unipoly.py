@@ -328,9 +328,15 @@ def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None
     kept as integers over one running denominator; eliminating its top
     coefficient scales it by lead // gcd(top, lead) only, so a monic bp never
     scales it.  Without ``with_quotient`` the quotient returned is None.
+    A constant b leaves no remainder and scales a.
     """
     if not b.num:
         raise ZeroDivisionError("polynomial division by zero")
+    if len(b.num) == 1:
+        if not with_quotient:
+            return None, ZERO
+        scale = b.den if b.num[0] > 0 else -b.den
+        return _reduced([c * scale for c in a.num], a.den * abs(b.num[0])), ZERO
     low = list(b.num)
     content = _int_gcd(*low) if low[-1] > 0 else -_int_gcd(*low)
     low = [c // content for c in low]

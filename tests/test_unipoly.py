@@ -233,6 +233,7 @@ BIG = Fraction(2**65 + 3, 2**67 - 1)
 @given(polys(9), divisors(5), WIDE)
 @example(poly(1, 2, 3, 4, 5), poly(4, 0, 6), Fraction(1, 2))  # 6x^2 + 4 is not primitive
 @example(UniPoly(()), poly(3), Fraction(0))  # zero dividend, constant divisor
+@example(poly(BIG, -1, 0, BIG), poly(Fraction(-3, 7)), BIG)  # negative constant divisor
 @example(poly(1, 2), poly(0, 0, -3), Fraction(2))  # deg a < deg b
 @example(poly(BIG, -1, 0, BIG), poly(1, -BIG, Fraction(-7, 2**70 + 1)), BIG)
 @example(poly(Fraction(1, 2), Fraction(1, 2)), poly(Fraction(-1, 2), Fraction(1, 2)), Fraction(2))
