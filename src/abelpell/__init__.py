@@ -14,14 +14,14 @@ from importlib import import_module
 _HOMES = {
     "components": ("MonodromyTuple", "OrbitCertificate", "apply_move", "canonical_key",
                    "component_count", "enumerate_m"),
-    "geometry": ("BranchClass", "HurwitzReport", "RamSpec", "assigned_profile",
-                 "genus_of_ramspec", "hurwitz_report", "polt_dimension", "ramspec_of",
-                 "tuple_ramspec", "unassigned_branch"),
+    "geometry": ("BranchClass", "HurwitzReport", "assigned_profile", "hurwitz_report",
+                 "ramspec_of", "unassigned_branch"),
     "parsing": ("ParseError", "parse_poly"),
     "pell": ("CFStep", "FundamentalUnit", "Obstruction", "PellCheck", "PellTriple",
              "QuadraticSurd", "cf_expand", "fundamental_unit", "inflate",
              "laurent_sqrt_polypart", "normalize", "pell_compose", "pell_power", "pell_solve",
              "pell_verify", "unit_compose"),
+    "ramspec": ("RamSpec", "genus_of_ramspec", "polt_dimension", "tuple_ramspec"),
     "strata": ("TangentReport", "WeightedSymmetricSystem", "format_monomials",
                "nilpotence_identity_check", "odd_nilpotency_check", "tangent_rank",
                "weighted_sigma"),

@@ -292,7 +292,7 @@ def _cmd_components_count(args):
 
 
 def _cmd_components_list(args):
-    from . import components as comp, geometry
+    from . import components as comp, ramspec
 
     keys = sorted(comp.enumerate_m(args.genus, args.order))
     tuples = [comp.key_to_tuple(k, args.order) for k in keys]
@@ -307,7 +307,7 @@ def _cmd_components_list(args):
         check(
             "ramspec_genus_matches",
             all(
-                geometry.genus_of_ramspec(geometry.tuple_ramspec(t)) == args.genus
+                ramspec.genus_of_ramspec(ramspec.tuple_ramspec(t)) == args.genus
                 for t in tuples
             ),
         )

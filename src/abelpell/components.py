@@ -11,9 +11,10 @@ The enumeration never scans the I(n) * C(n,2)^g candidate tuples.  Write
 ind p = n - #cycles(p).  The ends' fixed points a + b = 2g + 2 give
 ind sigma + g + ind tau = (n - a)/2 + g + (n - b)/2 = n - 1, the index of the
 n-cycle, and the index is subadditive, so equality holds on every prefix:
-each middle must split one cycle of the remainder (sigma s_1 ... s_k)^-1 *
-cycle, never merge two.  The scan tries only those splits, and it builds
-only tuples that are least among their cyclic conjugates, so each class is
+each of sigma's disjoint transpositions, and then each middle, must split one
+cycle of the remainder (sigma s_1 ... s_k)^-1 * cycle, never merge two.  The
+scan builds sigma and the middles by that one split step, and it builds only
+tuples that are least among their cyclic conjugates, so each class is
 reached once (see :func:`enumerate_m_with_cycle`).
 
 Components of the split moduli are orbits of the keys under the adjacent swap
@@ -41,7 +42,6 @@ from .perms import (
     fixed_points,
     identity,
     inverse,
-    involutions,
     is_involution,
     is_transposition,
     standard_cycle,
@@ -221,14 +221,14 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
     * Cycle splitting.  With ind p = n - #cycles(p), a tuple has
       ind sigma + g + ind tau = (n - a)/2 + g + (n - b)/2 = n - 1, the index
       of the cycle, where a + b = 2g + 2 are the ends' fixed points.  The
-      index is subadditive, so equality holds on every prefix: the
-      remainder r = (sigma s_1 ... s_k)^-1 * cycle has index exactly
-      n - 1 - ind sigma - k.  A further transposition (i j) swaps r[i] and
-      r[j], which splits a cycle of r when i and j lie in it and merges two
-      cycles otherwise.  So sigma needs ind r = n - 1 - ind sigma at the
-      start, and every middle must split a cycle of r (a minimal transitive
-      factorization, Goulden and Jackson, Proc. AMS 125 (1997)).  The last
-      middle must leave tau, an involution; its cycle count, and so its
+      index is subadditive, so equality holds on every prefix of sigma's
+      ind sigma disjoint transpositions and the middles: each (i j) swaps
+      r[i] and r[j] in the remainder r, the cycle at the start, and must
+      split a cycle of r (i and j in it) rather than merge two (a minimal
+      transitive factorization, Goulden and Jackson, Proc. AMS 125 (1997)).
+      sigma's transpositions commute, so they are taken in increasing order
+      of their least point, which builds each sigma once.  The last middle
+      must leave tau, an involution; its cycle count, and so its
       fixed-point count 2g + 2 - a, is already fixed, and the candidates are
       read off r (:func:`_involution_splits`).
     * Least tuples only.  A key is the least flattening of a tuple over the
@@ -239,7 +239,9 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
       so the ones that fix sigma and every middle fix tau as well.
     """
     feasible = _admitted(g, n)
-    if base_cycle is not None and cycle_type(base_cycle) != (n,):
+    if base_cycle is not None and (
+        sorted(base_cycle) != list(range(n)) or cycle_type(base_cycle) != (n,)
+    ):
         raise ValueError("base cycle must be an n-cycle")
     if not feasible:
         return set()
@@ -252,7 +254,8 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
         for j in range(i + 1, n):
             swap[i][j] = swap[j][i] = transposition(n, i, j)
     keys: set[CanonicalKey] = set()
-    # r belongs to the sigma of the current scan; the loop at the end sets it.
+    # sigma's word and the remainder r, both updated in place by each swap.
+    sigma, r = list(range(n)), list(cycle)
 
     def visit(depth: int, head: CanonicalKey, stab: list[Perm]) -> None:
         # head is sigma and `depth` middles, r their remainder, and stab the
@@ -270,23 +273,32 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
             visit(depth + 1, head + word, fixing)
             r[i], r[j] = r[j], r[i]
 
-    for sigma in involutions(n):
-        sigma_fix = fixed_points(sigma)
-        if not 0 <= 2 * g + 2 - sigma_fix <= n:
-            continue
-        r = list(compose(sigma, cycle))  # sigma^-1 * cycle
-        if len(_cycles(r)) != 1 + (n - sigma_fix) // 2:
-            continue
-        stab = []
-        for rho in rotations[1:]:
-            image = conjugate(sigma, rho)
-            if image < sigma:
-                break
-            if image == sigma:
-                stab.append(rho)
-        else:
-            if g or is_involution(r):
-                visit(0, sigma, stab)
+    def build(least: int, fixed: int) -> None:
+        # sigma fixes `fixed` points, and its transpositions' least points
+        # are all below `least`.
+        if fixed <= 2 * g + 2:
+            head, stab = tuple(sigma), []
+            for rho in rotations[1:]:
+                image = conjugate(head, rho)
+                if image < head:
+                    break
+                if image == head:
+                    stab.append(rho)
+            else:
+                if g or is_involution(r):
+                    visit(0, head, stab)
+        if fixed - 2 < 2 * g + 2 - n:
+            return
+        for i, j in _splits(r):
+            if min(i, j) < least or sigma[i] != i or sigma[j] != j:
+                continue
+            sigma[i], sigma[j] = j, i
+            r[i], r[j] = r[j], r[i]
+            build(min(i, j) + 1, fixed - 2)
+            sigma[i], sigma[j] = i, j
+            r[i], r[j] = r[j], r[i]
+
+    build(0, n)
     return keys
 
 

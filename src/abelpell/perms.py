@@ -6,7 +6,7 @@ concatenation of loops read left to right.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Perm = tuple[int, ...]
 
@@ -87,27 +87,6 @@ def transposition(n: int, i: int, j: int) -> Perm:
     word = list(range(n))
     word[i], word[j] = word[j], word[i]
     return tuple(word)
-
-
-def involutions(n: int) -> Iterator[Perm]:
-    """All involutions of S_n (identity included), by recursive pairing."""
-    word = list(range(n))
-
-    def fill(free: list[int]) -> Iterator[Perm]:
-        if not free:
-            yield tuple(word)
-            return
-        i = free[0]
-        # i stays fixed
-        yield from fill(free[1:])
-        # or i pairs with a later free point
-        for idx in range(1, len(free)):
-            j = free[idx]
-            word[i], word[j] = j, i
-            yield from fill(free[1:idx] + free[idx + 1 :])
-            word[i], word[j] = i, j
-
-    return fill(list(range(n)))
 
 
 def count_involutions(n: int, cap: int | None = None) -> int:

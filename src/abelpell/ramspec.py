@@ -1,0 +1,100 @@
+"""Ramification specifications: fibre partitions of a line map over its
+finite branch points, the two over +-1 marked.  Only arithmetic on
+partitions, so the module imports nothing but :mod:`perms`.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .perms import cycle_type
+
+#: A partition of the map degree: part multiplicities sorted descending.
+Partition = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class RamSpec:
+    """A ramification specification: the multiset of branch-point partitions
+    (finite branch points only) with the two assigned ones marked.
+
+    ``members`` lists one partition per finite branch point of the algebraic
+    closure; ``assigned`` is the ordered pair of profiles over +1 and -1,
+    which are also members.  The profile over infinity is always the single
+    part {n} and is excluded (it carries the remaining n-1 of the total
+    ramification 2n-2).
+    """
+
+    order: int
+    members: tuple[Partition, ...]
+    assigned: tuple[Partition, Partition]
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(sorted(self.members, reverse=True)))
+        self.validate()
+
+    def validate(self) -> None:
+        n = self.order
+        for part in self.members:
+            if sum(part) != n:
+                raise ValueError(f"partition {part} does not sum to the order {n}")
+            if any(e < 1 for e in part):
+                raise ValueError(f"partition {part} has nonpositive parts")
+        if self.total_ramification() != n - 1:
+            raise ValueError(
+                f"total ramification {self.total_ramification()} != order - 1 = {n - 1}"
+            )
+        pool = list(self.members)
+        for marked in self.assigned:
+            if marked not in pool:
+                raise ValueError("assigned profiles must be members of the multiset")
+            pool.remove(marked)
+
+    def total_ramification(self) -> int:
+        return sum(e - 1 for part in self.members for e in part)
+
+    def unassigned(self) -> tuple[Partition, ...]:
+        pool = list(self.members)
+        for marked in self.assigned:
+            pool.remove(marked)
+        return tuple(pool)
+
+    def odd_marked_parts(self) -> int:
+        """Number of odd parts (with multiplicity) among the two marked profiles."""
+        return sum(1 for part in self.assigned for e in part if e % 2 == 1)
+
+
+def tuple_ramspec(t) -> RamSpec:
+    """The ramification specification read off a ``components.MonodromyTuple``:
+    the cycle types of the ends are the marked profiles, each middle
+    contributes a single simple branch point."""
+    t.validate()
+    members = [cycle_type(t.sigma), *map(cycle_type, t.middles), cycle_type(t.tau)]
+    return RamSpec(t.n, tuple(members), (cycle_type(t.sigma), cycle_type(t.tau)))
+
+
+def genus_of_ramspec(spec: RamSpec) -> int:
+    """Genus of the double cover forced by the marked profiles: (t - 2)/2
+    where t counts their odd parts.  Odd t means no double cover exists."""
+    t = spec.odd_marked_parts()
+    if t < 2 or t % 2 == 1:
+        raise ValueError(f"odd-part count {t} admits no hyperelliptic double cover")
+    return (t - 2) // 2
+
+
+def polt_dimension(spec: RamSpec) -> int:
+    """Dimension of the versal deformation space attached to the
+    specification.
+
+    Each part r of an unassigned member moves in r-1 directions; a part over
+    an assigned value is constrained to stay a square (even r: r/2 - 1) or a
+    square times a linear factor (odd r: (r-1)/2).  Parts equal to 1
+    contribute nothing.  For a valid specification this always equals the
+    genus.
+    """
+    total = 0
+    for part in spec.unassigned():
+        total += sum(e - 1 for e in part)
+    for part in spec.assigned:
+        for e in part:
+            total += e // 2 - 1 if e % 2 == 0 else (e - 1) // 2
+    return total

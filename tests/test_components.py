@@ -18,7 +18,7 @@ from abelpell.components import (
     enumerate_m_with_cycle,
     key_to_tuple,
 )
-from abelpell.geometry import genus_of_ramspec, tuple_ramspec
+from abelpell.ramspec import genus_of_ramspec, tuple_ramspec
 from abelpell.perms import (
     compose,
     compose_all,
@@ -28,11 +28,31 @@ from abelpell.perms import (
     fixed_points,
     identity,
     inverse,
-    involutions,
     is_involution,
     standard_cycle,
     transposition,
 )
+
+
+def involutions(n):
+    """All involutions of S_n (identity included), by recursive pairing."""
+    word = list(range(n))
+
+    def fill(free):
+        if not free:
+            yield tuple(word)
+            return
+        i = free[0]
+        # i stays fixed
+        yield from fill(free[1:])
+        # or i pairs with a later free point
+        for idx in range(1, len(free)):
+            j = free[idx]
+            word[i], word[j] = j, i
+            yield from fill(free[1:idx] + free[idx + 1 :])
+            word[i], word[j] = i, j
+
+    return fill(list(range(n)))
 
 
 def cycle_powers(cycle):
@@ -128,6 +148,11 @@ def test_count_involutions_cap():
     assert [count_involutions(n) for n in range(7)] == [1, 1, 2, 4, 10, 26, 76]
     assert count_involutions(6, 76) == 76 and count_involutions(6, 75) == 76
     assert count_involutions(10**9, 20) == 26
+    # the oracle's generator makes each involution once
+    for n in range(7):
+        found = list(involutions(n))
+        assert all(map(is_involution, found)) and len(set(found)) == len(found) == (
+            count_involutions(n))
 
 
 def test_brute_force_full_conjugation_n_le_4():
@@ -452,6 +477,39 @@ def test_enumeration_matches_brute_force_oracle():
     # g = 4 splits a cycle at three depths before the last middle
     cycle = random_n_cycle(rng, 5)
     assert enumerate_m_with_cycle(4, 5, cycle) == brute_force_keys(4, 5, cycle), cycle
+    # sigma with four and five transpositions, which n <= 7 never reaches
+    for g, n in ((0, 10), (0, 11), (1, 9)):
+        cycle = random_n_cycle(rng, n)
+        assert enumerate_m_with_cycle(g, n, cycle) == brute_force_keys(g, n, cycle), (g, n)
+
+
+def test_each_sigma_is_built_once(monkeypatch):
+    # For g <= 1 the scan calls _splits only to extend sigma, once for each
+    # sigma it builds, and the remainder sigma^-1 * cycle determines sigma.
+    # The sigma extended are those whose transpositions all split a cycle of
+    # the remainder and that leave room for one more.
+    calls = []
+    real = components._splits
+    monkeypatch.setattr(components, "_splits", lambda p: calls.append(tuple(p)) or real(p))
+    rng = random.Random(5)
+    for g, n in ((0, 9), (1, 8)):
+        cycle = random_n_cycle(rng, n)
+        calls.clear()
+        enumerate_m_with_cycle(g, n, cycle)
+        expected = sum(
+            1 for sigma in involutions(n)
+            if fixed_points(sigma) >= 2 * g + 4 - n
+            and len(cycle_type(compose(sigma, cycle))) == 1 + (n - fixed_points(sigma)) // 2
+        )
+        assert len(calls) == len(set(calls)) == expected, (g, n)
+
+
+@pytest.mark.parametrize("base_cycle", [(5, 0, 1), (1, 2), (-1, 0, 1)])
+def test_malformed_base_cycle_rejected(base_cycle):
+    # out-of-range points, a short word, and a negative point that indexes
+    # from the end and would pass as a 3-cycle
+    with pytest.raises(ValueError, match="n-cycle"):
+        enumerate_m_with_cycle(0, 3, base_cycle)
 
 
 def test_every_middle_splits_a_cycle_of_the_remainder():

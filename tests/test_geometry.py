@@ -135,8 +135,9 @@ def stripped_branch_classes(t: PellTriple) -> list[BranchClass]:
             b = b.exact_div(linear)
     if b.degree < 1:
         return []
+    yun = squarefree_decomposition(t.p.derivative())
     return [
-        BranchClass(factor, multiplicity_partition(factor, t.p))
+        BranchClass(factor, multiplicity_partition(factor, t.p, yun))
         for factor, _ in factor_rational(squarefree_part(b))
     ]
 
@@ -312,30 +313,34 @@ def branch_values(p: UniPoly) -> list[UniPoly]:
 
 
 def test_multiplicity_partition_rational_point():
-    base = poly(-1, 1) ** 2 * poly(2, 1)  # (x - 1)^2 (x + 2), over theta = 3
-    assert multiplicity_partition(poly(-3, 1), base + 3) == (2, 1)
+    p = poly(-1, 1) ** 2 * poly(2, 1) + 3  # (x - 1)^2 (x + 2) + 3, over theta = 3
+    yun = squarefree_decomposition(p.derivative())
+    assert multiplicity_partition(poly(-3, 1), p, yun) == (2, 1)
 
 
 def test_multiplicity_partition_true_extension():
-    # x^4 - 2 - sqrt 2 is separable.
-    assert multiplicity_partition(poly(-2, 0, 1), poly(-2, 0, 0, 0, 1)) == (1, 1, 1, 1)
-    # (x^2 - 2)^2 has the two roots +-sqrt 2 over 0, each double.
-    assert multiplicity_partition(poly(0, 1), poly(-2, 0, 1) ** 2) == (2, 2)
-    assert multiplicity_partition(poly(0, 1), poly(0, 0, 0, 0, 1)) == (4,)
+    # x^4 - 2 - sqrt 2 is separable; (x^2 - 2)^2 has the two roots +-sqrt 2
+    # over 0, each double; x^4 is one point of multiplicity 4 over 0.
+    for m, p, partition in ((poly(-2, 0, 1), poly(-2, 0, 0, 0, 1), (1, 1, 1, 1)),
+                            (poly(0, 1), poly(-2, 0, 1) ** 2, (2, 2)),
+                            (poly(0, 1), poly(0, 0, 0, 0, 1), (4,))):
+        assert multiplicity_partition(m, p, squarefree_decomposition(p.derivative())) == partition
 
 
 def test_multiplicity_partition_rejects_unequal_fibres():
     # m = (x - 1)(x - 2): p = (x - 1)^2 + 1 is ramified over 1 but not over 2.
+    p = poly(2, -2, 1)
     with pytest.raises(AssertionError):
-        multiplicity_partition(poly(2, -3, 1), poly(2, -2, 1))
+        multiplicity_partition(poly(2, -3, 1), p, squarefree_decomposition(p.derivative()))
 
 
 def test_multiplicity_partition_matches_norm_oracle_chebyshev():
     t = chebyshev_triple(12)
     values = branch_values(t.p)
     assert values == [poly(-1, 1), poly(1, 1)]
+    yun = squarefree_decomposition(t.p.derivative())
     for m in values:
-        assert multiplicity_partition(m, t.p) == norm_partition(m, t.p)
+        assert multiplicity_partition(m, t.p, yun) == norm_partition(m, t.p)
 
 
 SMALL = st.integers(min_value=-3, max_value=3)
@@ -357,5 +362,6 @@ def test_multiplicity_partition_matches_norm_oracle_property(a_low, a_lead, b_lo
     for coeff in reversed(a.coeffs):
         p = p * b + coeff
     p = p + c
+    yun = squarefree_decomposition(p.derivative())
     for m in branch_values(p):
-        assert multiplicity_partition(m, p) == norm_partition(m, p)
+        assert multiplicity_partition(m, p, yun) == norm_partition(m, p)

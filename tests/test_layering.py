@@ -46,7 +46,7 @@ def loaded_modules(argv: list[str]) -> set[str]:
     (["components", "count", "--genus", "1", "--order", "4"],
      {"geometry", "factorization", "strata", "parsing", "unipoly", "pell", "rationals"}),
     (["components", "list", "--genus", "1", "--order", "4"],
-     {"strata", "parsing", "pell", "rationals"}),
+     {"geometry", "factorization", "strata", "parsing", "unipoly", "pell", "rationals"}),
     (["strata", "nilpotency", "--n", "3", "--k", "4"],
      {"geometry", "factorization", "components", "perms"}),
 ])
@@ -63,6 +63,15 @@ def test_components_imports_no_polynomial_layer():
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert imported & {"geometry", "pell", "unipoly", "factorization"} == set()
     assert {"perms", "limits"} <= imported
+
+
+def test_ramspec_imports_only_perms():
+    # of the package; the standard library's dataclasses is all else it needs
+    tree = ast.parse((SRC / "abelpell" / "ramspec.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert imported == {"__future__", "dataclasses", "perms"}
 
 
 def test_public_names_are_their_home_objects():
