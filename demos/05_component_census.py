@@ -16,5 +16,5 @@ for g in range(0, 3):
 print("\nrepresentatives for (g, n) = (1, 3), split:")
 cert = component_count(1, 3, "split")
 for key, size in zip(cert.representatives, cert.orbit_sizes):
-    t = key_to_tuple(key, cert.n)
-    print(f"  orbit of size {size}: sigma={t.sigma}, middles={t.middles}, tau={t.tau}")
+    sigma, *middles, tau = key_to_tuple(key, cert.n)
+    print(f"  orbit of size {size}: sigma={sigma}, middles={tuple(middles)}, tau={tau}")

@@ -12,8 +12,8 @@ imported from its home module on first use (PEP 562).
 from importlib import import_module
 
 _HOMES = {
-    "components": ("MonodromyTuple", "OrbitCertificate", "apply_move", "canonical_key",
-                   "component_count", "enumerate_m"),
+    "components": ("OrbitCertificate", "apply_move", "canonical_key", "component_count",
+                   "enumerate_m", "tuple_ramspec", "validate_tuple"),
     "geometry": ("BranchClass", "HurwitzReport", "assigned_profile", "hurwitz_report",
                  "ramspec_of", "unassigned_branch"),
     "parsing": ("ParseError", "parse_poly"),
@@ -21,7 +21,7 @@ _HOMES = {
              "QuadraticSurd", "cf_expand", "fundamental_unit", "inflate",
              "laurent_sqrt_polypart", "normalize", "pell_compose", "pell_power", "pell_solve",
              "pell_verify", "unit_compose"),
-    "ramspec": ("RamSpec", "genus_of_ramspec", "polt_dimension", "tuple_ramspec"),
+    "ramspec": ("RamSpec", "genus_of_ramspec", "polt_dimension"),
     "strata": ("TangentReport", "WeightedSymmetricSystem", "format_monomials",
                "nilpotence_identity_check", "odd_nilpotency_check", "tangent_rank",
                "weighted_sigma"),

@@ -273,7 +273,7 @@ def _cmd_components_count(args):
         "m_count": cert.m_count,
         "component_count": cert.component_count,
         "orbit_sizes": list(cert.orbit_sizes),
-        "representatives": [list(map(list, t.components)) for t in reps],
+        "representatives": [list(map(list, words)) for words in reps],
     }
     # component_count raises unless every image it computes has its key in M.
     # It flips only the least key of each split orbit; the flip's images of
@@ -296,7 +296,7 @@ def _cmd_components_list(args):
 
     keys = sorted(comp.enumerate_m(args.genus, args.order))
     tuples = [comp.key_to_tuple(k, args.order) for k in keys]
-    classes = [list(map(list, t.components)) for t in tuples]
+    classes = [list(map(list, words)) for words in tuples]
     result = {
         "genus": args.genus,
         "order": args.order,
@@ -307,8 +307,8 @@ def _cmd_components_list(args):
         check(
             "ramspec_genus_matches",
             all(
-                ramspec.genus_of_ramspec(ramspec.tuple_ramspec(t)) == args.genus
-                for t in tuples
+                ramspec.genus_of_ramspec(comp.tuple_ramspec(words)) == args.genus
+                for words in tuples
             ),
         )
     ]

@@ -47,6 +47,7 @@ from .perms import (
     standard_cycle,
     transposition,
 )
+from .ramspec import RamSpec
 
 VARIANT_SPLIT = "split"
 VARIANT_NONSPLIT = "nonsplit"
@@ -64,40 +65,32 @@ Tie = tuple[Perm, tuple[int, ...]]
 SIZE_LIMIT = 5_000_000
 
 
-@dataclass(frozen=True)
-class MonodromyTuple:
-    """(sigma, middles..., tau) with product equal to the standard n-cycle."""
+def validate_tuple(words: tuple[Perm, ...]) -> None:
+    """Raise ``ValueError`` unless the words (sigma, s_1, ..., s_g, tau) form
+    a monodromy tuple: all of one length n, multiplying out to the standard
+    n-cycle, with involutions at the ends, transpositions in the middle, and
+    2g + 2 fixed points on the ends together."""
+    sigma, *middles, tau = words
+    n = len(sigma)
+    if any(len(word) != n for word in words):
+        raise ValueError(f"every word must have length n = {n}")
+    if compose_all(words, n) != standard_cycle(n):
+        raise ValueError("components do not multiply to the standard cycle")
+    if not is_involution(sigma) or not is_involution(tau):
+        raise ValueError("ends must be involutions")
+    if any(not is_transposition(m) for m in middles):
+        raise ValueError("middles must be transpositions")
+    if fixed_points(sigma) + fixed_points(tau) != 2 * len(middles) + 2:
+        raise ValueError("fixed points of the ends must total 2g + 2")
 
-    sigma: Perm
-    middles: tuple[Perm, ...]
-    tau: Perm
 
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
-
-    @property
-    def genus(self) -> int:
-        return len(self.middles)
-
-    @property
-    def components(self) -> tuple[Perm, ...]:
-        return (self.sigma, *self.middles, self.tau)
-
-    @classmethod
-    def from_components(cls, comps: tuple[Perm, ...]) -> MonodromyTuple:
-        return cls(comps[0], comps[1:-1], comps[-1])
-
-    def validate(self) -> None:
-        n = self.n
-        if compose_all(self.components, n) != standard_cycle(n):
-            raise ValueError("components do not multiply to the standard cycle")
-        if not is_involution(self.sigma) or not is_involution(self.tau):
-            raise ValueError("ends must be involutions")
-        if any(not is_transposition(m) for m in self.middles):
-            raise ValueError("middles must be transpositions")
-        if fixed_points(self.sigma) + fixed_points(self.tau) != 2 * self.genus + 2:
-            raise ValueError("fixed points of the ends must total 2g + 2")
+def tuple_ramspec(words: tuple[Perm, ...]) -> RamSpec:
+    """The ramification specification of a monodromy tuple, validated first:
+    the cycle types of the ends are the marked profiles, each middle
+    contributes a single simple branch point."""
+    validate_tuple(words)
+    members = tuple(map(cycle_type, words))
+    return RamSpec(len(words[0]), members, (members[0], members[-1]))
 
 
 def canonical_key(comps: tuple[Perm, ...]) -> CanonicalKey:
@@ -138,9 +131,9 @@ def _least_conjugate(flat: CanonicalKey, ties: tuple[Tie, ...]) -> CanonicalKey:
     return min(tuple(map(rho.__getitem__, map(flat.__getitem__, idx))) for rho, idx in ties)
 
 
-def key_to_tuple(key: CanonicalKey, n: int) -> MonodromyTuple:
-    comps = tuple(key[i : i + n] for i in range(0, len(key), n))
-    return MonodromyTuple.from_components(comps)
+def key_to_tuple(key: CanonicalKey, n: int) -> tuple[Perm, ...]:
+    """The words (sigma, s_1, ..., s_g, tau) of a flat key."""
+    return tuple(key[i : i + n] for i in range(0, len(key), n))
 
 
 def _admitted(g: int, n: int) -> bool:
@@ -239,13 +232,11 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
       so the ones that fix sigma and every middle fix tau as well.
     """
     feasible = _admitted(g, n)
-    if base_cycle is not None and (
-        sorted(base_cycle) != list(range(n)) or cycle_type(base_cycle) != (n,)
-    ):
+    cycle = standard_cycle(n) if base_cycle is None else tuple(base_cycle)
+    if sorted(cycle) != list(range(n)) or cycle_type(cycle) != (n,):
         raise ValueError("base cycle must be an n-cycle")
     if not feasible:
         return set()
-    cycle = standard_cycle(n) if base_cycle is None else base_cycle
     rotations = [rho for rho, _ in _rotations(cycle, g + 2)]
     # swap[i][j] is the word of (i j); conjugation by rho maps it to
     # swap[rho[i]][rho[j]], the same object exactly when rho fixes it.
@@ -318,49 +309,48 @@ def applicable_moves(g: int, variant: str) -> list[Move]:
     return moves
 
 
-def apply_move(t: MonodromyTuple, move: Move) -> MonodromyTuple:
-    """One braid move on a valid tuple, not validated: :func:`component_count`
-    certifies each image by its key's membership in M; other callers call
-    ``validate()``.  Every entry of a valid tuple is its own inverse, which
-    the swap and the turns rely on; on other tuples their images are wrong."""
-    g = t.genus
+def apply_move(words: tuple[Perm, ...], move: Move) -> tuple[Perm, ...]:
+    """One braid move on the words (sigma, s_1, ..., s_g, tau) of a valid
+    tuple, not validated: :func:`component_count` certifies each image by its
+    key's membership in M; other callers call :func:`validate_tuple`.  Every
+    entry of a valid tuple is its own inverse, which the swap and the turns
+    rely on; on other tuples their images are wrong.
+
+    >>> apply_move(((0, 1), (1, 0)), "flip") == ((1, 0), (0, 1))
+    True
+    """
+    g = len(words) - 2
     if isinstance(move, tuple):
         name, i = move
         if name != "swap":
             raise ValueError(f"unknown move {move!r}")
         if not 1 <= i < g:
             raise ValueError(f"swap index {i} needs 1 <= i < g = {g}")
-        m = list(t.middles)
-        a, b = m[i - 1], m[i]
-        m[i - 1] = compose(compose(a, b), a)
-        m[i] = a
-        out = MonodromyTuple(t.sigma, tuple(m), t.tau)
-    elif move == "left_turn":
+        # s_i, s_(i+1) -> s_i s_(i+1) s_i, s_i
+        a, b = words[i], words[i + 1]
+        return (*words[:i], compose(compose(a, b), a), a, *words[i + 2 :])
+    if move == "left_turn":
         if g < 1:
             raise ValueError("left_turn needs g >= 1")
-        sigma, s1 = t.sigma, t.middles[0]
+        sigma, s1 = words[0], words[1]
         # sigma [s1, sigma] = sigma s1 sigma s1^-1 sigma^-1, left to right.
         new_s1 = compose(compose(sigma, s1), sigma)
-        new_sigma = compose(compose(new_s1, s1), sigma)
-        out = MonodromyTuple(new_sigma, (new_s1, *t.middles[1:]), t.tau)
-    elif move == "right_turn":
+        return (compose(compose(new_s1, s1), sigma), new_s1, *words[2:])
+    if move == "right_turn":
         if g < 1:
             raise ValueError("right_turn needs g >= 1")
-        sg, tau = t.middles[-1], t.tau
+        sg, tau = words[-2], words[-1]
         # [tau, sg] tau = tau^-1 sg^-1 tau sg tau, left to right.
         new_sg = compose(compose(tau, sg), tau)
-        new_tau = compose(compose(new_sg, sg), tau)
-        out = MonodromyTuple(t.sigma, (*t.middles[:-1], new_sg), new_tau)
-    elif move == "flip":
+        return (*words[:-2], new_sg, compose(compose(new_sg, sg), tau))
+    if move == "flip":
         # Entry i becomes P c_i P^-1 with P = c_0 ... c_(i-1), last entry first.
-        comps, prefix, rewritten = t.components, t.sigma, []
-        for comp in comps[1:]:
-            rewritten.append(conjugate(comp, inverse(prefix)))
-            prefix = compose(prefix, comp)
-        out = MonodromyTuple.from_components((*reversed(rewritten), comps[0]))
-    else:
-        raise ValueError(f"unknown move {move!r}")
-    return out
+        prefix, rewritten = words[0], []
+        for word in words[1:]:
+            rewritten.append(conjugate(word, inverse(prefix)))
+            prefix = compose(prefix, word)
+        return (*reversed(rewritten), words[0])
+    raise ValueError(f"unknown move {move!r}")
 
 
 # -- orbit counting --------------------------------------------------------------------
@@ -421,13 +411,13 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     # sigma -> its least rotations, or None when the identity is the only one
     ties: dict[Perm, tuple[Tie, ...] | None] = {}
 
-    def image_key(key: CanonicalKey, t: MonodromyTuple, move: Move) -> CanonicalKey:
-        comps = apply_move(t, move).components
-        sigma = comps[0]
+    def image_key(key: CanonicalKey, words: tuple[Perm, ...], move: Move) -> CanonicalKey:
+        image_words = apply_move(words, move)
+        sigma = image_words[0]
         if sigma not in ties:
             least = _ties(sigma, cycle, g + 2)
             ties[sigma] = None if least == alone else least
-        flat = tuple(chain.from_iterable(comps))
+        flat = tuple(chain.from_iterable(image_words))
         image = flat if ties[sigma] is None else _least_conjugate(flat, ties[sigma])
         if image not in members:
             raise AssertionError(f"move {move!r} takes {key} out of M")
@@ -442,9 +432,9 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
         orbit_of[start] = len(reps)
         orbit = [start]
         for key in orbit:  # the list grows while it is read: a FIFO queue
-            t = key_to_tuple(key, n)
+            words = key_to_tuple(key, n)
             for move in split:
-                image = image_key(key, t, move)
+                image = image_key(key, words, move)
                 if image not in orbit_of:
                     orbit_of[image] = len(reps)
                     orbit.append(image)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .factorization import factor_rational
-# polt_dimension and tuple_ramspec are re-exported: geometry.<name> still resolves
-from .ramspec import Partition, RamSpec, genus_of_ramspec, polt_dimension, tuple_ramspec
+# polt_dimension is re-exported: geometry.polt_dimension still resolves
+from .ramspec import Partition, RamSpec, genus_of_ramspec, polt_dimension
 from .unipoly import (
     UniPoly,
     gcd,

@@ -1,12 +1,10 @@
 """Ramification specifications: fibre partitions of a line map over its
 finite branch points, the two over +-1 marked.  Only arithmetic on
-partitions, so the module imports nothing but :mod:`perms`.
+partitions, so the module imports nothing from the package.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .perms import cycle_type
 
 #: A partition of the map degree: part multiplicities sorted descending.
 Partition = tuple[int, ...]
@@ -61,15 +59,6 @@ class RamSpec:
     def odd_marked_parts(self) -> int:
         """Number of odd parts (with multiplicity) among the two marked profiles."""
         return sum(1 for part in self.assigned for e in part if e % 2 == 1)
-
-
-def tuple_ramspec(t) -> RamSpec:
-    """The ramification specification read off a ``components.MonodromyTuple``:
-    the cycle types of the ends are the marked profiles, each middle
-    contributes a single simple branch point."""
-    t.validate()
-    members = [cycle_type(t.sigma), *map(cycle_type, t.middles), cycle_type(t.tau)]
-    return RamSpec(t.n, tuple(members), (cycle_type(t.sigma), cycle_type(t.tau)))
 
 
 def genus_of_ramspec(spec: RamSpec) -> int:

@@ -16,6 +16,7 @@ from abelpell.components import (
     component_count,
     enumerate_m,
     key_to_tuple,
+    validate_tuple,
 )
 from abelpell.geometry import hurwitz_report, polt_dimension, ramspec_of
 from abelpell.pell import inflate, pell_power, pell_solve, pell_verify
@@ -180,9 +181,9 @@ def test_criterion_7_component_counts():
         applied = 0
         for g, n in ((0, 4), (1, 3), (1, 4), (2, 4)):
             for key in enumerate_m(g, n):
-                t = key_to_tuple(key, n)
+                words = key_to_tuple(key, n)
                 for move in applicable_moves(g, "nonsplit"):
-                    apply_move(t, move).validate()  # product and types, exactly
+                    validate_tuple(apply_move(words, move))  # product and types, exactly
                     applied += 1
         assert applied > 0
         # base-cycle invariance by full-conjugation brute force for n <= 4

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from abelpell import components
 from abelpell.components import (
-    MonodromyTuple,
     ResourceLimit,
     applicable_moves,
     apply_move,
@@ -17,8 +16,10 @@ from abelpell.components import (
     enumerate_m,
     enumerate_m_with_cycle,
     key_to_tuple,
+    tuple_ramspec,
+    validate_tuple,
 )
-from abelpell.ramspec import genus_of_ramspec, tuple_ramspec
+from abelpell.ramspec import genus_of_ramspec
 from abelpell.perms import (
     compose,
     compose_all,
@@ -117,9 +118,9 @@ def test_enumerate_small_by_hand():
 def test_enumerated_tuples_validate():
     for g, n in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (0, 5)):
         for key in enumerate_m(g, n):
-            t = key_to_tuple(key, n)
-            t.validate()
-            assert t.genus == g and t.n == n
+            words = key_to_tuple(key, n)
+            validate_tuple(words)
+            assert len(words) == g + 2 and len(words[0]) == n
 
 
 def test_infeasible_is_empty():
@@ -196,33 +197,32 @@ def test_base_cycle_invariance_n_le_5():
 
 def test_flip_example():
     e, t = identity(2), transposition(2, 0, 1)
-    flipped = apply_move(MonodromyTuple(e, (), t), "flip")
-    assert flipped.components == (t, e)
+    assert apply_move((e, t), "flip") == (t, e)
 
 
 def test_left_turn_fixed_point():
     e, t = identity(2), transposition(2, 0, 1)
-    tup = MonodromyTuple(e, (t,), e)
-    assert apply_move(tup, "left_turn").components == tup.components
-    assert apply_move(tup, "right_turn").components == tup.components
+    words = (e, t, e)
+    assert apply_move(words, "left_turn") == words
+    assert apply_move(words, "right_turn") == words
 
 
 def test_swap_needs_room():
     e, t = identity(2), transposition(2, 0, 1)
     with pytest.raises(ValueError):
-        apply_move(MonodromyTuple(e, (t,), e), ("swap", 1))
+        apply_move((e, t, e), ("swap", 1))
     with pytest.raises(ValueError):
-        apply_move(MonodromyTuple(e, (), t), "left_turn")
+        apply_move((e, t), "left_turn")
 
 
 def test_moves_preserve_validity_everywhere():
     for g, n, variant in ((1, 3, "split"), (2, 3, "nonsplit"), (2, 4, "nonsplit")):
         for key in enumerate_m(g, n):
-            t = key_to_tuple(key, n)
+            words = key_to_tuple(key, n)
             for move in applicable_moves(g, variant):
-                out = apply_move(t, move)  # apply_move does not validate
-                out.validate()
-                assert compose_all(out.components, n) == standard_cycle(n)
+                out = apply_move(words, move)  # apply_move does not validate
+                validate_tuple(out)
+                assert compose_all(out, n) == standard_cycle(n)
 
 
 def test_moves_commute_with_conjugation():
@@ -232,16 +232,14 @@ def test_moves_commute_with_conjugation():
         keys = sorted(enumerate_m(g, n))
         cycle = standard_cycle(n)
         for key in keys:
-            t = key_to_tuple(key, n)
+            words = key_to_tuple(key, n)
             rho = identity(n)
             for _ in range(rng.randint(0, n - 1)):
                 rho = compose(rho, cycle)
-            conjugated = MonodromyTuple.from_components(
-                tuple(tuple(rho[p[inverse(rho)[i]]] for i in range(n)) for p in t.components)
-            )
+            conjugated = tuple(tuple(rho[p[inverse(rho)[i]]] for i in range(n)) for p in words)
             for move in applicable_moves(g, "nonsplit"):
-                a = canonical_key(apply_move(t, move).components)
-                b = canonical_key(apply_move(conjugated, move).components)
+                a = canonical_key(apply_move(words, move))
+                b = canonical_key(apply_move(conjugated, move))
                 assert a == b
 
 
@@ -277,9 +275,9 @@ def test_union_order_independence():
     for _ in range(3):
         pairs = []
         for key in keys:
-            t = key_to_tuple(key, 4)
+            words = key_to_tuple(key, 4)
             for move in applicable_moves(2, "nonsplit"):
-                pairs.append((key, canonical_key(apply_move(t, move).components)))
+                pairs.append((key, canonical_key(apply_move(words, move))))
         rng.shuffle(pairs)
         index = {k: i for i, k in enumerate(keys)}
         parent = list(range(len(keys)))
@@ -315,12 +313,12 @@ def slow_orbits(g, n, variant):
 
     symmetric = 0
     for key in keys:
-        t = key_to_tuple(key, n)
+        words = key_to_tuple(key, n)
         for move in applicable_moves(g, variant):
-            out = apply_move(t, move)
-            out.validate()
-            symmetric += sum(conjugate(out.sigma, rho) == out.sigma for rho in powers) > 1
-            ra, rb = find(index[key]), find(index[brute_force_key(out.components, powers)])
+            out = apply_move(words, move)
+            validate_tuple(out)
+            symmetric += sum(conjugate(out[0], rho) == out[0] for rho in powers) > 1
+            ra, rb = find(index[key]), find(index[brute_force_key(out, powers)])
             if ra != rb:
                 parent[ra] = rb
     orbits = {}
@@ -358,11 +356,11 @@ def test_closure_rejects_a_move_that_leaves_m(monkeypatch):
     # so its image's key is not among the enumerated keys
     real = components.apply_move
 
-    def broken(t, move):
-        out = real(t, move)
+    def broken(words, move):
+        out = real(words, move)
         if move != "right_turn":
             return out
-        return MonodromyTuple(out.sigma, out.middles, compose(out.tau, transposition(t.n, 0, 1)))
+        return (*out[:-1], compose(out[-1], transposition(len(out[0]), 0, 1)))
 
     monkeypatch.setattr(components, "apply_move", broken)
     with pytest.raises(AssertionError, match="out of M"):
@@ -374,11 +372,11 @@ def test_closure_rejects_a_flip_that_leaves_m(monkeypatch):
     # every tuple must still be caught
     real = components.apply_move
 
-    def broken(t, move):
-        out = real(t, move)
+    def broken(words, move):
+        out = real(words, move)
         if move != "flip":
             return out
-        return MonodromyTuple(out.sigma, out.middles, compose(out.tau, transposition(t.n, 0, 1)))
+        return (*out[:-1], compose(out[-1], transposition(len(out[0]), 0, 1)))
 
     monkeypatch.setattr(components, "apply_move", broken)
     with pytest.raises(AssertionError, match="out of M"):
@@ -394,13 +392,13 @@ def test_flip_conjugates_split_moves_on_keys():
     checked = 0
     for g, n in cases:
         for key in enumerate_m(g, n):
-            t = key_to_tuple(key, n)
+            words = key_to_tuple(key, n)
 
             def run(*moves):
-                out = t
+                out = words
                 for move in moves:
                     out = apply_move(out, move)
-                return canonical_key(out.components)
+                return canonical_key(out)
 
             for i in range(1, g):
                 assert run("flip", ("swap", i), "flip") == run(("swap", g - i)), (key, i)
@@ -418,9 +416,9 @@ def test_tie_free_images_are_their_own_keys():
     for g, n in ((1, 4), (2, 5), (2, 6), (3, 5)):
         powers = cycle_powers(standard_cycle(n))
         for key in enumerate_m(g, n):
-            t = key_to_tuple(key, n)
+            words = key_to_tuple(key, n)
             for move in applicable_moves(g, "nonsplit"):
-                comps = apply_move(t, move).components
+                comps = apply_move(words, move)
                 if all(conjugate(comps[0], rho) > comps[0] for rho in powers[1:]):
                     flat = tuple(x for comp in comps for x in comp)
                     assert brute_force_key(comps, powers) == flat, (key, move)
@@ -449,12 +447,31 @@ def test_census_certificates_pinned():
 
 def test_tuple_ramspec():
     e, t = identity(2), transposition(2, 0, 1)
-    spec = tuple_ramspec(MonodromyTuple(e, (), t))
+    spec = tuple_ramspec((e, t))
     assert spec.assigned == ((1, 1), (2,))
     assert genus_of_ramspec(spec) == 0
-    spec = tuple_ramspec(MonodromyTuple(e, (t,), e))
+    spec = tuple_ramspec((e, t, e))
     assert spec.members == ((2,), (1, 1), (1, 1))
     assert genus_of_ramspec(spec) == 1
+
+
+#: One malformed tuple per defect, with the message validation gives.
+MALFORMED = [
+    (((0, 1), (0, 1)), "multiply"),  # product the identity, not (0 1)
+    (((1, 2, 0), (0, 1, 2)), "involutions"),  # sigma a 3-cycle
+    (((0, 1, 2), (1, 2, 0), (0, 1, 2)), "transpositions"),  # middle a 3-cycle
+    (((1, 0), (1, 0), (1, 0)), "2g \\+ 2"),  # no fixed points at g = 1
+    (((0, 1), (1, 0, 2), (0, 1)), "length"),  # a middle on 3 points, n = 2
+    (((0, 1, 2), (1, 0), (0, 1, 2)), "length"),  # a middle on 2 points, n = 3
+]
+
+
+@pytest.mark.parametrize("words, message", MALFORMED)
+def test_malformed_tuples_rejected(words, message):
+    with pytest.raises(ValueError, match=message):
+        validate_tuple(words)
+    with pytest.raises(ValueError, match=message):
+        tuple_ramspec(words)
 
 
 def test_tuple_ramspec_genus_everywhere():
@@ -512,6 +529,10 @@ def test_malformed_base_cycle_rejected(base_cycle):
         enumerate_m_with_cycle(0, 3, base_cycle)
 
 
+def test_list_base_cycle_is_a_tuple():
+    assert enumerate_m_with_cycle(1, 3, [1, 2, 0]) == enumerate_m_with_cycle(1, 3, (1, 2, 0))
+
+
 def test_every_middle_splits_a_cycle_of_the_remainder():
     # The premise of the scan's pruning, checked on the tuples it found: the
     # remainder r = (sigma s_1 ... s_k)^-1 * cycle starts with
@@ -522,16 +543,16 @@ def test_every_middle_splits_a_cycle_of_the_remainder():
         for n in range(1, 8):
             cycle = standard_cycle(n)
             for key in enumerate_m(g, n):
-                t = key_to_tuple(key, n)
-                prefix = t.sigma
+                sigma, *middles, tau = key_to_tuple(key, n)
+                prefix = sigma
                 count = len(cycle_type(compose(inverse(prefix), cycle)))
-                assert count == 1 + (n - fixed_points(t.sigma)) // 2, key
-                for middle in t.middles:
+                assert count == 1 + (n - fixed_points(sigma)) // 2, key
+                for middle in middles:
                     prefix = compose(prefix, middle)
                     rest = len(cycle_type(compose(inverse(prefix), cycle)))
                     assert rest == count + 1, key
                     count = rest
-                assert compose(inverse(prefix), cycle) == t.tau, key
+                assert compose(inverse(prefix), cycle) == tau, key
                 checked += 1
     assert checked > 1000
 
@@ -591,7 +612,7 @@ def test_each_move_is_a_bijection_on_keys(case, data):
     g, n = case
     move = data.draw(st.sampled_from(applicable_moves(g, "nonsplit")))
     keys = SORTED_KEYS[case]
-    images = [canonical_key(apply_move(key_to_tuple(k, n), move).components) for k in keys]
+    images = [canonical_key(apply_move(key_to_tuple(k, n), move)) for k in keys]
     assert sorted(images) == keys
 
 
@@ -600,8 +621,8 @@ def test_each_move_is_a_bijection_on_keys(case, data):
 def test_flip_is_an_involution_on_classes(drawn):
     g, n, key = drawn
     once = apply_move(key_to_tuple(key, n), "flip")
-    twice = apply_move(key_to_tuple(canonical_key(once.components), n), "flip")
-    assert canonical_key(twice.components) == key
+    twice = apply_move(key_to_tuple(canonical_key(once), n), "flip")
+    assert canonical_key(twice) == key
 
 
 @LAWS
@@ -611,7 +632,7 @@ def test_canonical_key_invariant_under_cycle_conjugation(drawn, power):
     rho = identity(n)
     for _ in range(power % n):
         rho = compose(rho, standard_cycle(n))
-    comps = key_to_tuple(key, n).components
+    comps = key_to_tuple(key, n)
     assert canonical_key(tuple(conjugate(comp, rho) for comp in comps)) == key
 
 
@@ -623,10 +644,10 @@ def test_canonical_key_is_least_over_all_powers(drawn, picks, power):
     # by a power of the cycle
     g, n, key = drawn
     moves = applicable_moves(g, "nonsplit")
-    t = key_to_tuple(key, n)
+    words = key_to_tuple(key, n)
     for pick in picks:
-        t = apply_move(t, moves[pick % len(moves)])
-    t.validate()
+        words = apply_move(words, moves[pick % len(moves)])
+    validate_tuple(words)
     powers = cycle_powers(standard_cycle(n))
-    comps = tuple(conjugate(comp, powers[power % n]) for comp in t.components)
+    comps = tuple(conjugate(comp, powers[power % n]) for comp in words)
     assert canonical_key(comps) == brute_force_key(comps, powers)

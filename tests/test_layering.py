@@ -65,13 +65,13 @@ def test_components_imports_no_polynomial_layer():
     assert {"perms", "limits"} <= imported
 
 
-def test_ramspec_imports_only_perms():
-    # of the package; the standard library's dataclasses is all else it needs
+def test_ramspec_imports_only_the_standard_library():
+    # nothing of the package: the census and geometry both build on it
     tree = ast.parse((SRC / "abelpell" / "ramspec.py").read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names}
-    assert imported == {"__future__", "dataclasses", "perms"}
+    assert imported == {"__future__", "dataclasses"}
 
 
 def test_public_names_are_their_home_objects():
