@@ -21,7 +21,7 @@ Components of the split moduli are orbits of the keys under the adjacent swap
 and the two turn moves; the nonsplit moduli add the flip, which reverses the
 tuple while rewriting each entry in the letters before it.  The flip is
 Garside's half-twist Delta (Quart. J. Math. 20 (1969)), which normalises the
-braid group, so it maps split orbits onto split orbits: the closure runs on
+braid group, so it pairs split orbits with split orbits: the closure runs on
 the split moves and flips only one key per split orbit.  No image of a move
 is validated on its own: :func:`component_count` finds its key in M.
 """
@@ -166,41 +166,37 @@ def enumerate_m(g: int, n: int) -> set[CanonicalKey]:
     return enumerate_m_with_cycle(g, n, None)
 
 
-def _cycles(p: list[int]) -> list[list[int]]:
-    """The cycles of p, each listed from its least point along p."""
-    seen = [False] * len(p)
+def _splits(p: list[int], sigma: Perm | list[int], least: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), least <= i < j, in one cycle of p and both fixed by
+    sigma: swapping p[i] and p[j] splits that cycle in two.  Walks the cycle
+    of p through each such i."""
     out = []
-    for x in range(len(p)):
-        if not seen[x]:
-            cycle = []
-            while not seen[x]:
-                seen[x] = True
-                cycle.append(x)
-                x = p[x]
-            out.append(cycle)
+    for i in range(least, len(p)):
+        if sigma[i] == i:
+            j = p[i]
+            while j != i:
+                if j > i and sigma[j] == j:
+                    out.append((i, j))
+                j = p[j]
     return out
-
-
-def _splits(p: list[int]) -> list[tuple[int, int]]:
-    """The pairs (i, j) in one cycle of p: swapping p[i] and p[j] splits
-    that cycle in two."""
-    return [(i, j) for c in _cycles(p) for a, i in enumerate(c) for j in c[a + 1 :]]
 
 
 def _involution_splits(p: list[int]) -> list[tuple[int, int]]:
     """The splits of p that leave an involution: each 2-cycle of an
     involution, the three pairs of a lone 3-cycle, or the two opposite pairs
-    of a lone 4-cycle, when every other cycle has length at most 2."""
-    cycles = _cycles(p)
-    long = [c for c in cycles if len(c) > 2]
+    of a lone 4-cycle, when every other cycle has length at most 2.  The
+    points x with p(p(x)) != x are those on longer cycles: three or four of
+    them form one cycle, and five or more leave no such split."""
+    long = [x for x in range(len(p)) if p[p[x]] != x]
     if not long:
-        return [(c[0], c[1]) for c in cycles if len(c) == 2]
-    if len(long) > 1 or len(long[0]) > 4:
-        return []
-    c = long[0]
-    if len(c) == 3:
-        return [(c[0], c[1]), (c[0], c[2]), (c[1], c[2])]
-    return [(c[0], c[2]), (c[1], c[3])]
+        return [(x, y) for x, y in enumerate(p) if x < y]
+    if len(long) == 3:
+        a, b, c = long
+        return [(a, b), (a, c), (b, c)]
+    if len(long) == 4:
+        a = long[0]
+        return [(a, p[p[a]]), (p[a], p[p[p[a]]])]
+    return []
 
 
 def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[CanonicalKey]:
@@ -219,11 +215,13 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
       r[i] and r[j] in the remainder r, the cycle at the start, and must
       split a cycle of r (i and j in it) rather than merge two (a minimal
       transitive factorization, Goulden and Jackson, Proc. AMS 125 (1997)).
-      sigma's transpositions commute, so they are taken in increasing order
-      of their least point, which builds each sigma once.  The last middle
-      must leave tau, an involution; its cycle count, and so its
-      fixed-point count 2g + 2 - a, is already fixed, and the candidates are
-      read off r (:func:`_involution_splits`).
+      :func:`_splits` walks r's cycle through each i and pairs it with the
+      later points j on it, so no cycle list is built.  sigma's
+      transpositions commute, so they are taken in increasing order of their
+      least point i, which builds each sigma once.  The last middle must
+      leave tau, an involution; its cycle count, and so its fixed-point
+      count 2g + 2 - a, is already fixed, and the candidates are read off r
+      (:func:`_involution_splits`).
     * Least tuples only.  A key is the least flattening of a tuple over the
       powers of the cycle, so every class has one tuple that is its own key,
       and only that tuple is built: sigma must be least among its
@@ -232,6 +230,8 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
       so the ones that fix sigma and every middle fix tau as well.
     """
     feasible = _admitted(g, n)
+    if base_cycle is None and not feasible:
+        return set()  # before the standard cycle, which is work of size n
     cycle = standard_cycle(n) if base_cycle is None else tuple(base_cycle)
     if sorted(cycle) != list(range(n)) or cycle_type(cycle) != (n,):
         raise ValueError("base cycle must be an n-cycle")
@@ -246,7 +246,7 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
             swap[i][j] = swap[j][i] = transposition(n, i, j)
     keys: set[CanonicalKey] = set()
     # sigma's word and the remainder r, both updated in place by each swap.
-    sigma, r = list(range(n)), list(cycle)
+    sigma, r, unmoved = list(range(n)), list(cycle), identity(n)
 
     def visit(depth: int, head: CanonicalKey, stab: list[Perm]) -> None:
         # head is sigma and `depth` middles, r their remainder, and stab the
@@ -254,7 +254,7 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
         if depth == g:
             keys.add(head + tuple(r))
             return
-        for i, j in _splits(r) if depth < g - 1 else _involution_splits(r):
+        for i, j in _splits(r, unmoved, 0) if depth < g - 1 else _involution_splits(r):
             word, fixing = swap[i][j], stab
             if stab:
                 if any(swap[rho[i]][rho[j]] < word for rho in stab):
@@ -280,12 +280,10 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
                     visit(0, head, stab)
         if fixed - 2 < 2 * g + 2 - n:
             return
-        for i, j in _splits(r):
-            if min(i, j) < least or sigma[i] != i or sigma[j] != j:
-                continue
+        for i, j in _splits(r, sigma, least):
             sigma[i], sigma[j] = j, i
             r[i], r[j] = r[j], r[i]
-            build(min(i, j) + 1, fixed - 2)
+            build(i + 1, fixed - 2)
             sigma[i], sigma[j] = i, j
             r[i], r[j] = r[j], r[i]
 
@@ -385,27 +383,34 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     product and the cycle types, so an image is valid exactly when its key is
     in M; a miss raises AssertionError.
 
-    The search closes under the split moves only, for both variants; the
-    nonsplit orbits are then unions of split orbits, joined by the flip of
-    each split orbit's least key.  With b_1, ..., b_(g+1) the braid
-    generators acting on the g + 2 entries (b_j takes (x, y) at entries
-    j - 1, j to (x y x^-1, x)), swap_i is b_(i+1), left_turn is b_1^2 and
-    right_turn is b_(g+1)^-2, and the flip F acts as Garside's half-twist
-    Delta, with Delta b_j Delta^-1 = b_(g+2-j) (Garside, Quart. J. Math. 20
-    (1969)).  Delta^2 conjugates every entry by the product, a power of the
-    cycle, so F is an involution on keys and there F swap_i F = swap_(g-i),
-    F left_turn F = right_turn^-1 and F right_turn F = left_turn^-1.  So if
-    k = w(k0) for a word w in the split moves, F(k) = w'(F(k0)) with w' the
-    conjugated word: F maps the split orbit of k0 onto the split orbit of
-    F(k0), and flipping one key per split orbit gives every nonsplit orbit.
+    The search closes under the split moves only, for both variants; each
+    nonsplit orbit is then a split orbit joined with its image under the
+    flip, read off the flip of the orbit's least key.  With b_1, ...,
+    b_(g+1) the braid generators acting on the g + 2 entries (b_j takes
+    (x, y) at entries j - 1, j to (x y x^-1, x)), swap_i is b_(i+1),
+    left_turn is b_1^2 and right_turn is b_(g+1)^-2, and the flip F acts as
+    Garside's half-twist Delta, with Delta b_j Delta^-1 = b_(g+2-j)
+    (Garside, Quart. J. Math. 20 (1969)).  Delta^2 conjugates every entry
+    by the product, a power of the cycle, so F is an involution on keys and
+    there F swap_i F = swap_(g-i), F left_turn F = right_turn^-1 and
+    F right_turn F = left_turn^-1.  So if k = w(k0) for a word w in the
+    split moves, F(k) = w'(F(k0)) with w' the conjugated word: F maps the
+    split orbit of k0 onto the split orbit of F(k0).  As F is an
+    involution, this pairs the split orbits (a flip that does not raises
+    AssertionError), and each pair is kept at its lesser index, so the
+    nonsplit orbits too are listed by their least key.
 
     An image whose sigma is tie-free, least among its conjugates and fixed
     by no power of the cycle but the identity, is already its own key: every
     other conjugate's first word is larger.  Only the other images are
     conjugated (:func:`_least_conjugate`).
     """
-    split = [move for move in applicable_moves(g, variant) if move != "flip"]
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     members = enumerate_m(g, n)
+    if not members:
+        return OrbitCertificate(g, n, variant, 0, 0, (), ())
+    split = [move for move in applicable_moves(g, variant) if move != "flip"]
     cycle = standard_cycle(n)
     alone = _rotations(cycle, g + 2)[:1]
     # sigma -> its least rotations, or None when the identity is the only one
@@ -441,22 +446,12 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
         reps.append(start)
         sizes.append(len(orbit))
     if variant == VARIANT_NONSPLIT:
-        # Union-find over split orbits, each root the least index of its set,
-        # so merged orbits keep the least key as representative, in order.
-        parent = list(range(len(reps)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                i = parent[i]
-            return i
-
-        for i, rep in enumerate(reps):
-            j = orbit_of[image_key(rep, key_to_tuple(rep, n), "flip")]
-            a, b = sorted((find(i), find(j)))
-            parent[b] = a
-        merged: dict[int, int] = {}  # root -> orbit size, roots ascending
-        for i, size in enumerate(sizes):
-            root = find(i)
-            merged[root] = merged.get(root, 0) + size
-        reps, sizes = [reps[i] for i in merged], list(merged.values())
+        # flip[i] is the split orbit of the flip of reps[i]; each nonsplit
+        # orbit is orbit i joined with flip[i], kept at the lesser index.
+        flip = [orbit_of[image_key(rep, key_to_tuple(rep, n), "flip")] for rep in reps]
+        if any(flip[j] != i for i, j in enumerate(flip)):
+            raise AssertionError("the flip does not pair the split orbits")
+        pairs = [(i, j) for i, j in enumerate(flip) if i <= j]
+        reps = [reps[i] for i, _ in pairs]
+        sizes = [sizes[i] + sizes[j] if i < j else sizes[i] for i, j in pairs]
     return OrbitCertificate(g, n, variant, len(members), len(reps), tuple(reps), tuple(sizes))

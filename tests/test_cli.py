@@ -198,6 +198,23 @@ def test_components_empty(capsys):
     assert code == 1 and report["result"]["m_count"] == 0
 
 
+@pytest.mark.parametrize("order", ["3", "999999"])
+def test_components_huge_genus_is_empty_at_once(capsys, monkeypatch, order):
+    # No order below g + 1 is feasible, so M is empty before any of the
+    # g - 1 swap moves is listed or the standard n-cycle is built.
+    from abelpell import components
+
+    def fail(n):
+        raise AssertionError("standard_cycle built for an empty M")
+
+    monkeypatch.setattr(components, "standard_cycle", fail)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "components", "count", "--genus", "1000000", "--order", order)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err == ""
+    assert out == "|M| = 0, components = 0 (nonsplit)\norbit sizes: []\n"
+
+
 def test_components_list(capsys):
     code, report, _ = run_json(capsys, "components", "list", "--genus", "1", "--order", "2")
     assert code == 0

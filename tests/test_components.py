@@ -383,6 +383,18 @@ def test_closure_rejects_a_flip_that_leaves_m(monkeypatch):
         component_count(2, 5, "nonsplit")
 
 
+def test_closure_rejects_a_flip_that_is_no_involution(monkeypatch):
+    # a flip that sends every tuple to the least key of M stays in M, but it
+    # does not pair the split orbits, which the nonsplit count relies on
+    least = key_to_tuple(min(enumerate_m(2, 5)), 5)
+    real = components.apply_move
+    monkeypatch.setattr(
+        components, "apply_move", lambda words, move: least if move == "flip" else real(words, move))
+    assert component_count(2, 5, "split").component_count > 2
+    with pytest.raises(AssertionError, match="does not pair"):
+        component_count(2, 5, "nonsplit")
+
+
 def test_flip_conjugates_split_moves_on_keys():
     # The premise of the nonsplit closure: on keys, F swap_i F = swap_(g-i),
     # F left_turn F = right_turn^-1 and F right_turn F = left_turn^-1 (the
@@ -443,6 +455,33 @@ def test_census_certificates_pinned():
                     continue
                 digest.update(repr(cert).encode())
     assert digest.hexdigest() == CENSUS_SHA256
+
+
+#: One SHA-256 over repr(sorted(enumerate_m_with_cycle(g, n, c))) for every
+#: feasible (g, n) within the size cap with g <= 6 and n <= 13, on the
+#: standard cycle and then two cycles from random.Random(19); recorded from
+#: the scan that rebuilt the remainder's cycle lists at every node.
+KEY_SETS_SHA256 = "7a3122e68d15d93413220702ef370f4e6da933fd81b5a32d192042d7a22a61ef"
+
+
+def test_key_sets_pinned():
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    cases = 0
+    for g in range(7):
+        for n in range(1, 14):
+            try:
+                keys = enumerate_m_with_cycle(g, n, None)
+            except ResourceLimit:
+                continue
+            if not keys:
+                continue
+            digest.update(repr(sorted(keys)).encode())
+            for cycle in (random_n_cycle(rng, n), random_n_cycle(rng, n)):
+                digest.update(repr(sorted(enumerate_m_with_cycle(g, n, cycle))).encode())
+            cases += 1
+    assert cases == 36
+    assert digest.hexdigest() == KEY_SETS_SHA256
 
 
 def test_tuple_ramspec():
@@ -507,7 +546,8 @@ def test_each_sigma_is_built_once(monkeypatch):
     # the remainder and that leave room for one more.
     calls = []
     real = components._splits
-    monkeypatch.setattr(components, "_splits", lambda p: calls.append(tuple(p)) or real(p))
+    monkeypatch.setattr(
+        components, "_splits", lambda p, *rest: calls.append(tuple(p)) or real(p, *rest))
     rng = random.Random(5)
     for g, n in ((0, 9), (1, 8)):
         cycle = random_n_cycle(rng, n)
@@ -557,9 +597,39 @@ def test_every_middle_splits_a_cycle_of_the_remainder():
     assert checked > 1000
 
 
+def test_splits_oracle():
+    # the pairs (i, j), i < j, whose swap gives p one more cycle; with sigma
+    # and least, those of them fixed by sigma with i >= least.  Every sigma
+    # and least on every p for n <= 6, and on 200 random p for n = 7.
+    rng = random.Random(7)
+    for n in range(1, 8):
+        perms = list(itertools.permutations(range(n)))
+        swept = set(perms if n < 7 else rng.sample(perms, 200))
+        sigmas = list(involutions(n))
+        for p in perms:
+            splits = set()
+            for i, j in itertools.combinations(range(n), 2):
+                q = list(p)
+                q[i], q[j] = p[j], p[i]
+                if len(cycle_type(q)) == len(cycle_type(p)) + 1:
+                    splits.add((i, j))
+            found = components._splits(list(p), identity(n), 0)
+            assert len(found) == len(splits) and set(found) == splits, p
+            if p not in swept:
+                continue
+            for sigma in sigmas:
+                kept = [(i, j) for i, j in splits if sigma[i] == i and sigma[j] == j]
+                for least in range(n + 1):
+                    found = components._splits(list(p), sigma, least)
+                    expected = {(i, j) for i, j in kept if i >= least}
+                    assert len(found) == len(expected) and set(found) == expected, (
+                        p, sigma, least)
+
+
 def test_involution_splits_oracle():
-    # the pairs whose swap turns p into an involution with one more cycle
-    for n in range(1, 7):
+    # the pairs whose swap turns p into an involution with one more cycle;
+    # n = 7 is the first with a 3-cycle and a 4-cycle together
+    for n in range(1, 8):
         for p in itertools.permutations(range(n)):
             expected = set()
             for i, j in itertools.combinations(range(n), 2):
