@@ -1,11 +1,13 @@
 """Solve P^2 - R*Q^2 = 1 by the continued fraction of sqrt(R), step by step."""
-from abelpell import cf_expand, pell_compose, pell_power, pell_solve
+from itertools import islice
+
+from abelpell import cf_steps, pell_compose, pell_power, pell_solve
 from abelpell.parsing import parse_poly
 
 for text in ("x^2-2", "x^2+2", "x^4+x+1"):
     r = parse_poly(text)
     print(f"R = {r}")
-    for step in cf_expand(r, 4):
+    for step in islice(cf_steps(r), 4):
         tag = "  <- constant norm" if step.constant_norm else ""
         print(
             f"  step {step.index}: a = {step.partial_quotient},"

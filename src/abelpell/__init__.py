@@ -17,9 +17,8 @@ _HOMES = {
     "geometry": ("BranchClass", "HurwitzReport", "assigned_profile", "hurwitz_report",
                  "ramspec_of", "unassigned_branch"),
     "parsing": ("ParseError", "parse_poly"),
-    "pell": ("CFStep", "FundamentalUnit", "Obstruction", "PellCheck", "PellTriple",
-             "QuadraticSurd", "cf_expand", "fundamental_unit", "inflate",
-             "laurent_sqrt_polypart", "normalize", "pell_compose", "pell_power", "pell_solve",
+    "pell": ("CFStep", "Obstruction", "PellCheck", "PellTriple", "cf_steps",
+             "fundamental_unit", "inflate", "laurent_sqrt_polypart", "normalize", "pell_compose", "pell_power", "pell_solve",
              "pell_verify", "unit_compose"),
     "ramspec": ("RamSpec", "genus_of_ramspec", "polt_dimension"),
     "strata": ("TangentReport", "WeightedSymmetricSystem", "format_monomials",

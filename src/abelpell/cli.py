@@ -6,6 +6,11 @@ tangent-rank) and ``components`` (count / list).  ``--format structured``
 emits a single JSON object with the command, its inputs, the result and every
 invariant checked along the way; the output is byte-identical across runs.
 
+A polynomial argument that starts with "-" reads as an option: put "--"
+after the options and before the polynomials, as in
+``abel hurwitz -- -2*x^2+1 2*x x^2-1``, or write it in parentheses,
+``"(-2*x^2+1)"``.
+
 Exit codes: 0 result, 1 empty result, 2 bad input, 3 resource limit.
 """
 from __future__ import annotations

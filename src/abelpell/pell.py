@@ -2,10 +2,12 @@
 
 R is monic, squarefree, of even degree 2g+2; a solution of order n has
 deg P = n and deg Q = n - g - 1.  Solutions are found by the continued
-fraction of sqrt(R), carried in exact quadratic-surd form (A + sqrt(R))/B --
-no series truncation enters the main loop.  Exact division keeps each surd
-reduced: the next denominator is (R - A^2)/B, a division that raises unless
-B divides R - A^2.
+fraction of sqrt(R) (Abel): :func:`cf_steps` yields one :class:`CFStep` per
+partial quotient, and the first step whose convergent has constant norm is
+the fundamental unit.  The surds (A + sqrt(R))/B stay exact -- no series
+truncation enters the main loop -- and exact division keeps each reduced:
+the next denominator is (R - A^2)/B, a division that raises unless B divides
+R - A^2.
 
 Solutions of a fixed R form a group under (P1 + sqrt(R) Q1)(P2 + sqrt(R) Q2);
 charts record how far a solution has been normalised:
@@ -16,7 +18,6 @@ charts record how far a solution has been normalised:
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -31,6 +32,24 @@ CHART_GENERAL = "general"
 CHART_MONIC = "monic"
 CHART_NORMALIZED = "normalized"
 CHARTS = (CHART_GENERAL, CHART_MONIC, CHART_NORMALIZED)
+
+
+def _r_failures(r: UniPoly) -> list[str]:
+    """Which of its rules R breaks: even degree >= 2, monic, squarefree."""
+    failures = []
+    if r.degree < 2 or r.degree % 2 != 0:
+        failures.append(f"R has degree {r.degree}, expected even degree >= 2")
+    if not r.is_zero() and not r.is_monic():
+        failures.append("R is not monic")
+    if not r.is_zero() and r.degree >= 1 and not is_squarefree(r):
+        failures.append("R is not squarefree")
+    return failures
+
+
+def _check_pell_r(r: UniPoly) -> None:
+    failures = _r_failures(r)
+    if failures:
+        raise ValueError("; ".join(failures))
 
 
 @dataclass(frozen=True)
@@ -67,12 +86,7 @@ def pell_verify(p: UniPoly, q: UniPoly, r: UniPoly) -> PellCheck:
         failures.append("P is zero")
     if q.is_zero():
         failures.append("Q is zero (order would drop below genus + 1)")
-    if r.degree < 2 or r.degree % 2 != 0:
-        failures.append(f"R has degree {r.degree}, expected even degree >= 2")
-    if not r.is_zero() and not r.is_monic():
-        failures.append("R is not monic")
-    if not r.is_zero() and r.degree >= 1 and not is_squarefree(r):
-        failures.append("R is not squarefree")
+    failures += _r_failures(r)
     defect = p * p - r * q * q - 1
     if not defect.is_zero():
         shown = defect if printable(defect) else "nonzero and too large to print"
@@ -114,30 +128,16 @@ class PellTriple:
 
 
 @dataclass(frozen=True)
-class QuadraticSurd:
-    """The surd (A + sqrt(R))/B in reduced form: B divides R - A^2.
-
-    The expansion keeps each surd reduced by exact division: the next B is
-    (R - A^2)/B, and that division raises unless it is exact.
-    """
-
-    a: UniPoly
-    b: UniPoly
-    r: UniPoly
-
-
-@dataclass(frozen=True)
 class CFStep:
-    """One step of the expansion: the surd, its polynomial part, and the
-    convergent accumulated so far together with its norm P^2 - R*Q^2.
+    """Step k of the expansion: the partial quotient a_k and the convergent
+    P_k/Q_k accumulated so far, with its norm P_k^2 - R*Q_k^2.
 
-    At step k the norm is P_k^2 - R*Q_k^2 = (-1)^(k+1) B_(k+1), with B_(k+1)
-    the denominator of the next surd; it is read off that denominator rather
-    than multiplied out.
+    The norm is (-1)^(k+1) B_(k+1), with B_(k+1) the denominator of the next
+    surd; it is read off that denominator rather than multiplied out.  The
+    first step of constant norm is the fundamental unit of R.
     """
 
     index: int
-    surd: QuadraticSurd
     partial_quotient: UniPoly
     p: UniPoly
     q: UniPoly
@@ -146,24 +146,6 @@ class CFStep:
     @property
     def constant_norm(self) -> bool:
         return self.norm.degree <= 0
-
-
-@dataclass(frozen=True)
-class FundamentalUnit:
-    """Least-degree nontrivial convergent with constant norm c = p^2 - R*q^2."""
-
-    p: UniPoly
-    q: UniPoly
-    norm: Fraction
-
-
-def _check_pell_r(r: UniPoly) -> None:
-    if r.degree < 2 or r.degree % 2 != 0:
-        raise ValueError(f"R must have even degree >= 2, got degree {r.degree}")
-    if not r.is_monic():
-        raise ValueError("R must be monic")
-    if not is_squarefree(r):
-        raise ValueError("R must be squarefree")
 
 
 def laurent_sqrt_polypart(r: UniPoly) -> UniPoly:
@@ -219,13 +201,12 @@ def _cf_steps(r: UniPoly) -> Iterator[CFStep]:
     q_prev, q_prev2 = UniPoly(()), UniPoly((1,))
     k = 0
     while True:
-        surd = QuadraticSurd(a, b, r)
         partial = (a + y) // b
         p_k = partial * p_prev + p_prev2
         q_k = partial * q_prev + q_prev2
         a = partial * b - a
         b = (r - a * a).exact_div(b)
-        yield CFStep(k, surd, partial, p_k, q_k, b if k % 2 else -b)
+        yield CFStep(k, partial, p_k, q_k, b if k % 2 else -b)
         p_prev, p_prev2 = p_k, p_prev
         q_prev, q_prev2 = q_k, q_prev
         k += 1
@@ -233,29 +214,23 @@ def _cf_steps(r: UniPoly) -> Iterator[CFStep]:
 
 def cf_steps(r: UniPoly) -> Iterator[CFStep]:
     """The continued fraction of sqrt(R) as an endless iterator: R is checked
-    now, and each step is computed only when it is asked for."""
+    now, and each step is computed only when it is asked for.  The first k
+    steps are ``list(islice(cf_steps(r), k))``.
+
+    >>> from itertools import islice
+    >>> [step.p for step in islice(cf_steps(UniPoly((2, 0, 1))), 2)]
+    [UniPoly('x'), UniPoly('x^2 + 1')]
+    """
     _check_pell_r(r)
     return _cf_steps(r)
 
 
-def cf_expand(r: UniPoly, max_steps: int) -> list[CFStep]:
-    """The first ``max_steps`` steps of the continued fraction of sqrt(R).
+def least_unit(steps: Iterable[CFStep], r: UniPoly, max_order: int) -> CFStep | None:
+    """The fundamental unit: the first constant-norm step among ``steps``
+    (the expansion of sqrt(R) from step 0) of degree up to ``max_order``;
+    None if there is none.
 
-    Running out of steps is not an error: the computed prefix is returned
-    whether or not a constant-norm convergent has appeared.
-    """
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
-    return list(itertools.islice(cf_steps(r), max_steps))
-
-
-def least_unit(
-    steps: Iterable[CFStep], r: UniPoly, max_order: int
-) -> FundamentalUnit | None:
-    """The first constant-norm convergent among ``steps`` (the expansion of
-    sqrt(R) from step 0) of degree up to ``max_order``; None if there is none.
-
-    The norm of the returned unit is checked once against P^2 - R*Q^2.
+    The norm of the returned step is checked once against P^2 - R*Q^2.
     """
     for step in steps:
         if step.p.degree > max_order:
@@ -263,40 +238,39 @@ def least_unit(
         if step.constant_norm:
             if step.p * step.p - r * step.q * step.q != step.norm:
                 raise AssertionError("convergent norm differs from its surd denominator")
-            return FundamentalUnit(step.p, step.q, step.norm.constant_value())
+            return step
     return None
 
 
-def fundamental_unit(r: UniPoly, max_order: int) -> FundamentalUnit | None:
-    """The least-degree convergent with constant norm, searching convergents
-    of degree up to ``max_order``; None if there is none in range."""
+def fundamental_unit(r: UniPoly, max_order: int) -> CFStep | None:
+    """The step of the least-degree convergent with constant norm, searching
+    convergents of degree up to ``max_order``; None if there is none in range."""
     return least_unit(cf_steps(r), r, max_order)
 
 
-def minimal_solution(
-    r: UniPoly, unit: FundamentalUnit | None, n_max: int
-) -> PellTriple | None:
+def minimal_solution(r: UniPoly, unit: CFStep | None, n_max: int) -> PellTriple | None:
     """The minimal-order rational solution of order <= n_max, given the
     fundamental unit of R found up to degree n_max (None if there is none).
 
-    The fundamental unit has some constant norm c.  When c is a rational
-    square the unit scales to a norm-1 solution of the same order; otherwise
-    the square of the unit scaled by 1/c is the minimal rational solution
-    (any rational solution is a scalar times a power of the unit, and norm
-    c^k can only be scaled to 1 when it is a square, forcing k even).
+    The unit step has some constant norm c.  When c is a rational square the
+    unit scales to a norm-1 solution of the same order; otherwise its square
+    under :func:`unit_compose`, scaled by 1/c, is the minimal rational
+    solution (any rational solution is a scalar times a power of the unit,
+    and norm c^k can only be scaled to 1 when it is a square, forcing k even).
     """
     genus = r.degree // 2 - 1
     if n_max < genus + 1:
         raise ValueError(f"n_max = {n_max} is below genus + 1 = {genus + 1}")
     if unit is None:
         return None
-    root = rational_nth_root(unit.norm, 2)
+    c = unit.norm.constant_value()
+    root = rational_nth_root(c, 2)
     if root is not None:
-        p, q = unit.p * (1 / root), unit.q * (1 / root)
+        p, q, scale = unit.p, unit.q, 1 / root
     else:
-        inv = 1 / unit.norm
-        p = (unit.p * unit.p + r * unit.q * unit.q) * inv
-        q = (2 * unit.p * unit.q) * inv
+        p, q = unit_compose(unit.p, unit.q, unit.p, unit.q, r)
+        scale = 1 / c
+    p, q = p * scale, q * scale
     if p.leading < 0:
         p, q = -p, -q
     if p.degree > n_max:

@@ -46,6 +46,28 @@ def test_bad_input_exit(capsys):
     assert code == 2 and "squarefree" in err
 
 
+# `pell verify 1 1 R` failures, recorded before `pell solve` read R's rules
+# from pell_verify: the R rules in order, then the defect.
+R_RULE_FAILURES = {
+    "0": ["R has degree -1, expected even degree >= 2"],
+    "x^3+1": ["R has degree 3, expected even degree >= 2",
+              "defect of P^2 - R*Q^2 - 1 is -x^3 - 1, expected 0"],
+    "2*x^2-1": ["R is not monic", "defect of P^2 - R*Q^2 - 1 is -2*x^2 + 1, expected 0"],
+    "x^2": ["R is not squarefree", "defect of P^2 - R*Q^2 - 1 is -x^2, expected 0"],
+    "2*x^3": ["R has degree 3, expected even degree >= 2", "R is not monic",
+              "R is not squarefree", "defect of P^2 - R*Q^2 - 1 is -2*x^3, expected 0"],
+}
+
+
+@pytest.mark.parametrize("r", R_RULE_FAILURES)
+def test_solve_refuses_r_with_the_verify_texts(capsys, r):
+    code, report, _ = run_json(capsys, "pell", "verify", "1", "1", r)
+    assert code == 0 and report["result"]["failures"] == R_RULE_FAILURES[r]
+    rules = [f for f in R_RULE_FAILURES[r] if not f.startswith("defect")]
+    code, out, err = run_cli(capsys, "pell", "solve", r)
+    assert (code, out, err) == (2, "", "error: " + "; ".join(rules) + "\n")
+
+
 def test_non_ascii_input_exit(capsys):
     code, out, err = run_cli(capsys, "pell", "solve", "x²-2")
     assert code == 2 and out == "" and "unexpected character '²' (column 2)" in err
@@ -265,7 +287,7 @@ def built_degrees(monkeypatch) -> list[int]:
 
     built = []
     step = pell.CFStep
-    monkeypatch.setattr(pell, "CFStep", lambda *args: built.append(args[3].degree) or step(*args))
+    monkeypatch.setattr(pell, "CFStep", lambda *args: built.append(args[2].degree) or step(*args))
     return built
 
 
@@ -316,6 +338,20 @@ def test_out_unwritable_exit(capsys, tmp_path):
 def test_nesting_cap_exit(capsys):
     code, out, err = run_cli(capsys, "pell", "solve", "(" * 200 + "x^2-2" + ")" * 200)
     assert code == 3 and out == "" and "nested deeper than the cap" in err
+
+
+@pytest.mark.parametrize("command, argv, parenthesised", [
+    ("hurwitz", ["-2*x^2+1", "2*x", "x^2-1"], ["(-2*x^2+1)", "2*x", "x^2-1"]),
+    ("ramspec", ["-x", "1", "x^2-1"], ["(-x)", "1", "x^2-1"]),
+])
+def test_abel_leading_minus_after_double_dash(capsys, command, argv, parenthesised):
+    # argparse reads "-x" as an option; "--" ends the options.
+    code, dashed, _ = run_cli(capsys, "abel", command, "--format", "structured", "--", *argv)
+    assert code == 0
+    code, wrapped, _ = run_json(capsys, "abel", command, *parenthesised)
+    assert code == 0
+    dashed = json.loads(dashed)
+    assert (dashed["result"], dashed["checks"]) == (wrapped["result"], wrapped["checks"])
 
 
 ABEL_GOLDEN_TRIPLES = [

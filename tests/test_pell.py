@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from abelpell.pell import (
     CHART_NORMALIZED,
     Obstruction,
     PellTriple,
-    cf_expand,
+    cf_steps,
     fundamental_unit,
     inflate,
     least_unit,
@@ -37,28 +39,28 @@ R_QUARTIC = poly(1, 1, 0, 0, 1)  # x^4 + x + 1
 
 
 def test_cf_first_convergents():
-    steps = cf_expand(R_MINUS2, 1)
+    steps = list(islice(cf_steps(R_MINUS2), 1))
     assert (steps[0].p, steps[0].q) == (poly(0, 1), poly(1))
     assert steps[0].norm == poly(2)
-    steps = cf_expand(R_PLUS2, 2)
+    steps = list(islice(cf_steps(R_PLUS2), 2))
     assert (steps[1].p, steps[1].q) == (poly(1, 0, 1), poly(0, 1))
     assert steps[1].norm == poly(1)
 
 
 def test_cf_no_constant_norm_for_quartic():
-    steps = cf_expand(R_QUARTIC, 10)
+    steps = list(islice(cf_steps(R_QUARTIC), 10))
     bounded = [s for s in steps if s.p.degree <= 10]
     assert bounded and not any(s.constant_norm for s in bounded)
 
 
 def test_cf_surd_invariant_and_rejections():
-    for step in cf_expand(poly(-3, 1, 1, 0, 0, 0, 1), 8):
-        surd = step.surd
-        assert ((surd.r - surd.a * surd.a) % surd.b).is_zero()
+    # Each surd stays reduced by exact_div, which raises otherwise; its
+    # denominator is the step's norm up to sign, checked against P^2 - R*Q^2
+    # by the norm tests below.
     with pytest.raises(ValueError):
-        cf_expand(poly(0, 0, 1), 3)  # x^2 is not squarefree
+        cf_steps(poly(0, 0, 1))  # x^2 is not squarefree
     with pytest.raises(ValueError):
-        cf_expand(poly(0, 1), 3)  # odd degree
+        cf_steps(poly(0, 1))  # odd degree
 
 
 def test_solve_examples():
@@ -77,7 +79,7 @@ def test_solve_minimality_against_convergents():
         if t is None:
             continue
         # no convergent of smaller degree already has a square constant norm
-        for step in cf_expand(r, 12):
+        for step in islice(cf_steps(r), 12):
             if step.p.degree >= t.order:
                 break
             if step.constant_norm:
@@ -86,7 +88,7 @@ def test_solve_minimality_against_convergents():
 
 def test_fundamental_unit():
     unit = fundamental_unit(R_MINUS2, 5)
-    assert (unit.p, unit.q, unit.norm) == (poly(0, 1), poly(1), 2)
+    assert (unit.p, unit.q, unit.norm) == (poly(0, 1), poly(1), poly(2))
     assert fundamental_unit(R_QUARTIC, 10) is None
 
 
@@ -120,7 +122,7 @@ def test_cf_steps_deep_golden():
         steps = [
             {"index": step.index, "p": str(step.p), "q": str(step.q), "norm": str(step.norm),
              "partial_quotient": str(step.partial_quotient)}
-            for step in cf_expand(r, 20)
+            for step in islice(cf_steps(r), 20)
         ]
         assert steps == golden[str(r)]
 
@@ -128,7 +130,7 @@ def test_cf_steps_deep_golden():
 @pytest.mark.parametrize("r", NORM_ORACLE_R, ids=str)
 def test_cf_norm_matches_convergent_norm(r):
     # The norm read off the surd denominator against the multiplied-out one.
-    for step in cf_expand(r, 12):
+    for step in islice(cf_steps(r), 12):
         assert step.norm == step.p * step.p - r * step.q * step.q
 
 
@@ -144,13 +146,13 @@ def monic_squarefree(draw):
 @settings(max_examples=40, deadline=None)
 @given(monic_squarefree())
 def test_cf_norm_identity_property(r):
-    for step in cf_expand(r, 8):
+    for step in islice(cf_steps(r), 8):
         assert step.norm == step.p * step.p - r * step.q * step.q
 
 
 def test_least_unit_checks_the_norm_it_returns():
-    steps = cf_expand(R_MINUS2, 3)
-    assert least_unit(steps, R_MINUS2, 5).norm == 2
+    steps = list(islice(cf_steps(R_MINUS2), 3))
+    assert least_unit(steps, R_MINUS2, 5).norm == poly(2)
     forged = [dataclasses.replace(steps[0], norm=poly(3))] + steps[1:]
     with pytest.raises(AssertionError):
         least_unit(forged, R_MINUS2, 5)
@@ -158,10 +160,37 @@ def test_least_unit_checks_the_norm_it_returns():
 
 def test_minimal_solution_from_expanded_steps():
     for r in NORM_ORACLE_R:
-        unit = least_unit(cf_expand(r, 14), r, 12)
+        unit = least_unit(list(islice(cf_steps(r), 14)), r, 12)
         assert minimal_solution(r, unit, 12) == pell_solve(r, 12)
     with pytest.raises(ValueError):
         minimal_solution(R_QUARTIC, None, 1)  # n_max below genus + 1
+
+
+def unit_oracle_rs():
+    """x^2 + 2 and x^4 + 1, whose units have norms -2 and -1, and random
+    affine images of them, drawn as the benchmark draws its Pellian R."""
+    rng = random.Random(20)
+    bases = [R_PLUS2, poly(1, 0, 0, 0, 1)]
+    a_values = (1, 2, 3, -1, -2, Fraction(1, 2), Fraction(2, 3), Fraction(3, 2))
+    return bases + [affine_image(r, Fraction(rng.choice(a_values)), rng.randint(-3, 3))
+                    for r in bases for _ in range(4)]
+
+
+@pytest.mark.parametrize("r", unit_oracle_rs(), ids=str)
+def test_unit_and_its_square_against_the_expansion(r):
+    # The unit is the first step whose multiplied-out norm is constant.
+    first = next(step for step in cf_steps(r)
+                 if (step.p * step.p - r * step.q * step.q).degree <= 0)
+    unit = least_unit(cf_steps(r), r, 12)
+    assert unit == first
+    c = unit.norm.constant_value()
+    assert rational_nth_root(c, 2) is None  # so the solution is the unit squared
+    p = (unit.p * unit.p + r * unit.q * unit.q) * (1 / c)
+    q = (unit.p * unit.q * 2) * (1 / c)
+    if p.leading < 0:
+        p, q = -p, -q
+    solution = minimal_solution(r, unit, 12)
+    assert (solution.p, solution.q, solution.order) == (p, q, 2 * unit.p.degree)
 
 
 def test_solve_checks_r_once(monkeypatch):
