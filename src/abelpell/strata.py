@@ -6,8 +6,9 @@ Three independent checks live here: a square-testing criterion in
 elementary-symmetric identity behind the non-reduced strata, expanded as
 integer polynomials in a_1, ..., a_m stored as ``{exponent tuple:
 coefficient}`` dicts; and the exact tangent rank of the Pell equation at a
-chart point.  Everything is decided by exact arithmetic; ranks come from
-fraction-free elimination over the integers.
+chart point.  Everything is decided by exact arithmetic.  A rank is
+certified by elimination mod a prime when that rank is full, and otherwise
+comes from fraction-free (Bareiss) elimination over the integers.
 """
 from __future__ import annotations
 
@@ -170,32 +171,57 @@ class TangentReport:
     corank: int
 
 
-def _integer_rank(rows: list[list[int]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination; pivots are exact integers."""
-    if not rows:
-        return 0
-    rows = [row[:] for row in rows]
-    m, ncols = len(rows), len(rows[0])
-    rank, r, prev = 0, 0, 1
+#: The prime of the tangent-rank certificate; primality is what makes it sound.
+_RANK_PRIME = 2**31 - 1
+
+
+def _integer_rank(rows: list[list[int]], modulus: int = 0) -> int:
+    """Rank of an integer matrix by one elimination loop.
+
+    Without a modulus this is fraction-free (Bareiss) elimination over Z: each
+    update x*piv - f*y divides exactly by the previous pivot, so every entry
+    stays an integer minor.  With a prime modulus the rows are reduced once
+    and the update is taken mod p; over a field no division is needed.
+    """
+    if modulus:
+        rows = [[x % modulus for x in row] for row in rows]
+    else:
+        rows = [row[:] for row in rows]
+    m, ncols = len(rows), len(rows[0]) if rows else 0
+    rank, prev = 0, 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(rank, m) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, ncols):
-                num = rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]
-                quo, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("Bareiss exact division failed")
-                rows[i][j] = quo
-            rows[i][c] = 0
-        prev = rows[r][c]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank][c + 1 :]
+        piv = rows[rank][c]
+        for i in range(rank + 1, m):
+            row, f = rows[i], rows[i][c]
+            if modulus:
+                if f:  # over a field a row with f = 0 needs no scaling
+                    row[c + 1 :] = [(x * piv - f * y) % modulus for x, y in zip(row[c + 1 :], top)]
+            else:
+                for j, (x, y) in enumerate(zip(row[c + 1 :], top), c + 1):
+                    quo, rem = divmod(x * piv - f * y, prev)
+                    if rem:
+                        raise AssertionError("Bareiss exact division failed")
+                    row[j] = quo
+            row[c] = 0
+        prev = piv
         rank += 1
-        r += 1
-        if r == m:
+        if rank == m:
             break
     return rank
+
+
+def _certified_rank(rows: list[list[int]]) -> int:
+    """Exact rank of an integer matrix: mod ``_RANK_PRIME`` when that rank is
+    min(rows, columns), else by Bareiss over Z (see ``tangent_rank``)."""
+    rank = _integer_rank(rows, _RANK_PRIME)
+    if rows and rank == min(len(rows), len(rows[0])):
+        return rank
+    return _integer_rank(rows)
 
 
 def tangent_rank(t: PellTriple) -> TangentReport:
@@ -207,16 +233,26 @@ def tangent_rank(t: PellTriple) -> TangentReport:
     2P dP - 2RQ dQ - Q^2 dR, read as a matrix over Q in the coefficient basis.
     The corank is the chart's tangent dimension: the genus in the normalized
     chart, genus + 1 in the monic chart (the extra translation direction).
+
+    Column j holds the numerators of direction j, that is the direction
+    times its denominator d_j > 0.  The integer matrix is the rational one
+    times the invertible diagonal diag(d_j), so the two have the same rank.
+    The rank is first taken mod the prime p = ``_RANK_PRIME``.  Over the
+    field F_p, elimination counts the size of the largest minor nonzero mod
+    p; such a minor is a nonzero integer, so rank mod p <= rank over Q <=
+    min(rows, columns), and a full rank mod p is the exact rank.  The modulus
+    must be prime: mod a composite, nonzero pivots can have a zero product,
+    and the pivot count bounds no minor.  A rank mod p below full may only
+    mean that p divides every largest minor, so Bareiss over Z decides then.
     """
     if t.chart not in (CHART_MONIC, CHART_NORMALIZED):
         raise ValueError(f"tangent rank needs the monic or normalized chart, not {t.chart!r}")
     n, g = t.order, t.genus
-    p_dirs = [(t.p * 2).shift_degree(j) for j in range(n)]
-    q_dirs = [(t.r * t.q * -2).shift_degree(j) for j in range(t.q.degree)]
     r_top = 2 * g + 2 if t.chart == CHART_MONIC else 2 * g + 1
-    r_dirs = [(t.q * t.q * -1).shift_degree(j) for j in range(r_top)]
-    # Column j holds the numerators of direction j: the direction scaled by
-    # its denominator, which leaves the rank unchanged.
-    columns = [d.num + (0,) * (2 * n - len(d.num)) for d in p_dirs + q_dirs + r_dirs]
-    rank = _integer_rank([list(row) for row in zip(*columns)])
+    columns = [
+        (0,) * j + d.num + (0,) * (2 * n - j - len(d.num))
+        for d, count in ((t.p * 2, n), (t.r * t.q * -2, t.q.degree), (t.q * t.q * -1, r_top))
+        for j in range(count)
+    ]
+    rank = _certified_rank([list(row) for row in zip(*columns)])
     return TangentReport(len(columns), rank, len(columns) - rank)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from test_parsing import int_digit_limit
 
+from abelpell import strata
 from abelpell.cli import main
 
 
@@ -203,6 +204,27 @@ def test_strata_tangent_rank(capsys):
     code, report, _ = run_json(capsys, "strata", "tangent-rank", "x^2", "1", "x^4-1")
     assert code == 0
     assert report["result"] == {"chart": "normalized", "variables": 5, "rank": 4, "corank": 1}
+
+
+@pytest.mark.parametrize("args, rank, corank", [
+    (("x^250", "1", "x^500-1"), 500, 249),
+    (("x^200+x^100+3", "1", "x^400+2*x^300+7*x^200+6*x^100+8"), 400, 199),
+])
+def test_strata_tangent_rank_at_the_degree_cap(capsys, monkeypatch, args, rank, corank):
+    # Order 500 and 400: Bareiss over Z on these matrices takes seconds to
+    # tens of seconds, so the answer must come from the certificate mod p.
+    integer_rank = strata._integer_rank
+
+    def no_bareiss(rows, modulus=0):
+        if not modulus:
+            raise AssertionError("Bareiss fallback ran")
+        return integer_rank(rows, modulus)
+
+    monkeypatch.setattr(strata, "_integer_rank", no_bareiss)
+    code, report, _ = run_json(capsys, "strata", "tangent-rank", *args)
+    assert code == 0
+    assert (report["result"]["rank"], report["result"]["corank"]) == (rank, corank)
+    assert all(check["ok"] for check in report["checks"])
 
 
 def test_components_count(capsys):

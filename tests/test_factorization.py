@@ -1,6 +1,7 @@
 """Zassenhaus factorization over Q, checked against sympy's ``factor_list``.
 
-sympy is only a test dependency: it is the oracle here and nowhere else.
+sympy is only a test dependency: it is the oracle here and for the matrix
+rank in ``test_strata.py``, and nowhere else.
 """
 import os
 import subprocess

@@ -5,8 +5,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelpell import strata
+from abelpell.factorization import _is_prime
 from abelpell.limits import MAX_DEGREE, ResourceLimit
 from abelpell.pell import PellTriple, inflate
 from abelpell.strata import (
@@ -17,6 +21,8 @@ from abelpell.strata import (
     weighted_sigma,
 )
 from abelpell.unipoly import ONE, ZERO, UniPoly, poly
+
+RANK_PRIME = strata._RANK_PRIME
 
 
 def exponent_lists(max_total: int):
@@ -206,3 +212,83 @@ def test_tangent_corank_on_inflated_points():
         out = inflate(base23, m, case)
         assert out.chart == "normalized"
         assert tangent_rank(out).corank == out.genus
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices: random ones, and rank-deficient products A*B
+    with an inner dimension below min(rows, columns).  Entries are small or
+    small multiples of the certificate's prime, and either kind is scaled by
+    1 or by that prime, which makes every entry 0 mod p."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.integers(-9, 9) | st.integers(-2, 2).map(lambda k: k * RANK_PRIME)
+
+    def block(rows, cols):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        rows = block(m, n)
+    else:
+        k = draw(st.integers(0, min(m, n) - 1))
+        a, b = block(m, k), block(k, n)
+        rows = [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(n)] for i in range(m)]
+    scale = draw(st.sampled_from((1, RANK_PRIME)))
+    return [[scale * x for x in row] for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_certified_rank_matches_bareiss_and_sympy(rows):
+    expected = sympy.Matrix(rows).rank()
+    assert strata._integer_rank(rows) == expected
+    assert strata._certified_rank(rows) == expected
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The matrices that reach Bareiss over Z (``_integer_rank`` without a
+    modulus), recorded as they are passed."""
+    calls, integer_rank = [], strata._integer_rank
+
+    def counted(rows, modulus=0):
+        if not modulus:
+            calls.append(rows)
+        return integer_rank(rows, modulus)
+
+    monkeypatch.setattr(strata, "_integer_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows, rank_mod_p, rank", [
+    # det = p: full rank over Q, rank 1 mod p.
+    ([[1, 1], [1, 1 + RANK_PRIME]], 1, 2),
+    # Row 3 is row 1 + row 2; the entry p, which no update reduces, must not
+    # be taken for a pivot.
+    ([[0, RANK_PRIME, 1], [1, 0, 0], [1, RANK_PRIME, 1]], 2, 2),
+])
+def test_certified_rank_falls_back_below_full_rank_mod_p(bareiss_calls, rows, rank_mod_p, rank):
+    assert strata._integer_rank(rows, RANK_PRIME) == rank_mod_p
+    assert not bareiss_calls
+    assert strata._certified_rank(rows) == rank
+    assert bareiss_calls == [rows]
+
+
+def test_tangent_rank_takes_no_fallback_on_fixtures(triples, bareiss_calls):
+    demo = [
+        PellTriple.build(poly(-1, 0, 1), poly(0, 1), poly(-2, 0, 1)),
+        PellTriple.build(poly(0, 0, 1), poly(1), poly(-1, 0, 0, 0, 1)),
+        PellTriple.build(poly(1, 0, 1), poly(0, 1), poly(2, 0, 1)),
+    ]
+    charted = [t for t in triples + demo if t.chart in ("monic", "normalized")]
+    assert len(charted) > len(demo)
+    for t in charted:
+        tangent_rank(t)
+    assert bareiss_calls == []
+
+
+def test_rank_modulus_is_prime():
+    # Mod a composite the certificate is unsound: nonzero pivots can have a
+    # zero product.
+    assert _is_prime(RANK_PRIME)
+    assert not _is_prime(RANK_PRIME + 2)
