@@ -3,20 +3,21 @@
 Grammar: integer and rational literals of ASCII digits (``3``, ``5/2``), one
 variable name ``[A-Za-z_][A-Za-z0-9_]*`` (``x`` unless the expression
 introduces another), ``+``, ``-``, ``*``, ``^`` with nonnegative integer
-exponents, and parentheses.  Anything else is rejected with a
-position-annotated :class:`ParseError`; a power or product
-whose degree would exceed :data:`abelpell.limits.MAX_DEGREE` or whose
-coefficients could not be printed, and parentheses nested deeper than
-:data:`abelpell.limits.MAX_NESTING`, raise
-:class:`abelpell.limits.ResourceLimit` before they are parsed further.  The printer
-:func:`abelpell.unipoly.format_poly` emits this grammar, so parse/print is a
-round trip.
+exponents, and parentheses.  The printer :func:`abelpell.unipoly.format_poly`
+emits this grammar, so parse/print is a round trip.
+
+The text is read once, left to right, and the first error reached is raised:
+``x)$`` fails on its ``)``, not on the ``$`` after it.  Anything outside the
+grammar is a position-annotated :class:`ParseError`.  A number literal longer
+than the int-to-str digit limit, a power or product whose degree would exceed
+:data:`abelpell.limits.MAX_DEGREE` or whose coefficients could not be printed,
+and parentheses nested deeper than :data:`abelpell.limits.MAX_NESTING` raise
+:class:`abelpell.limits.ResourceLimit` before they are computed.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .limits import MAX_DEGREE, MAX_NESTING, ResourceLimit
@@ -62,99 +63,81 @@ class ParseError(ValueError):
 
 _DIGITS = frozenset("0123456789")
 _NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_") | _DIGITS
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | name | op | end
-    text: str
-    position: int
-    value: Fraction | None = None
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            numerator = int(text[start:i])
-            value = Fraction(numerator)
-            # A slash glues two integers into one rational literal.
-            if i < n and text[i] == "/":
-                j = i + 1
-                if j >= n or text[j] not in _DIGITS:
-                    raise ParseError("expected digits after '/' in rational literal", i)
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                denominator = int(text[i + 1 : j])
-                if denominator == 0:
-                    raise ParseError("zero denominator in rational literal", i + 1)
-                value = Fraction(numerator, denominator)
-                i = j
-            tokens.append(_Token("number", text[start:i], start, value))
-            continue
-        if ch in _NAME_CHARS:  # not a digit: digits start a number
-            start = i
-            while i < n and text[i] in _NAME_CHARS:
-                i += 1
-            tokens.append(_Token("name", text[start:i], start))
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
+_TOKEN_CHARS = _NAME_CHARS | frozenset("+-*^()")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], var: str | None):
-        self.tokens = tokens
+    def __init__(self, text: str, var: str | None):
+        self.text = text
         self.pos = 0
         self.var = var
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """Skip whitespace and return the next character, or "" at the end."""
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        ch = self.text[self.pos : self.pos + 1]
+        if ch and ch not in _TOKEN_CHARS:
+            raise ParseError(f"unexpected character {ch!r}", self.pos)
+        return ch
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def run(self, chars: frozenset[str]) -> str:
+        """Read the longest run of ``chars`` at the position."""
+        text, start = self.text, self.pos
+        while self.pos < len(text) and text[self.pos] in chars:
+            self.pos += 1
+        return text[start : self.pos]
+
+    def integer(self) -> int:
+        start, digits = self.pos, self.run(_DIGITS)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and len(digits) > limit:
+            raise ResourceLimit(
+                f"a number literal of {len(digits)} digits exceeds the limit of {limit} digits"
+                f" (column {start + 1})"
+            )
+        return int(digits)
+
+    def literal(self) -> Fraction | str:
+        """Read the number or name at the position: its value, or the name.
+        A slash right after digits glues two integers into one rational."""
+        if self.text[self.pos] not in _DIGITS:
+            return self.run(_NAME_CHARS)
+        numerator, slash = self.integer(), self.pos
+        if not self.text.startswith("/", slash):
+            return Fraction(numerator)
         self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.position)
-        return self.take()
+        if self.text[self.pos : self.pos + 1] not in _DIGITS:
+            raise ParseError("expected digits after '/' in rational literal", slash)
+        denominator = self.integer()
+        if denominator == 0:
+            raise ParseError("zero denominator in rational literal", slash + 1)
+        return Fraction(numerator, denominator)
 
     def parse(self) -> UniPoly:
         result = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.position)
+        if ch := self.peek():
+            start = self.pos
+            if ch in _NAME_CHARS:
+                self.literal()
+            else:
+                self.pos += 1
+            raise ParseError(f"unexpected {self.text[start : self.pos]!r}", start)
         return result
 
     def expr(self) -> UniPoly:
         acc = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take()
+        while (op := self.peek()) in ("+", "-"):
+            self.pos += 1
             term = self.term()
-            acc = acc + term if op.text == "+" else acc - term
+            acc = acc + term if op == "+" else acc - term
         return acc
 
     def term(self) -> UniPoly:
         acc = self.signed()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.take()
+        while self.peek() == "*":
+            self.pos += 1
             factor = self.signed()
             _check_degree(acc.degree + factor.degree)
             _check_height(_height_bits(acc) + _height_bits(factor))
@@ -164,59 +147,59 @@ class _Parser:
     def signed(self) -> UniPoly:
         # A loop, not recursion: a run of signs costs no stack.
         negate = False
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            negate ^= self.take().text == "-"
+        while (sign := self.peek()) in ("+", "-"):
+            self.pos += 1
+            negate ^= sign == "-"
         inner = self.power()
         return -inner if negate else inner
 
     def power(self) -> UniPoly:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
-            tok = self.peek()
-            if tok.kind != "number" or tok.value is None or tok.value.denominator != 1:
-                raise ParseError("exponent must be a nonnegative integer", tok.position)
-            self.take()
-            exponent = tok.value.numerator
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", tok.position)
-            _check_degree(base.degree * exponent)
-            _check_height(_height_bits(base) * exponent)
-            return base**exponent
-        return base
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        number = self.peek() in _DIGITS
+        start = self.pos
+        value = self.literal() if number else None
+        if not isinstance(value, Fraction) or value.denominator != 1:
+            raise ParseError("exponent must be a nonnegative integer", start)
+        exponent = value.numerator
+        if exponent > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds {MAX_EXPONENT}", start)
+        _check_degree(base.degree * exponent)
+        _check_height(_height_bits(base) * exponent)
+        return base**exponent
 
     def atom(self) -> UniPoly:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.take()
-            assert tok.value is not None
-            return UniPoly((tok.value,))
-        if tok.kind == "name":
-            self.take()
-            if self.var is None:
-                self.var = tok.text
-            elif tok.text != self.var:
-                raise ParseError(
-                    f"unknown identifier {tok.text!r} (the variable is {self.var!r})",
-                    tok.position,
-                )
-            return UniPoly((0, 1))
-        if tok.kind == "op" and tok.text == "(":
+        ch = self.peek()
+        start = self.pos
+        if ch == "(":
             if self.depth == MAX_NESTING:
                 raise ResourceLimit(
                     f"parentheses nested deeper than the cap of {MAX_NESTING}"
-                    f" (column {tok.position + 1})"
+                    f" (column {start + 1})"
                 )
-            self.take()
+            self.pos += 1
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
-            self.expect_op(")")
+            if self.peek() != ")":
+                raise ParseError("expected ')'", self.pos)
+            self.pos += 1
             return inner
-        raise ParseError(
-            "expected a number, the variable, or a parenthesised expression",
-            tok.position,
-        )
+        if ch not in _NAME_CHARS:
+            message = "expected a number, the variable, or a parenthesised expression"
+            raise ParseError(message, start)
+        value = self.literal()
+        if isinstance(value, Fraction):
+            return UniPoly((value,))
+        if self.var is None:
+            self.var = value
+        elif value != self.var:
+            raise ParseError(
+                f"unknown identifier {value!r} (the variable is {self.var!r})", start
+            )
+        return UniPoly((0, 1))
 
 
 def parse_poly(text: str, var: str | None = None) -> UniPoly:
@@ -227,4 +210,4 @@ def parse_poly(text: str, var: str | None = None) -> UniPoly:
     >>> parse_poly("(x^2+1)*(x^2-1)")
     UniPoly('x^4 - 1')
     """
-    return _Parser(_tokenize(text), var).parse()
+    return _Parser(text, var).parse()

@@ -358,11 +358,8 @@ def normalize(
         shift = -r.coeff(r.degree - 1) / r.degree
     a = rational_nth_root(1 / p.leading, n)
     if a is None:
-        return Obstruction(
-            n,
-            p.leading,
-            f"requires a rational {n}th root of {p.leading}",
-        )
+        suffix = "th" if 11 <= n % 100 <= 13 else {1: "st", 2: "nd", 3: "rd"}.get(n % 10, "th")
+        return Obstruction(n, p.leading, f"requires a rational {n}{suffix} root of {p.leading}")
     lam = 1 / (q.leading * a ** (n - genus - 1))
     new_p = p.compose_linear(a, shift)
     new_q = q.compose_linear(a, shift) * lam

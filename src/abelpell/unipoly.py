@@ -51,7 +51,10 @@ class UniPoly:
     den: int
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
         # Over the lcm of the reduced denominators the numerators are coprime
         # to it already, so no gcd is needed here.
         den = lcm(*[c.denominator for c in cs])
@@ -132,22 +135,26 @@ class UniPoly:
 
     # -- ring operations ---------------------------------------------------
 
+    # An int or Fraction operand is taken exactly, as a constant polynomial;
+    # any other type gives NotImplemented, so Python raises TypeError.
     def __add__(self, other: UniPoly | Rat) -> UniPoly:
-        return _sum(self, _coerce(other), 1)
+        return NotImplemented if (b := _operand(other)) is None else _sum(self, b, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: UniPoly | Rat) -> UniPoly:
-        return _sum(self, _coerce(other), -1)
+        return NotImplemented if (b := _operand(other)) is None else _sum(self, b, -1)
 
     def __rsub__(self, other: UniPoly | Rat) -> UniPoly:
-        return _sum(_coerce(other), self, -1)
+        return NotImplemented if (a := _operand(other)) is None else _sum(a, self, -1)
 
     def __neg__(self) -> UniPoly:
         return _made(tuple([-c for c in self.num]), self.den)
 
     def __mul__(self, other: UniPoly | Rat) -> UniPoly:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, UniPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             return _reduced([c * other.numerator for c in self.num], self.den * other.denominator)
         a, b = self.num, other.num
         if not a or not b:
@@ -162,6 +169,8 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> UniPoly:
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = ONE
@@ -173,20 +182,20 @@ class UniPoly:
             n >>= 1
         return result
 
-    def __divmod__(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
+    def __divmod__(self, other: UniPoly | Rat) -> tuple[UniPoly, UniPoly]:
         """Euclidean division over the rationals (always exact).
 
         >>> divmod(poly(-1, 0, 1), poly(1, 1))
         (UniPoly('x - 1'), UniPoly('0'))
         """
-        return _divide(self, other, True)
+        return NotImplemented if (b := _operand(other)) is None else _divide(self, b, True)
 
-    def __floordiv__(self, other: UniPoly) -> UniPoly:
-        return divmod(self, other)[0]
+    def __floordiv__(self, other: UniPoly | Rat) -> UniPoly:
+        return NotImplemented if (b := _operand(other)) is None else divmod(self, b)[0]
 
-    def __mod__(self, other: UniPoly) -> UniPoly:
+    def __mod__(self, other: UniPoly | Rat) -> UniPoly:
         """The remainder of :meth:`__divmod__`, without building the quotient."""
-        return _divide(self, other, False)[1]
+        return NotImplemented if (b := _operand(other)) is None else _divide(self, b, False)[1]
 
     def exact_div(self, other: UniPoly) -> UniPoly:
         quo, rem = divmod(self, other)
@@ -364,11 +373,12 @@ def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None
     return quotient, remainder
 
 
-def _coerce(value: UniPoly | Rat) -> UniPoly:
+def _operand(value: object) -> UniPoly | None:
+    """A UniPoly, int or Fraction operand as a polynomial; None for any other."""
     if isinstance(value, UniPoly):
         return value
     if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
+        return None
     # An int or Fraction is in lowest terms with a positive denominator.
     return _made((value.numerator,), value.denominator) if value else ZERO
 

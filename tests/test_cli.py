@@ -111,6 +111,16 @@ def test_height_cap_exit(capsys, text):
     assert code == 3 and "bits exceed the cap of 28570 bits" in err and out == ""
 
 
+@pytest.mark.parametrize("text, column", [("1" + "0" * 5000, 1), ("x^" + "1" * 5001, 3)],
+                         ids=["coefficient", "exponent"])
+def test_long_literal_exit(capsys, text, column):
+    # A literal the interpreter could not convert is an answer too large: exit 3.
+    with int_digit_limit(4300):
+        code, out, err = run_cli(capsys, "pell", "verify", text, "1", "x^2-1")
+    message = f"a number literal of 5001 digits exceeds the limit of 4300 digits (column {column})"
+    assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["pell", "verify", "(x+1)^3000", "1", "x^2-1"],
     ["pell", "inflate", "x", "1", "x^2-1", "--m", "100000", "--case", "divides_g_plus_1"],

@@ -17,23 +17,26 @@ import abelpell
 SRC = Path(abelpell.__file__).resolve().parents[1]
 
 LOADED = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 import abelpell
-argv = json.loads(sys.argv[1])
+module, argv = json.loads(sys.argv[1])
+importlib.import_module(module)
 if argv:
     from abelpell.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
 else:
     assert not hasattr(abelpell, "no_such_name")
-print(json.dumps(sorted(m[len("abelpell."):] for m in sys.modules if m.startswith("abelpell."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_modules(argv: list[str]) -> set[str]:
+def loaded_modules(argv: list[str], module: str = "abelpell") -> set[str]:
+    """Every module, the standard library's too, that a fresh interpreter
+    holds after it imports module and runs the CLI on argv (if any)."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", LOADED, json.dumps(argv)],
+        [sys.executable, "-c", LOADED, json.dumps([module, argv])],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     ).stdout
     return set(json.loads(out))
@@ -51,11 +54,17 @@ def loaded_modules(argv: list[str]) -> set[str]:
      {"geometry", "factorization", "components", "perms"}),
 ])
 def test_commands_load_only_their_layers(argv, absent):
-    loaded = loaded_modules(argv)
+    loaded = {m[len("abelpell."):] for m in loaded_modules(argv) if m.startswith("abelpell.")}
     if absent is None:
         assert loaded == set()  # import abelpell loads no submodule
     else:
         assert loaded and not loaded & absent, loaded & absent
+
+
+def test_parser_loads_no_dataclasses():
+    # Every polynomial command parses its input: the parser builds no record type.
+    loaded = loaded_modules([], "abelpell.parsing")
+    assert "abelpell.parsing" in loaded and "dataclasses" not in loaded
 
 
 def test_components_imports_no_polynomial_layer():

@@ -1,5 +1,6 @@
 import contextlib
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -11,6 +12,17 @@ from hypothesis import strategies as st
 from abelpell.limits import MAX_DEGREE, MAX_NESTING, ResourceLimit
 from abelpell.parsing import ParseError, parse_poly, printable
 from abelpell.unipoly import UniPoly, format_poly, poly
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits: int):
+    """Run with the interpreter's int-to-str digit limit set to digits."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_basic_examples():
@@ -29,16 +41,43 @@ def test_negative_exponent_rejected():
     assert err.value.position == 2
 
 
+NESTED = "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+
+# One input per error message, with the text and column it gives under the
+# default digit limit of 4300.
+ERRORS = [
+    ("1/x", ParseError, "expected digits after '/' in rational literal (column 2)"),
+    ("1/0", ParseError, "zero denominator in rational literal (column 3)"),
+    ("x + $", ParseError, "unexpected character '$' (column 5)"),
+    ("(x+1", ParseError, "expected ')' (column 5)"),
+    ("x)", ParseError, "unexpected ')' (column 2)"),
+    ("x 3/4", ParseError, "unexpected '3/4' (column 3)"),
+    ("x^-1", ParseError, "exponent must be a nonnegative integer (column 3)"),
+    ("x^ ", ParseError, "exponent must be a nonnegative integer (column 4)"),
+    ("x^1000000", ParseError, "exponent exceeds 100000 (column 3)"),
+    ("x + y", ParseError, "unknown identifier 'y' (the variable is 'x') (column 5)"),
+    ("x^2 + ", ParseError,
+     "expected a number, the variable, or a parenthesised expression (column 7)"),
+    (NESTED, ResourceLimit, "parentheses nested deeper than the cap of 100 (column 101)"),
+    ("x^501", ResourceLimit, "polynomial degree 501 exceeds the cap of 500"),
+    ("9^100000", ResourceLimit,
+     "coefficients of up to 400000 bits exceed the cap of 28570 bits"),
+    ("x - 1" + "0" * 4300, ResourceLimit,
+     "a number literal of 4301 digits exceeds the limit of 4300 digits (column 5)"),
+    # Two errors: the first one reached, reading left to right, is raised.
+    ("x)$", ParseError, "unexpected ')' (column 2)"),
+    ("x^600*1/0", ResourceLimit, "polynomial degree 600 exceeds the cap of 500"),
+]
+
+
 def test_error_positions():
-    with pytest.raises(ParseError) as err:
-        parse_poly("x^2 + ")
-    assert err.value.position == 6
-    with pytest.raises(ParseError) as err:
-        parse_poly("x + $")
-    assert err.value.position == 4
-    with pytest.raises(ParseError) as err:
-        parse_poly("(x+1")
-    assert "expected ')'" in str(err.value)
+    with int_digit_limit(4300):
+        for text, error, message in ERRORS:
+            with pytest.raises(error) as err:
+                parse_poly(text)
+            assert str(err.value) == message, text[:20]
+            if error is ParseError:
+                assert message.endswith(f"(column {err.value.position + 1})"), text
 
 
 @pytest.mark.parametrize("text, position, message", [
@@ -46,6 +85,8 @@ def test_error_positions():
     ("x^2-2/٣", 5, "expected digits after '/'"),  # Arabic-Indic three
     ("x^²", 2, "unexpected character '²'"),
     ("é^2-2", 0, "unexpected character 'é'"),  # a non-ASCII letter
+    ("x٣", 1, "unexpected character '٣'"),  # not part of the name
+    ("x^2 - ２", 6, "unexpected character '２'"),  # fullwidth two
 ])
 def test_only_ascii_digits_and_letters(text, position, message):
     with pytest.raises(ParseError, match=message) as err:
@@ -85,17 +126,6 @@ def test_degree_cap():
             parse_poly(text)
 
 
-@contextlib.contextmanager
-def int_digit_limit(digits: int):
-    """Run with the interpreter's int-to-str digit limit set to digits."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(digits)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def test_height_cap():
     # A power or product whose coefficients could outgrow twice the bits of a
     # number with the int-to-str digit limit is refused before it is computed.
@@ -109,6 +139,22 @@ def test_height_cap():
             with pytest.raises(ResourceLimit, match="bits exceed the cap of 28570 bits"):
                 parse_poly(text)
             assert time.perf_counter() - start < 1
+
+
+def test_literal_digit_limit():
+    # A literal longer than the interpreter could convert is refused with its
+    # column, as a numerator, a denominator or an exponent.
+    with int_digit_limit(4300):
+        assert parse_poly("9" * 4300) == poly(10**4300 - 1)
+        assert parse_poly(f"x^0{'0' * 4298}2") == poly(0, 0, 1)
+        for text, column in (("1" * 4301, 1), ("x + 1/" + "7" * 4301, 7),
+                             ("x^" + "0" * 4301, 3)):
+            message = f"literal of 4301 digits exceeds the limit of 4300 digits (column {column})"
+            with pytest.raises(ResourceLimit, match=re.escape(message)):
+                parse_poly(text)
+    with int_digit_limit(0):
+        assert parse_poly("1" * 4301) == poly(int("1" * 4301))
+        assert parse_poly("x^" + "0" * 4301) == poly(1)
 
 
 def test_printable_is_exact_at_the_digit_limit():

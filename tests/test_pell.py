@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import chebyshev_triple
 from test_parsing import int_digit_limit
 
 from abelpell import pell
@@ -268,6 +269,19 @@ def test_normalize_fixed_point_and_obstruction():
         normalize(poly(0, 1), poly(1), R_MINUS2, CHART_MONIC)  # not a solution
     general = (poly(0, 2), poly(2), poly(Fraction(-1, 4), 0, 1))
     assert normalize(*general, CHART_GENERAL) == PellTriple.build(*general)
+
+
+@pytest.mark.parametrize("order, ordinal", [
+    (2, "2nd"), (3, "3rd"), (4, "4th"), (11, "11th"), (12, "12th"), (13, "13th"),
+    (21, "21st"), (22, "22nd"), (23, "23rd"), (111, "111th"),
+])
+def test_normalize_obstruction_names_the_root_in_english(order, ordinal):
+    # P of the order-n Chebyshev solution leads with 2^(n-1), which has no
+    # rational n-th root.
+    t = chebyshev_triple(order)
+    obs = normalize(t.p, t.q, t.r, CHART_MONIC)
+    assert isinstance(obs, Obstruction) and obs.root_degree == order
+    assert obs.message == f"requires a rational {ordinal} root of {2 ** (order - 1)}"
 
 
 def test_normalize_shift_clears_odd_part():

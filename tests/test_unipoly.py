@@ -37,6 +37,57 @@ def test_ring_basics():
     assert p.evaluate(Fraction(3, 2)) == Fraction(1, 4)
 
 
+SCALAR_OPERATORS = {
+    "p + c": lambda p, c: p + c,
+    "c + p": lambda p, c: c + p,
+    "p - c": lambda p, c: p - c,
+    "c - p": lambda p, c: c - p,
+    "p * c": lambda p, c: p * c,
+    "c * p": lambda p, c: c * p,
+    "p // c": lambda p, c: p // c,
+    "p % c": lambda p, c: p % c,
+    "divmod(p, c)": lambda p, c: divmod(p, c),
+}
+SCALARS = [3, Fraction(-2, 3), 0.1, "1", None]
+
+
+@pytest.mark.parametrize("scalar", SCALARS, ids=repr)
+@pytest.mark.parametrize("operator", SCALAR_OPERATORS)
+def test_scalar_operands(operator, scalar):
+    # An int or Fraction is taken exactly, as the constant polynomial it is;
+    # any other type is a TypeError, never a float's binary expansion.
+    apply, p = SCALAR_OPERATORS[operator], poly(1, 2, 3)
+    if isinstance(scalar, (int, Fraction)):
+        assert apply(p, scalar) == apply(p, UniPoly([scalar]))
+    else:
+        with pytest.raises(TypeError):
+            apply(p, scalar)
+
+
+@pytest.mark.parametrize("scalar", SCALARS, ids=repr)
+def test_scalar_coefficients(scalar):
+    if isinstance(scalar, (int, Fraction)):
+        assert UniPoly([scalar, 1]).coeffs == poly(scalar, 1).coeffs == (Fraction(scalar), 1)
+    else:
+        with pytest.raises(TypeError):
+            UniPoly([scalar, 1])
+        with pytest.raises(TypeError):
+            poly(scalar, 1)
+
+
+def test_scalar_divisors_and_exponents():
+    p = poly(1, 2, 3)
+    assert p // 2 == poly(Fraction(1, 2), 1, Fraction(3, 2))
+    assert divmod(p, Fraction(2, 3)) == (poly(Fraction(3, 2), 3, Fraction(9, 2)), poly())
+    assert p % 2 == poly()
+    with pytest.raises(ZeroDivisionError):
+        p // 0
+    assert p**2 == p**Fraction(2) == p * p  # the latter by Fraction.__rpow__
+    for exponent in (Fraction(1, 2), 0.5, "2", None):
+        with pytest.raises(TypeError):
+            p**exponent
+
+
 def test_divmod_exact():
     p = poly(-1, 0, 0, 1)
     quo, rem = divmod(p, poly(-1, 1))
