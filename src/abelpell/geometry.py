@@ -9,6 +9,11 @@ with W of degree g, the integrand of Abel's integral of W dx / sqrt(R) =
 log(P + Q sqrt(R)) (Crelle J. 1 (1826)), and every root of Q lies over +-1;
 so the unassigned critical points are roots of W, and the branch polynomial
 needs only g + 1 resultants.
+An inflation P = L(x^m) (see :func:`abelpell.pell.inflate`) reads its branch
+data off its base L, as the branch data of a composite come from its factors
+(Ritt, Trans. AMS 23 (1922)): x -> x^m is branched only over 0 and infinity,
+so a fibre of L away from y = 0 lifts to m copies of itself, and the point
+y = 0 of multiplicity e0 lifts to one point of multiplicity m * e0.
 Everything reduces to exact squarefree decompositions and gcds over Q: the
 fibres over a Galois orbit of branch values are read off gcds with the
 squarefree factors of W, so no algebraic extension is built and nothing is
@@ -17,9 +22,11 @@ numerical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from fractions import Fraction
+from math import gcd as int_gcd
 
 from .factorization import factor_rational
+from .pell import PellTriple
 # polt_dimension is re-exported: geometry.polt_dimension still resolves
 from .ramspec import Partition, RamSpec, genus_of_ramspec, polt_dimension
 from .unipoly import (
@@ -29,9 +36,6 @@ from .unipoly import (
     resultant,
     squarefree_decomposition,
 )
-
-if TYPE_CHECKING:
-    from .pell import PellTriple
 
 
 def _partition_of_decomposition(parts: list[tuple[UniPoly, int]]) -> Partition:
@@ -90,6 +94,39 @@ def assigned_profile(t: PellTriple) -> tuple[Partition, Partition, Partition]:
     )
 
 
+def _power_part(p: UniPoly, m: int) -> tuple[UniPoly, int]:
+    """(p0, j) with p = x^j p0(x^m) and 0 <= j < m, for a nonzero p of that form."""
+    j = next(i for i, c in enumerate(p.num) if c) % m
+    if any(c for i, c in enumerate(p.num) if i % m != j):
+        raise AssertionError(f"{p} is not x^{j} times a polynomial in x^{m}")
+    # Off num and den: p.coeffs would keep a tuple of Fractions on the caller's p.
+    return UniPoly([Fraction(c, p.den) for c in p.num[j::m]]), j
+
+
+def _base_of(t: PellTriple) -> tuple[PellTriple, int] | None:
+    """The base triple and the largest m >= 2 with P = L(x^m), or None.
+
+    m is the gcd of the exponents of P's nonconstant terms.  P(z x) = P(x)
+    for a primitive m-th root of unity z, so x -> z x permutes the roots of
+    P^2 - 1 = R Q^2 with their multiplicities; R is squarefree, so it maps
+    R and Q to multiples of themselves.  Hence Q = x^j Q0(x^m) and
+    R = x^e R~(x^m), with e in {0, 1} as R is squarefree and 2j + e in
+    {0, m} as R Q^2 = P^2 - 1 is a polynomial in x^m; the base is
+    (L, Q0, y^((2j + e)/m) R~(y)).  This inverts :func:`abelpell.pell.inflate`
+    and covers a power of an inflation, or T_k of an even L, as well.  As m
+    is the largest, the base is never an inflation itself.
+    """
+    m = int_gcd(*[i for i, c in enumerate(t.p.num) if c and i])
+    if m < 2:
+        return None
+    ell, _ = _power_part(t.p, m)
+    q0, j = _power_part(t.q, m)
+    r0, e = _power_part(t.r, m)
+    if e > 1 or 2 * j + e not in (0, m):
+        raise AssertionError(f"{t} has P = L(x^{m}) but Q = x^{j} Q0(x^{m}), R = x^{e} R~(x^{m})")
+    return PellTriple.build(ell, q0, r0.shift_degree((2 * j + e) // m)), m
+
+
 def branch_polynomial(t: PellTriple) -> UniPoly:
     """res_x(P(x) - s, P'(x)) as a polynomial in the branch value s.
 
@@ -110,13 +147,31 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
     order.  A constant Q gives a = 0 and g + 1 = n, so the formula covers it
     too.
 
+    An inflation P = L(x^m) of order n = m d, with b_L the branch polynomial
+    of its base, needs no resultant of its own: P' = m x^(m-1) L'(x^m), so
+
+        res(P - s, P') = m^n res(P - s, x)^(m - 1) res(P - s, L'(x^m)).
+
+    res(P - s, x) = (-1)^n (L(0) - s), and the m (d - 1) roots of L'(x^m)
+    are the m-th roots of the roots c of L', at each of which P - s takes
+    the value L(c) - s; with lc(L'(x^m)) = d lc(L) this gives
+    res(P - s, L'(x^m)) = (-1)^(n (n - m)) (d lc(L))^n prod_c (L(c) - s)^m
+    = (-1)^(n (n - m)) b_L(s)^m, as b_L(s) = (d lc(L))^d prod_c (L(c) - s)
+    by the same rule for res.  Both n (m - 1) = d m (m - 1) and
+    n (n - m) = m^2 d (d - 1) are even, so
+
+        b(s) = m^n (L(0) - s)^(m - 1) b_L(s)^m.
+
     T_3(x) = 4x^3 - 3x has its critical points +-1/2 over -+1:
 
-    >>> from .pell import PellTriple
     >>> t = PellTriple.build(UniPoly((0, -3, 0, 4)), UniPoly((-1, 0, 4)), UniPoly((-1, 0, 1)))
     >>> branch_polynomial(t)
     UniPoly('1728*x^2 - 1728')
     """
+    inflated = _base_of(t)
+    if inflated:
+        base, m = inflated
+        return branch_polynomial(base) ** m * UniPoly((base.p.coeff(0), -1)) ** (m - 1) * m**t.order
     dp = t.p.derivative()
     if dp.is_zero():
         raise AssertionError("P' = 0 cannot happen in characteristic zero")
@@ -171,7 +226,40 @@ def unassigned_branch(t: PellTriple) -> list[BranchClass]:
     factorization most of the degree of a Chebyshev triple's polynomial.
     The partitions are read off Yun(W) for P' = Q W: an unassigned point is
     not a root of Q, so it has the same multiplicity in W as in P'.
+
+    An inflation P = L(x^m) lifts its base's classes instead.  Over a value
+    other than L(0) each part of L's partition is repeated m times; over
+    L(0) the part e0 = ord_0(L - L(0)) of the point y = 0 becomes one part
+    m * e0.  Unless L(0) is +-1, L(0) is a branch value of P even when it is
+    none of L (e0 = 1 then).  For L = y^3 - 3y and m = 2:
+
+    >>> t = PellTriple.build(UniPoly((0, 0, -3, 0, 0, 0, 1)), UniPoly((1,)),
+    ...                      UniPoly((-1, 0, 0, 0, 9, 0, 0, 0, -6, 0, 0, 0, 1)))
+    >>> for cls in unassigned_branch(t):
+    ...     print(cls.factor, cls.partition)
+    x - 2 (2, 2, 1, 1)
+    x (2, 1, 1, 1, 1)
+    x + 2 (2, 2, 1, 1)
     """
+    inflated = _base_of(t)
+    if inflated:
+        base, m = inflated
+        classes = unassigned_branch(base)
+        ell = base.p
+        e0 = next(i for i, c in enumerate(ell.num) if c and i)
+        at_zero = UniPoly((-ell.coeff(0), 1))
+        if ell.coeff(0) not in (1, -1) and all(cls.factor != at_zero for cls in classes):
+            if e0 != 1:
+                raise AssertionError(f"0 is a critical point of {ell} but L(0) is no branch value")
+            classes.append(BranchClass(at_zero, (1,) * ell.degree))
+        lifted = []
+        for cls in classes:
+            parts = [part for part in cls.partition for _ in range(m)]
+            if cls.factor == at_zero:  # the m copies of y = 0's part are one point
+                i = parts.index(e0)
+                parts[i : i + m] = [m * e0]
+            lifted.append(BranchClass(cls.factor, tuple(sorted(parts, reverse=True))))
+        return sorted(lifted, key=lambda cls: (cls.factor.degree, cls.factor.coeffs))
     factors = factor_rational(branch_polynomial(t).deflate(1).deflate(-1))
     if not factors:
         return []

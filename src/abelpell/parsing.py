@@ -160,10 +160,10 @@ class _Parser:
         self.pos += 1
         number = self.peek() in _DIGITS
         start = self.pos
-        value = self.literal() if number else None
-        if not isinstance(value, Fraction) or value.denominator != 1:
+        # An integer literal only: "x^4/2" is an error, not x^2.
+        exponent = self.integer() if number else None
+        if exponent is None or self.text.startswith("/", self.pos):
             raise ParseError("exponent must be a nonnegative integer", start)
-        exponent = value.numerator
         if exponent > MAX_EXPONENT:
             raise ParseError(f"exponent exceeds {MAX_EXPONENT}", start)
         _check_degree(base.degree * exponent)

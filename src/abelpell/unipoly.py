@@ -168,9 +168,13 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> UniPoly:
+    def __pow__(self, n: int | Fraction) -> UniPoly:
+        # An integral Fraction counts as its int.  Any other exponent raises
+        # here: NotImplemented would let Fraction.__rpow__ try a float power.
+        if isinstance(n, Fraction) and n.denominator == 1:
+            n = n.numerator
         if not isinstance(n, int):
-            return NotImplemented
+            raise TypeError(f"the exponent {n!r} of a polynomial is not an integer")
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = ONE

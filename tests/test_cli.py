@@ -414,6 +414,10 @@ def test_abel_ramspec_finds_branch_classes_once(capsys, monkeypatch):
     monkeypatch.setattr(geometry, "branch_polynomial", lambda t: calls.append(t) or branch(t))
     assert run_cli(capsys, "abel", "ramspec", "x^3+x", "1", "x^6+2*x^4+x^2-1")[0] == 0
     assert len(calls) == 1
+    # An inflation P = L(x^2) of order 6 computes only its base's, of order 3.
+    calls.clear()
+    assert run_cli(capsys, "abel", "ramspec", "x^6-3*x^2", "1", "x^12-6*x^8+9*x^4-1")[0] == 0
+    assert [t.order for t in calls] == [3]
 
 
 def test_structured_output_deterministic(capsys):

@@ -3,6 +3,7 @@
 sympy is only a test dependency: it is the oracle here and for the matrix
 rank in ``test_strata.py``, and nowhere else.
 """
+import hashlib
 import os
 import subprocess
 import sys
@@ -59,31 +60,35 @@ def swinnerton_dyer(primes: list[int]) -> UniPoly:
     return f
 
 
+#: SHA-256 over the sorted reprs of workload_factor_inputs(), recorded when
+#: every triple, inflations too, passed its own deflated branch polynomial to
+#: factor_rational: 321 polynomials of degrees 0-11.
+WORKLOAD_FACTOR_INPUTS_SHA256 = "5a91799529aca15c8086d8c3a9a84e88b490be659052a6c61909c236a370b94a"
+
+
 def workload_factor_inputs() -> set[UniPoly]:
-    """Every polynomial the benchmark's triple_analysis workload (seeds
-    101-103, rounds 0-2) passes to factor_rational, through unassigned_branch."""
+    """The branch polynomial of every triple of the benchmark's
+    triple_analysis workload (seeds 101-103, rounds 0-2), with its roots at
+    +-1 divided out: what unassigned_branch factors for a triple that is no
+    inflation, and the same polynomials of higher degree for one that is."""
     sys.path.insert(0, str(ROOT))
     try:
         from perfbench import workloads
     finally:
         sys.path.remove(str(ROOT))
     seen: set[UniPoly] = set()
-    saved = geometry.factor_rational
-    geometry.factor_rational = lambda p: seen.add(p) or []
-    try:
-        for seed in (101, 102, 103):
-            for index in range(3):
-                for case in workloads.triple_cases(seed, index):
-                    t = PellTriple.build(UniPoly(case.p), UniPoly(case.q), UniPoly(case.r))
-                    geometry.unassigned_branch(t)
-    finally:
-        geometry.factor_rational = saved
+    for seed in (101, 102, 103):
+        for index in range(3):
+            for case in workloads.triple_cases(seed, index):
+                t = PellTriple.build(UniPoly(case.p), UniPoly(case.q), UniPoly(case.r))
+                seen.add(geometry.branch_polynomial(t).deflate(1).deflate(-1))
     return seen
 
 
 def test_matches_sympy_on_workload_inputs():
     inputs = workload_factor_inputs()
-    assert len(inputs) > 100
+    digest = hashlib.sha256("\n".join(sorted(map(repr, inputs))).encode())
+    assert digest.hexdigest() == WORKLOAD_FACTOR_INPUTS_SHA256
     for p in inputs:
         assert factor_rational(p) == sympy_factors(p), p
 

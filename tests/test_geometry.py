@@ -268,6 +268,70 @@ def test_branch_data_matches_n_node_oracle_property(t):
     assert unassigned_branch(t) == stripped_branch_classes(t)
 
 
+def q_split_branch_data(t: PellTriple) -> tuple[UniPoly, list[BranchClass]]:
+    """Oracle: branch_polynomial and unassigned_branch of t computed as for
+    a triple that is no inflation, by resultants and factor_rational."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_base_of", lambda t: None)
+        return branch_polynomial(t), unassigned_branch(t)
+
+
+def assert_lift_matches_q_split(t: PellTriple) -> None:
+    assert (branch_polynomial(t), unassigned_branch(t)) == q_split_branch_data(t), t
+
+
+def test_inflation_lift_matches_q_split_path():
+    cases = chebyshev_and_inflated(20)
+    assert sum(geometry._base_of(t) is not None for t in cases) > len(cases) // 2
+    for t in cases:
+        assert_lift_matches_q_split(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pell_triples())
+def test_inflation_lift_matches_q_split_path_property(t):
+    assert_lift_matches_q_split(t)
+
+
+def inflation_bases() -> list[PellTriple]:
+    """(L, 1, L^2 - 1) for three L of degree 3."""
+    return [PellTriple.build(ell, poly(1), ell * ell - 1) for ell in (
+        poly(3, 0, 1, 1),  # L(0) = 3 with e0 = 2
+        poly(2, 1, -2, 1),  # the critical point 1 over L(0) = 2, e0 = 1
+        poly(1, 1, 0, 1),  # L(0) = 1 is assigned: the even_half and odd cases
+    )]
+
+
+def test_inflation_lift_explicit_bases():
+    for base in inflation_bases():
+        ell = base.p
+        e0 = next(i for i in range(1, ell.degree + 1) if ell.coeff(i))
+        for m in range(2, 6):
+            if abs(ell.coeff(0)) == 1:
+                t = inflate(base, m, "even_half" if m % 2 == 0 else "odd")
+            else:
+                t = inflate(base, m, "divides_g_plus_1")
+                # L(0) is a branch value of P, and y = 0 lifts to one point.
+                at_zero = [c for c in unassigned_branch(t) if c.factor == poly(-ell.coeff(0), 1)]
+                assert m * e0 in at_zero[0].partition
+            assert geometry._base_of(t) == (base, m)
+            assert_lift_matches_q_split(t)
+    # T_k of an even L is an inflation too, with a nonconstant Q.
+    for k in (2, 3, 4):
+        t = chebyshev_of(poly(3, 0, 1), k)
+        assert geometry._base_of(t) == (chebyshev_of(poly(3, 1), k), 2)
+        assert_lift_matches_q_split(t)
+
+
+def test_hurwitz_report_of_an_inflation_computes_the_base_branch_twice(monkeypatch):
+    base = inflation_bases()[0]
+    calls = []
+    branch = geometry.branch_polynomial
+    monkeypatch.setattr(geometry, "branch_polynomial", lambda t: calls.append(t) or branch(t))
+    hurwitz_report(inflate(base, 4, "divides_g_plus_1"))
+    assert calls == [base, base]
+
+
 def test_branch_polynomial_interpolates_g_plus_1_resultants(monkeypatch):
     # T_5(L) with deg L = 4 has order 20 but genus 3: four resultants, not 20.
     t = chebyshev_of(poly(3, 1, 0, 0, 1), 5)

@@ -41,6 +41,15 @@ def test_negative_exponent_rejected():
     assert err.value.position == 2
 
 
+def test_rational_exponent_rejected():
+    # An exponent is an integer literal, even where a rational one reduces
+    # to an integer.
+    for text, position in (("x^4/2", 2), ("x^2/2", 2), ("(x+1)^ 6/3", 7), ("x^4/0", 2)):
+        with pytest.raises(ParseError, match="exponent must be a nonnegative integer") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
+
 NESTED = "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
 
 # One input per error message, with the text and column it gives under the
