@@ -10,7 +10,7 @@ log(P + Q sqrt(R)) (Crelle J. 1 (1826)), and every root of Q lies over +-1;
 so the unassigned critical points are roots of W, and the branch polynomial
 needs only g + 1 resultants.
 An inflation P = L(x^m) (see :func:`abelpell.pell.inflate`) reads its branch
-data off its base L, as the branch data of a composite come from its factors
+classes off its base L, as the branch data of a composite come from its factors
 (Ritt, Trans. AMS 23 (1922)): x -> x^m is branched only over 0 and infinity,
 so a fibre of L away from y = 0 lifts to m copies of itself, and the point
 y = 0 of multiplicity e0 lifts to one point of multiplicity m * e0.
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .factorization import factor_rational
-from .pell import PellTriple
+from .pell import PellCheck, PellTriple
 # polt_dimension is re-exported: geometry.polt_dimension still resolves
 from .ramspec import Partition, RamSpec, genus_of_ramspec, polt_dimension
 from .unipoly import (
@@ -114,7 +114,9 @@ def _base_of(t: PellTriple) -> tuple[PellTriple, int] | None:
     {0, m} as R Q^2 = P^2 - 1 is a polynomial in x^m; the base is
     (L, Q0, y^((2j + e)/m) R~(y)).  This inverts :func:`abelpell.pell.inflate`
     and covers a power of an inflation, or T_k of an even L, as well.  As m
-    is the largest, the base is never an inflation itself.
+    is the largest, the base is never an inflation itself.  Substituting
+    y = x^m shows that the base satisfies the Pell equation with a monic
+    squarefree R whenever t does, so it is built without re-verification.
     """
     m = int_gcd(*[i for i, c in enumerate(t.p.num) if c and i])
     if m < 2:
@@ -124,7 +126,10 @@ def _base_of(t: PellTriple) -> tuple[PellTriple, int] | None:
     r0, e = _power_part(t.r, m)
     if e > 1 or 2 * j + e not in (0, m):
         raise AssertionError(f"{t} has P = L(x^{m}) but Q = x^{j} Q0(x^{m}), R = x^{e} R~(x^{m})")
-    return PellTriple.build(ell, q0, r0.shift_degree((2 * j + e) // m)), m
+    r = r0.shift_degree((2 * j + e) // m)
+    monic = ell.is_monic() and q0.is_monic()
+    check = PellCheck(True, (), ell.degree, r.degree // 2 - 1, monic, monic and r.is_normalized())
+    return PellTriple(ell, q0, r, check.order, check.genus, check.chart), m
 
 
 def branch_polynomial(t: PellTriple) -> UniPoly:
@@ -147,31 +152,12 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
     order.  A constant Q gives a = 0 and g + 1 = n, so the formula covers it
     too.
 
-    An inflation P = L(x^m) of order n = m d, with b_L the branch polynomial
-    of its base, needs no resultant of its own: P' = m x^(m-1) L'(x^m), so
-
-        res(P - s, P') = m^n res(P - s, x)^(m - 1) res(P - s, L'(x^m)).
-
-    res(P - s, x) = (-1)^n (L(0) - s), and the m (d - 1) roots of L'(x^m)
-    are the m-th roots of the roots c of L', at each of which P - s takes
-    the value L(c) - s; with lc(L'(x^m)) = d lc(L) this gives
-    res(P - s, L'(x^m)) = (-1)^(n (n - m)) (d lc(L))^n prod_c (L(c) - s)^m
-    = (-1)^(n (n - m)) b_L(s)^m, as b_L(s) = (d lc(L))^d prod_c (L(c) - s)
-    by the same rule for res.  Both n (m - 1) = d m (m - 1) and
-    n (n - m) = m^2 d (d - 1) are even, so
-
-        b(s) = m^n (L(0) - s)^(m - 1) b_L(s)^m.
-
     T_3(x) = 4x^3 - 3x has its critical points +-1/2 over -+1:
 
     >>> t = PellTriple.build(UniPoly((0, -3, 0, 4)), UniPoly((-1, 0, 4)), UniPoly((-1, 0, 1)))
     >>> branch_polynomial(t)
     UniPoly('1728*x^2 - 1728')
     """
-    inflated = _base_of(t)
-    if inflated:
-        base, m = inflated
-        return branch_polynomial(base) ** m * UniPoly((base.p.coeff(0), -1)) ** (m - 1) * m**t.order
     dp = t.p.derivative()
     if dp.is_zero():
         raise AssertionError("P' = 0 cannot happen in characteristic zero")

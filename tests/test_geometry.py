@@ -268,16 +268,21 @@ def test_branch_data_matches_n_node_oracle_property(t):
     assert unassigned_branch(t) == stripped_branch_classes(t)
 
 
-def q_split_branch_data(t: PellTriple) -> tuple[UniPoly, list[BranchClass]]:
-    """Oracle: branch_polynomial and unassigned_branch of t computed as for
-    a triple that is no inflation, by resultants and factor_rational."""
+def q_split_branch_classes(t: PellTriple) -> list[BranchClass]:
+    """Oracle: unassigned_branch of t computed as for a triple that is no
+    inflation, by resultants and factor_rational."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_base_of", lambda t: None)
-        return branch_polynomial(t), unassigned_branch(t)
+        return unassigned_branch(t)
 
 
 def assert_lift_matches_q_split(t: PellTriple) -> None:
-    assert (branch_polynomial(t), unassigned_branch(t)) == q_split_branch_data(t), t
+    inflated = geometry._base_of(t)
+    if inflated:
+        # The base is built unverified: it must pass PellTriple.build as is.
+        base = inflated[0]
+        assert base == PellTriple.build(base.p, base.q, base.r), t
+    assert unassigned_branch(t) == q_split_branch_classes(t), t
 
 
 def test_inflation_lift_matches_q_split_path():
