@@ -70,6 +70,8 @@ def validate_tuple(words: tuple[Perm, ...]) -> None:
     a monodromy tuple: all of one length n, multiplying out to the standard
     n-cycle, with involutions at the ends, transpositions in the middle, and
     2g + 2 fixed points on the ends together."""
+    if len(words) < 2:
+        raise ValueError("a monodromy tuple has at least two words")
     sigma, *middles, tau = words
     n = len(sigma)
     if any(len(word) != n for word in words):
@@ -100,6 +102,8 @@ def canonical_key(comps: tuple[Perm, ...]) -> CanonicalKey:
     >>> canonical_key(((1, 0, 2), (2, 1, 0)))   # ((0 1), (0 2)), product (0 1 2)
     (0, 2, 1, 1, 0, 2)
     """
+    if len(comps) < 2:
+        raise ValueError("a monodromy tuple has at least two words")
     ties = _ties(comps[0], standard_cycle(len(comps[0])), len(comps))
     return _least_conjugate(tuple(chain.from_iterable(comps)), ties)
 

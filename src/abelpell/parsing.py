@@ -67,10 +67,10 @@ _TOKEN_CHARS = _NAME_CHARS | frozenset("+-*^()")
 
 
 class _Parser:
-    def __init__(self, text: str, var: str | None):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.var = var
+        self.var: str | None = None
         self.depth = 0
 
     def peek(self) -> str:
@@ -202,12 +202,12 @@ class _Parser:
         return UniPoly((0, 1))
 
 
-def parse_poly(text: str, var: str | None = None) -> UniPoly:
-    """Parse an exact polynomial expression.
+def parse_poly(text: str) -> UniPoly:
+    """Parse an exact polynomial expression; its first name is the variable.
 
     >>> parse_poly("x^2-2").coeffs
     (Fraction(-2, 1), Fraction(0, 1), Fraction(1, 1))
     >>> parse_poly("(x^2+1)*(x^2-1)")
     UniPoly('x^4 - 1')
     """
-    return _Parser(text, var).parse()
+    return _Parser(text).parse()

@@ -52,6 +52,11 @@ def _check_pell_r(r: UniPoly) -> None:
         raise ValueError("; ".join(failures))
 
 
+def _chart(monic: bool, normalized: bool) -> str:
+    """The chart of a solution with the given flags."""
+    return CHART_NORMALIZED if normalized else CHART_MONIC if monic else CHART_GENERAL
+
+
 @dataclass(frozen=True)
 class PellCheck:
     """Outcome of validating a candidate triple; never raises."""
@@ -65,11 +70,7 @@ class PellCheck:
 
     @property
     def chart(self) -> str:
-        if self.normalized:
-            return CHART_NORMALIZED
-        if self.monic:
-            return CHART_MONIC
-        return CHART_GENERAL
+        return _chart(self.monic, self.normalized)
 
 
 def pell_verify(p: UniPoly, q: UniPoly, r: UniPoly) -> PellCheck:
@@ -104,21 +105,31 @@ def pell_verify(p: UniPoly, q: UniPoly, r: UniPoly) -> PellCheck:
 
 @dataclass(frozen=True)
 class PellTriple:
-    """A verified solution (P, Q, R) with its order, genus and chart."""
+    """A verified solution (P, Q, R); order, genus and chart are read off it."""
 
     p: UniPoly
     q: UniPoly
     r: UniPoly
-    order: int
-    genus: int
-    chart: str
 
     @classmethod
     def build(cls, p: UniPoly, q: UniPoly, r: UniPoly) -> PellTriple:
         check = pell_verify(p, q, r)
         if not check.valid:
             raise ValueError("not a Pell triple: " + "; ".join(check.failures))
-        return cls(p, q, r, check.order, check.genus, check.chart)
+        return cls(p, q, r)
+
+    @property
+    def order(self) -> int:
+        return self.p.degree
+
+    @property
+    def genus(self) -> int:
+        return self.r.degree // 2 - 1
+
+    @property
+    def chart(self) -> str:
+        monic = self.p.is_monic() and self.q.is_monic()
+        return _chart(monic, monic and self.r.is_normalized())
 
     def __str__(self) -> str:
         return f"(P={self.p}, Q={self.q}, R={self.r}; n={self.order}, g={self.genus})"
@@ -351,7 +362,7 @@ def normalize(
     if not check.valid:
         raise ValueError("input is not a Pell solution: " + "; ".join(check.failures))
     if target == CHART_GENERAL:
-        return PellTriple(p, q, r, check.order, check.genus, check.chart)
+        return PellTriple(p, q, r)
     n, genus = check.order, check.genus
     shift = Fraction(0)
     if target == CHART_NORMALIZED:
@@ -413,7 +424,4 @@ def inflate(base: PellTriple, m: int, case: str) -> PellTriple:
     new_r = r.substitute_power(m).shift_degree(r_shift)
     if not is_squarefree(new_r):
         raise ValueError("inflated R is not squarefree (a root of the base R at 0?)")
-    out = PellTriple.build(new_p, new_q, new_r)
-    if out.order != m * base.order:
-        raise AssertionError("inflation did not multiply the order by m")
-    return out
+    return PellTriple.build(new_p, new_q, new_r)

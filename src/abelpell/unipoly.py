@@ -3,10 +3,10 @@
 A polynomial is stored as integer numerators over one denominator: ``num``
 holds the numerators, constant term first, with trailing zeros trimmed, and
 ``den`` is positive with gcd(den, *num) == 1, so every polynomial has exactly
-one representation and the zero polynomial is ``((), 1)``.  ``coeffs`` gives
-the coefficients as ``fractions.Fraction`` values, built on first use.  Every
-operation in this module (and this package) is exact -- there is no floating
-point and no epsilon anywhere.
+one representation and the zero polynomial is ``((), 1)``.  That pair is all
+an instance holds; ``coeffs`` builds ``fractions.Fraction`` values on each
+read.  Every operation in this module (and this package) is exact -- there is
+no floating point and no epsilon anywhere.
 
 The ring operations never build a ``Fraction``: they work on the numerators
 and reduce each result once, with a single gcd of the denominator and all the
@@ -45,7 +45,7 @@ class UniPoly:
     is positive and gcd(den, *num) == 1.  Instances are immutable.
     """
 
-    __slots__ = ("num", "den", "_coeffs")
+    __slots__ = ("num", "den")
 
     num: tuple[int, ...]
     den: int
@@ -84,18 +84,8 @@ class UniPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as ``Fraction`` values, constant term first.
-
-        Built once, on first use; two threads that race here build equal
-        tuples, so the value is the same whichever is kept.
-        """
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self.den
-            cs = tuple([Fraction(c, den) for c in self.num])
-            object.__setattr__(self, "_coeffs", cs)
-            return cs
+        """The coefficients as ``Fraction`` values, constant term first."""
+        return tuple([Fraction(c, self.den) for c in self.num])
 
     @property
     def degree(self) -> int:
@@ -121,7 +111,7 @@ class UniPoly:
     def coeff(self, i: int) -> Fraction:
         """The coefficient of x^i (zero beyond the stored range)."""
         if 0 <= i < len(self.num):
-            return self.coeffs[i]
+            return Fraction(self.num[i], self.den)
         return Fraction(0)
 
     def is_constant(self) -> bool:
@@ -242,6 +232,8 @@ class UniPoly:
         >>> poly(1, -1, -1, 1).deflate(1)
         UniPoly('x + 1')
         """
+        if not isinstance(root, int):
+            raise TypeError(f"the root {root!r} to deflate by is not an int")
         num = list(self.num)
         while len(num) > 1:
             carry, quo = 0, []
@@ -287,7 +279,7 @@ class UniPoly:
 
 
 def _init(p: UniPoly, num: tuple[int, ...], den: int) -> None:
-    """Set the two slots; ``_coeffs`` stays unset until ``coeffs`` is read."""
+    """Set the two slots."""
     object.__setattr__(p, "num", num)
     object.__setattr__(p, "den", den)
 
@@ -396,7 +388,7 @@ ZERO = UniPoly(())
 ONE = UniPoly((1,))
 
 
-def format_poly(p: UniPoly, var: str = "x") -> str:
+def format_poly(p: UniPoly) -> str:
     """Human-readable form, parseable back by :func:`abelpell.parsing.parse_poly`.
 
     >>> format_poly(poly(-2, 0, 1))
@@ -416,7 +408,7 @@ def format_poly(p: UniPoly, var: str = "x") -> str:
         if i == 0:
             body = str(mag)
         else:
-            xpow = var if i == 1 else f"{var}^{i}"
+            xpow = "x" if i == 1 else f"x^{i}"
             body = xpow if mag == 1 else f"{mag}*{xpow}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")

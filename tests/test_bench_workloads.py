@@ -1,0 +1,54 @@
+"""The benchmark's workloads still run against the package.
+
+``perfbench/workloads.py`` calls the public API and reads the records it
+returns (``t.order``, ``t.chart``, ``p.coeffs``, ...).  A refactor that breaks
+one of those reads, or changes an answer its checks recompute, would fail the
+benchmark run rather than the tests; this runs one round of each in-process
+workload, and each CLI case of one round in process, and requires every
+operation's own check to pass.
+"""
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from abelpell import cli
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+SEED = 7
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("workload", ["cf_solve", "triple_analysis", "moduli_census"])
+def test_round_passes_its_checks(workloads, workload):
+    ops = getattr(workloads, f"{workload}_round")(SEED, 0)
+    assert ops
+    failed = [op.kind for op in ops if not op.check(op.call())]
+    assert not failed, failed
+
+
+def test_cli_cases_pass_their_checks(workloads):
+    cases = workloads.cli_cases(SEED, 0)
+    assert cases
+    failed = []
+    for case in cases:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([*case.argv, "--format", "structured"])
+        if not workloads.check_cli(workloads.CliRun(code, out.getvalue()), case):
+            failed.append(case.kind)
+    assert not failed, failed

@@ -513,6 +513,14 @@ def test_malformed_tuples_rejected(words, message):
         tuple_ramspec(words)
 
 
+@pytest.mark.parametrize("words", [(), ((0,),), ((1, 0),)])
+def test_short_tuples_rejected(words):
+    message = "a monodromy tuple has at least two words"
+    for check in (validate_tuple, tuple_ramspec, canonical_key):
+        with pytest.raises(ValueError, match=message):
+            check(words)
+
+
 def test_tuple_ramspec_genus_everywhere():
     for g, n in ((0, 4), (1, 4), (2, 4), (1, 5)):
         for key in enumerate_m(g, n):

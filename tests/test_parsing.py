@@ -110,8 +110,6 @@ def test_unknown_identifier():
     assert "unknown identifier 'y'" in str(err.value)
     # but any single consistent name is fine
     assert parse_poly("t^2 - 2") == poly(-2, 0, 1)
-    with pytest.raises(ParseError):
-        parse_poly("t^2 - 2", var="x")
 
 
 def test_no_implicit_multiplication():
@@ -226,4 +224,4 @@ WIDE = st.one_of(
 def test_roundtrip_property(coeffs, var):
     p = UniPoly(coeffs)
     assert parse_poly(format_poly(p)) == p
-    assert parse_poly(format_poly(p, var), var=var) == p
+    assert parse_poly(format_poly(p).replace("x", var)) == p

@@ -215,6 +215,19 @@ def test_verify_examples():
     assert not rep.valid and any("defect" in f for f in rep.failures)
 
 
+def test_triple_holds_only_p_q_r():
+    # Order, genus and chart are read off the polynomials, so none can be
+    # passed in to disagree with them.
+    assert [field.name for field in dataclasses.fields(PellTriple)] == ["p", "q", "r"]
+    t = PellTriple(poly(1, 1), poly(1), poly(0, 2, 1))  # (x + 1)^2 - (x^2 + 2x) = 1
+    assert (t.order, t.genus, t.chart) == (1, 0, CHART_MONIC)
+    assert t == PellTriple.build(poly(1, 1), poly(1), poly(0, 2, 1))
+    with pytest.raises(TypeError):
+        PellTriple(poly(1, 1), poly(1), poly(0, 2, 1), 1, 0, CHART_NORMALIZED)
+    assert PellTriple(poly(0, 1), poly(1), poly(-1, 0, 1)).chart == CHART_NORMALIZED
+    assert PellTriple(poly(0, 2), poly(2), poly(Fraction(-1, 4), 0, 1)).chart == CHART_GENERAL
+
+
 def test_verify_reports_an_unprintable_defect():
     # The defect 10^8000 - x^2 has more digits than str() may print; the
     # report says so instead of raising.

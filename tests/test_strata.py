@@ -187,6 +187,13 @@ def test_tangent_rank_examples():
     assert (rep.variables, rep.rank, rep.corank) == (4, 4, 0)
 
 
+def test_tangent_rank_reads_the_chart_off_the_triple():
+    # R = x^2 + 2x is monic but not normalized, so the monic chart applies.
+    t = PellTriple(poly(1, 1), poly(1), poly(0, 2, 1))
+    assert t.chart == "monic"
+    assert tangent_rank(t).corank == 1
+
+
 def test_tangent_rank_chart_gate():
     t = PellTriple.build(poly(1, 0, 0, 0, 2), poly(0, 0, 2), poly(1, 0, 0, 0, 1))
     assert t.chart == "general"

@@ -333,6 +333,18 @@ def test_deflate_property(p, root, k):
     assert out == p.deflate(root)
 
 
+def test_an_instance_holds_num_and_den_only():
+    assert UniPoly.__slots__ == ("num", "den")
+    assert not hasattr(poly(1, 2), "__dict__")
+
+
+def test_deflate_rejects_a_root_that_is_not_an_int():
+    with pytest.raises(TypeError, match=re.escape("root Fraction(-1, 2)")):
+        poly(1, 2).deflate(Fraction(-1, 2))
+    with pytest.raises(TypeError, match="root 1.0"):
+        poly(-1, 1).deflate(1.0)
+
+
 def test_normal_form_examples():
     half = poly(Fraction(1, 2), 0, 3)
     assert (half.num, half.den) == ((1, 0, 6), 2)
@@ -344,8 +356,8 @@ def test_normal_form_examples():
     assert (poly(1, 3) * 0).den == 1 and (poly(Fraction(1, 3)) - Fraction(1, 3)).den == 1
     assert hash(poly(1, 2) * Fraction(1, 2)) == hash(poly(Fraction(1, 2), 1))
     assert poly(Fraction(1, 2), 1) != poly(1, 2)
-    # coeffs is built once and shared.
-    assert half.coeffs is half.coeffs and half.coeffs == (Fraction(1, 2), 0, 3)
+    # coeffs is built from num and den on each read.
+    assert half.coeffs == half.coeffs == (Fraction(1, 2), 0, 3)
     assert half.leading == 3 and half.coeff(0) == Fraction(1, 2) and half.coeff(9) == 0
     assert poly(Fraction(1, 2), 1).is_monic() and poly(Fraction(1, 2), 0, 1).is_normalized()
     with pytest.raises(AttributeError):
