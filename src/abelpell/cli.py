@@ -85,25 +85,27 @@ def _cmd_pell_solve(args):
     expansion = pell.cf_steps(r)
     steps: list[pell.CFStep] = []
     # One lazy expansion: the search reads it up to the unit, or to the first
-    # convergent above n_max on a miss (convergent degrees rise strictly).
-    unit = pell.least_unit((steps.append(step) or step for step in expansion), r, args.n_max)
+    # step above n_max on a miss (convergent degrees rise strictly).  Only the
+    # steps' norms and degrees are read; minimal_solution builds the unit's
+    # convergent.
+    unit = pell.least_unit((steps.append(step) or step for step in expansion), args.n_max)
     triple = pell.minimal_solution(r, unit, args.n_max)
-    last = args.n_max if unit is None else unit.p.degree
-    searched = [step.p.degree for step in steps if step.p.degree <= last]
+    last = args.n_max if unit is None else unit.degree
+    searched = [step.degree for step in steps if step.degree <= last]
     checks = [check("orders_searched_up_to_n_max", True, orders=searched)]
     if triple is None:
         result = {"solution": None, "n_max": args.n_max}
         lines = [f"no solution of order <= {args.n_max} over the rationals"]
         return EXIT_EMPTY, result, checks, lines
     checks.append(check("solution_verifies", True))  # PellTriple.build verified it
-    # The minimality check reads every convergent below the solution's order,
-    # which is twice the unit's when the unit's norm is not a square.
-    while steps[-1].p.degree < triple.order:
+    # The minimality check reads the norm of every step below the solution's
+    # order, which is twice the unit's when the unit's norm is not a square.
+    while steps[-1].degree < triple.order:
         steps.append(next(expansion))
     smaller = [
         s
         for s in steps
-        if s.constant_norm and s.p.degree < triple.order and s.norm.constant_value() > 0
+        if s.constant_norm and s.degree < triple.order and s.norm.constant_value() > 0
         and pell.rational_nth_root(s.norm.constant_value(), 2) is not None
     ]
     checks.append(check("minimal_among_convergents", not smaller))

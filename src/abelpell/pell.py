@@ -4,10 +4,13 @@ R is monic, squarefree, of even degree 2g+2; a solution of order n has
 deg P = n and deg Q = n - g - 1.  Solutions are found by the continued
 fraction of sqrt(R) (Abel): :func:`cf_steps` yields one :class:`CFStep` per
 partial quotient, and the first step whose convergent has constant norm is
-the fundamental unit.  The surds (A + sqrt(R))/B stay exact -- no series
-truncation enters the main loop -- and exact division keeps each reduced:
-the next denominator is (R - A^2)/B, a division that raises unless B divides
-R - A^2.
+the fundamental unit.  Whether R is Pellian is decided by the surds
+(A + sqrt(R))/B alone, since the convergent's norm is the next surd's
+denominator up to sign; a step is its partial quotients and norm, and the
+convergent is built on demand, by the solver only for the unit.  The surds
+stay exact -- no series truncation enters the main loop -- and exact
+division keeps each reduced: the next denominator is (R - A^2)/B, a division
+that raises unless B divides R - A^2.
 
 Solutions of a fixed R form a group under (P1 + sqrt(R) Q1)(P2 + sqrt(R) Q2);
 charts record how far a solution has been normalised:
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Iterator
 
 from .cases import INFLATE_CASES, INFLATE_DIVIDES, INFLATE_EVEN_HALF, INFLATE_ODD
@@ -140,23 +144,53 @@ class PellTriple:
 
 @dataclass(frozen=True)
 class CFStep:
-    """Step k of the expansion: the partial quotient a_k and the convergent
-    P_k/Q_k accumulated so far, with its norm P_k^2 - R*Q_k^2.
+    """Step k of the expansion: the partial quotients a_0..a_k and the norm
+    P_k^2 - R*Q_k^2 of the convergent P_k/Q_k they define.
 
     The norm is (-1)^(k+1) B_(k+1), with B_(k+1) the denominator of the next
-    surd; it is read off that denominator rather than multiplied out.  The
-    first step of constant norm is the fundamental unit of R.
+    surd, so the search needs no convergent: it reads the norm and the degree
+    deg P_k = deg a_0 + ... + deg a_k.  The convergent is built from the
+    partial quotients on demand, by :meth:`convergent` (``p`` and ``q`` read
+    it).  The first step of constant norm is the fundamental unit of R.
     """
 
-    index: int
-    partial_quotient: UniPoly
-    p: UniPoly
-    q: UniPoly
+    partial_quotients: tuple[UniPoly, ...]
     norm: UniPoly
+
+    @property
+    def index(self) -> int:
+        return len(self.partial_quotients) - 1
+
+    @property
+    def partial_quotient(self) -> UniPoly:
+        return self.partial_quotients[-1]
+
+    @property
+    def degree(self) -> int:
+        """deg P_k, read off the partial quotients."""
+        return sum(a.degree for a in self.partial_quotients)
 
     @property
     def constant_norm(self) -> bool:
         return self.norm.degree <= 0
+
+    def convergent(self) -> tuple[UniPoly, UniPoly]:
+        """(P_k, Q_k) by the recurrence X_i = a_i X_(i-1) + X_(i-2), from
+        (P_(-1), P_(-2)) = (1, 0) and (Q_(-1), Q_(-2)) = (0, 1)."""
+        p, p_prev = UniPoly((1,)), UniPoly(())
+        q, q_prev = UniPoly(()), UniPoly((1,))
+        for a in self.partial_quotients:
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+        return p, q
+
+    @property
+    def p(self) -> UniPoly:
+        return self.convergent()[0]
+
+    @property
+    def q(self) -> UniPoly:
+        return self.convergent()[1]
 
 
 def laurent_sqrt_polypart(r: UniPoly) -> UniPoly:
@@ -201,26 +235,22 @@ def _cf_steps(r: UniPoly) -> Iterator[CFStep]:
     """Exact continued-fraction steps for sqrt(R), without termination.
 
     Step k expands the surd (A_k + sqrt(R))/B_k, starting from A_0 = 0 and
-    B_0 = 1.  The next surd, A_(k+1) = a_k B_k - A_k and
+    B_0 = 1, into a_k = floor((A_k + Y)/B_k) with Y the polynomial part of
+    sqrt(R).  The next surd, A_(k+1) = a_k B_k - A_k and
     B_(k+1) = (R - A_(k+1)^2)/B_k, is found before step k is yielded, because
     B_(k+1) gives the convergent's norm: P_k^2 - R*Q_k^2 = (-1)^(k+1) B_(k+1).
-    ``exact_div`` is the check that each surd is reduced.
+    ``exact_div`` is the check that each surd is reduced.  No convergent is
+    multiplied out here.
     """
     y = laurent_sqrt_polypart(r)
     a, b = UniPoly(()), UniPoly((1,))
-    p_prev, p_prev2 = UniPoly((1,)), UniPoly(())
-    q_prev, q_prev2 = UniPoly(()), UniPoly((1,))
-    k = 0
-    while True:
+    partials: tuple[UniPoly, ...] = ()
+    for k in count():
         partial = (a + y) // b
-        p_k = partial * p_prev + p_prev2
-        q_k = partial * q_prev + q_prev2
+        partials += (partial,)
         a = partial * b - a
         b = (r - a * a).exact_div(b)
-        yield CFStep(k, partial, p_k, q_k, b if k % 2 else -b)
-        p_prev, p_prev2 = p_k, p_prev
-        q_prev, q_prev2 = q_k, q_prev
-        k += 1
+        yield CFStep(partials, b if k % 2 else -b)
 
 
 def cf_steps(r: UniPoly) -> Iterator[CFStep]:
@@ -236,19 +266,14 @@ def cf_steps(r: UniPoly) -> Iterator[CFStep]:
     return _cf_steps(r)
 
 
-def least_unit(steps: Iterable[CFStep], r: UniPoly, max_order: int) -> CFStep | None:
+def least_unit(steps: Iterable[CFStep], max_order: int) -> CFStep | None:
     """The fundamental unit: the first constant-norm step among ``steps``
     (the expansion of sqrt(R) from step 0) of degree up to ``max_order``;
-    None if there is none.
-
-    The norm of the returned step is checked once against P^2 - R*Q^2.
-    """
+    None if there is none.  No convergent is built."""
     for step in steps:
-        if step.p.degree > max_order:
+        if step.degree > max_order:
             return None
         if step.constant_norm:
-            if step.p * step.p - r * step.q * step.q != step.norm:
-                raise AssertionError("convergent norm differs from its surd denominator")
             return step
     return None
 
@@ -256,7 +281,7 @@ def least_unit(steps: Iterable[CFStep], r: UniPoly, max_order: int) -> CFStep | 
 def fundamental_unit(r: UniPoly, max_order: int) -> CFStep | None:
     """The step of the least-degree convergent with constant norm, searching
     convergents of degree up to ``max_order``; None if there is none in range."""
-    return least_unit(cf_steps(r), r, max_order)
+    return least_unit(cf_steps(r), max_order)
 
 
 def minimal_solution(r: UniPoly, unit: CFStep | None, n_max: int) -> PellTriple | None:
@@ -268,18 +293,24 @@ def minimal_solution(r: UniPoly, unit: CFStep | None, n_max: int) -> PellTriple 
     under :func:`unit_compose`, scaled by 1/c, is the minimal rational
     solution (any rational solution is a scalar times a power of the unit,
     and norm c^k can only be scaled to 1 when it is a square, forcing k even).
+
+    The unit's convergent is built once, here, and its norm P^2 - R*Q^2 is
+    checked against the one read off the surd.
     """
     genus = r.degree // 2 - 1
     if n_max < genus + 1:
         raise ValueError(f"n_max = {n_max} is below genus + 1 = {genus + 1}")
     if unit is None:
         return None
+    p, q = unit.convergent()
+    if p * p - r * q * q != unit.norm:
+        raise AssertionError("convergent norm differs from its surd denominator")
     c = unit.norm.constant_value()
     root = rational_nth_root(c, 2)
     if root is not None:
-        p, q, scale = unit.p, unit.q, 1 / root
+        scale = 1 / root
     else:
-        p, q = unit_compose(unit.p, unit.q, unit.p, unit.q, r)
+        p, q = unit_compose(p, q, p, q, r)
         scale = 1 / c
     p, q = p * scale, q * scale
     if p.leading < 0:
@@ -297,7 +328,7 @@ def pell_solve(r: UniPoly, n_max: int) -> PellTriple | None:
     >>> pell_solve(poly(-2, 0, 1), 5).p
     UniPoly('x^2 - 1')
     """
-    return minimal_solution(r, least_unit(cf_steps(r), r, n_max), n_max)
+    return minimal_solution(r, least_unit(cf_steps(r), n_max), n_max)
 
 
 # -- group law ------------------------------------------------------------------

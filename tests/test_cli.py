@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from test_parsing import int_digit_limit
+from test_pell import AFFINE_X6, count_convergents, refuse_convergents
 
 from abelpell import strata
 from abelpell.cli import main
@@ -318,8 +319,14 @@ def built_degrees(monkeypatch) -> list[int]:
     from abelpell import pell
 
     built = []
-    step = pell.CFStep
-    monkeypatch.setattr(pell, "CFStep", lambda *args: built.append(args[2].degree) or step(*args))
+    cf_step = pell.CFStep
+
+    def build(*args):
+        step = cf_step(*args)
+        built.append(step.degree)
+        return step
+
+    monkeypatch.setattr(pell, "CFStep", build)
     return built
 
 
@@ -347,6 +354,20 @@ def test_pell_solve_stops_at_the_solution(capsys, monkeypatch):
     assert code == 0
     assert built == [3, 6]
     assert json.loads(report)["checks"][0]["orders"] == [3]
+
+
+def test_pell_solve_miss_builds_no_convergent(capsys, monkeypatch):
+    refuse_convergents(monkeypatch)
+    assert run_cli(capsys, "pell", "solve", "x^4+x+1", "--n-max", "10")[0] == 1
+
+
+@pytest.mark.parametrize("r", ["x^2+2", str(AFFINE_X6)])
+def test_pell_solve_hit_builds_one_convergent(capsys, monkeypatch, r):
+    # Neither unit's norm is a square, so the minimality check reads the
+    # steps up to the solution's order; it reads their norms only.
+    built = count_convergents(monkeypatch)
+    assert run_cli(capsys, "pell", "solve", r, "--n-max", "40")[0] == 0
+    assert built == [0]
 
 
 def test_pell_solve_huge_n_max(capsys):

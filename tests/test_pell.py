@@ -23,6 +23,7 @@ from abelpell.pell import (
     cf_steps,
     fundamental_unit,
     inflate,
+    laurent_sqrt_polypart,
     least_unit,
     minimal_solution,
     normalize,
@@ -151,17 +152,96 @@ def test_cf_norm_identity_property(r):
         assert step.norm == step.p * step.p - r * step.q * step.q
 
 
-def test_least_unit_checks_the_norm_it_returns():
+def eager_cf_steps(r):
+    """The expansion with every convergent multiplied out as it goes, as
+    (index, partial quotient, P_k, Q_k, norm); a test-only oracle."""
+    y = laurent_sqrt_polypart(r)
+    a, b = UniPoly(()), UniPoly((1,))
+    p_prev, p_prev2 = UniPoly((1,)), UniPoly(())
+    q_prev, q_prev2 = UniPoly(()), UniPoly((1,))
+    k = 0
+    while True:
+        partial = (a + y) // b
+        p_k = partial * p_prev + p_prev2
+        q_k = partial * q_prev + q_prev2
+        a = partial * b - a
+        b = (r - a * a).exact_div(b)
+        yield k, partial, p_k, q_k, b if k % 2 else -b
+        p_prev, p_prev2 = p_k, p_prev
+        q_prev, q_prev2 = q_k, q_prev
+        k += 1
+
+
+PELLIAN_R = [R_MINUS2, R_PLUS2, poly(1, 0, 0, 0, 1), poly(-2, 0, 0, 0, 0, 0, 1),
+             L_CUBIC * L_CUBIC - 1]
+
+
+@st.composite
+def pellian_affine_image(draw):
+    r = draw(st.sampled_from(PELLIAN_R))
+    a = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    b = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    return affine_image(r, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(monic_squarefree(), pellian_affine_image()))
+def test_steps_match_the_eager_expansion(r):
+    # A step holds only its partial quotients and norm; what it reads off
+    # them must equal what the eager loop multiplied out.
+    for step, (k, partial, p, q, norm) in zip(islice(cf_steps(r), 10), eager_cf_steps(r)):
+        assert (step.index, step.partial_quotient, step.norm) == (k, partial, norm)
+        assert (step.p, step.q, step.degree) == (p, q, p.degree)
+
+
+def count_convergents(monkeypatch) -> list[int]:
+    """The indices of the steps whose convergent is built from now on."""
+    built = []
+    convergent = pell.CFStep.convergent
+    monkeypatch.setattr(pell.CFStep, "convergent",
+                        lambda self: built.append(self.index) or convergent(self))
+    return built
+
+
+def refuse_convergents(monkeypatch) -> None:
+    """Make building any convergent from now on raise."""
+    def refuse(self):
+        raise AssertionError("a convergent was built")
+
+    monkeypatch.setattr(pell.CFStep, "convergent", refuse)
+
+
+def test_a_miss_builds_no_convergent(monkeypatch):
+    refuse_convergents(monkeypatch)
+    assert pell_solve(R_QUARTIC, 20) is None
+
+
+AFFINE_X6 = parse_poly("x^6 + 9*x^5 + 135/4*x^4 + 135/2*x^3 + 1215/16*x^2 + 729/16*x - 729/64")
+
+
+@pytest.mark.parametrize("r", [R_PLUS2, AFFINE_X6], ids=str)
+def test_a_hit_builds_one_convergent(monkeypatch, r):
+    # Both units have a norm that is not a square, so the solution is the
+    # unit squared, and the square is composed from the one convergent.
+    assert rational_nth_root(fundamental_unit(r, 12).norm.constant_value(), 2) is None
+    built = count_convergents(monkeypatch)
+    assert pell_solve(r, 40).order == 2 * (r.degree // 2)
+    assert built == [0]
+
+
+def test_solve_checks_the_norm_of_the_unit():
+    # least_unit reads only the surd norm; the solver builds the unit's
+    # convergent and checks its norm against that one.
     steps = list(islice(cf_steps(R_MINUS2), 3))
-    assert least_unit(steps, R_MINUS2, 5).norm == poly(2)
+    assert least_unit(steps, 5).norm == poly(2)
     forged = [dataclasses.replace(steps[0], norm=poly(3))] + steps[1:]
     with pytest.raises(AssertionError):
-        least_unit(forged, R_MINUS2, 5)
+        minimal_solution(R_MINUS2, least_unit(forged, 5), 5)
 
 
 def test_minimal_solution_from_expanded_steps():
     for r in NORM_ORACLE_R:
-        unit = least_unit(list(islice(cf_steps(r), 14)), r, 12)
+        unit = least_unit(list(islice(cf_steps(r), 14)), 12)
         assert minimal_solution(r, unit, 12) == pell_solve(r, 12)
     with pytest.raises(ValueError):
         minimal_solution(R_QUARTIC, None, 1)  # n_max below genus + 1
@@ -182,7 +262,7 @@ def test_unit_and_its_square_against_the_expansion(r):
     # The unit is the first step whose multiplied-out norm is constant.
     first = next(step for step in cf_steps(r)
                  if (step.p * step.p - r * step.q * step.q).degree <= 0)
-    unit = least_unit(cf_steps(r), r, 12)
+    unit = least_unit(cf_steps(r), 12)
     assert unit == first
     c = unit.norm.constant_value()
     assert rational_nth_root(c, 2) is None  # so the solution is the unit squared
