@@ -16,7 +16,6 @@ Exit codes: 0 result, 1 empty result, 2 bad input, 3 resource limit.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING
 
@@ -393,6 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: dict, lines: list[str], args) -> None:
     if args.format == "structured":
+        import json
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         text = "".join(line + "\n" for line in lines)

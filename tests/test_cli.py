@@ -176,6 +176,20 @@ def test_compose(capsys):
     assert report["result"]["composite"]["p"]["text"] == "2*x^4 - 4*x^2 + 1"
 
 
+def test_compose_opposite_orientations(capsys):
+    # T_3 with Q = U_2 times (x, -1), the inverse of (x, 1): the orders subtract.
+    code, report, err = run_json(capsys, "pell", "compose", "4*x^3-3*x", "4*x^2-1", "x", "-1",
+                                 "x^2-1")
+    assert (code, err) == (0, "")
+    composite = report["result"]["composite"]
+    assert (composite["p"]["text"], composite["q"]["text"]) == ("2*x^2 - 1", "2*x")
+    assert composite["order"] == 2
+    assert {c["name"]: c["ok"] for c in report["checks"]}["orders_add"] is False
+    # Equal orders of opposite orientation give the trivial unit: bad input.
+    code, out, err = run_cli(capsys, "pell", "compose", "x", "1", "x", "-1", "x^2-1")
+    assert (code, out) == (2, "") and err.startswith("error: not a Pell triple")
+
+
 def test_inflate(capsys):
     code, report, _ = run_json(
         capsys,

@@ -8,15 +8,20 @@ import contextlib
 import io
 import os
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelpell.cli import main
 from abelpell.pell import INFLATE_CASES
 
-#: Valid triples (P, Q, R), so that examples get past verification.
+#: Valid triples (P, Q, R), so that examples get past verification.  Over
+#: x^2 - 1 they have orders 1 and 3 in both orientations lc(Q)/lc(P) = +-1, so
+#: ``pell compose`` meets orders that add, subtract and cancel.
 TRIPLES = [
     ("x", "1", "x^2-1"),
+    ("x", "-1", "x^2-1"),
+    ("4*x^3-3*x", "4*x^2-1", "x^2-1"),
+    ("4*x^3-3*x", "1-4*x^2", "x^2-1"),
     ("x^2-1", "x", "x^2-2"),
     ("x^2+1", "x", "x^2+2"),
     ("x^2", "1", "x^4-1"),
@@ -69,6 +74,8 @@ def argvs(draw) -> list[str]:
 
 @settings(max_examples=300, deadline=None)
 @given(argvs())
+# Opposite orientations, orders 3 and 1: the composite has order 2.
+@example(["pell", "compose", "4*x^3-3*x", "4*x^2-1", "x", "-1", "x^2-1"])
 def test_cli_exit_codes_fuzz(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

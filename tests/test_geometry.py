@@ -6,6 +6,7 @@ from conftest import chebyshev_triple, fixture_family
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_cli import ABEL_GOLDEN_TRIPLES
+from test_pell import chebyshev_bases, inflation_inputs
 from test_unipoly import sylvester_resultant
 
 from abelpell.geometry import (
@@ -189,7 +190,21 @@ def test_family_invariants(triples):
         assert spec.odd_marked_parts() == 2 * t.genus + 2
         # distinct roots of R = odd parts among the marked profiles
         assert squarefree_part(t.r).degree == spec.odd_marked_parts()
-        hurwitz_report(t)  # asserts Riemann-Hurwitz internally
+        assert_hurwitz_counts(t)
+
+
+def assert_hurwitz_counts(t: PellTriple) -> bool:
+    """The counts on hurwitz_report's result: w = 2g + 2, and on the generic
+    stratum Riemann-Hurwitz for the line map, -2 = -2n + (n - 1) + e' + e,
+    and for the double cover, 2g - 2 = -4 + 2(n - e').  Returns whether t is
+    on the generic stratum."""
+    rep = hurwitz_report(t)
+    n, g = t.order, t.genus
+    assert rep.w == 2 * g + 2, t
+    if rep.generic_stratum:
+        assert rep.e + rep.e_prime == n - 1, t
+        assert rep.e_prime == n - g - 1, t
+    return rep.generic_stratum
 
 
 def test_inflated_ramspec_is_pullback():
@@ -326,6 +341,18 @@ def test_inflation_lift_explicit_bases():
         t = chebyshev_of(poly(3, 0, 1), k)
         assert geometry._base_of(t) == (chebyshev_of(poly(3, 1), k), 2)
         assert_lift_matches_q_split(t)
+
+
+def test_hurwitz_counts_on_chebyshev_and_inflated():
+    generic = [assert_hurwitz_counts(t) for t in chebyshev_and_inflated(20)]
+    assert any(generic) and not all(generic)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(pell_triples(), chebyshev_bases(),
+                 inflation_inputs().map(lambda inputs: inflate(*inputs))))
+def test_hurwitz_counts_property(t):
+    assert_hurwitz_counts(t)
 
 
 def test_hurwitz_report_of_an_inflation_computes_the_base_branch_twice(monkeypatch):

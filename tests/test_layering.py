@@ -16,10 +16,11 @@ import abelpell
 
 SRC = Path(abelpell.__file__).resolve().parents[1]
 
+# The module set is read before the harness imports json to print it.
 LOADED = """
-import contextlib, importlib, io, json, sys
+import contextlib, importlib, io, sys
 import abelpell
-module, argv = json.loads(sys.argv[1])
+module, *argv = sys.argv[1:]
 importlib.import_module(module)
 if argv:
     from abelpell.cli import main
@@ -27,7 +28,9 @@ if argv:
         main(argv)
 else:
     assert not hasattr(abelpell, "no_such_name")
-print(json.dumps(sorted(sys.modules)))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps(loaded))
 """
 
 
@@ -36,7 +39,7 @@ def loaded_modules(argv: list[str], module: str = "abelpell") -> set[str]:
     holds after it imports module and runs the CLI on argv (if any)."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", LOADED, json.dumps([module, argv])],
+        [sys.executable, "-c", LOADED, module, *argv],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     ).stdout
     return set(json.loads(out))
@@ -59,6 +62,12 @@ def test_commands_load_only_their_layers(argv, absent):
         assert loaded == set()  # import abelpell loads no submodule
     else:
         assert loaded and not loaded & absent, loaded & absent
+
+
+def test_text_output_loads_no_json():
+    argv = ["pell", "verify", "x^2", "1", "x^4-1"]
+    assert "json" not in loaded_modules(argv)
+    assert "json" in loaded_modules(argv + ["--format", "structured"])
 
 
 def test_parser_loads_no_dataclasses():

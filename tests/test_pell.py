@@ -339,6 +339,13 @@ def test_compose_examples():
     # group identity at the pair level
     p, q = unit_compose(t.p, t.q, poly(1), UniPoly(()), t.r)
     assert (p, q) == (t.p, t.q)
+    # Opposite orientations: T_3 times the inverse (x, -1) of (x, 1) has order 3 - 1.
+    r = poly(-1, 0, 1)
+    t3 = PellTriple.build(poly(0, -3, 0, 4), poly(-1, 0, 4), r)
+    inverse = PellTriple.build(poly(0, 1), poly(-1), r)
+    assert pell_compose(t3, inverse) == PellTriple.build(poly(-1, 0, 2), poly(0, 2), r)
+    with pytest.raises(ValueError):  # (x, 1)(x, -1) is the trivial unit (1, 0)
+        pell_compose(PellTriple.build(poly(0, 1), poly(1), r), inverse)
 
 
 def test_compose_group_laws():
@@ -463,17 +470,28 @@ def chebyshev_bases(draw, constant=None):
 
 
 def signed_power(t: PellTriple, k: int, sign: int) -> PellTriple:
-    """sign * t^k: the solutions of one R that never cancel under the group law."""
-    u = pell_power(t, k)
-    return PellTriple.build(u.p * sign, u.q * sign, u.r)
+    """sign * t^k for k != 0; a negative k is a power of the inverse (P, -Q)."""
+    u = pell_power(t, abs(k))
+    return PellTriple.build(u.p * sign, u.q * sign * (1 if k > 0 else -1), u.r)
 
 
 @settings(max_examples=30, deadline=None)
-@given(chebyshev_bases(), st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, -1])),
-                                   min_size=3, max_size=3))
+@given(chebyshev_bases(), st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                             st.sampled_from([1, -1])), min_size=3, max_size=3))
 def test_compose_associative_and_inverse_property(base, exponents):
     a, b, c = (signed_power(base, k, sign) for k, sign in exponents)
-    assert pell_compose(pell_compose(a, b), c) == pell_compose(a, pell_compose(b, c))
+    for s, t in ((a, b), (b, c), (a, c)):
+        # The order rule by orientation lc(Q)/lc(P) = +-1.
+        if s.q.leading / s.p.leading == t.q.leading / t.p.leading:
+            assert pell_compose(s, t).order == s.order + t.order
+        elif s.order != t.order:
+            assert pell_compose(s, t).order == abs(s.order - t.order)
+        else:
+            with pytest.raises(ValueError):  # the trivial unit (+-1, 0)
+                pell_compose(s, t)
+    ka, kb, kc = (k for k, _ in exponents)
+    if 0 not in (ka + kb, kb + kc, ka + kb + kc):
+        assert pell_compose(pell_compose(a, b), c) == pell_compose(a, pell_compose(b, c))
     for t in (a, b, c):
         # (P, -Q) is the inverse: the product is the identity (1, 0).
         assert unit_compose(t.p, t.q, t.p, -t.q, t.r) == (poly(1), UniPoly(()))
