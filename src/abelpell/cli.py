@@ -147,9 +147,11 @@ def _cmd_pell_compose(args):
     t1 = pell.PellTriple.build(parse_poly(args.p1), parse_poly(args.q1), r)
     t2 = pell.PellTriple.build(parse_poly(args.p2), parse_poly(args.q2), r)
     out = pell.pell_compose(t1, t2)
+    same = t1.q.leading / t1.p.leading == t2.q.leading / t2.p.leading
     checks = [
         check("composite_verifies", True),
-        check("orders_add", out.order == t1.order + t2.order),
+        check("order_follows_orientation",
+              out.order == (t1.order + t2.order if same else abs(t1.order - t2.order))),
     ]
     result = {"composite": triple_json(out)}
     lines = [f"P = {out.p}", f"Q = {out.q}", f"order {out.order}"]

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from math import comb
 
 from .limits import ResourceLimit
 from .perms import (
@@ -58,10 +59,9 @@ CanonicalKey = tuple[int, ...]
 #: A power rho of the cycle with the flat index of rho^-1 over a whole tuple.
 Tie = tuple[Perm, tuple[int, ...]]
 
-#: Enumeration work cap for fail-fast sizing (involutions * transpositions^g).
-#: The pruned scan does far less work than this brute-force count, but the
-#: cap keeps the formula I(n) * C(n,2)^g, so the set of inputs that exit 3
-#: does not depend on how the enumeration is done.
+#: The census refuses (g, n) when I(n) * C(n,2)^g exceeds this cap, which
+#: admits n <= 14, 11, 9, 7 and 6 for g = 0, ..., 4 and no n for g >= 5;
+#: every n >= 46 is refused on I(n) alone (see :func:`_admitted`).
 SIZE_LIMIT = 5_000_000
 
 
@@ -143,18 +143,17 @@ def key_to_tuple(key: CanonicalKey, n: int) -> tuple[Perm, ...]:
 def _admitted(g: int, n: int) -> bool:
     """Whether (g, n) is feasible, that is n >= g + 1 (the ends' fixed points
     total 2g+2, each count at most n and congruent to n mod 2).  Raises
-    ``ResourceLimit`` when I(n) * C(n,2)^g exceeds ``SIZE_LIMIT``, multiplying
-    the count out only until it passes the cap, so a few steps whatever n is."""
+    ``ResourceLimit`` when I(n) * C(n,2)^g exceeds ``SIZE_LIMIT``.
+
+    I(n) = I(n-1) + (n-1) I(n-2) >= n I(n-2) >= 2 I(n-2) and I(0) = I(1) = 1
+    give I(n) >= 2^(n // 2), which exceeds ``SIZE_LIMIT`` once n // 2 reaches
+    its bit length; that refuses every n >= 46 before any work of size n.
+    Below that, g < n keeps the exact product small."""
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
     if n < g + 1:
         return False
-    work = count_involutions(n, SIZE_LIMIT)
-    for _ in range(g):
-        if work > SIZE_LIMIT:
-            break
-        work *= n * (n - 1) // 2
-    if work > SIZE_LIMIT:
+    if n // 2 >= SIZE_LIMIT.bit_length() or count_involutions(n) * comb(n, 2) ** g > SIZE_LIMIT:
         raise ResourceLimit(f"enumeration size I(n) * C(n,2)^g exceeds the cap of {SIZE_LIMIT}")
     return True
 
@@ -234,13 +233,12 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
       so the ones that fix sigma and every middle fix tau as well.
     """
     feasible = _admitted(g, n)
-    if base_cycle is None and not feasible:
-        return set()  # before the standard cycle, which is work of size n
-    cycle = standard_cycle(n) if base_cycle is None else tuple(base_cycle)
-    if sorted(cycle) != list(range(n)) or cycle_type(cycle) != (n,):
+    if base_cycle is not None and (sorted(base_cycle) != list(range(n))
+                                   or cycle_type(base_cycle) != (n,)):
         raise ValueError("base cycle must be an n-cycle")
     if not feasible:
-        return set()
+        return set()  # before the standard cycle, which is work of size n
+    cycle = standard_cycle(n) if base_cycle is None else tuple(base_cycle)
     rotations = [rho for rho, _ in _rotations(cycle, g + 2)]
     # swap[i][j] is the word of (i j); conjugation by rho maps it to
     # swap[rho[i]][rho[j]], the same object exactly when rho fixes it.

@@ -175,7 +175,8 @@ def multiplicity_partition(m: UniPoly, p: UniPoly, yun: list[tuple[UniPoly, int]
     order k.  ``yun`` lists squarefree f_k with exponents k that carry p''s
     multiplicities over m, as Yun(p') = lc * prod f_k^k does.  The points of
     multiplicity k + 1 over all the conjugates of theta together are the
-    roots of gcd(f_k, m(p) mod f_k); Galois conjugation shares them equally
+    roots of gcd(f_k, m(p) mod f_k), taken with m's integer numerator (a
+    constant multiple, so the same gcd); Galois conjugation shares them equally
     among the deg m conjugates, and every other point of the fibre is
     simple.  Gcds over Q suffice (dynamic evaluation: Della Dora,
     Dicrescenzo and Duval, EUROCAL '85); an m whose roots have different
@@ -188,7 +189,7 @@ def multiplicity_partition(m: UniPoly, p: UniPoly, yun: list[tuple[UniPoly, int]
     parts: list[int] = []
     for f, k in yun:
         residue, value = p % f, UniPoly(())
-        for c in reversed(m.coeffs):
+        for c in reversed(m.num):
             value = (value * residue + c) % f
         points, leftover = divmod(gcd(f, value).degree, m.degree)
         if leftover:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from pathlib import Path
@@ -174,6 +175,25 @@ def test_compose(capsys):
     assert code == 0
     assert report["result"]["composite"]["order"] == 4
     assert report["result"]["composite"]["p"]["text"] == "2*x^4 - 4*x^2 + 1"
+    assert all(c["ok"] for c in report["checks"])
+
+
+def test_compose_checks_hold_in_both_orientations(capsys):
+    # Orders 1 and 3 over x^2 - 1 with orientation lc(Q)/lc(P) = +-1: the orders
+    # add when the orientations agree and subtract when they differ, equal
+    # orders of opposite orientation cancel (exit 2), and every check is ok.
+    triples = [("x", "1", 1, 1), ("x", "-1", 1, -1), ("4*x^3-3*x", "4*x^2-1", 3, 1),
+               ("4*x^3-3*x", "1-4*x^2", 3, -1)]
+    for (p1, q1, n1, e1), (p2, q2, n2, e2) in itertools.product(triples, repeat=2):
+        if e1 != e2 and n1 == n2:
+            assert run_cli(capsys, "pell", "compose", p1, q1, p2, q2, "x^2-1")[0] == 2
+            continue
+        code, report, _ = run_json(capsys, "pell", "compose", p1, q1, p2, q2, "x^2-1")
+        assert code == 0
+        assert report["result"]["composite"]["order"] == (
+            n1 + n2 if e1 == e2 else abs(n1 - n2)), (p1, q1, p2, q2)
+        assert {c["name"]: c["ok"] for c in report["checks"]} == {
+            "composite_verifies": True, "order_follows_orientation": True}
 
 
 def test_compose_opposite_orientations(capsys):
@@ -184,7 +204,9 @@ def test_compose_opposite_orientations(capsys):
     composite = report["result"]["composite"]
     assert (composite["p"]["text"], composite["q"]["text"]) == ("2*x^2 - 1", "2*x")
     assert composite["order"] == 2
-    assert {c["name"]: c["ok"] for c in report["checks"]}["orders_add"] is False
+    # The group law: opposite orientations lc(Q)/lc(P) give |3 - 1|, and the check says so.
+    assert {c["name"]: c["ok"] for c in report["checks"]} == {
+        "composite_verifies": True, "order_follows_orientation": True}
     # Equal orders of opposite orientation give the trivial unit: bad input.
     code, out, err = run_cli(capsys, "pell", "compose", "x", "1", "x", "-1", "x^2-1")
     assert (code, out) == (2, "") and err.startswith("error: not a Pell triple")

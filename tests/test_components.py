@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -129,11 +131,6 @@ def test_infeasible_is_empty():
     assert enumerate_m(4, 3) == set()
 
 
-def test_size_guard():
-    with pytest.raises(ResourceLimit):
-        enumerate_m(5, 12)
-
-
 def test_feasible_exactly_when_n_exceeds_g():
     # The ends' fixed points total 2g+2, each count at most n and congruent
     # to n mod 2; the guard reads this as n >= g + 1 and returns at once.
@@ -144,11 +141,60 @@ def test_feasible_exactly_when_n_exceeds_g():
     assert enumerate_m(10**9, 5) == set()
 
 
+#: The (g, n) that the census admits: I(n) * C(n,2)^g <= SIZE_LIMIT and n >= g + 1.
+ADMITTED = (
+    [(0, n) for n in range(1, 15)] + [(1, n) for n in range(2, 12)]
+    + [(2, n) for n in range(3, 10)] + [(3, n) for n in range(4, 8)] + [(4, 5), (4, 6)]
+)
+
+
+def test_admitted_matches_its_oracle():
+    # The guard raises exactly where the candidate count passes the cap.
+    admitted = []
+    for n in range(1, 61):
+        for g in range(n):
+            if count_involutions(n) * math.comb(n, 2) ** g > components.SIZE_LIMIT:
+                with pytest.raises(ResourceLimit, match="exceeds the cap of 5000000"):
+                    components._admitted(g, n)
+            else:
+                assert components._admitted(g, n) is True
+                admitted.append((g, n))
+    assert sorted(admitted) == ADMITTED
+
+
+def test_size_guard():
+    # For g <= 4 the largest admitted n answers and n + 1 is refused; for g = 5
+    # every feasible n is refused, and a huge n is refused at once.
+    for g in range(5):
+        largest = max(n for h, n in ADMITTED if h == g)
+        assert enumerate_m(g, largest)
+        with pytest.raises(ResourceLimit):
+            enumerate_m(g, largest + 1)
+    for n in range(6, 61):
+        with pytest.raises(ResourceLimit):
+            enumerate_m(5, n)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        enumerate_m(0, 10**18)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_base_cycle_checked_after_the_guard():
+    # A bad or over-cap (g, n) raises before a bad cycle does; a bad cycle
+    # raises even where (g, n) is infeasible.
+    with pytest.raises(ValueError, match="need g >= 0"):
+        enumerate_m_with_cycle(-1, 3, (0, 0, 0))
+    with pytest.raises(ResourceLimit):
+        enumerate_m_with_cycle(5, 12, (0,) * 12)
+    for g, n, cycle in ((0, 3, (0, 1, 2)), (3, 2, (0, 0)), (0, 4, (1, 0, 3, 2))):
+        with pytest.raises(ValueError, match="base cycle must be an n-cycle"):
+            enumerate_m_with_cycle(g, n, cycle)
+    assert enumerate_m_with_cycle(3, 2, (1, 0)) == set()
+    assert len(enumerate_m_with_cycle(0, 3, (2, 0, 1))) == len(enumerate_m(0, 3)) > 0
+
+
 def test_count_involutions_cap():
-    # with a cap the recurrence stops at its first term above the cap
     assert [count_involutions(n) for n in range(7)] == [1, 1, 2, 4, 10, 26, 76]
-    assert count_involutions(6, 76) == 76 and count_involutions(6, 75) == 76
-    assert count_involutions(10**9, 20) == 26
     # the oracle's generator makes each involution once
     for n in range(7):
         found = list(involutions(n))

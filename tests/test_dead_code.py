@@ -4,6 +4,9 @@ A function, class or assignment at the top of a module in ``src/abelpell``
 must be referenced outside its own definition: by a name, an attribute, or a
 ``from ... import``, in any module of the package.  A public name counts as
 referenced through ``abelpell.__init__._HOMES``; dunders are exempt.
+
+Every parameter with a default is named in ``OPTIONAL_PARAMETERS``, so that
+an optional parameter added or removed shows in the diff.
 """
 import ast
 from pathlib import Path
@@ -73,3 +76,48 @@ def test_the_guard_flags_a_leftover(tmp_path):
     with open(tmp_path / "unipoly.py", "a") as handle:
         handle.write("\n\ndef squarefree_part(p):\n    return squarefree_part(p)\n")
     assert unreferenced_names(tmp_path) == ["unipoly.squarefree_part"]
+
+
+#: Each parameter with a default in a package function or method, as
+#: ``module.qualified_name(parameter)``.
+OPTIONAL_PARAMETERS = (
+    "cli.main(argv)",
+    "pell.normalize(target)",
+    "strata._integer_rank(modulus)",
+    "unipoly.UniPoly.__init__(coeffs)",
+)
+
+
+def optional_parameters(package: Path) -> list[str]:
+    out = []
+
+    def visit(node: ast.AST, module: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+                out.extend(f"{module}.{prefix}{child.name}({arg.arg})" for arg in with_default)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, f"{prefix}{child.name}.")
+            else:
+                visit(child, module, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+    return sorted(out)
+
+
+def test_optional_parameters_are_listed():
+    assert tuple(optional_parameters(PACKAGE)) == OPTIONAL_PARAMETERS
+
+
+def test_the_inventory_flags_a_new_default(tmp_path):
+    # A copy of the package with one more optional parameter.
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "perms.py", "a") as handle:
+        handle.write("\n\ndef shift(p, by=1):\n    return p[by:] + p[:by]\n")
+    assert optional_parameters(tmp_path) == sorted(OPTIONAL_PARAMETERS + ("perms.shift(by)",))
