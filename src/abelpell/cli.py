@@ -83,11 +83,14 @@ def _cmd_pell_solve(args):
     r = parse_poly(args.r)
     expansion = pell.cf_steps(r)
     steps: list[pell.CFStep] = []
-    # One lazy expansion: the search reads it up to the unit, or to the first
-    # step above n_max on a miss (convergent degrees rise strictly).  Only the
-    # steps' norms and degrees are read; minimal_solution builds the unit's
-    # convergent.
+    # One lazy expansion: the search reads it up to the unit, and a miss is
+    # read on to the first step above n_max (convergent degrees rise strictly),
+    # where least_unit stops near n_max / 2, so that the check lists every
+    # degree.  Only the steps' norms and degrees are read; minimal_solution
+    # builds the unit's convergent.
     unit = pell.least_unit((steps.append(step) or step for step in expansion), args.n_max)
+    while unit is None and steps[-1].degree <= args.n_max:
+        steps.append(next(expansion))
     triple = pell.minimal_solution(r, unit, args.n_max)
     last = args.n_max if unit is None else unit.degree
     searched = [step.degree for step in steps if step.degree <= last]

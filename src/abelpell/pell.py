@@ -10,7 +10,9 @@ denominator up to sign; a step is its partial quotients and norm, and the
 convergent is built on demand, by the solver only for the unit.  The surds
 stay exact -- no series truncation enters the main loop -- and exact
 division keeps each reduced: the next denominator is (R - A^2)/B, a division
-that raises unless B divides R - A^2.
+that raises unless B divides R - A^2.  The period of a Pellian R is a
+palindrome, so a search up to order n_max that has not seen its middle by
+degree n_max // 2 + g + 1 stops there (:func:`least_unit`).
 
 Solutions of a fixed R form a group under (P1 + sqrt(R) Q1)(P2 + sqrt(R) Q2);
 charts record how far a solution has been normalised:
@@ -266,21 +268,71 @@ def cf_steps(r: UniPoly) -> Iterator[CFStep]:
     return _cf_steps(r)
 
 
+def _proportional(u: UniPoly, v: UniPoly) -> bool:
+    """Whether the nonzero u is a constant times v: equal degrees, then the
+    integer numerators cross-multiplied against the leading ones."""
+    if len(u.num) != len(v.num):
+        return False
+    lu, lv = u.num[-1], v.num[-1]
+    return all(a * lv == b * lu for a, b in zip(u.num, v.num))
+
+
 def least_unit(steps: Iterable[CFStep], max_order: int) -> CFStep | None:
     """The fundamental unit: the first constant-norm step among ``steps``
     (the expansion of sqrt(R) from step 0) of degree up to ``max_order``;
-    None if there is none.  No convergent is built."""
+    None if there is none.  No convergent is built.
+
+    A miss stops at the middle of the period it would have: None is returned
+    at the first step of degree above max_order // 2 + deg P_0 (deg P_0 =
+    g + 1) unless the centre test has fired by then.  The test fires at step
+    k when norm_k is a constant times norm_(k-1) or norm_(k-2); after that the
+    search runs on to max_order, so a false fire costs time, never an answer.
+
+    Why a unit of degree d <= max_order fires the test in time.  Write x_k =
+    (A_k + sqrt(R))/B_k for the surds, so x_k = a_k + 1/x_(k+1), norm_k =
+    (-1)^(k+1) B_(k+1) and R - A_k^2 = B_k B_(k-1); put y_k = -1/conj(x_k).
+    Conjugating the recurrence gives y_(k+1) = a_k + 1/y_k, with y_1 = Y +
+    sqrt(R), Y = a_0.  For k >= 1 the surd is reduced: deg(sqrt(R) - A_k) <
+    deg B_k < deg(sqrt(R) + A_k) = g + 1 at infinity, so deg a_k <= g + 1
+    and y_k has positive degree.  Let B_r = c be the first constant
+    denominator (the unit is step r - 1).  Reducedness gives A_r = Y, so y_r
+    = c/(sqrt(R) - Y) = c x_1.  If y_(r+1-j) = e x_j for a constant e, the
+    polynomial parts give a_(r-j) = e a_j and the rest y_(r-j) = x_(j+1)/e;
+    so by induction y_(r+1-j) = c^(+-1) x_j.  As y_m = (A_m + sqrt(R))/B_(m-1),
+    this reads A_(r+1-j) = A_j and B_(r-j) proportional to B_j, with
+    deg a_(r-j) = deg a_j, for 1 <= j <= r - 1.  At h = r // 2 this gives
+    B_(h+1) ~ B_h when r is odd (j = h) and B_(h+1) ~ B_(h-1) when r is even
+    (j = h - 1): norm_h ~ norm_(h-1) or norm_(h-2), both earlier steps
+    unless r <= 2, when the unit is step h itself.  Summing the mirrored
+    degrees, d = g + 1 + sum_(0<j<r) deg a_j and deg P_h = (d + g + 1)/2 for
+    odd r, (d + g + 1 + deg a_h)/2 for even r; both are at most d // 2 + g + 1
+    <= max_order // 2 + g + 1, so the test fires before the bound is passed.
+    (The symmetry is Abel's palindromic period; see Berry, Arch. Math. 55
+    (1990), and van der Poorten and Tran, Monatsh. Math. 131 (2000).)
+    """
+    bound = None
+    recent: tuple[UniPoly, ...] = ()  # the norms of the last two steps
     for step in steps:
-        if step.degree > max_order:
+        degree = step.degree
+        if degree > max_order:
             return None
         if step.constant_norm:
             return step
+        if bound is None:
+            bound = max_order // 2 + degree
+        if degree > bound:
+            return None
+        if bound < max_order and any(_proportional(step.norm, b) for b in recent):
+            bound = max_order
+        recent = (step.norm, *recent[:1])
     return None
 
 
 def fundamental_unit(r: UniPoly, max_order: int) -> CFStep | None:
     """The step of the least-degree convergent with constant norm, searching
-    convergents of degree up to ``max_order``; None if there is none in range."""
+    convergents of degree up to ``max_order``; None if there is none in range.
+    A miss expands only to degree max_order // 2 + g + 1 (see
+    :func:`least_unit`)."""
     return least_unit(cf_steps(r), max_order)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 from test_parsing import int_digit_limit
-from test_pell import AFFINE_X6, count_convergents, refuse_convergents
+from test_pell import AFFINE_X6, built_degrees, count_convergents, refuse_convergents
 
 from abelpell import strata
 from abelpell.cli import main
@@ -348,22 +348,6 @@ def test_pell_solve_expands_once(capsys, monkeypatch):
     monkeypatch.setattr(pell, "_cf_steps", lambda r: calls.append(r) or steps(r))
     assert run_cli(capsys, "pell", "solve", "x^2+2")[0] == 0
     assert len(calls) == 1
-
-
-def built_degrees(monkeypatch) -> list[int]:
-    """The convergent degrees of the continued-fraction steps built from now on."""
-    from abelpell import pell
-
-    built = []
-    cf_step = pell.CFStep
-
-    def build(*args):
-        step = cf_step(*args)
-        built.append(step.degree)
-        return step
-
-    monkeypatch.setattr(pell, "CFStep", build)
-    return built
 
 
 def test_pell_solve_stops_above_n_max(capsys, monkeypatch):

@@ -211,9 +211,109 @@ def refuse_convergents(monkeypatch) -> None:
     monkeypatch.setattr(pell.CFStep, "convergent", refuse)
 
 
+def built_degrees(monkeypatch) -> list[int]:
+    """The convergent degrees of the continued-fraction steps built from now on."""
+    built = []
+    cf_step = pell.CFStep
+
+    def build(*args):
+        step = cf_step(*args)
+        built.append(step.degree)
+        return step
+
+    monkeypatch.setattr(pell, "CFStep", build)
+    return built
+
+
 def test_a_miss_builds_no_convergent(monkeypatch):
     refuse_convergents(monkeypatch)
     assert pell_solve(R_QUARTIC, 20) is None
+
+
+def test_a_miss_stops_at_half_n_max(monkeypatch):
+    # x^4 + x + 1 has no unit: its convergent degrees are 2, 3, 4, ..., and
+    # the search stops at the first above 10 // 2 + g + 1 = 7, not above 10.
+    built = built_degrees(monkeypatch)
+    assert pell_solve(R_QUARTIC, 10) is None
+    assert built == list(range(2, 9))
+
+
+def plain_least_unit(r, n_max):
+    """The index of the first constant-norm step of degree <= n_max in the
+    eager expansion, or None; the search with no stopping rule."""
+    for k, _, p, _, norm in eager_cf_steps(r):
+        if p.degree > n_max:
+            return None
+        if norm.degree <= 0:
+            return k
+
+
+def index_of(unit):
+    return None if unit is None else unit.index
+
+
+@st.composite
+def small_squarefree(draw):
+    degree = draw(st.sampled_from([2, 4, 6]))
+    r = UniPoly(draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)) + [1])
+    assume(is_squarefree(r))
+    return r
+
+
+@st.composite
+def affine_l_squared_minus_c(draw):
+    """An affine image of L^2 - c, whose unit is L of degree g + 1."""
+    ell = UniPoly(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)) + [1])
+    r = ell * ell - draw(st.sampled_from([1, -1, 2, -3]))
+    assume(is_squarefree(r))
+    a = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    return affine_image(r, a, draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(small_squarefree(), affine_l_squared_minus_c()), st.data())
+def test_least_unit_matches_the_plain_search(r, data):
+    # Stopping a miss at the middle of the period never changes an answer.
+    n_max = data.draw(st.integers(r.degree // 2, 16))
+    assert index_of(least_unit(cf_steps(r), n_max)) == plain_least_unit(r, n_max)
+
+
+# Pellian R with long periods: (R, unit degree, index k of the step where the
+# centre test fires, the earlier step j whose norm is a constant times
+# norm_k, deg P_k).  An even period mirrors norm_k onto norm_(k-2), an odd
+# one onto norm_(k-1).  The quartic is (x^2 - x - 2)^2 + 8x, the double
+# cover x = Y/X of the Tate normal form Y^2 + (1-c)XY - bY = X^3 - bX^2 with
+# the 7-torsion parameters b = -2, c = 2.  The units of degree 9 and 7 each
+# follow a non-unit step past the bound (degree 8 > 9 // 2 + 3 at n_max = 9,
+# degree 6 > 7 // 2 + 2 at n_max = 7), so there a search whose test never
+# fired would miss the unit.
+LONG_PERIODS = [
+    ("x^6-2*x^2+1", 6, 2, 0, 5),
+    ("x^6+2*x^5+x^4-2*x^3+2*x^2+1", 9, 2, 1, 6),
+    ("x^4-2*x^3-3*x^2+12*x+4", 7, 3, 1, 5),
+]
+
+
+@pytest.mark.parametrize("text, degree, k, j, centre_degree", LONG_PERIODS, ids=str)
+def test_long_periods_against_the_plain_search(text, degree, k, j, centre_degree):
+    r = parse_poly(text)
+    for n_max in range(3, 15):
+        unit = least_unit(cf_steps(r), n_max)
+        assert index_of(unit) == plain_least_unit(r, n_max)
+        assert (unit is not None) == (n_max >= degree)
+
+
+@pytest.mark.parametrize("text, degree, k, j, centre_degree", LONG_PERIODS, ids=str)
+def test_where_the_centre_test_fires(text, degree, k, j, centre_degree):
+    # The first step whose norm is a constant times one of the two before it,
+    # found by polynomial arithmetic rather than by the search's own test.
+    r = parse_poly(text)
+    steps = list(islice(cf_steps(r), k + 1))
+    fired = [(i, i - back) for i in range(len(steps)) for back in (1, 2) if i >= back and (
+        steps[i].norm * steps[i - back].norm.leading
+        - steps[i - back].norm * steps[i].norm.leading).is_zero()]
+    assert fired[0] == (k, j)
+    assert steps[k].degree == centre_degree <= degree // 2 + r.degree // 2  # + g + 1
 
 
 AFFINE_X6 = parse_poly("x^6 + 9*x^5 + 135/4*x^4 + 135/2*x^3 + 1215/16*x^2 + 729/16*x - 729/64")
