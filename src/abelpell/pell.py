@@ -111,7 +111,16 @@ def pell_verify(p: UniPoly, q: UniPoly, r: UniPoly) -> PellCheck:
 
 @dataclass(frozen=True)
 class PellTriple:
-    """A verified solution (P, Q, R); order, genus and chart are read off it."""
+    """A verified solution (P, Q, R); order, genus and chart are read off it.
+
+    A triple from outside the package is verified by :meth:`build`, through
+    :func:`pell_verify`.  Inside it, a producer that holds a proof of P^2 -
+    R*Q^2 = 1 with R valid and P, Q nonzero builds ``PellTriple(p, q, r)``
+    directly, and its docstring gives the proof: :func:`minimal_solution`,
+    :func:`normalize`, :func:`inflate`, :func:`pell_power` and
+    ``geometry._base_of``.  deg Q = order - genus - 1 then follows, since deg
+    P^2 = deg R*Q^2 when deg P >= 1.
+    """
 
     p: UniPoly
     q: UniPoly
@@ -347,7 +356,12 @@ def minimal_solution(r: UniPoly, unit: CFStep | None, n_max: int) -> PellTriple 
     and norm c^k can only be scaled to 1 when it is a square, forcing k even).
 
     The unit's convergent is built once, here, and its norm P^2 - R*Q^2 is
-    checked against the one read off the surd.
+    checked against the one read off the surd.  That exact check is the
+    proof of the result, which is built without re-verification: the norm is
+    c, so (P, Q)/sqrt(c), or the unit's square (of norm c^2) divided by c,
+    has norm exactly 1, and a change of sign keeps it.  Q is nonzero (Q_0 =
+    1 and the Q_k grow in degree) and R was checked by :func:`cf_steps`,
+    whose expansion ``unit`` must come from.
     """
     genus = r.degree // 2 - 1
     if n_max < genus + 1:
@@ -369,7 +383,7 @@ def minimal_solution(r: UniPoly, unit: CFStep | None, n_max: int) -> PellTriple 
         p, q = -p, -q
     if p.degree > n_max:
         return None
-    return PellTriple.build(p, q, r)
+    return PellTriple(p, q, r)
 
 
 def pell_solve(r: UniPoly, n_max: int) -> PellTriple | None:
@@ -409,13 +423,16 @@ def pell_compose(t1: PellTriple, t2: PellTriple) -> PellTriple:
 
 
 def pell_power(t: PellTriple, k: int) -> PellTriple:
-    """The k-th power of a solution (k >= 1)."""
+    """The k-th power of a solution (k >= 1), built without re-verification:
+    the norm is multiplicative, so the power has norm 1 over the same R, and
+    t = +-u^j with j != 0 makes it +-u^(jk), of order k * deg P, never the
+    trivial unit."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    out = t
+    p, q = t.p, t.q
     for _ in range(k - 1):
-        out = pell_compose(out, t)
-    return out
+        p, q = unit_compose(p, q, t.p, t.q, t.r)
+    return PellTriple(p, q, t.r)
 
 
 # -- chart normalisation ------------------------------------------------------------
@@ -433,24 +450,26 @@ class Obstruction:
         return self.message
 
 
-def normalize(
-    p: UniPoly, q: UniPoly, r: UniPoly, target: str = CHART_NORMALIZED
-) -> PellTriple | Obstruction:
+def normalize(p: UniPoly, q: UniPoly, r: UniPoly, target: str) -> PellTriple | Obstruction:
     """Move a solution to the requested chart by x -> a*x + b and scaling.
 
     Keeping R monic ties the scaling to a by lambda^2 = a^(2g+2); making P
     monic needs a^n = 1/lc(P).  The base field is never extended: when the
     required n-th root does not exist in Q an :class:`Obstruction` naming the
     radical is returned instead.
+
+    The input is verified by :meth:`PellTriple.build`; the output is built
+    without re-verification.  With P' = P(ax+b), Q' = lambda Q(ax+b) and R' =
+    R(ax+b)/lambda^2, P'^2 - R'Q'^2 is P^2 - RQ^2 at ax + b, so 1; R' is
+    squarefree of the same degree since a != 0, and monic since lc(R) =
+    lc(P)^2/lc(Q)^2.  The chart is still asserted.
     """
     if target not in CHARTS:
         raise ValueError(f"unknown chart {target!r}")
-    check = pell_verify(p, q, r)
-    if not check.valid:
-        raise ValueError("input is not a Pell solution: " + "; ".join(check.failures))
+    t = PellTriple.build(p, q, r)
     if target == CHART_GENERAL:
-        return PellTriple(p, q, r)
-    n, genus = check.order, check.genus
+        return t
+    n, genus = t.order, t.genus
     shift = Fraction(0)
     if target == CHART_NORMALIZED:
         shift = -r.coeff(r.degree - 1) / r.degree
@@ -462,7 +481,7 @@ def normalize(
     new_p = p.compose_linear(a, shift)
     new_q = q.compose_linear(a, shift) * lam
     new_r = r.compose_linear(a, shift) * lam**-2
-    out = PellTriple.build(new_p, new_q, new_r)
+    out = PellTriple(new_p, new_q, new_r)
     wanted_normalized = target == CHART_NORMALIZED
     if not out.p.is_monic() or not out.q.is_monic() or (
         wanted_normalized and not out.r.is_normalized()
@@ -483,10 +502,13 @@ def inflate(base: PellTriple, m: int, case: str) -> PellTriple:
     * ``even_half`` (m even, R(0) = 0, R = t*r): -> (p(s^m), s^(m/2) q(s^m), r(s^m)).
     * ``odd`` (m odd, R(0) = 0, R = t*r): -> (p(s^m), s^((m-1)/2) q(s^m), s*r(s^m)).
 
-    The result is re-verified before it is returned; an R that loses
-    squarefreeness under the substitution is reported as an error.  An
-    order m * deg P above :data:`abelpell.limits.MAX_DEGREE` raises
-    ``ResourceLimit`` before anything is substituted.
+    The result is built without re-verification.  In each case R'Q'^2 =
+    R(s^m) Q(s^m)^2, so P'^2 - R'Q'^2 = 1 at s^m; R' stays monic of even
+    degree (m(2g+2), or m(2g+1) + m % 2), and the one property the
+    substitution can break, squarefreeness, is checked: an R that loses it
+    is reported as an error.  An order m * deg P above
+    :data:`abelpell.limits.MAX_DEGREE` raises ``ResourceLimit`` before
+    anything is substituted.
     """
     if m < 2:
         raise ValueError("inflation needs m >= 2")
@@ -511,4 +533,4 @@ def inflate(base: PellTriple, m: int, case: str) -> PellTriple:
     new_r = r.substitute_power(m).shift_degree(r_shift)
     if not is_squarefree(new_r):
         raise ValueError("inflated R is not squarefree (a root of the base R at 0?)")
-    return PellTriple.build(new_p, new_q, new_r)
+    return PellTriple(new_p, new_q, new_r)

@@ -50,7 +50,7 @@ class UniPoly:
     num: tuple[int, ...]
     den: int
 
-    def __init__(self, coeffs: Iterable[Rat] = ()):
+    def __init__(self, coeffs: Iterable[Rat]):
         cs = list(coeffs)
         for c in cs:
             if not isinstance(c, (int, Fraction)):

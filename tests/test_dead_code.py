@@ -7,6 +7,11 @@ referenced through ``abelpell.__init__._HOMES``; dunders are exempt.
 
 Every parameter with a default is named in ``OPTIONAL_PARAMETERS``, so that
 an optional parameter added or removed shows in the diff.
+
+Every function that builds a ``PellTriple(...)`` directly, not through the
+verifying ``PellTriple.build``, is named in ``UNVERIFIED_TRIPLES``, so that a
+new unverified construction shows in the diff; each such producer proves its
+triple valid in its docstring.
 """
 import ast
 from pathlib import Path
@@ -82,9 +87,7 @@ def test_the_guard_flags_a_leftover(tmp_path):
 #: ``module.qualified_name(parameter)``.
 OPTIONAL_PARAMETERS = (
     "cli.main(argv)",
-    "pell.normalize(target)",
     "strata._integer_rank(modulus)",
-    "unipoly.UniPoly.__init__(coeffs)",
 )
 
 
@@ -121,3 +124,46 @@ def test_the_inventory_flags_a_new_default(tmp_path):
     with open(tmp_path / "perms.py", "a") as handle:
         handle.write("\n\ndef shift(p, by=1):\n    return p[by:] + p[:by]\n")
     assert optional_parameters(tmp_path) == sorted(OPTIONAL_PARAMETERS + ("perms.shift(by)",))
+
+
+#: Each package function that calls ``PellTriple(...)`` itself rather than
+#: ``PellTriple.build``, as ``module.qualified_name``.
+UNVERIFIED_TRIPLES = (
+    "geometry._base_of",
+    "pell.inflate",
+    "pell.minimal_solution",
+    "pell.normalize",
+    "pell.pell_power",
+)
+
+
+def unverified_triples(package: Path) -> list[str]:
+    out = set()
+
+    def visit(node: ast.AST, module: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(call, ast.Call) and "PellTriple" in (
+                            getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                        for call in ast.walk(child)):
+                    out.add(f"{module}.{name}")
+                visit(child, module, f"{name}.")
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+    return sorted(out)
+
+
+def test_unverified_triples_are_listed():
+    assert tuple(unverified_triples(PACKAGE)) == UNVERIFIED_TRIPLES
+
+
+def test_the_inventory_flags_an_unverified_triple(tmp_path):
+    # A copy of the package with one more direct construction.
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "strata.py", "a") as handle:
+        handle.write("\n\ndef negate(t):\n    return pell.PellTriple(-t.p, -t.q, t.r)\n")
+    assert unverified_triples(tmp_path) == sorted(UNVERIFIED_TRIPLES + ("strata.negate",))

@@ -252,6 +252,11 @@ def index_of(unit):
     return None if unit is None else unit.index
 
 
+def assert_verifies(solution):
+    """The solver builds its answer unverified; the oracle checks it."""
+    assert solution is None or pell_verify(solution.p, solution.q, solution.r).valid
+
+
 @st.composite
 def small_squarefree(draw):
     degree = draw(st.sampled_from([2, 4, 6]))
@@ -276,6 +281,7 @@ def test_least_unit_matches_the_plain_search(r, data):
     # Stopping a miss at the middle of the period never changes an answer.
     n_max = data.draw(st.integers(r.degree // 2, 16))
     assert index_of(least_unit(cf_steps(r), n_max)) == plain_least_unit(r, n_max)
+    assert_verifies(pell_solve(r, n_max))
 
 
 # Pellian R with long periods: (R, unit degree, index k of the step where the
@@ -301,6 +307,7 @@ def test_long_periods_against_the_plain_search(text, degree, k, j, centre_degree
         unit = least_unit(cf_steps(r), n_max)
         assert index_of(unit) == plain_least_unit(r, n_max)
         assert (unit is not None) == (n_max >= degree)
+        assert_verifies(pell_solve(r, n_max))
 
 
 @pytest.mark.parametrize("text, degree, k, j, centre_degree", LONG_PERIODS, ids=str)
@@ -375,14 +382,17 @@ def test_unit_and_its_square_against_the_expansion(r):
 
 
 def test_solve_checks_r_once(monkeypatch):
-    calls = []
+    # cf_steps checks R, and neither a hit nor a miss checks it again.
+    calls, squarefree = [], []
     check = pell._check_pell_r
     monkeypatch.setattr(pell, "_check_pell_r", lambda r: calls.append(r) or check(r))
+    monkeypatch.setattr(pell, "is_squarefree", lambda r: squarefree.append(r) or is_squarefree(r))
     assert pell_solve(R_MINUS2, 5) is not None
+    assert (len(calls), len(squarefree)) == (1, 1)
     assert pell_solve(R_QUARTIC, 10) is None
-    assert len(calls) == 2
+    assert (len(calls), len(squarefree)) == (2, 2)
     fundamental_unit(R_MINUS2, 5)
-    assert len(calls) == 3
+    assert (len(calls), len(squarefree)) == (3, 3)
 
 
 def test_verify_examples():
@@ -597,6 +607,20 @@ def test_compose_associative_and_inverse_property(base, exponents):
         assert unit_compose(t.p, t.q, t.p, -t.q, t.r) == (poly(1), UniPoly(()))
 
 
+@settings(max_examples=30, deadline=None)
+@given(chebyshev_bases(), st.integers(1, 6), st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+def test_power_is_the_chain_of_composites_property(base, k, sign, orientation):
+    # pell_power builds its result unverified; the chain of verified
+    # composites and pell_verify are its oracles.
+    t = PellTriple.build(base.p * sign, base.q * orientation, base.r)
+    chain = t
+    for _ in range(k - 1):
+        chain = pell_compose(chain, t)
+    power = pell_power(t, k)
+    assert power == chain and power.order == k * t.order
+    assert pell_verify(power.p, power.q, power.r).valid
+
+
 @st.composite
 def inflation_inputs(draw):
     case = draw(st.sampled_from(pell.INFLATE_CASES))
@@ -630,4 +654,5 @@ def test_normalize_idempotent_property(base, a, b, target):
     r = base.r.compose_linear(a, b) * a ** (-2 * g - 2)
     once = normalize(p, q, r, target)
     assert isinstance(once, PellTriple)
+    assert pell_verify(once.p, once.q, once.r).valid
     assert normalize(once.p, once.q, once.r, target) == once
