@@ -7,29 +7,28 @@ simultaneous conjugation are represented by canonical keys: fixing the product
 to the standard cycle cuts the conjugation down to the cycle's centralizer, so
 a class is the lexicographic minimum over the n cyclic conjugates.
 
-The enumeration never scans the I(n) * C(n,2)^g candidate tuples.  Write
-ind p = n - #cycles(p).  The ends' fixed points a + b = 2g + 2 give
-ind sigma + g + ind tau = (n - a)/2 + g + (n - b)/2 = n - 1, the index of the
-n-cycle, and the index is subadditive, so equality holds on every prefix:
-each of sigma's disjoint transpositions, and then each middle, must split one
-cycle of the remainder (sigma s_1 ... s_k)^-1 * cycle, never merge two.  The
-scan builds sigma and the middles by that one split step, and it builds only
-tuples that are least among their cyclic conjugates, so each class is
-reached once (see :func:`enumerate_m_with_cycle`).
+The enumeration never scans the I(n) * C(n,2)^g candidate tuples: each of
+sigma's transpositions, and then each middle, must split one cycle of the
+remainder, and only tuples least among their cyclic conjugates are built, so
+each class is reached once (see :func:`enumerate_m_with_cycle`).
 
 Components of the split moduli are orbits of the keys under the adjacent swap
 and the two turn moves; the nonsplit moduli add the flip, which reverses the
 tuple while rewriting each entry in the letters before it.  The flip is
-Garside's half-twist Delta (Quart. J. Math. 20 (1969)), which normalises the
-braid group, so it pairs split orbits with split orbits: the closure runs on
-the split moves and flips only one key per split orbit.  No image of a move
-is validated on its own: :func:`component_count` finds its key in M.
+Garside's half-twist, so it pairs split orbits with split orbits, and no
+image of a move is validated on its own (see :func:`component_count`).
+
+The public functions take and return tuples of ints; the orbit closure runs
+on ``bytes``, where p followed by q is ``p.translate(q)`` with q padded to a
+256-byte table, and a whole key's conjugate by a power of the cycle is two
+``translate`` calls.  Every value fits: the cap admits n <= 14, and a key's
+(g + 2) * n bytes number at most 36 on every admitted (g, n), far below the
+256 that :func:`_rotations` checks once per cycle (``bytes`` refuses more).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import comb
 
 from .limits import ResourceLimit
@@ -56,8 +55,8 @@ VARIANTS = (VARIANT_SPLIT, VARIANT_NONSPLIT)
 
 #: Flattened canonical form: the g+2 component words concatenated.
 CanonicalKey = tuple[int, ...]
-#: A power rho of the cycle with the flat index of rho^-1 over a whole tuple.
-Tie = tuple[Perm, tuple[int, ...]]
+#: A power rho of the cycle as a 256-byte table, and the flat index of rho^-1.
+Tie = tuple[bytes, bytes]
 
 #: The census refuses (g, n) when I(n) * C(n,2)^g exceeds this cap, which
 #: admits n <= 14, 11, 9, 7 and 6 for g = 0, ..., 4 and no n for g >= 5;
@@ -76,6 +75,8 @@ def validate_tuple(words: tuple[Perm, ...]) -> None:
     n = len(sigma)
     if any(len(word) != n for word in words):
         raise ValueError(f"every word must have length n = {n}")
+    if any(sorted(word) != list(range(n)) for word in words):
+        raise ValueError(f"every word must be a permutation of 0, ..., {n - 1}")
     if compose_all(words, n) != standard_cycle(n):
         raise ValueError("components do not multiply to the standard cycle")
     if not is_involution(sigma) or not is_involution(tau):
@@ -104,38 +105,39 @@ def canonical_key(comps: tuple[Perm, ...]) -> CanonicalKey:
     """
     if len(comps) < 2:
         raise ValueError("a monodromy tuple has at least two words")
-    ties = _ties(comps[0], standard_cycle(len(comps[0])), len(comps))
-    return _least_conjugate(tuple(chain.from_iterable(comps)), ties)
+    ties = _ties(bytes(comps[0]), standard_cycle(len(comps[0])), len(comps))
+    return tuple(_least_conjugate(b"".join(map(bytes, comps)), ties))
 
 
 @lru_cache(maxsize=16)
 def _rotations(cycle: Perm, blocks: int) -> tuple[Tie, ...]:
-    """The n powers rho of ``cycle``, identity first, each with the flat
-    index of rho^-1 over a tuple of ``blocks`` words."""
+    """The n powers rho of ``cycle``, identity first, as 256-byte tables with
+    the flat index of rho^-1 over ``blocks`` words, which must fit a byte."""
     n = len(cycle)
     rho, out = identity(n), []
     for _ in range(n):
-        out.append((rho, tuple(b + x for b in range(0, blocks * n, n) for x in inverse(rho))))
+        out.append((bytes(rho).ljust(256, b"\0"),
+                    bytes(b + x for b in range(0, blocks * n, n) for x in inverse(rho))))
         rho = compose(rho, cycle)
     return tuple(out)
 
 
-def _ties(sigma: Perm, cycle: Perm, blocks: int) -> tuple[Tie, ...]:
+def _ties(sigma: bytes, cycle: Perm, blocks: int) -> tuple[Tie, ...]:
     """The powers rho of ``cycle`` that minimise rho^-1 sigma rho: the first
     block decides the key unless it ties, so only these can give the least
     flattening of a tuple of ``blocks`` words starting with sigma."""
-    rotations = _rotations(cycle, blocks)
-    conjugates = [conjugate(sigma, rho) for rho, _ in rotations]
-    least = min(conjugates)
-    return tuple(tie for tie, first in zip(rotations, conjugates) if first == least)
+    firsts = [_least_conjugate(sigma, (tie,)) for tie in _rotations(cycle, 1)]
+    least = min(firsts)
+    return tuple(tie for tie, first in zip(_rotations(cycle, blocks), firsts) if first == least)
 
 
-def _least_conjugate(flat: CanonicalKey, ties: tuple[Tie, ...]) -> CanonicalKey:
+def _least_conjugate(flat: bytes, ties: tuple[Tie, ...]) -> bytes:
     # (rho^-1 p rho)[j] = rho[p[rho^-1[j]]] on every block at once.
-    return min(tuple(map(rho.__getitem__, map(flat.__getitem__, idx))) for rho, idx in ties)
+    table = flat.ljust(256, b"\0")
+    return min(idx.translate(table).translate(rho) for rho, idx in ties)
 
 
-def key_to_tuple(key: CanonicalKey, n: int) -> tuple[Perm, ...]:
+def key_to_tuple(key: CanonicalKey | bytes, n: int) -> tuple[Perm, ...]:
     """The words (sigma, s_1, ..., s_g, tau) of a flat key."""
     return tuple(key[i : i + n] for i in range(0, len(key), n))
 
@@ -314,12 +316,17 @@ def apply_move(words: tuple[Perm, ...], move: Move) -> tuple[Perm, ...]:
     tuple, not validated: :func:`component_count` certifies each image by its
     key's membership in M; other callers call :func:`validate_tuple`.  Every
     entry of a valid tuple is its own inverse, which the swap and the turns
-    rely on; on other tuples their images are wrong.
+    rely on; on other tuples their images are wrong.  The moves run on
+    ``bytes`` words, as the closure passes them; tuple words are converted.
 
     >>> apply_move(((0, 1), (1, 0)), "flip") == ((1, 0), (0, 1))
     True
     """
     g = len(words) - 2
+    if g < 1 and move in ("left_turn", "right_turn"):
+        raise ValueError(f"{move} needs g >= 1")
+    tuples = not isinstance(words[0], bytes)
+    words = tuple(map(bytes, words)) if tuples else words
     if isinstance(move, tuple):
         name, i = move
         if name != "swap":
@@ -327,30 +334,30 @@ def apply_move(words: tuple[Perm, ...], move: Move) -> tuple[Perm, ...]:
         if not 1 <= i < g:
             raise ValueError(f"swap index {i} needs 1 <= i < g = {g}")
         # s_i, s_(i+1) -> s_i s_(i+1) s_i, s_i
-        a, b = words[i], words[i + 1]
-        return (*words[:i], compose(compose(a, b), a), a, *words[i + 2 :])
-    if move == "left_turn":
-        if g < 1:
-            raise ValueError("left_turn needs g >= 1")
-        sigma, s1 = words[0], words[1]
+        a, b = words[i].ljust(256, b"\0"), words[i + 1].ljust(256, b"\0")
+        out = (*words[:i], words[i].translate(b).translate(a), words[i], *words[i + 2 :])
+    elif move == "left_turn":
+        sigma, s1 = words[0].ljust(256, b"\0"), words[1].ljust(256, b"\0")
         # sigma [s1, sigma] = sigma s1 sigma s1^-1 sigma^-1, left to right.
-        new_s1 = compose(compose(sigma, s1), sigma)
-        return (compose(compose(new_s1, s1), sigma), new_s1, *words[2:])
-    if move == "right_turn":
-        if g < 1:
-            raise ValueError("right_turn needs g >= 1")
-        sg, tau = words[-2], words[-1]
+        new_s1 = words[0].translate(s1).translate(sigma)
+        out = (new_s1.translate(s1).translate(sigma), new_s1, *words[2:])
+    elif move == "right_turn":
+        sg, tau = words[-2].ljust(256, b"\0"), words[-1].ljust(256, b"\0")
         # [tau, sg] tau = tau^-1 sg^-1 tau sg tau, left to right.
-        new_sg = compose(compose(tau, sg), tau)
-        return (*words[:-2], new_sg, compose(compose(new_sg, sg), tau))
-    if move == "flip":
-        # Entry i becomes P c_i P^-1 with P = c_0 ... c_(i-1), last entry first.
-        prefix, rewritten = words[0], []
+        new_sg = words[-1].translate(sg).translate(tau)
+        out = (*words[:-2], new_sg, new_sg.translate(sg).translate(tau))
+    elif move == "flip":
+        # Entry i becomes P c_i P^-1 with P = c_0 ... c_(i-1), last entry
+        # first; maketrans(P, points) is the table of P^-1.
+        prefix, rewritten, points = words[0], [], bytes(range(len(words[0])))
         for word in words[1:]:
-            rewritten.append(conjugate(word, inverse(prefix)))
-            prefix = compose(prefix, word)
-        return (*reversed(rewritten), words[0])
-    raise ValueError(f"unknown move {move!r}")
+            step = prefix.translate(word.ljust(256, b"\0"))
+            rewritten.append(step.translate(bytes.maketrans(prefix, points)))
+            prefix = step
+        out = (*reversed(rewritten), words[0])
+    else:
+        raise ValueError(f"unknown move {move!r}")
+    return tuple(map(tuple, out)) if tuples else out
 
 
 # -- orbit counting --------------------------------------------------------------------
@@ -383,7 +390,8 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     orbit, and starting in sorted order lists the orbits by their least key.
     An image's key is its conjugate by a power of the cycle, which keeps the
     product and the cycle types, so an image is valid exactly when its key is
-    in M; a miss raises AssertionError.
+    in M; a miss raises AssertionError.  The search runs on ``bytes`` keys,
+    converted once from M's tuples and back for the representatives.
 
     The search closes under the split moves only, for both variants; each
     nonsplit orbit is then a split orbit joined with its image under the
@@ -401,36 +409,29 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     involution, this pairs the split orbits (a flip that does not raises
     AssertionError), and each pair is kept at its lesser index, so the
     nonsplit orbits too are listed by their least key.
-
-    An image whose sigma is tie-free, least among its conjugates and fixed
-    by no power of the cycle but the identity, is already its own key: every
-    other conjugate's first word is larger.  Only the other images are
-    conjugated (:func:`_least_conjugate`).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    members = enumerate_m(g, n)
+    members = {bytes(key) for key in enumerate_m(g, n)}
     if not members:
         return OrbitCertificate(g, n, variant, 0, 0, (), ())
     split = [move for move in applicable_moves(g, variant) if move != "flip"]
     cycle = standard_cycle(n)
-    alone = _rotations(cycle, g + 2)[:1]
-    # sigma -> its least rotations, or None when the identity is the only one
-    ties: dict[Perm, tuple[Tie, ...] | None] = {}
+    ties: dict[bytes, tuple[Tie, ...]] = {}  # sigma -> its least rotations
+    alone = _rotations(cycle, g + 2)[:1]  # the ties of a sigma whose image is its key
 
-    def image_key(key: CanonicalKey, words: tuple[Perm, ...], move: Move) -> CanonicalKey:
+    def image_key(key: bytes, words: tuple[bytes, ...], move: Move) -> bytes:
         image_words = apply_move(words, move)
-        sigma = image_words[0]
-        if sigma not in ties:
-            least = _ties(sigma, cycle, g + 2)
-            ties[sigma] = None if least == alone else least
-        flat = tuple(chain.from_iterable(image_words))
-        image = flat if ties[sigma] is None else _least_conjugate(flat, ties[sigma])
+        least = ties.get(image_words[0])
+        if least is None:
+            least = ties[image_words[0]] = _ties(image_words[0], cycle, g + 2)
+        flat = b"".join(image_words)
+        image = flat if least == alone else _least_conjugate(flat, least)
         if image not in members:
-            raise AssertionError(f"move {move!r} takes {key} out of M")
+            raise AssertionError(f"move {move!r} takes {tuple(key)} out of M")
         return image
 
-    orbit_of: dict[CanonicalKey, int] = {}
+    orbit_of: dict[bytes, int] = {}
     reps: list[CanonicalKey] = []
     sizes: list[int] = []
     for start in sorted(members):
@@ -445,12 +446,11 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
                 if image not in orbit_of:
                     orbit_of[image] = len(reps)
                     orbit.append(image)
-        reps.append(start)
+        reps.append(tuple(start))
         sizes.append(len(orbit))
     if variant == VARIANT_NONSPLIT:
-        # flip[i] is the split orbit of the flip of reps[i]; each nonsplit
-        # orbit is orbit i joined with flip[i], kept at the lesser index.
-        flip = [orbit_of[image_key(rep, key_to_tuple(rep, n), "flip")] for rep in reps]
+        # flip[i] is the split orbit of the flip of reps[i]
+        flip = [orbit_of[image_key(key, key_to_tuple(key, n), "flip")] for key in map(bytes, reps)]
         if any(flip[j] != i for i, j in enumerate(flip)):
             raise AssertionError("the flip does not pair the split orbits")
         pairs = [(i, j) for i, j in enumerate(flip) if i <= j]

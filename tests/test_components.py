@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -399,14 +400,15 @@ def test_unknown_variant_rejected_before_enumerating(monkeypatch):
 
 def test_closure_rejects_a_move_that_leaves_m(monkeypatch):
     # right_turn followed by an extra transposition on tau breaks the product,
-    # so its image's key is not among the enumerated keys
+    # so its image's key is not among the enumerated keys; the closure's
+    # words are byte strings
     real = components.apply_move
 
     def broken(words, move):
         out = real(words, move)
         if move != "right_turn":
             return out
-        return (*out[:-1], compose(out[-1], transposition(len(out[0]), 0, 1)))
+        return (*out[:-1], bytes(compose(out[-1], transposition(len(out[0]), 0, 1))))
 
     monkeypatch.setattr(components, "apply_move", broken)
     with pytest.raises(AssertionError, match="out of M"):
@@ -422,7 +424,7 @@ def test_closure_rejects_a_flip_that_leaves_m(monkeypatch):
         out = real(words, move)
         if move != "flip":
             return out
-        return (*out[:-1], compose(out[-1], transposition(len(out[0]), 0, 1)))
+        return (*out[:-1], bytes(compose(out[-1], transposition(len(out[0]), 0, 1))))
 
     monkeypatch.setattr(components, "apply_move", broken)
     with pytest.raises(AssertionError, match="out of M"):
@@ -432,13 +434,39 @@ def test_closure_rejects_a_flip_that_leaves_m(monkeypatch):
 def test_closure_rejects_a_flip_that_is_no_involution(monkeypatch):
     # a flip that sends every tuple to the least key of M stays in M, but it
     # does not pair the split orbits, which the nonsplit count relies on
-    least = key_to_tuple(min(enumerate_m(2, 5)), 5)
+    least = key_to_tuple(bytes(min(enumerate_m(2, 5))), 5)
     real = components.apply_move
     monkeypatch.setattr(
         components, "apply_move", lambda words, move: least if move == "flip" else real(words, move))
     assert component_count(2, 5, "split").component_count > 2
     with pytest.raises(AssertionError, match="does not pair"):
         component_count(2, 5, "nonsplit")
+
+
+def test_closure_applies_each_split_move_once_per_key(monkeypatch):
+    # The benchmark's tracer counts moves_applied through the module
+    # attribute: |M| (g + 1) split images, and the nonsplit count adds one
+    # flip per split orbit.
+    real, calls = components.apply_move, []
+
+    def counted(words, move):
+        calls.append(move)
+        return real(words, move)
+
+    monkeypatch.setattr(components, "apply_move", counted)
+    split = component_count(2, 5, "split")
+    assert len(calls) == split.m_count * 3 == 105
+    calls.clear()
+    component_count(2, 5, "nonsplit")
+    assert len(calls) == 105 + split.component_count == 108
+    assert calls.count("flip") == split.component_count
+
+
+def test_canonical_key_refuses_a_key_past_256_bytes():
+    # the closure's keys are byte strings; the census never comes near this
+    n = 129
+    with pytest.raises(ValueError, match="range"):
+        canonical_key((identity(n), standard_cycle(n)))
 
 
 def test_flip_conjugates_split_moves_on_keys():
@@ -548,6 +576,8 @@ MALFORMED = [
     (((1, 0), (1, 0), (1, 0)), "2g \\+ 2"),  # no fixed points at g = 1
     (((0, 1), (1, 0, 2), (0, 1)), "length"),  # a middle on 3 points, n = 2
     (((0, 1, 2), (1, 0), (0, 1, 2)), "length"),  # a middle on 2 points, n = 3
+    (((0, 5), (1, 0)), "permutation"),  # an entry out of range, not an IndexError
+    (((0, 0), (1, 0)), "permutation"),  # a repeated entry
 ]
 
 
@@ -775,3 +805,68 @@ def test_canonical_key_is_least_over_all_powers(drawn, picks, power):
     powers = cycle_powers(standard_cycle(n))
     comps = tuple(conjugate(comp, powers[power % n]) for comp in words)
     assert canonical_key(comps) == brute_force_key(comps, powers)
+
+
+# -- the moves against their tuple formulas -------------------------------------------
+
+
+def oracle_move(words, move):
+    """Slow reference for apply_move: the moves' formulas on tuple words, by
+    perms.compose, conjugate and inverse."""
+    if isinstance(move, tuple):
+        i = move[1]
+        a, b = words[i], words[i + 1]
+        return (*words[:i], compose(compose(a, b), a), a, *words[i + 2 :])
+    if move == "left_turn":
+        sigma, s1 = words[0], words[1]
+        new_s1 = compose(compose(sigma, s1), sigma)
+        return (compose(compose(new_s1, s1), sigma), new_s1, *words[2:])
+    if move == "right_turn":
+        sg, tau = words[-2], words[-1]
+        new_sg = compose(compose(tau, sg), tau)
+        return (*words[:-2], new_sg, compose(compose(new_sg, sg), tau))
+    prefix, rewritten = words[0], []
+    for word in words[1:]:
+        rewritten.append(conjugate(word, inverse(prefix)))
+        prefix = compose(prefix, word)
+    return (*reversed(rewritten), words[0])
+
+
+#: Every admitted (g, n) with n <= 9 and a nonempty M.
+ORACLE_CASES = [(g, n) for g in range(5) for n in range(g + 1, 10)
+                if count_involutions(n) * math.comb(n, 2) ** g <= components.SIZE_LIMIT]
+
+
+@functools.lru_cache(maxsize=None)
+def sorted_keys(g, n):
+    return sorted(enumerate_m(g, n))
+
+
+@LAWS
+@given(st.sampled_from(ORACLE_CASES), st.data(),
+       st.lists(st.integers(min_value=0, max_value=99), max_size=3),
+       st.integers(min_value=0, max_value=13))
+def test_moves_match_the_tuple_oracle(case, data, picks, power):
+    # valid tuples off the key set, drawn as in
+    # test_canonical_key_is_least_over_all_powers
+    g, n = case
+    moves = applicable_moves(g, "nonsplit")
+    words = key_to_tuple(data.draw(st.sampled_from(sorted_keys(g, n))), n)
+    for pick in picks:
+        words = oracle_move(words, moves[pick % len(moves)])
+    cycle = standard_cycle(n)
+    powers = cycle_powers(cycle)
+    words = tuple(conjugate(word, powers[power % n]) for word in words)
+    validate_tuple(words)
+    for move in moves:
+        expected = oracle_move(words, move)
+        assert apply_move(words, move) == expected, move
+        # the closure's byte-form image key: the image of the byte words,
+        # conjugated by the least rotations of its sigma
+        image = apply_move(tuple(map(bytes, words)), move)
+        assert all(type(word) is bytes for word in image)
+        ties = components._ties(image[0], cycle, g + 2)
+        key = components._least_conjugate(b"".join(image), ties)
+        assert tuple(key) == canonical_key(expected) == brute_force_key(expected, powers), move
+        if ties == components._rotations(cycle, g + 2)[:1]:
+            assert b"".join(image) == key  # the closure skips conjugating it
