@@ -2,18 +2,19 @@
 
 P^2 - 1 = R*Q^2 makes the polynomial P a degree-n self-map of the line whose
 fibres over +1, -1 and infinity are constrained: infinity is totally ramified
-and the fibres over +-1 are read off the squarefree structure of P -+ 1, with
-the odd multiplicities sitting exactly at the roots of R.  All other branch
+and the fibres over +-1 are read off Q and R, as P -+ 1 = c R+- Q+-^2 puts
+the odd multiplicities exactly at the roots of R.  All other branch
 points are "unassigned".  Differentiating the Pell equation gives P' = Q*W
 with W of degree g, the integrand of Abel's integral of W dx / sqrt(R) =
 log(P + Q sqrt(R)) (Crelle J. 1 (1826)), and every root of Q lies over +-1;
 so the unassigned critical points are roots of W, and the branch polynomial
 needs only g + 1 resultants.
-An inflation P = L(x^m) (see :func:`abelpell.pell.inflate`) reads its branch
-classes off its base L, as the branch data of a composite come from its factors
-(Ritt, Trans. AMS 23 (1922)): x -> x^m is branched only over 0 and infinity,
-so a fibre of L away from y = 0 lifts to m copies of itself, and the point
-y = 0 of multiplicity e0 lifts to one point of multiplicity m * e0.
+An inflation P = L(x^m) (see :func:`abelpell.pell.inflate`) reads its fibres
+and branch classes off its base L, as the branch data of a composite come
+from its factors (Ritt, Trans. AMS 23 (1922)): x -> x^m is branched only
+over 0 and infinity, so a fibre of L away from y = 0 lifts to m copies of
+itself, and the point y = 0 of multiplicity e0 lifts to one point of
+multiplicity m * e0.
 Everything reduces to exact squarefree decompositions and gcds over Q: the
 fibres over a Galois orbit of branch values are read off gcds with the
 squarefree factors of W, so no algebraic extension is built and nothing is
@@ -22,7 +23,6 @@ numerical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as int_gcd
 
 from .factorization import factor_rational
@@ -36,13 +36,6 @@ from .unipoly import (
     resultant,
     squarefree_decomposition,
 )
-
-
-def _partition_of_decomposition(parts: list[tuple[UniPoly, int]]) -> Partition:
-    out: list[int] = []
-    for factor, mult in parts:
-        out.extend([mult] * factor.degree)
-    return tuple(sorted(out, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -73,33 +66,51 @@ class HurwitzReport:
 def assigned_profile(t: PellTriple) -> tuple[Partition, Partition, Partition]:
     """Fibre partitions over +1, -1 and infinity.
 
-    The odd multiplicities of P -+ 1 must sit exactly at the roots of R; a
-    mismatch means the triple was invalid and raises.
+    The triple is verified where it enters (see :class:`PellTriple`), so P^2
+    - 1 = R Q^2 with R squarefree, and P - 1 and P + 1 are coprime.  Hence
+    P - 1 = c R+ Q+^2 and P + 1 = c' R- Q-^2, where R+, Q+ collect the roots
+    of R and Q over +1, and R-, Q- those over -1: a root of Q of multiplicity
+    k lies over one of +-1 with multiplicity 2k + [R vanishes there], and
+    every other point of those fibres is a simple root of R.  So the fibres
+    are read off Yun(Q) = prod f_k^k, of degree n - g - 1, not off P -+ 1 of
+    degree n: f_k splits into gcd(f_k, (P - 1) mod f_k) over +1 and the rest
+    over -1, each piece's roots in common with R give parts 2k + 1 and its
+    other roots 2k, and parts 1 fill each fibre up to n.  The odd parts are
+    the roots of R by construction.
+
+    An inflation P = L(x^m) lifts its base's partitions by :func:`_lift`.
     """
-    # The pullback of {+1, -1} must be (roots of R) + 2*(roots of Q).
-    if not ((t.p - 1) * (t.p + 1) - t.r * t.q * t.q).is_zero():
-        raise ValueError("P^2 - 1 differs from R*Q^2: invalid triple")
-    plus = squarefree_decomposition(t.p - 1)
-    minus = squarefree_decomposition(t.p + 1)
-    odd_radical = UniPoly((1,))
-    for factor, mult in plus + minus:
-        if mult % 2 == 1:
-            odd_radical = odd_radical * factor
-    if odd_radical != t.r.monic():
-        raise ValueError("odd-multiplicity locus of P^2 - 1 differs from roots of R")
-    return (
-        _partition_of_decomposition(plus),
-        _partition_of_decomposition(minus),
-        (t.order,),
-    )
+    inflated = _base_of(t)
+    if inflated:
+        base, m = inflated
+        plus, minus, _ = assigned_profile(base)
+        ell = base.p
+        return (_lift(plus, m, ell, ell.coeff(0) == 1), _lift(minus, m, ell, ell.coeff(0) == -1),
+                (t.order,))
+    common = gcd(t.r, t.q)
+    fibres: tuple[list[int], list[int]] = ([], [])  # the parts over +1 and -1
+    for f, k in squarefree_decomposition(t.q):
+        over_plus = gcd(f, t.p % f - 1)
+        for parts, piece in zip(fibres, (over_plus, f.exact_div(over_plus))):
+            odd = gcd(piece, common).degree
+            parts += [2 * k + 1] * odd + [2 * k] * (piece.degree - odd)
+    n = t.order
+    plus, minus = (tuple(sorted(parts + [1] * (n - sum(parts)), reverse=True)) for parts in fibres)
+    return plus, minus, (n,)
 
 
-def _power_part(p: UniPoly, m: int) -> tuple[UniPoly, int]:
-    """(p0, j) with p = x^j p0(x^m) and 0 <= j < m, for a nonzero p of that form."""
-    j = next(i for i, c in enumerate(p.num) if c) % m
-    if any(c for i, c in enumerate(p.num) if i % m != j):
-        raise AssertionError(f"{p} is not x^{j} times a polynomial in x^{m}")
-    return UniPoly(p.num[j::m]) * Fraction(1, p.den), j
+def _lift(partition: Partition, m: int, ell: UniPoly, at_zero: bool) -> Partition:
+    """The fibre partition of P = L(x^m) over a value whose fibre under L is
+    ``partition``.  x -> x^m is branched only over 0 and infinity, so each
+    part is repeated m times; over the value L(0) (``at_zero``) the m copies
+    of the part e0 = ord_0(L - L(0)) of the point y = 0 are one point of
+    multiplicity m * e0."""
+    parts = [part for part in partition for _ in range(m)]
+    if at_zero:
+        e0 = next(i for i, c in enumerate(ell.num) if c and i)
+        i = parts.index(e0)
+        parts[i : i + m] = [m * e0]
+    return tuple(sorted(parts, reverse=True))
 
 
 def _base_of(t: PellTriple) -> tuple[PellTriple, int] | None:
@@ -121,9 +132,9 @@ def _base_of(t: PellTriple) -> tuple[PellTriple, int] | None:
     m = int_gcd(*[i for i, c in enumerate(t.p.num) if c and i])
     if m < 2:
         return None
-    ell, _ = _power_part(t.p, m)
-    q0, j = _power_part(t.q, m)
-    r0, e = _power_part(t.r, m)
+    ell, _ = t.p.power_part(m)
+    q0, j = t.q.power_part(m)
+    r0, e = t.r.power_part(m)
     if e > 1 or 2 * j + e not in (0, m):
         raise AssertionError(f"{t} has P = L(x^{m}) but Q = x^{j} Q0(x^{m}), R = x^{e} R~(x^{m})")
     return PellTriple(ell, q0, r0.shift_degree((2 * j + e) // m)), m
@@ -230,19 +241,13 @@ def unassigned_branch(t: PellTriple) -> list[BranchClass]:
         base, m = inflated
         classes = unassigned_branch(base)
         ell = base.p
-        e0 = next(i for i, c in enumerate(ell.num) if c and i)
         at_zero = UniPoly((-ell.coeff(0), 1))
         if ell.coeff(0) not in (1, -1) and all(cls.factor != at_zero for cls in classes):
-            if e0 != 1:
+            if not ell.coeff(1):
                 raise AssertionError(f"0 is a critical point of {ell} but L(0) is no branch value")
             classes.append(BranchClass(at_zero, (1,) * ell.degree))
-        lifted = []
-        for cls in classes:
-            parts = [part for part in cls.partition for _ in range(m)]
-            if cls.factor == at_zero:  # the m copies of y = 0's part are one point
-                i = parts.index(e0)
-                parts[i : i + m] = [m * e0]
-            lifted.append(BranchClass(cls.factor, tuple(sorted(parts, reverse=True))))
+        lifted = [BranchClass(cls.factor, _lift(cls.partition, m, ell, cls.factor == at_zero))
+                  for cls in classes]
         return sorted(lifted, key=lambda cls: (cls.factor.degree, cls.factor.coeffs))
     factors = factor_rational(branch_polynomial(t).deflate(1).deflate(-1))
     if not factors:
@@ -264,8 +269,11 @@ def hurwitz_report(t: PellTriple) -> HurwitzReport:
     """Point counts of the branching data: e unassigned and e' assigned
     ramification points, and w odd parts over +-1.
 
-    :func:`assigned_profile` raises unless the odd-multiplicity factors of
-    P -+ 1 multiply to the monic R, so w = deg R = 2g + 2.  On the generic
+    The triple was verified where it entered (see :class:`PellTriple`), so
+    P^2 - 1 = R Q^2 with R squarefree of degree 2g + 2.  A point over +-1
+    then has multiplicity 2 ord Q + [R vanishes there] (see
+    :func:`assigned_profile`), so the odd parts over +-1 are the roots of R,
+    and w = deg R = 2g + 2.  On the generic
     stratum (all ramification simple, one ramification point over each
     unassigned branch point) the total sum(part - 1) that
     :meth:`RamSpec.validate` requires to be n - 1 is e + e', Riemann-Hurwitz

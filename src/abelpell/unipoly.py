@@ -261,6 +261,26 @@ class UniPoly:
         out[::m] = self.num
         return _made(tuple(out), self.den)
 
+    def power_part(self, m: int) -> tuple[UniPoly, int]:
+        """(p0, j) with p = x^j p0(x^m) and 0 <= j < m, for a nonzero p of
+        that form: the inverse of :meth:`substitute_power` and
+        :meth:`shift_degree`.  p0 is the slice num[j::m]; it holds every
+        nonzero numerator (counted, or this raises ``ValueError``), so it keeps
+        the normal form and is not reduced again.
+
+        >>> poly(0, 2, 0, 0, 3).power_part(3)
+        (UniPoly('3*x + 2'), 1)
+        """
+        if m < 1:
+            raise ValueError("power part needs m >= 1")
+        if not self.num:
+            raise ValueError("the zero polynomial has no power part")
+        j = next(i for i, c in enumerate(self.num) if c) % m
+        kept = self.num[j::m]
+        if len(self.num) - self.num.count(0) != len(kept) - kept.count(0):
+            raise ValueError(f"{self} is not x^{j} times a polynomial in x^{m}")
+        return _made(kept, self.den), j
+
     def shift_degree(self, k: int) -> UniPoly:
         """Multiply by x^k (k >= 0)."""
         if k < 0:

@@ -6,7 +6,7 @@ from conftest import chebyshev_triple, fixture_family
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_cli import ABEL_GOLDEN_TRIPLES
-from test_pell import chebyshev_bases, inflation_inputs
+from test_pell import LONG_PERIODS, chebyshev_bases, inflation_inputs
 from test_unipoly import sylvester_resultant
 
 from abelpell.geometry import (
@@ -22,11 +22,12 @@ from abelpell.geometry import (
     unassigned_branch,
 )
 from abelpell import geometry
-from abelpell.pell import PellTriple, inflate, pell_power
+from abelpell.pell import PellTriple, inflate, pell_power, pell_solve
 from abelpell.factorization import factor_rational
 from abelpell.parsing import parse_poly
 from abelpell.unipoly import (
     UniPoly,
+    gcd,
     interpolate,
     is_squarefree,
     poly,
@@ -43,6 +44,72 @@ def test_assigned_profile_examples():
     assert assigned_profile(T_GENUS0()) == ((1, 1), (2,), (2,))
     assert assigned_profile(T_GENUS1()) == ((1, 1), (1, 1), (2,))
     assert assigned_profile(T_QUARTIC()) == ((4,), (1, 1, 1, 1), (4,))
+
+
+def two_yun_profile(t: PellTriple) -> tuple[tuple[int, ...], ...]:
+    """Oracle: the fibres over +-1 read off Yun(P - 1) and Yun(P + 1), of
+    degree n, with the odd parts checked against the roots of R."""
+    sides = [squarefree_decomposition(t.p - 1), squarefree_decomposition(t.p + 1)]
+    odd = poly(1)
+    for factor, mult in sides[0] + sides[1]:
+        if mult % 2:
+            odd = odd * factor
+    assert odd == t.r.monic(), t
+    plus, minus = (tuple(sorted((mult for factor, mult in side for _ in range(factor.degree)),
+                                reverse=True)) for side in sides)
+    return plus, minus, (t.order,)
+
+
+def shifted(t: PellTriple, b: int) -> PellTriple:
+    """The triple at x + b: the same fibres, and no inflation once b != 0
+    moves the point x = 0 that an inflation's rotation fixes."""
+    return PellTriple.build(*(f.compose_linear(1, b) for f in (t.p, t.q, t.r)))
+
+
+KUBERT_7 = "x^4 - 10*x^3 + 61*x^2 - 108*x - 36"  # Kubert's E(b, c) for N = 7 at t = 3
+
+
+def profile_oracle_cases() -> list[PellTriple]:
+    """The long periods, the Kubert quartic of order 7, their squares and
+    cubes, and odd inflations moved off 0 (gcd(R, Q) = x + 1, no inflation)."""
+    # A unit of non-square norm c is squared to the rational solution.
+    solved = [pell_solve(parse_poly(text), 2 * degree) for text, degree, *_ in LONG_PERIODS]
+    solved.append(pell_solve(parse_poly(KUBERT_7), 30))
+    assert solved[-1].order == 7
+    odd = [t for t in chebyshev_and_inflated(12) if t.r.coeff(0) == 0 and t.q.coeff(0) == 0]
+    moved = [shifted(t, 1) for t in odd]
+    assert moved and all(gcd(t.r, t.q) == poly(1, 1) and not geometry._base_of(t) for t in moved)
+    return [pell_power(t, k) for t in solved + moved for k in (1, 2, 3)]
+
+
+def test_assigned_profile_matches_two_yun_oracle():
+    for t in chebyshev_and_inflated(20) + profile_oracle_cases():
+        assert assigned_profile(t) == two_yun_profile(t), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(inflation_inputs(), st.integers(1, 2), st.integers(-2, 2))
+def test_assigned_profile_of_inflations_property(inputs, k, b):
+    # Every inflation case, raised to a power for a nonconstant base Q, and
+    # moved to x + b, which keeps the fibres but (b != 0) leaves the lift.
+    t = pell_power(inflate(*inputs), k)
+    assert geometry._base_of(t) is not None
+    assert assigned_profile(t) == assigned_profile(shifted(t, b)) == two_yun_profile(t)
+
+
+def test_profile_of_an_inflation_decomposes_in_the_base_degree(monkeypatch):
+    degrees = []
+    yun = geometry.squarefree_decomposition
+    monkeypatch.setattr(geometry, "squarefree_decomposition",
+                        lambda p: degrees.append(p.degree) or yun(p))
+    cases = [(base, inflate(base, m, "even_half" if m % 2 == 0 else "odd")
+              if abs(base.p.coeff(0)) == 1 else inflate(base, m, "divides_g_plus_1"))
+             for base in inflation_bases() for m in (2, 3, 4)]
+    cases += [(chebyshev_of(poly(3, 1), k), chebyshev_of(poly(3, 0, 1), k)) for k in (2, 3, 4)]
+    for base, t in cases:
+        degrees.clear()
+        assigned_profile(t)
+        assert degrees and max(degrees) <= base.order, t
 
 
 def test_unassigned_branch_examples():

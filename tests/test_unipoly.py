@@ -333,6 +333,33 @@ def test_deflate_property(p, root, k):
     assert out == p.deflate(root)
 
 
+@settings(max_examples=80, deadline=None)
+@given(polys(5), st.integers(1, 4), st.data())
+def test_power_part_inverts_substitute_power_property(p0, m, data):
+    if p0.is_zero():
+        with pytest.raises(ValueError):
+            p0.power_part(m)
+        return
+    j = data.draw(st.integers(0, m - 1))
+    p = p0.substitute_power(m).shift_degree(j)
+    # p0 may have low zero coefficients, so p's lowest term can sit above x^j.
+    assert p.power_part(m) == (p0, j)
+    assert canonical(p.power_part(m)[0])
+    if m > 1:
+        # A stray term off the exponents j + m*i leaves the form.
+        stray = p + poly(*[0] * ((j + 1) % m + m * p0.degree), 1)
+        with pytest.raises(ValueError, match="is not x\\^"):
+            stray.power_part(m)
+
+
+def test_power_part_examples():
+    assert poly(0, 0, 0, 1, 0, 0, 5).power_part(3) == (poly(0, 1, 5), 0)
+    with pytest.raises(ValueError):  # x (1 + x^3) + x^2
+        poly(0, 1, 1, 0, 1).power_part(3)
+    with pytest.raises(ValueError):
+        poly(1, 1).power_part(0)
+
+
 def test_an_instance_holds_num_and_den_only():
     assert UniPoly.__slots__ == ("num", "den")
     assert not hasattr(poly(1, 2), "__dict__")
