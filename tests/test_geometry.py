@@ -102,14 +102,12 @@ def test_profile_of_an_inflation_decomposes_in_the_base_degree(monkeypatch):
     yun = geometry.squarefree_decomposition
     monkeypatch.setattr(geometry, "squarefree_decomposition",
                         lambda p: degrees.append(p.degree) or yun(p))
-    cases = [(base, inflate(base, m, "even_half" if m % 2 == 0 else "odd")
-              if abs(base.p.coeff(0)) == 1 else inflate(base, m, "divides_g_plus_1"))
-             for base in inflation_bases() for m in (2, 3, 4)]
-    cases += [(chebyshev_of(poly(3, 1), k), chebyshev_of(poly(3, 0, 1), k)) for k in (2, 3, 4)]
-    for base, t in cases:
-        degrees.clear()
-        assigned_profile(t)
-        assert degrees and max(degrees) <= base.order, t
+    for t in chebyshev_and_inflated(20):
+        inflated = geometry._base_of(t)
+        if inflated:
+            degrees.clear()
+            assigned_profile(t)
+            assert degrees and max(degrees) <= inflated[0].order, t
 
 
 def test_unassigned_branch_examples():
