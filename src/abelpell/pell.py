@@ -58,10 +58,6 @@ def _check_pell_r(r: UniPoly) -> None:
         raise ValueError("; ".join(failures))
 
 
-#: The failure of a triple whose Q is zero, such as the trivial unit (+-1, 0).
-_Q_IS_ZERO = "Q is zero (order would drop below genus + 1)"
-
-
 def _chart(monic: bool, normalized: bool) -> str:
     """The chart of a solution with the given flags."""
     return CHART_NORMALIZED if normalized else CHART_MONIC if monic else CHART_GENERAL
@@ -96,7 +92,7 @@ def pell_verify(p: UniPoly, q: UniPoly, r: UniPoly) -> PellCheck:
     if p.is_zero():
         failures.append("P is zero")
     if q.is_zero():
-        failures.append(_Q_IS_ZERO)
+        failures.append("Q is zero (order would drop below genus + 1)")
     failures += _r_failures(r)
     defect = p * p - r * q * q - 1
     if not defect.is_zero():
@@ -121,9 +117,9 @@ class PellTriple:
     :func:`pell_verify`.  Inside it, a producer that holds a proof of P^2 -
     R*Q^2 = 1 with R valid and P, Q nonzero builds ``PellTriple(p, q, r)``
     directly, and its docstring gives the proof: :func:`minimal_solution`,
-    :func:`normalize`, :func:`inflate`, :func:`pell_compose`,
-    :func:`pell_power` and ``geometry._base_of``.  deg Q = order - genus - 1
-    then follows, since deg P^2 = deg R*Q^2 when deg P >= 1.
+    :func:`normalize`, :func:`inflate`, :func:`pell_power` and
+    ``geometry._base_of``.  deg Q = order - genus - 1 then follows, since deg
+    P^2 = deg R*Q^2 when deg P >= 1.
     """
 
     p: UniPoly
@@ -412,24 +408,18 @@ def unit_compose(
 
 
 def pell_compose(t1: PellTriple, t2: PellTriple) -> PellTriple:
-    """Group law on triples over the same R, the composite built without
-    re-verification.
+    """Group law on triples over the same R, the composite verified by ``build``.
 
-    Both inputs are verified triples over the same R, and the norm P^2 - R Q^2
-    is multiplicative, so the composite has norm 1 over that R; P is nonzero,
-    as P^2 = 1 + R Q^2.  R is monic, so e = lc(Q)/lc(P) = +-1, and the
-    solutions are +-u^k for a fundamental unit u, of order |k| deg u and
-    orientation e = sign(k) e_u.  So orders add when e1 = e2 and give |n1 -
-    n2| when they differ; equal orders of opposite orientation give the
-    trivial unit (+-1, 0), whose Q = 0 is refused with the ValueError of
-    :meth:`PellTriple.build`.
+    R is monic, so e = lc(Q)/lc(P) = +-1, and the solutions are +-u^k for a
+    fundamental unit u, of order |k| deg u and orientation e = sign(k) e_u.
+    So orders add when e1 = e2 and give |n1 - n2| when they differ; equal
+    orders of opposite orientation give the trivial unit (+-1, 0), which
+    ``build`` refuses with a ValueError.
     """
     if t1.r != t2.r:
         raise ValueError("cannot compose solutions over different R")
     p, q = unit_compose(t1.p, t1.q, t2.p, t2.q, t1.r)
-    if q.is_zero():
-        raise ValueError(f"not a Pell triple: {_Q_IS_ZERO}")
-    return PellTriple(p, q, t1.r)
+    return PellTriple.build(p, q, t1.r)
 
 
 def pell_power(t: PellTriple, k: int) -> PellTriple:

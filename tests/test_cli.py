@@ -7,7 +7,7 @@ import pytest
 from test_parsing import int_digit_limit
 from test_pell import AFFINE_X6, built_degrees, count_convergents, refuse_convergents
 
-from abelpell import pell, strata
+from abelpell import strata
 from abelpell.cli import main
 
 
@@ -210,16 +210,6 @@ def test_compose_opposite_orientations(capsys):
     # Equal orders of opposite orientation give the trivial unit: bad input.
     code, out, err = run_cli(capsys, "pell", "compose", "x", "1", "x", "-1", "x^2-1")
     assert (code, out) == (2, "") and err.startswith("error: not a Pell triple")
-
-
-def test_compose_checks_r_once_per_input(capsys, monkeypatch):
-    # Each input is verified by PellTriple.build; the composite is not.
-    calls = []
-    squarefree = pell.is_squarefree
-    monkeypatch.setattr(pell, "is_squarefree", lambda p: calls.append(p) or squarefree(p))
-    code, out, _ = run_cli(capsys, "pell", "compose", "x", "1", "x", "1", "x^2-1")
-    assert code == 0 and "order 2" in out
-    assert len(calls) == 2
 
 
 def test_inflate(capsys):

@@ -133,7 +133,6 @@ UNVERIFIED_TRIPLES = (
     "pell.inflate",
     "pell.minimal_solution",
     "pell.normalize",
-    "pell.pell_compose",
     "pell.pell_power",
 )
 

@@ -97,17 +97,19 @@ def test_assigned_profile_of_inflations_property(inputs, k, b):
     assert assigned_profile(t) == assigned_profile(shifted(t, b)) == two_yun_profile(t)
 
 
-def test_profile_of_an_inflation_decomposes_in_the_base_degree(monkeypatch):
+def test_assigned_profile_decomposes_only_q_or_its_base_q(monkeypatch):
+    # Never P -+ 1, of degree n; an inflation's base is no inflation itself.
     degrees = []
     yun = geometry.squarefree_decomposition
     monkeypatch.setattr(geometry, "squarefree_decomposition",
                         lambda p: degrees.append(p.degree) or yun(p))
-    for t in chebyshev_and_inflated(20):
+    cases = chebyshev_and_inflated(20) + profile_oracle_cases()
+    assert any(geometry._base_of(t) for t in cases) and not all(geometry._base_of(t) for t in cases)
+    for t in cases:
         inflated = geometry._base_of(t)
-        if inflated:
-            degrees.clear()
-            assigned_profile(t)
-            assert degrees and max(degrees) <= inflated[0].order, t
+        degrees.clear()
+        assigned_profile(t)
+        assert degrees == [(inflated[0] if inflated else t).q.degree], t
 
 
 def test_unassigned_branch_examples():

@@ -454,13 +454,8 @@ def test_compose_examples():
     t3 = PellTriple.build(poly(0, -3, 0, 4), poly(-1, 0, 4), r)
     inverse = PellTriple.build(poly(0, 1), poly(-1), r)
     assert pell_compose(t3, inverse) == PellTriple.build(poly(-1, 0, 2), poly(0, 2), r)
-    # (x, 1)(x, -1) is the trivial unit (1, 0), refused as build refuses it.
-    with pytest.raises(ValueError) as refused:
+    with pytest.raises(ValueError):  # (x, 1)(x, -1) is the trivial unit (1, 0)
         pell_compose(PellTriple.build(poly(0, 1), poly(1), r), inverse)
-    with pytest.raises(ValueError) as built:
-        PellTriple.build(poly(1), UniPoly(()), r)
-    assert str(refused.value) == str(built.value) == (
-        "not a Pell triple: Q is zero (order would drop below genus + 1)")
 
 
 def test_compose_group_laws():
@@ -615,13 +610,12 @@ def test_compose_associative_and_inverse_property(base, exponents):
 @settings(max_examples=30, deadline=None)
 @given(chebyshev_bases(), st.integers(1, 6), st.sampled_from([1, -1]), st.sampled_from([1, -1]))
 def test_power_is_the_chain_of_composites_property(base, k, sign, orientation):
-    # pell_power and pell_compose build their results unverified; the chain
-    # of composites and pell_verify are the oracles.
+    # pell_power builds its result unverified; the chain of verified
+    # composites and pell_verify are its oracles.
     t = PellTriple.build(base.p * sign, base.q * orientation, base.r)
     chain = t
     for _ in range(k - 1):
         chain = pell_compose(chain, t)
-        assert pell_verify(chain.p, chain.q, chain.r).valid
     power = pell_power(t, k)
     assert power == chain and power.order == k * t.order
     assert pell_verify(power.p, power.q, power.r).valid
