@@ -10,7 +10,7 @@ a class is the lexicographic minimum over the n cyclic conjugates.
 The enumeration never scans the I(n) * C(n,2)^g candidate tuples: each of
 sigma's transpositions, and then each middle, must split one cycle of the
 remainder, and only tuples least among their cyclic conjugates are built, so
-each class is reached once (see :func:`enumerate_m_with_cycle`).
+each class is reached once (see :func:`_keys`).
 
 Components of the split moduli are orbits of the keys under the adjacent swap
 and the two turn moves; the nonsplit moduli add the flip, which reverses the
@@ -18,12 +18,12 @@ tuple while rewriting each entry in the letters before it.  The flip is
 Garside's half-twist, so it pairs split orbits with split orbits, and no
 image of a move is validated on its own (see :func:`component_count`).
 
-The public functions take and return tuples of ints; the orbit closure runs
-on ``bytes``, where p followed by q is ``p.translate(q)`` with q padded to a
-256-byte table, and a whole key's conjugate by a power of the cycle is two
-``translate`` calls.  Every value fits: the cap admits n <= 14, and a key's
-(g + 2) * n bytes number at most 36 on every admitted (g, n), far below the
-256 that :func:`_rotations` checks once per cycle (``bytes`` refuses more).
+The public functions take and return tuples of ints; inside, words and keys
+are ``bytes`` from the enumeration to the certificate, never converted: p
+followed by q is ``p.translate(q)`` with q padded to a 256-byte table, and a
+conjugate by a power of the cycle is two ``translate`` calls.  Every value
+fits: the cap admits n <= 14, and a key's (g + 2) * n bytes number at most
+36, far below the 256 that :func:`_rotations` checks (``bytes`` refuses more).
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from .perms import (
     Perm,
     compose,
     compose_all,
-    conjugate,
     count_involutions,
     cycle_type,
     fixed_points,
@@ -69,14 +68,8 @@ def validate_tuple(words: tuple[Perm, ...]) -> None:
     a monodromy tuple: all of one length n, multiplying out to the standard
     n-cycle, with involutions at the ends, transpositions in the middle, and
     2g + 2 fixed points on the ends together."""
-    if len(words) < 2:
-        raise ValueError("a monodromy tuple has at least two words")
+    n = _check_words(words)
     sigma, *middles, tau = words
-    n = len(sigma)
-    if any(len(word) != n for word in words):
-        raise ValueError(f"every word must have length n = {n}")
-    if any(sorted(word) != list(range(n)) for word in words):
-        raise ValueError(f"every word must be a permutation of 0, ..., {n - 1}")
     if compose_all(words, n) != standard_cycle(n):
         raise ValueError("components do not multiply to the standard cycle")
     if not is_involution(sigma) or not is_involution(tau):
@@ -85,6 +78,18 @@ def validate_tuple(words: tuple[Perm, ...]) -> None:
         raise ValueError("middles must be transpositions")
     if fixed_points(sigma) + fixed_points(tau) != 2 * len(middles) + 2:
         raise ValueError("fixed points of the ends must total 2g + 2")
+
+
+def _check_words(words: tuple[Perm, ...]) -> int:
+    """The length n of two or more words that are each a permutation of 0, ..., n - 1."""
+    if len(words) < 2:
+        raise ValueError("a monodromy tuple has at least two words")
+    n = len(words[0])
+    if any(len(word) != n for word in words):
+        raise ValueError(f"every word must have length n = {n}")
+    if any(sorted(word) != list(range(n)) for word in words):
+        raise ValueError(f"every word must be a permutation of 0, ..., {n - 1}")
+    return n
 
 
 def tuple_ramspec(words: tuple[Perm, ...]) -> RamSpec:
@@ -103,9 +108,8 @@ def canonical_key(comps: tuple[Perm, ...]) -> CanonicalKey:
     >>> canonical_key(((1, 0, 2), (2, 1, 0)))   # ((0 1), (0 2)), product (0 1 2)
     (0, 2, 1, 1, 0, 2)
     """
-    if len(comps) < 2:
-        raise ValueError("a monodromy tuple has at least two words")
-    ties = _ties(bytes(comps[0]), standard_cycle(len(comps[0])), len(comps))
+    n = _check_words(comps)
+    ties = _ties(bytes(comps[0]), standard_cycle(n), len(comps))
     return tuple(_least_conjugate(b"".join(map(bytes, comps)), ties))
 
 
@@ -138,7 +142,10 @@ def _least_conjugate(flat: bytes, ties: tuple[Tie, ...]) -> bytes:
 
 
 def key_to_tuple(key: CanonicalKey | bytes, n: int) -> tuple[Perm, ...]:
-    """The words (sigma, s_1, ..., s_g, tau) of a flat key."""
+    """The words (sigma, s_1, ..., s_g, tau) of a flat key, ``bytes`` for a
+    ``bytes`` key; a ragged last word raises ``ValueError``."""
+    if len(key) % n:
+        raise ValueError(f"key length {len(key)} is not a multiple of n = {n}")
     return tuple(key[i : i + n] for i in range(0, len(key), n))
 
 
@@ -205,9 +212,13 @@ def _involution_splits(p: list[int]) -> list[tuple[int, int]]:
 
 
 def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[CanonicalKey]:
-    """As :func:`enumerate_m` but normalising the product to an arbitrary
-    n-cycle (``None`` is the standard cycle); the count must not depend on
-    the choice.
+    """:func:`_keys` as tuples: :func:`enumerate_m` with the product normalised
+    to any n-cycle (``None`` is the standard one); the count must not depend on it."""
+    return {tuple(key) for key in _keys(g, n, base_cycle)}
+
+
+def _keys(g: int, n: int, base_cycle: Perm | None) -> set[bytes]:
+    """The canonical keys of :func:`enumerate_m_with_cycle` as ``bytes``.
 
     Two reductions make the work follow the classes found rather than the
     I(n) * C(n,2)^g candidate tuples:
@@ -241,22 +252,22 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
     if not feasible:
         return set()  # before the standard cycle, which is work of size n
     cycle = standard_cycle(n) if base_cycle is None else tuple(base_cycle)
-    rotations = [rho for rho, _ in _rotations(cycle, g + 2)]
+    rotations = _rotations(cycle, 1)[1:]
     # swap[i][j] is the word of (i j); conjugation by rho maps it to
     # swap[rho[i]][rho[j]], the same object exactly when rho fixes it.
-    swap = [[()] * n for _ in range(n)]
+    swap = [[b""] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            swap[i][j] = swap[j][i] = transposition(n, i, j)
-    keys: set[CanonicalKey] = set()
+            swap[i][j] = swap[j][i] = bytes(transposition(n, i, j))
+    keys: set[bytes] = set()
     # sigma's word and the remainder r, both updated in place by each swap.
     sigma, r, unmoved = list(range(n)), list(cycle), identity(n)
 
-    def visit(depth: int, head: CanonicalKey, stab: list[Perm]) -> None:
+    def visit(depth: int, head: bytes, stab: list[bytes]) -> None:
         # head is sigma and `depth` middles, r their remainder, and stab the
         # powers of the cycle other than the identity that fix head.
         if depth == g:
-            keys.add(head + tuple(r))
+            keys.add(head + bytes(r))
             return
         for i, j in _splits(r, unmoved, 0) if depth < g - 1 else _involution_splits(r):
             word, fixing = swap[i][j], stab
@@ -272,10 +283,10 @@ def enumerate_m_with_cycle(g: int, n: int, base_cycle: Perm | None) -> set[Canon
         # sigma fixes `fixed` points, and its transpositions' least points
         # are all below `least`.
         if fixed <= 2 * g + 2:
-            head, stab = tuple(sigma), []
-            for rho in rotations[1:]:
-                image = conjugate(head, rho)
-                if image < head:
+            head, stab = bytes(sigma), []
+            table = head.ljust(256, b"\0")
+            for rho, idx in rotations:
+                if (image := idx.translate(table).translate(rho)) < head:
                     break
                 if image == head:
                     stab.append(rho)
@@ -390,8 +401,9 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     orbit, and starting in sorted order lists the orbits by their least key.
     An image's key is its conjugate by a power of the cycle, which keeps the
     product and the cycle types, so an image is valid exactly when its key is
-    in M; a miss raises AssertionError.  The search runs on ``bytes`` keys,
-    converted once from M's tuples and back for the representatives.
+    in M; a miss raises AssertionError.  The search runs on the ``bytes``
+    keys of :func:`_keys` as built; only the representatives become tuples,
+    in the certificate.
 
     The search closes under the split moves only, for both variants; each
     nonsplit orbit is then a split orbit joined with its image under the
@@ -412,7 +424,7 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    members = {bytes(key) for key in enumerate_m(g, n)}
+    members = _keys(g, n, None)
     if not members:
         return OrbitCertificate(g, n, variant, 0, 0, (), ())
     split = [move for move in applicable_moves(g, variant) if move != "flip"]
@@ -432,7 +444,7 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
         return image
 
     orbit_of: dict[bytes, int] = {}
-    reps: list[CanonicalKey] = []
+    reps: list[bytes] = []
     sizes: list[int] = []
     for start in sorted(members):
         if start in orbit_of:
@@ -446,14 +458,14 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
                 if image not in orbit_of:
                     orbit_of[image] = len(reps)
                     orbit.append(image)
-        reps.append(tuple(start))
+        reps.append(start)
         sizes.append(len(orbit))
     if variant == VARIANT_NONSPLIT:
         # flip[i] is the split orbit of the flip of reps[i]
-        flip = [orbit_of[image_key(key, key_to_tuple(key, n), "flip")] for key in map(bytes, reps)]
+        flip = [orbit_of[image_key(key, key_to_tuple(key, n), "flip")] for key in reps]
         if any(flip[j] != i for i, j in enumerate(flip)):
             raise AssertionError("the flip does not pair the split orbits")
         pairs = [(i, j) for i, j in enumerate(flip) if i <= j]
         reps = [reps[i] for i, _ in pairs]
         sizes = [sizes[i] + sizes[j] if i < j else sizes[i] for i, j in pairs]
-    return OrbitCertificate(g, n, variant, len(members), len(reps), tuple(reps), tuple(sizes))
+    return OrbitCertificate(g, n, variant, len(members), len(reps), tuple(map(tuple, reps)), tuple(sizes))

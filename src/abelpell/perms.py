@@ -38,18 +38,6 @@ def inverse(p: Sequence[int]) -> Perm:
     return tuple(inv)
 
 
-def conjugate(p: Sequence[int], rho: Sequence[int]) -> Perm:
-    """rho^(-1) * p * rho in left-to-right convention.
-
-    >>> conjugate((1, 0, 2), (1, 2, 0))   # (01) conjugated by (012)
-    (0, 2, 1)
-    """
-    out = [0] * len(p)
-    for i in range(len(p)):
-        out[rho[i]] = rho[p[i]]
-    return tuple(out)
-
-
 def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
     """Cycle lengths in decreasing order.
 

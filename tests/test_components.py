@@ -26,7 +26,6 @@ from abelpell.ramspec import genus_of_ramspec
 from abelpell.perms import (
     compose,
     compose_all,
-    conjugate,
     count_involutions,
     cycle_type,
     fixed_points,
@@ -57,6 +56,20 @@ def involutions(n):
             word[i], word[j] = i, j
 
     return fill(list(range(n)))
+
+
+def conjugate(p, rho):
+    """rho^(-1) * p * rho in left-to-right convention, entry by entry: the
+    oracle for the package's two-translate conjugation."""
+    out = [0] * len(p)
+    for i in range(len(p)):
+        out[rho[i]] = rho[p[i]]
+    return tuple(out)
+
+
+def test_conjugate_oracle():
+    # (0 1) conjugated by the 3-cycle (0 1 2) is (1 2).
+    assert conjugate((1, 0, 2), (1, 2, 0)) == (0, 2, 1)
 
 
 def cycle_powers(cycle):
@@ -390,12 +403,40 @@ def test_component_count_matches_slow_orbit_oracle():
 
 
 def test_unknown_variant_rejected_before_enumerating(monkeypatch):
-    def fail(g, n):
-        raise AssertionError("enumerate_m called for an unknown variant")
+    def fail(g, n, base_cycle):
+        raise AssertionError("the keys enumerated for an unknown variant")
 
-    monkeypatch.setattr(components, "enumerate_m", fail)
+    monkeypatch.setattr(components, "_keys", fail)
     with pytest.raises(ValueError, match="unknown variant"):
         component_count(4, 6, "bogus")
+
+
+#: The least key of each split orbit of (g, n) = (2, 6), recorded from the
+#: closure that converted M's tuple keys; the nonsplit orbits join the first
+#: with the last and the middle two.
+REPS_2_6 = (
+    (0, 1, 2, 3, 4, 5, 0, 1, 2, 5, 4, 3, 0, 3, 2, 1, 4, 5, 1, 0, 3, 2, 5, 4),
+    (0, 1, 2, 3, 5, 4, 0, 1, 2, 4, 3, 5, 0, 3, 2, 1, 4, 5, 1, 0, 3, 2, 4, 5),
+    (0, 1, 3, 2, 5, 4, 0, 1, 4, 3, 2, 5, 0, 2, 1, 3, 4, 5, 1, 0, 2, 3, 4, 5),
+    (1, 0, 3, 2, 5, 4, 0, 1, 4, 3, 2, 5, 2, 1, 0, 3, 4, 5, 0, 1, 2, 3, 4, 5),
+)
+
+
+@pytest.mark.parametrize("variant, reps, sizes", [
+    ("split", REPS_2_6, (2, 54, 54, 2)),
+    ("nonsplit", REPS_2_6[:2], (4, 108)),
+])
+def test_census_keeps_bytes_from_enumeration_to_certificate(monkeypatch, variant, reps, sizes):
+    # component_count reads the bytes keys as built; neither public
+    # enumeration, which returns tuples, is on its path.
+    def fail(*args):
+        raise AssertionError("component_count took its keys as tuples")
+
+    monkeypatch.setattr(components, "enumerate_m", fail)
+    monkeypatch.setattr(components, "enumerate_m_with_cycle", fail)
+    cert = component_count(2, 6, variant)
+    assert cert == components.OrbitCertificate(2, 6, variant, 112, len(reps), reps, sizes)
+    assert all(type(key) is tuple for key in cert.representatives)
 
 
 def test_closure_rejects_a_move_that_leaves_m(monkeypatch):
@@ -578,6 +619,8 @@ MALFORMED = [
     (((0, 1, 2), (1, 0), (0, 1, 2)), "length"),  # a middle on 2 points, n = 3
     (((0, 5), (1, 0)), "permutation"),  # an entry out of range, not an IndexError
     (((0, 0), (1, 0)), "permutation"),  # a repeated entry
+    (((1, 0, 2), (2, 1, 0, 3)), "length"),  # tau on 4 points after sigma on 3
+    (((5, 0, 1), (0, 1, 2)), "permutation"),  # sigma's 5 out of range
 ]
 
 
@@ -587,6 +630,11 @@ def test_malformed_tuples_rejected(words, message):
         validate_tuple(words)
     with pytest.raises(ValueError, match=message):
         tuple_ramspec(words)
+    # canonical_key checks the shape only, not the monodromy conditions:
+    # test_canonical_key_refuses_a_key_past_256_bytes keys (identity, cycle)
+    if message in ("length", "permutation"):
+        with pytest.raises(ValueError, match=message):
+            canonical_key(words)
 
 
 @pytest.mark.parametrize("words", [(), ((0,),), ((1, 0),)])
@@ -595,6 +643,14 @@ def test_short_tuples_rejected(words):
     for check in (validate_tuple, tuple_ramspec, canonical_key):
         with pytest.raises(ValueError, match=message):
             check(words)
+
+
+def test_key_to_tuple_rejects_a_ragged_key():
+    assert key_to_tuple((0, 2, 1, 1, 0, 2), 3) == ((0, 2, 1), (1, 0, 2))
+    assert key_to_tuple(bytes((0, 2, 1, 1, 0, 2)), 3) == (b"\0\2\1", b"\1\0\2")
+    for key in ((0, 2, 1, 1, 0, 2, 7), bytes((0, 2, 1, 1, 0, 2, 7)), (0, 1)):
+        with pytest.raises(ValueError, match="not a multiple of n = 3"):
+            key_to_tuple(key, 3)
 
 
 def test_tuple_ramspec_genus_everywhere():
