@@ -8,11 +8,12 @@ the fundamental unit.  Whether R is Pellian is decided by the surds
 (A + sqrt(R))/B alone, since the convergent's norm is the next surd's
 denominator up to sign; a step is its partial quotients and norm, and the
 convergent is built on demand, by the solver only for the unit.  The surds
-stay exact -- no series truncation enters the main loop -- and exact
-division keeps each reduced: the next denominator is (R - A^2)/B, a division
-that raises unless B divides R - A^2.  The period of a Pellian R is a
-palindrome, so a search up to order n_max that has not seen its middle by
-degree n_max // 2 + g + 1 stops there (:func:`least_unit`).
+stay exact -- no series truncation enters the main loop.  One division per
+step gives the floor and, as its remainder, the next A; exact division keeps
+each surd reduced: the next denominator is (R - A^2)/B, which raises unless
+B divides R - A^2.  The period of a Pellian R is a palindrome, so a search
+up to order n_max that has not seen its middle by degree n_max // 2 + g + 1
+stops there (:func:`least_unit`).
 
 Solutions of a fixed R form a group under (P1 + sqrt(R) Q1)(P2 + sqrt(R) Q2);
 charts record how far a solution has been normalised:
@@ -187,10 +188,10 @@ class CFStep:
 
     def convergent(self) -> tuple[UniPoly, UniPoly]:
         """(P_k, Q_k) by the recurrence X_i = a_i X_(i-1) + X_(i-2), from
-        (P_(-1), P_(-2)) = (1, 0) and (Q_(-1), Q_(-2)) = (0, 1)."""
-        p, p_prev = UniPoly((1,)), UniPoly(())
-        q, q_prev = UniPoly(()), UniPoly((1,))
-        for a in self.partial_quotients:
+        (P_0, P_(-1)) = (a_0, 1) and (Q_0, Q_(-1)) = (1, 0)."""
+        p, p_prev = self.partial_quotients[0], UniPoly((1,))
+        q, q_prev = UniPoly((1,)), UniPoly(())
+        for a in self.partial_quotients[1:]:
             p, p_prev = a * p + p_prev, p
             q, q_prev = a * q + q_prev, q
         return p, q
@@ -220,6 +221,11 @@ def laurent_sqrt_polypart(r: UniPoly) -> UniPoly:
     >>> laurent_sqrt_polypart(UniPoly((1, 0, 0, 0, 1)))
     UniPoly('x^2')
     """
+    return _sqrt_and_rest(r)[0]
+
+
+def _sqrt_and_rest(r: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(Y, r - Y^2), the rest as the contract check computed it."""
     if not r.is_monic() or r.degree % 2:
         raise ValueError("need a monic polynomial of even degree")
     n, half, w = r.degree, r.degree // 2, 4 * r.den
@@ -237,29 +243,29 @@ def laurent_sqrt_polypart(r: UniPoly) -> UniPoly:
     top = [2 * u[half - d] * powers[d] for d in range(half)] + [powers[half]]
     y = UniPoly(top) * Fraction(1, powers[half])
     # Exact check of the defining property, independent of the recurrence.
-    if (r - y * y).degree >= half:
+    if (rest := r - y * y).degree >= half:
         raise AssertionError("square-root polynomial part failed its contract")
-    return y
+    return y, rest
 
 
 def _cf_steps(r: UniPoly) -> Iterator[CFStep]:
     """Exact continued-fraction steps for sqrt(R), without termination.
 
-    Step k expands the surd (A_k + sqrt(R))/B_k, starting from A_0 = 0 and
-    B_0 = 1, into a_k = floor((A_k + Y)/B_k) with Y the polynomial part of
-    sqrt(R).  The next surd, A_(k+1) = a_k B_k - A_k and
-    B_(k+1) = (R - A_(k+1)^2)/B_k, is found before step k is yielded, because
-    B_(k+1) gives the convergent's norm: P_k^2 - R*Q_k^2 = (-1)^(k+1) B_(k+1).
-    ``exact_div`` is the check that each surd is reduced.  No convergent is
-    multiplied out here.
+    Step k expands the surd (A_k + sqrt(R))/B_k into a_k = floor((A_k + Y)/B_k)
+    with Y the polynomial part of sqrt(R); the remainder rem = A_k + Y -
+    a_k B_k gives A_(k+1) = a_k B_k - A_k = Y - rem, and B_(k+1) = (R -
+    A_(k+1)^2)/B_k is found before step k is yielded, as P_k^2 - R*Q_k^2 =
+    (-1)^(k+1) B_(k+1).  Step 0 is known from A_0 = 0, B_0 = 1: a_0 = A_1 = Y
+    and B_1 = R - Y^2, the square root's contract check.  ``exact_div`` is
+    the check that each surd is reduced; no convergent is multiplied out.
     """
-    y = laurent_sqrt_polypart(r)
-    a, b = UniPoly(()), UniPoly((1,))
-    partials: tuple[UniPoly, ...] = ()
-    for k in count():
-        partial = (a + y) // b
+    y, b = _sqrt_and_rest(r)
+    a, partials = y, (y,)
+    yield CFStep(partials, -b)
+    for k in count(1):
+        partial, rem = divmod(a + y, b)
         partials += (partial,)
-        a = partial * b - a
+        a = y - rem
         b = (r - a * a).exact_div(b)
         yield CFStep(partials, b if k % 2 else -b)
 
@@ -350,18 +356,18 @@ def minimal_solution(r: UniPoly, unit: CFStep | None, n_max: int) -> PellTriple 
     fundamental unit of R found up to degree n_max (None if there is none).
 
     The unit step has some constant norm c.  When c is a rational square the
-    unit scales to a norm-1 solution of the same order; otherwise its square
-    under :func:`unit_compose`, scaled by 1/c, is the minimal rational
-    solution (any rational solution is a scalar times a power of the unit,
-    and norm c^k can only be scaled to 1 when it is a square, forcing k even).
+    unit scales to a norm-1 solution of the same order; otherwise its square,
+    scaled by 1/c, is the minimal rational solution (any rational solution is
+    a scalar times a power of the unit, and norm c^k can only be scaled to 1
+    when it is a square, forcing k even).
 
     The unit's convergent is built once, here, and its norm P^2 - R*Q^2 is
     checked against the one read off the surd.  That exact check is the
     proof of the result, which is built without re-verification: the norm is
-    c, so (P, Q)/sqrt(c), or the unit's square (of norm c^2) divided by c,
-    has norm exactly 1, and a change of sign keeps it.  Q is nonzero (Q_0 =
-    1 and the Q_k grow in degree) and R was checked by :func:`cf_steps`,
-    whose expansion ``unit`` must come from.
+    c, so (P, Q)/sqrt(c), or the unit's square P^2 + R*Q^2 + 2PQ sqrt(R) (of
+    norm c^2, from the check's products) divided by c, has norm exactly 1,
+    and a change of sign keeps it.  Q is nonzero (Q_0 = 1, deg Q_k grows) and
+    R was checked by :func:`cf_steps`, whose expansion ``unit`` must come from.
     """
     genus = r.degree // 2 - 1
     if n_max < genus + 1:
@@ -369,14 +375,15 @@ def minimal_solution(r: UniPoly, unit: CFStep | None, n_max: int) -> PellTriple 
     if unit is None:
         return None
     p, q = unit.convergent()
-    if p * p - r * q * q != unit.norm:
+    pp, rqq = p * p, r * q * q
+    if pp - rqq != unit.norm:
         raise AssertionError("convergent norm differs from its surd denominator")
     c = unit.norm.constant_value()
     root = rational_nth_root(c, 2)
     if root is not None:
         scale = 1 / root
     else:
-        p, q = unit_compose(p, q, p, q, r)
+        p, q = pp + rqq, p * q * 2
         scale = 1 / c
     p, q = p * scale, q * scale
     if p.leading < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .limits import MAX_DEGREE, ResourceLimit
-from .pell import CHART_MONIC, CHART_NORMALIZED, PellTriple, laurent_sqrt_polypart
+from .pell import CHART_MONIC, CHART_NORMALIZED, PellTriple, _sqrt_and_rest
 from .unipoly import UniPoly
 
 
@@ -37,9 +37,7 @@ def odd_nilpotency_check(n: int, k: int) -> bool:
         raise ValueError("need n >= 1 and k >= 1")
     if 2 * n > MAX_DEGREE:
         raise ResourceLimit(f"degree 2n = {2 * n} exceeds the cap of {MAX_DEGREE}")
-    r = UniPoly((1,) * (2 * n + 1))
-    y = laurent_sqrt_polypart(r)
-    rest = r - y * y
+    _, rest = _sqrt_and_rest(UniPoly((1,) * (2 * n + 1)))
     return rest.is_zero() or k <= 2 * n - rest.degree
 
 

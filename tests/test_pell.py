@@ -289,14 +289,16 @@ def test_least_unit_matches_the_plain_search(r, data):
 # norm_k, deg P_k).  An even period mirrors norm_k onto norm_(k-2), an odd
 # one onto norm_(k-1).  The quartic is (x^2 - x - 2)^2 + 8x, the double
 # cover x = Y/X of the Tate normal form Y^2 + (1-c)XY - bY = X^3 - bX^2 with
-# the 7-torsion parameters b = -2, c = 2.  The units of degree 9 and 7 each
-# follow a non-unit step past the bound (degree 8 > 9 // 2 + 3 at n_max = 9,
-# degree 6 > 7 // 2 + 2 at n_max = 7), so there a search whose test never
-# fired would miss the unit.
+# the 7-torsion parameters b = -2, c = 2; the last is Kubert's N = 7 form at
+# t = 3, whose unit is step 5.  The units of degree 9 and 7 each follow a
+# non-unit step past the bound (degree 8 > 9 // 2 + 3 at n_max = 9, degree
+# 6 > 7 // 2 + 2 at n_max = 7), so there a search whose test never fired
+# would miss the unit.
 LONG_PERIODS = [
     ("x^6-2*x^2+1", 6, 2, 0, 5),
     ("x^6+2*x^5+x^4-2*x^3+2*x^2+1", 9, 2, 1, 6),
     ("x^4-2*x^3-3*x^2+12*x+4", 7, 3, 1, 5),
+    ("x^4-10*x^3+61*x^2-108*x-36", 7, 3, 1, 5),
 ]
 
 
@@ -321,6 +323,16 @@ def test_where_the_centre_test_fires(text, degree, k, j, centre_degree):
         - steps[i - back].norm * steps[i].norm.leading).is_zero()]
     assert fired[0] == (k, j)
     assert steps[k].degree == centre_degree <= degree // 2 + r.degree // 2  # + g + 1
+
+
+@pytest.mark.parametrize("text", [text for text, *_ in LONG_PERIODS], ids=str)
+def test_steps_past_the_unit_match_the_eager_expansion(text):
+    # The eager loop recomputes A_(k+1) = a_k B_k - A_k from A_0 = 0, B_0 = 1;
+    # the expansion reads it off the floor's remainder and starts at step 0.
+    r = parse_poly(text)
+    for step, (k, partial, p, q, norm) in zip(islice(cf_steps(r), 14), eager_cf_steps(r)):
+        assert (step.index, step.partial_quotient, step.norm) == (k, partial, norm)
+        assert step.convergent() == (p, q)
 
 
 AFFINE_X6 = parse_poly("x^6 + 9*x^5 + 135/4*x^4 + 135/2*x^3 + 1215/16*x^2 + 729/16*x - 729/64")
@@ -366,19 +378,30 @@ def unit_oracle_rs():
 
 @pytest.mark.parametrize("r", unit_oracle_rs(), ids=str)
 def test_unit_and_its_square_against_the_expansion(r):
-    # The unit is the first step whose multiplied-out norm is constant.
-    first = next(step for step in cf_steps(r)
+    # The unit is the first step whose multiplied-out norm is constant; the
+    # search is bounded, so a wrong convergent fails it instead of hanging.
+    first = next(step for step in islice(cf_steps(r), 12)
                  if (step.p * step.p - r * step.q * step.q).degree <= 0)
     unit = least_unit(cf_steps(r), 12)
     assert unit == first
     c = unit.norm.constant_value()
     assert rational_nth_root(c, 2) is None  # so the solution is the unit squared
-    p = (unit.p * unit.p + r * unit.q * unit.q) * (1 / c)
-    q = (unit.p * unit.q * 2) * (1 / c)
+    # The solver squares from its norm check's products, not by the group law.
+    p, q = unit_compose(unit.p, unit.q, unit.p, unit.q, r)
+    p, q = p * (1 / c), q * (1 / c)
     if p.leading < 0:
         p, q = -p, -q
     solution = minimal_solution(r, unit, 12)
     assert (solution.p, solution.q, solution.order) == (p, q, 2 * unit.p.degree)
+
+
+def test_a_hit_squares_without_the_group_law(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("unit_compose was called")
+
+    monkeypatch.setattr(pell, "unit_compose", refuse)
+    t = pell_solve(R_MINUS2, 4)
+    assert (t.p, t.q) == (poly(-1, 0, 1), poly(0, 1))
 
 
 def test_solve_checks_r_once(monkeypatch):
