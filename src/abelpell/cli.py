@@ -83,17 +83,14 @@ def _cmd_pell_solve(args):
     r = parse_poly(args.r)
     expansion = pell.cf_steps(r)
     steps: list[pell.CFStep] = []
-    # One lazy expansion: the search reads it up to the unit, and a miss is
-    # read on to the first step above n_max (convergent degrees rise strictly),
-    # where least_unit stops near n_max / 2, so that the check lists every
-    # degree.  Only the steps' norms and degrees are read; minimal_solution
-    # builds the unit's convergent.
+    # One lazy expansion, read by least_unit alone: up to the unit on a hit,
+    # and on a miss up to where its palindrome bound proves there is no unit
+    # of degree <= n_max.  The check lists the degrees it read, up to n_max.
+    # Only the steps' norms and degrees are read; minimal_solution builds the
+    # unit's convergent.
     unit = pell.least_unit((steps.append(step) or step for step in expansion), args.n_max)
-    while unit is None and steps[-1].degree <= args.n_max:
-        steps.append(next(expansion))
     triple = pell.minimal_solution(r, unit, args.n_max)
-    last = args.n_max if unit is None else unit.degree
-    searched = [step.degree for step in steps if step.degree <= last]
+    searched = [step.degree for step in steps if step.degree <= args.n_max]
     checks = [check("orders_searched_up_to_n_max", True, orders=searched)]
     if triple is None:
         result = {"solution": None, "n_max": args.n_max}

@@ -503,17 +503,21 @@ def normalize(p: UniPoly, q: UniPoly, r: UniPoly, target: str) -> PellTriple | O
 def inflate(base: PellTriple, m: int, case: str) -> PellTriple:
     """Produce the order-m*n solution fixed by an order-m rotation.
 
-    The three cases substitute s^m and redistribute the degree bookkeeping:
+    The base and m fix the case, and ``case`` must name it; a wrong one is a
+    ValueError that names the right one.  With r = R when R(0) != 0, and R =
+    x*r otherwise, each case substitutes s^m:
 
-    * ``divides_g_plus_1``: (p, q, r) -> (p(s^m), q(s^m), r(s^m)).
-    * ``even_half`` (m even, R(0) = 0, R = t*r): -> (p(s^m), s^(m/2) q(s^m), r(s^m)).
-    * ``odd`` (m odd, R(0) = 0, R = t*r): -> (p(s^m), s^((m-1)/2) q(s^m), s*r(s^m)).
+    * ``divides_g_plus_1`` (R(0) != 0): (p, q, r) -> (p(s^m), q(s^m), r(s^m)).
+    * ``even_half`` (m even, R(0) = 0): -> (p(s^m), s^(m/2) q(s^m), r(s^m)).
+    * ``odd`` (m odd, R(0) = 0): -> (p(s^m), s^((m-1)/2) q(s^m), s*r(s^m)).
 
     The result is built without re-verification.  In each case R'Q'^2 =
     R(s^m) Q(s^m)^2, so P'^2 - R'Q'^2 = 1 at s^m; R' stays monic of even
-    degree (m(2g+2), or m(2g+1) + m % 2), and the one property the
-    substitution can break, squarefreeness, is checked: an R that loses it
-    is reported as an error.  An order m * deg P above
+    degree (m(2g+2), or m(2g+1) + m % 2).  R' = s^(m % 2) r(s^m) is
+    squarefree: r is squarefree with r(0) != 0 (R is squarefree), so each
+    root a of r gives m distinct nonzero roots of r(s^m), where the
+    derivative m s^(m-1) r'(a) does not vanish, and s^(m % 2) adds at most a
+    simple root at 0.  An order m * deg P above
     :data:`abelpell.limits.MAX_DEGREE` raises ``ResourceLimit`` before
     anything is substituted.
     """
@@ -526,18 +530,13 @@ def inflate(base: PellTriple, m: int, case: str) -> PellTriple:
         raise ValueError(f"unknown inflation case {case!r}")
     if not (base.p.is_monic() and base.q.is_monic()):
         raise ValueError("inflation needs a base with monic P and Q")
-    r, q_shift, r_shift = base.r, 0, 0
-    if case != INFLATE_DIVIDES:
-        if case == INFLATE_EVEN_HALF and m % 2 != 0:
-            raise ValueError("case even_half needs m even")
-        if case == INFLATE_ODD and m % 2 == 0:
-            raise ValueError("case odd needs m odd")
-        if r.coeff(0) != 0:
-            raise ValueError("cases even_half/odd need R(0) = 0")
+    r, q_shift, r_shift, fits = base.r, 0, 0, INFLATE_DIVIDES
+    if r.coeff(0) == 0:
         r, q_shift, r_shift = r // UniPoly((0, 1)), m // 2, m % 2
+        fits = INFLATE_ODD if r_shift else INFLATE_EVEN_HALF
+    if case != fits:
+        raise ValueError(f"this base takes case {fits!r} at m = {m}, not {case!r}")
     new_p = base.p.substitute_power(m)
     new_q = base.q.substitute_power(m).shift_degree(q_shift)
     new_r = r.substitute_power(m).shift_degree(r_shift)
-    if not is_squarefree(new_r):
-        raise ValueError("inflated R is not squarefree (a root of the base R at 0?)")
     return PellTriple(new_p, new_q, new_r)

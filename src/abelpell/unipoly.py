@@ -167,14 +167,15 @@ class UniPoly:
             raise TypeError(f"the exponent {n!r} of a polynomial is not an integer")
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = ONE
-        base = self
+        # Square only while bits are left, and take the first factor as it is.
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return ONE if result is None else result
 
     def __divmod__(self, other: UniPoly | Rat) -> tuple[UniPoly, UniPoly]:
         """Euclidean division over the rationals (always exact).

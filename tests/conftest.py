@@ -3,9 +3,12 @@
 The family: the order-1 solution over x^2 - 1, its Chebyshev-style powers up
 to order 10 (recurrence p_{k+1} = 2x p_k - p_{k-1} seeded by (1, x), and the
 matching q-sequence seeded by (0, 1)), and the four small solutions that
-exercise genus 0 and 1 in every chart.
+exercise genus 0 and 1 in every chart.  Also Kubert's genus-1 quartics,
+whose units have every torsion order that Mazur allows over Q.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -46,3 +49,35 @@ def fixture_family() -> list[PellTriple]:
 @pytest.fixture
 def triples() -> list[PellTriple]:
     return fixture_family()
+
+
+def tate_parameters(n: int, t: Fraction) -> tuple[Fraction, Fraction]:
+    """(b, c) of Kubert's Tate normal form E(b, c): y^2 + (1 - c)xy - by =
+    x^3 - bx^2, on which (0, 0) has order n (Kubert, Proc. London Math. Soc.
+    33 (1976), table 3), for n = 4..10 and 12."""
+    d = t * t - 3 * t + 1
+    c9 = t * t * (t - 1)
+    return {
+        4: lambda: (t, Fraction(0)),
+        5: lambda: (t, t),
+        6: lambda: (t + t * t, t),
+        7: lambda: (t**3 - t * t, t * t - t),
+        8: lambda: ((2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t),
+        9: lambda: (c9 * (t * t - t + 1), c9),
+        10: lambda: (t**3 * (t - 1) * (2 * t - 1) / d**2, -t * (t - 1) * (2 * t - 1) / d),
+        12: lambda: (t * (2 * t - 1) * (2 * t * t - 2 * t + 1) * (3 * t * t - 3 * t + 1)
+                     / (t - 1) ** 4, -t * (2 * t - 1) * (3 * t * t - 3 * t + 1) / (t - 1) ** 3),
+    }[n]()
+
+
+def kubert_r(n: int, t: Fraction) -> UniPoly:
+    """D(f) = (f^2 + (1 - c)f + b)^2 + 4b(f + 1 - c) for E(b, c) of order n.
+
+    f = (y - b)/x has its poles at (0, 0) and at O, so E is y^2 = D(f), and
+    the difference of the two points at infinity has order n: R = D is a
+    monic quartic whose unit has degree n.
+    """
+    b, c = tate_parameters(n, Fraction(t))
+    f = poly(0, 1)
+    inner = f * f + f * (1 - c) + b
+    return inner * inner + (f + 1 - c) * (4 * b)

@@ -1,14 +1,22 @@
+import contextlib
+import io
 import itertools
 import json
 import time
 from pathlib import Path
 
 import pytest
+from conftest import kubert_r
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_parsing import int_digit_limit
-from test_pell import AFFINE_X6, built_degrees, count_convergents, refuse_convergents
+from test_pell import (AFFINE_X6, KUBERT_FIRES, KUBERT_T, built_degrees, count_convergents,
+                       eager_cf_steps, proportional, refuse_convergents, small_squarefree)
 
 from abelpell import strata
-from abelpell.cli import main
+from abelpell.cli import main, triple_json
+from abelpell.pell import pell_solve
+from abelpell.unipoly import UniPoly, poly
 
 
 def run_cli(capsys, *argv):
@@ -334,7 +342,9 @@ def test_components_golden_output(capsys, name, argv):
     ("pell_solve_nonsquare_norm_x2_2", ["pell", "solve", "x^2+2"], 0),
 ])
 def test_pell_solve_golden_output(capsys, name, argv, exit_code):
-    # Recorded when the command expanded the continued fraction twice.
+    # The hits hold the output of the first version of the command.  The
+    # miss lists the degrees its search read: up to 8, the first step above
+    # 10 // 2 + g + 1 = 7.
     code, out, _ = run_cli(capsys, *argv, "--format", "structured")
     assert code == exit_code
     assert out == (GOLDEN / f"{name}.json").read_text()
@@ -350,15 +360,72 @@ def test_pell_solve_expands_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_pell_solve_stops_above_n_max(capsys, monkeypatch):
+def test_pell_solve_stops_where_the_search_stops(capsys, monkeypatch):
     # x^4 + x + 1 has no unit: the convergent degrees are 2, 3, 4, ..., and
-    # the expansion stops after building the first one above n_max = 10.
+    # least_unit stops after building the first one above 10 // 2 + g + 1 =
+    # 7, which proves that there is no unit of degree <= 10.
     built = built_degrees(monkeypatch)
     code, report, _ = run_cli(capsys, "pell", "solve", "x^4+x+1", "--n-max", "10",
                               "--format", "structured")
     assert code == 1
-    assert built == list(range(2, 12))
-    assert json.loads(report)["checks"][0]["orders"] == list(range(2, 11))
+    assert built == list(range(2, 9))
+    assert json.loads(report)["checks"][0]["orders"] == list(range(2, 9))
+
+
+def solve_report(r: UniPoly, n_max: int) -> tuple[int, dict]:
+    """The exit code and structured report of ``pell solve``, without capsys,
+    so that a hypothesis test can call it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["pell", "solve", str(r), "--n-max", str(n_max), "--format", "structured"])
+    return code, json.loads(out.getvalue())
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_squarefree(5), st.integers(1, 12))
+@example(poly(1, 1, 0, 0, 1), 10)
+def test_pell_solve_lists_what_the_search_read(r, n_max):
+    # The answer is the library's.  The orders are a prefix of the step
+    # degrees (from the eager expansion) that ends at the unit on a hit, and
+    # on a miss passes n_max // 2 + g + 1 by more than the step that ends the
+    # search only when a norm has been a constant times one of the two
+    # before it, which sends the search on to n_max.
+    g = r.degree // 2 - 1
+    n_max = max(n_max, g + 1)
+    code, report = solve_report(r, n_max)
+    triple = pell_solve(r, n_max)
+    assert (code, report["result"]["solution"]) == (
+        (1, None) if triple is None else (0, triple_json(triple)))
+    degrees, norms = [], []
+    for _, _, p, _, norm in eager_cf_steps(r):
+        if p.degree > n_max:
+            break
+        degrees.append(p.degree)
+        norms.append(norm)
+        if norm.degree <= 0:
+            break
+    orders = report["checks"][0]["orders"]
+    assert orders == degrees[:len(orders)]
+    fired = any(proportional(norms[i], norms[i - back])
+                for i in range(len(orders) - 1) for back in (1, 2) if i >= back)
+    if norms[-1].degree <= 0 or fired:
+        assert orders == degrees
+    else:
+        assert all(d <= n_max // 2 + g + 1 for d in orders[:-1])
+
+
+@pytest.mark.parametrize("t", KUBERT_T, ids=str)
+@pytest.mark.parametrize("n", KUBERT_FIRES)
+def test_pell_solve_on_long_periods(capsys, n, t):
+    # The unit has degree n; the solution has order n for odd n and 2n for
+    # even n.  The check lists every step degree up to the unit, or up to
+    # n_max = n - 1, where the centre test has fired in time.
+    r = kubert_r(n, t)
+    degrees = [p.degree for _, _, p, _, _ in itertools.islice(eager_cf_steps(r), n - 1)]
+    for n_max in (n - 1, n, 2 * n, 30):
+        code, report, _ = run_json(capsys, "pell", "solve", str(r), "--n-max", str(n_max))
+        assert code == (0 if n_max >= (n if n % 2 else 2 * n) else 1)
+        assert report["checks"][0]["orders"] == [d for d in degrees if d <= n_max]
 
 
 def test_pell_solve_stops_at_the_solution(capsys, monkeypatch):

@@ -3,7 +3,9 @@
 A function, class or assignment at the top of a module in ``src/abelpell``
 must be referenced outside its own definition: by a name, an attribute, or a
 ``from ... import``, in any module of the package.  A public name counts as
-referenced through ``abelpell.__init__._HOMES``; dunders are exempt.
+referenced through ``abelpell.__init__._HOMES``; dunders are exempt.  So must
+a method or property of a package class, by an attribute; the public members
+that only the tests read are named in ``TEST_ONLY_MEMBERS``.
 
 Every parameter with a default is named in ``OPTIONAL_PARAMETERS``, so that
 an optional parameter added or removed shows in the diff.
@@ -14,6 +16,7 @@ new unverified construction shows in the diff; each such producer proves its
 triple valid in its docstring.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import abelpell
@@ -81,6 +84,57 @@ def test_the_guard_flags_a_leftover(tmp_path):
     with open(tmp_path / "unipoly.py", "a") as handle:
         handle.write("\n\ndef squarefree_part(p):\n    return squarefree_part(p)\n")
     assert unreferenced_names(tmp_path) == ["unipoly.squarefree_part"]
+
+
+#: The public members of package classes that the package itself never reads,
+#: as ``module.class.member``: the tests use them.
+TEST_ONLY_MEMBERS = (
+    "pell.CFStep.partial_quotient",
+    "unipoly.UniPoly.evaluate",
+)
+
+
+def attribute_counts(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def unreferenced_members(package: Path) -> list[str]:
+    """The non-dunder methods and properties of top-level package classes
+    that no attribute reads outside their own definition."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    uses = sum((attribute_counts(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                        member.name.startswith("__") and member.name.endswith("__")):
+                    continue
+                if uses[member.name] == attribute_counts(member)[member.name]:
+                    out.append(f"{module}.{cls.name}.{member.name}")
+    return sorted(out)
+
+
+def test_every_class_member_is_used():
+    assert unreferenced_members(PACKAGE) == list(TEST_ONLY_MEMBERS)
+    tests = sum((attribute_counts(ast.parse(path.read_text()))
+                 for path in Path(__file__).parent.glob("test_*.py")), Counter())
+    assert all(tests[name.rsplit(".", 1)[1]] for name in TEST_ONLY_MEMBERS)
+
+
+def test_the_guard_flags_a_leftover_member(tmp_path):
+    # A copy of the package with a method that only calls itself.
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    source = (tmp_path / "unipoly.py").read_text()
+    anchor = "    def evaluate(self"
+    (tmp_path / "unipoly.py").write_text(source.replace(
+        anchor, "    def halve(self):\n        return self.halve()\n\n" + anchor, 1))
+    assert unreferenced_members(tmp_path) == sorted(
+        TEST_ONLY_MEMBERS + ("unipoly.UniPoly.halve",))
 
 
 #: Each parameter with a default in a package function or method, as

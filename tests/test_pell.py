@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import chebyshev_triple
+from conftest import chebyshev_triple, kubert_r
 from test_parsing import int_digit_limit
 
 from abelpell import pell
@@ -258,9 +258,10 @@ def assert_verifies(solution):
 
 
 @st.composite
-def small_squarefree(draw):
+def small_squarefree(draw, height=3):
     degree = draw(st.sampled_from([2, 4, 6]))
-    r = UniPoly(draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)) + [1])
+    coeff = st.integers(-height, height)
+    r = UniPoly(draw(st.lists(coeff, min_size=degree, max_size=degree)) + [1])
     assume(is_squarefree(r))
     return r
 
@@ -284,13 +285,19 @@ def test_least_unit_matches_the_plain_search(r, data):
     assert_verifies(pell_solve(r, n_max))
 
 
+# The fire (k, j, deg P_k) of the centre test, below, on Kubert's quartic of
+# order N, the same at t = 3 and t = 5/2; each unit is step N - 2.
+KUBERT_FIRES = {4: (1, 0, 3), 5: (2, 0, 4), 6: (2, 1, 4), 7: (3, 1, 5),
+                8: (3, 2, 5), 9: (4, 2, 6), 10: (4, 3, 6), 12: (5, 4, 7)}
+KUBERT_T = (3, Fraction(5, 2))
+
 # Pellian R with long periods: (R, unit degree, index k of the step where the
 # centre test fires, the earlier step j whose norm is a constant times
 # norm_k, deg P_k).  An even period mirrors norm_k onto norm_(k-2), an odd
-# one onto norm_(k-1).  The quartic is (x^2 - x - 2)^2 + 8x, the double
+# one onto norm_(k-1).  The third quartic is (x^2 - x - 2)^2 + 8x, the double
 # cover x = Y/X of the Tate normal form Y^2 + (1-c)XY - bY = X^3 - bX^2 with
-# the 7-torsion parameters b = -2, c = 2; the last is Kubert's N = 7 form at
-# t = 3, whose unit is step 5.  The units of degree 9 and 7 each follow a
+# the 7-torsion parameters b = -2, c = 2; the rest are Kubert's forms (see
+# ``conftest.kubert_r``).  The units of degree 9 and 7 each follow a
 # non-unit step past the bound (degree 8 > 9 // 2 + 3 at n_max = 9, degree
 # 6 > 7 // 2 + 2 at n_max = 7), so there a search whose test never fired
 # would miss the unit.
@@ -298,8 +305,13 @@ LONG_PERIODS = [
     ("x^6-2*x^2+1", 6, 2, 0, 5),
     ("x^6+2*x^5+x^4-2*x^3+2*x^2+1", 9, 2, 1, 6),
     ("x^4-2*x^3-3*x^2+12*x+4", 7, 3, 1, 5),
-    ("x^4-10*x^3+61*x^2-108*x-36", 7, 3, 1, 5),
-]
+] + [(str(kubert_r(n, t)).replace(" ", ""), n, *fire)
+     for n, fire in KUBERT_FIRES.items() for t in KUBERT_T]
+
+
+def proportional(u: UniPoly, v: UniPoly) -> bool:
+    """Whether u is a constant times v, by polynomial arithmetic."""
+    return (u * v.leading - v * u.leading).is_zero()
 
 
 @pytest.mark.parametrize("text, degree, k, j, centre_degree", LONG_PERIODS, ids=str)
@@ -318,9 +330,8 @@ def test_where_the_centre_test_fires(text, degree, k, j, centre_degree):
     # found by polynomial arithmetic rather than by the search's own test.
     r = parse_poly(text)
     steps = list(islice(cf_steps(r), k + 1))
-    fired = [(i, i - back) for i in range(len(steps)) for back in (1, 2) if i >= back and (
-        steps[i].norm * steps[i - back].norm.leading
-        - steps[i - back].norm * steps[i].norm.leading).is_zero()]
+    fired = [(i, i - back) for i in range(len(steps)) for back in (1, 2)
+             if i >= back and proportional(steps[i].norm, steps[i - back].norm)]
     assert fired[0] == (k, j)
     assert steps[k].degree == centre_degree <= degree // 2 + r.degree // 2  # + g + 1
 
@@ -333,6 +344,17 @@ def test_steps_past_the_unit_match_the_eager_expansion(text):
     for step, (k, partial, p, q, norm) in zip(islice(cf_steps(r), 14), eager_cf_steps(r)):
         assert (step.index, step.partial_quotient, step.norm) == (k, partial, norm)
         assert step.convergent() == (p, q)
+
+
+@pytest.mark.parametrize("t", KUBERT_T, ids=str)
+@pytest.mark.parametrize("n", KUBERT_FIRES)
+def test_kubert_units(n, t):
+    # The unit has the order n of the torsion point; the solution is the
+    # unit itself for odd n and its square for even n.
+    r = kubert_r(n, t)
+    unit = fundamental_unit(r, 30)
+    assert (unit.index, unit.degree) == (n - 2, n)
+    assert pell_solve(r, 30).order == (n if n % 2 else 2 * n)
 
 
 AFFINE_X6 = parse_poly("x^6 + 9*x^5 + 135/4*x^4 + 135/2*x^3 + 1215/16*x^2 + 729/16*x - 729/64")
@@ -569,15 +591,33 @@ def test_inflate_worked_examples():
 
 def test_inflate_rejections():
     base = PellTriple.build(poly(-1, 0, 1), poly(0, 1), R_MINUS2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="takes case 'divides_g_plus_1'"):
         inflate(base, 2, "even_half")  # R(0) != 0
     with pytest.raises(ValueError):
         inflate(base, 1, "divides_g_plus_1")
+    with pytest.raises(ValueError, match="unknown inflation case"):
+        inflate(base, 2, "even")
     base2 = PellTriple.build(poly(1, 1), poly(1), poly(0, 2, 1))
-    with pytest.raises(ValueError):
-        inflate(base2, 3, "even_half")  # m must be even
-    with pytest.raises(ValueError):
-        inflate(base2, 2, "odd")  # m must be odd
+    with pytest.raises(ValueError, match="takes case 'odd'"):
+        inflate(base2, 3, "even_half")  # R(0) = 0 and m odd
+    with pytest.raises(ValueError, match="takes case 'even_half'"):
+        inflate(base2, 2, "odd")  # R(0) = 0 and m even
+
+
+def test_inflate_tests_no_squarefreeness(monkeypatch):
+    # The substitution keeps R squarefree (see the docstring), so inflate
+    # answers in all three cases without testing it.
+    base = PellTriple.build(poly(-1, 0, 1), poly(0, 1), R_MINUS2)
+    base2 = PellTriple.build(poly(1, 1), poly(1), poly(0, 2, 1))
+
+    def refuse(r):
+        raise AssertionError("is_squarefree was called")
+
+    monkeypatch.setattr(pell, "is_squarefree", refuse)
+    outs = [inflate(base, 2, "divides_g_plus_1"), inflate(base2, 2, "even_half"),
+            inflate(base2, 3, "odd")]
+    monkeypatch.undo()
+    assert all(pell_verify(out.p, out.q, out.r).valid for out in outs)
 
 
 def test_every_operation_output_verifies(triples):
@@ -646,24 +686,29 @@ def test_power_is_the_chain_of_composites_property(base, k, sign, orientation):
 
 @st.composite
 def inflation_inputs(draw):
-    case = draw(st.sampled_from(pell.INFLATE_CASES))
-    if case == pell.INFLATE_DIVIDES:
+    """A base (L, 1, L^2 - 1), m = 2..5 and the case they take."""
+    m = draw(st.integers(2, 5))
+    if draw(st.booleans()):
         # R(s^m) stays squarefree exactly when R(0) = L(0)^2 - 1 is not 0.
         constant = st.fractions(-3, 3, max_denominator=3).filter(lambda c: c * c != 1)
-        m = draw(st.integers(2, 4))
+        case = pell.INFLATE_DIVIDES
     else:
         constant = st.sampled_from([Fraction(1), Fraction(-1)])
-        m = draw(st.sampled_from([2, 4] if case == pell.INFLATE_EVEN_HALF else [3, 5]))
+        case = pell.INFLATE_EVEN_HALF if m % 2 == 0 else pell.INFLATE_ODD
     return draw(chebyshev_bases(constant)), m, case
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(inflation_inputs())
 def test_inflate_verifies_property(inputs):
     base, m, case = inputs
     out = inflate(base, m, case)
     assert pell_verify(out.p, out.q, out.r).valid
     assert out.order == m * base.order and out.p == base.p.substitute_power(m)
+    assert out.r * out.q * out.q == (base.r * base.q * base.q).substitute_power(m)
+    for wrong in set(pell.INFLATE_CASES) - {case}:
+        with pytest.raises(ValueError, match=f"takes case {case!r}"):
+            inflate(base, m, wrong)
 
 
 @settings(max_examples=30, deadline=None)
