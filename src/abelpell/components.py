@@ -427,7 +427,7 @@ def component_count(g: int, n: int, variant: str) -> OrbitCertificate:
     members = _keys(g, n, None)
     if not members:
         return OrbitCertificate(g, n, variant, 0, 0, (), ())
-    split = [move for move in applicable_moves(g, variant) if move != "flip"]
+    split = applicable_moves(g, VARIANT_SPLIT)
     cycle = standard_cycle(n)
     ties: dict[bytes, tuple[Tie, ...]] = {}  # sigma -> its least rotations
     alone = _rotations(cycle, g + 2)[:1]  # the ties of a sigma whose image is its key

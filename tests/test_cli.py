@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import importlib
 import io
 import itertools
 import json
@@ -200,8 +202,7 @@ def test_compose_checks_hold_in_both_orientations(capsys):
         assert code == 0
         assert report["result"]["composite"]["order"] == (
             n1 + n2 if e1 == e2 else abs(n1 - n2)), (p1, q1, p2, q2)
-        assert {c["name"]: c["ok"] for c in report["checks"]} == {
-            "composite_verifies": True, "order_follows_orientation": True}
+        assert report["checks"] == [{"name": "order_follows_orientation", "ok": True}]
 
 
 def test_compose_opposite_orientations(capsys):
@@ -213,8 +214,7 @@ def test_compose_opposite_orientations(capsys):
     assert (composite["p"]["text"], composite["q"]["text"]) == ("2*x^2 - 1", "2*x")
     assert composite["order"] == 2
     # The group law: opposite orientations lc(Q)/lc(P) give |3 - 1|, and the check says so.
-    assert {c["name"]: c["ok"] for c in report["checks"]} == {
-        "composite_verifies": True, "order_follows_orientation": True}
+    assert report["checks"] == [{"name": "order_follows_orientation", "ok": True}]
     # Equal orders of opposite orientation give the trivial unit: bad input.
     code, out, err = run_cli(capsys, "pell", "compose", "x", "1", "x", "-1", "x^2-1")
     assert (code, out) == (2, "") and err.startswith("error: not a Pell triple")
@@ -245,6 +245,31 @@ def test_abel_hurwitz(capsys):
     result = report["result"]
     assert (result["e"], result["e_prime"], result["w"]) == (0, 1, 4)
     assert result["generic_stratum"] is False
+
+
+CONJUGATE_X3_X = ["x^3+x", "1", "x^6+2*x^4+x^2-1"]
+
+
+@pytest.mark.parametrize("module, name, fake, argv, failed", [
+    ("geometry", "genus_of_ramspec", lambda real: lambda spec: real(spec) + 1,
+     ["abel", "ramspec", *CONJUGATE_X3_X], "genus_matches_triple"),
+    ("geometry", "polt_dimension", lambda real: lambda spec: real(spec) + 1,
+     ["abel", "ramspec", *CONJUGATE_X3_X], "deformation_dimension_equals_genus"),
+    ("geometry", "hurwitz_report",
+     lambda real: lambda t: dataclasses.replace(rep := real(t), w=rep.w + 2),
+     ["abel", "hurwitz", *CONJUGATE_X3_X], "odd_count_is_2g_plus_2"),
+    ("pell", "pell_compose", lambda real: lambda t1, t2: t1,
+     ["pell", "compose", "x", "1", "x", "1", "x^2-1"], "order_follows_orientation"),
+], ids=["genus", "dimension", "odd_count", "compose"])
+def test_each_check_can_report_false(capsys, monkeypatch, module, name, fake, argv, failed):
+    # One library answer off by what its check would catch: the command still
+    # exits 0 and reports exactly that check as false.  The compose case
+    # returns its first operand, of order 1, where the orders add to 2.
+    lib = importlib.import_module(f"abelpell.{module}")
+    monkeypatch.setattr(lib, name, fake(getattr(lib, name)))
+    code, report, err = run_json(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == [failed]
 
 
 def test_strata_nilpotency(capsys):

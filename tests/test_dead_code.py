@@ -10,6 +10,10 @@ that only the tests read are named in ``TEST_ONLY_MEMBERS``.
 Every parameter with a default is named in ``OPTIONAL_PARAMETERS``, so that
 an optional parameter added or removed shows in the diff.
 
+Every ``check(name, ok)`` in ``cli.py`` passes an ``ok`` that can be false:
+a constant ``True`` reports nothing, and the entries that carry data under a
+check's name are named in ``CONSTANT_CHECKS``.
+
 Every function that builds a ``PellTriple(...)`` directly, not through the
 verifying ``PellTriple.build``, is named in ``UNVERIFIED_TRIPLES``, so that a
 new unverified construction shows in the diff; each such producer proves its
@@ -221,3 +225,37 @@ def test_the_inventory_flags_an_unverified_triple(tmp_path):
     with open(tmp_path / "strata.py", "a") as handle:
         handle.write("\n\ndef negate(t):\n    return pell.PellTriple(-t.p, -t.q, t.r)\n")
     assert unverified_triples(tmp_path) == sorted(UNVERIFIED_TRIPLES + ("strata.negate",))
+
+
+#: The ``check(...)`` entries of ``cli.py`` whose ``ok`` is the constant
+#: ``True``: they carry data, not a verdict.
+CONSTANT_CHECKS = ("orders_searched_up_to_n_max",)
+
+
+def constant_checks(package: Path) -> list[str]:
+    """The names of the ``check(name, True, ...)`` calls in ``cli.py``."""
+    tree = ast.parse((package / "cli.py").read_text())
+    out = []
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "check"):
+            continue
+        args = dict(zip(("name", "ok"), call.args)) | {k.arg: k.value for k in call.keywords}
+        if isinstance(args["ok"], ast.Constant) and args["ok"].value is True:
+            out.append(args["name"].value)
+    return sorted(out)
+
+
+def test_only_listed_checks_are_constant():
+    assert tuple(constant_checks(PACKAGE)) == CONSTANT_CHECKS
+
+
+def test_the_guard_flags_a_constant_check(tmp_path):
+    # A copy of the package whose census reports a check that cannot fail.
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    source = (tmp_path / "cli.py").read_text()
+    anchor = "    return code, result, [], lines\n"
+    assert source.count(anchor) == 1
+    (tmp_path / "cli.py").write_text(source.replace(
+        anchor, "    return code, result, [check(\"moves_preserve_validity\", True)], lines\n"))
+    assert constant_checks(tmp_path) == sorted(CONSTANT_CHECKS + ("moves_preserve_validity",))
