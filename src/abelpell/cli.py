@@ -6,15 +6,15 @@ tangent-rank) and ``components`` (count / list).  ``--format structured``
 emits a single JSON object with the command, its inputs, the result and the
 checks the command runs itself; the output is byte-identical across runs.  An
 invariant the library enforces where it is computed is not reported again: a
-``ValueError`` it raises exits 2, and an ``AssertionError`` ends with a
-traceback.
+``ValueError`` it raises exits 2, and a guard's ``AssertionError`` exits 4.
 
 A polynomial argument that starts with "-" reads as an option: put "--"
 after the options and before the polynomials, as in
 ``abel hurwitz -- -2*x^2+1 2*x x^2-1``, or write it in parentheses,
 ``"(-2*x^2+1)"``.
 
-Exit codes: 0 result, 1 empty result, 2 bad input, 3 resource limit.
+Exit codes: 0 result, 1 empty result, 2 bad input, 3 resource limit,
+4 internal invariant failed.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_EMPTY = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def parse_poly(text: str) -> UniPoly:
@@ -107,7 +108,7 @@ def _cmd_pell_solve(args):
     smaller = [
         s
         for s in steps
-        if s.constant_norm and s.degree < triple.order and s.norm.constant_value() > 0
+        if s.constant_norm and s.degree < triple.order
         and pell.rational_nth_root(s.norm.constant_value(), 2) is not None
     ]
     checks.append(check("minimal_among_convergents", not smaller))
@@ -401,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except AssertionError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     inputs = {
         key: value
         for key, value in sorted(vars(args).items())

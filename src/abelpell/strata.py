@@ -13,7 +13,8 @@ comes from fraction-free (Bareiss) elimination over the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from itertools import product
+from math import comb, prod
 
 from .limits import MAX_DEGREE, ResourceLimit
 from .pell import CHART_MONIC, CHART_NORMALIZED, PellTriple, _sqrt_and_rest
@@ -102,38 +103,30 @@ class WeightedSymmetricSystem:
 
 
 def weighted_sigma(exponents: list[int]) -> WeightedSymmetricSystem:
-    """Expand prod_i (s - a_i)^(e_i - 1) and read off the sigma_j.
+    """The sigma_j of prod_i (s - a_i)^(e_i - 1), by the binomial theorem.
 
-    The defining identity is re-verified at integer points, with the product
-    evaluated directly rather than read off the expansion.
+    With k_i = e_i - 1, each factor is sum_j C(k_i, j) (-a_i)^j s^(k_i - j),
+    so sigma_j = sum over exponent tuples js with |js| = j of
+    prod_i C(k_i, js_i) a^js: one term per tuple.  The defining identity is
+    re-verified at integer points, with the product evaluated directly
+    rather than read off the formula.
     """
     if not exponents or any(e < 2 for e in exponents):
         raise ValueError("all exponents must be >= 2")
     m = len(exponents)
-    one = (0,) * m
-    product: list[Monomials] = [{one: 1}]  # coefficients of s^0, s^1, ...
-    for i, e in enumerate(exponents):
-        for _ in range(e - 1):  # multiply by s - a_i
-            nxt: list[Monomials] = [{} for _ in range(len(product) + 1)]
-            for d, coeff in enumerate(product):
-                for exp, c in coeff.items():
-                    _add_term(nxt[d + 1], exp, c)
-                    _add_term(nxt[d], _bump(exp, i, 1), -c)
-            product = nxt
-    e_total = sum(e - 1 for e in exponents)
-    sigmas = tuple(
-        {exp: (-1) ** j * c for exp, c in product[e_total - j].items()}
-        for j in range(1, e_total + 1)
-    )
-    # Independent check, without the expansion: at fixed integer points a,
+    ks = [e - 1 for e in exponents]
+    e_total = sum(ks)
+    sigmas: tuple[Monomials, ...] = tuple({} for _ in range(e_total))
+    for js in product(*(range(k + 1) for k in ks)):
+        if any(js):
+            sigmas[sum(js) - 1][js] = prod(map(comb, ks, js))
+    # Independent check, without the formula: at fixed integer points a,
     # s^e + sum (-1)^j sigma_j(a) s^(e-j) must equal prod (s - a_i)^(e_i - 1)
     # computed directly, at e + 1 values of s, which fixes the polynomial in s.
     for point in (tuple(range(1, m + 1)), tuple(3 - 2 * i for i in range(m))):
         values = [_evaluate(sigma, point) for sigma in sigmas]
         for s in range(e_total + 1):
-            direct = 1
-            for a, k in zip(point, exponents):
-                direct *= (s - a) ** (k - 1)
+            direct = prod((s - a) ** k for a, k in zip(point, ks))
             expanded = s**e_total + sum(
                 (-1) ** j * v * s ** (e_total - j) for j, v in enumerate(values, 1)
             )

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import importlib
@@ -11,13 +12,14 @@ import pytest
 from conftest import kubert_r
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_dead_code import CONSTANT_CHECKS
 from test_parsing import int_digit_limit
 from test_pell import (AFFINE_X6, KUBERT_FIRES, KUBERT_T, built_degrees, count_convergents,
                        eager_cf_steps, proportional, refuse_convergents, small_squarefree)
 
-from abelpell import strata
+from abelpell import cli, strata
 from abelpell.cli import main, triple_json
-from abelpell.pell import pell_solve
+from abelpell.pell import pell_power, pell_solve
 from abelpell.unipoly import UniPoly, poly
 
 
@@ -250,26 +252,84 @@ def test_abel_hurwitz(capsys):
 CONJUGATE_X3_X = ["x^3+x", "1", "x^6+2*x^4+x^2-1"]
 
 
-@pytest.mark.parametrize("module, name, fake, argv, failed", [
-    ("geometry", "genus_of_ramspec", lambda real: lambda spec: real(spec) + 1,
-     ["abel", "ramspec", *CONJUGATE_X3_X], "genus_matches_triple"),
-    ("geometry", "polt_dimension", lambda real: lambda spec: real(spec) + 1,
-     ["abel", "ramspec", *CONJUGATE_X3_X], "deformation_dimension_equals_genus"),
-    ("geometry", "hurwitz_report",
-     lambda real: lambda t: dataclasses.replace(rep := real(t), w=rep.w + 2),
-     ["abel", "hurwitz", *CONJUGATE_X3_X], "odd_count_is_2g_plus_2"),
-    ("pell", "pell_compose", lambda real: lambda t1, t2: t1,
-     ["pell", "compose", "x", "1", "x", "1", "x^2-1"], "order_follows_orientation"),
-], ids=["genus", "dimension", "odd_count", "compose"])
+INFLATE_X_PLUS_1 = ["pell", "inflate", "x+1", "1", "x^2+2*x", "--m", "3", "--case", "odd"]
+
+#: For each check that can fail, (module, name, fake, argv, check): the
+#: library answer to replace, by fake(real), and the command that then
+#: reports exactly that check as false.  A module of None patches nothing.
+FALSE_CHECKS = [
+    pytest.param("pell", "minimal_solution",
+                 lambda real: lambda r, unit, n_max: dataclasses.replace(
+                     t := real(r, unit, n_max), q=t.q + 1),
+                 ["pell", "solve", "x^2-2"], "solution_verifies", id="solve_verifies"),
+    pytest.param("pell", "minimal_solution",
+                 lambda real: lambda r, unit, n_max: pell_power(real(r, unit, n_max), 2),
+                 ["pell", "solve", "x^2-1"], "minimal_among_convergents", id="solve_minimal"),
+    pytest.param(None, None, None, ["pell", "verify", "x", "1", "x^2-2"], "triple_valid",
+                 id="verify"),
+    pytest.param("pell", "pell_compose", lambda real: lambda t1, t2: t1,
+                 ["pell", "compose", "x", "1", "x", "1", "x^2-1"], "order_follows_orientation",
+                 id="compose"),
+    pytest.param("pell", "inflate",
+                 lambda real: lambda base, m, case: dataclasses.replace(
+                     t := real(base, m, case), q=t.q + 1),
+                 INFLATE_X_PLUS_1, "inflated_verifies", id="inflate_verifies"),
+    pytest.param("pell", "inflate", lambda real: lambda base, m, case: base,
+                 INFLATE_X_PLUS_1, "order_multiplied", id="inflate_order"),
+    pytest.param("geometry", "genus_of_ramspec", lambda real: lambda spec: real(spec) + 1,
+                 ["abel", "ramspec", *CONJUGATE_X3_X], "genus_matches_triple", id="genus"),
+    pytest.param("geometry", "polt_dimension", lambda real: lambda spec: real(spec) + 1,
+                 ["abel", "ramspec", *CONJUGATE_X3_X], "deformation_dimension_equals_genus",
+                 id="dimension"),
+    pytest.param("geometry", "hurwitz_report",
+                 lambda real: lambda t: dataclasses.replace(rep := real(t), w=rep.w + 2),
+                 ["abel", "hurwitz", *CONJUGATE_X3_X], "odd_count_is_2g_plus_2",
+                 id="odd_count"),
+    pytest.param("strata", "odd_nilpotency_check", lambda real: lambda n, k: not real(n, k),
+                 ["strata", "nilpotency", "--n", "1", "--k", "3"], "matches_nilpotency_bound",
+                 id="nilpotency"),
+    pytest.param("strata", "tangent_rank",
+                 lambda real: lambda t: dataclasses.replace(rep := real(t), corank=rep.corank + 1),
+                 ["strata", "tangent-rank", "x^2", "1", "x^4-1"], "corank_is_chart_dimension",
+                 id="corank"),
+    pytest.param("ramspec", "genus_of_ramspec", lambda real: lambda spec: real(spec) + 1,
+                 ["components", "list", "--genus", "1", "--order", "2"], "ramspec_genus_matches",
+                 id="list_genus"),
+]
+
+
+@pytest.mark.parametrize("module, name, fake, argv, failed", FALSE_CHECKS)
 def test_each_check_can_report_false(capsys, monkeypatch, module, name, fake, argv, failed):
-    # One library answer off by what its check would catch: the command still
-    # exits 0 and reports exactly that check as false.  The compose case
-    # returns its first operand, of order 1, where the orders add to 2.
-    lib = importlib.import_module(f"abelpell.{module}")
-    monkeypatch.setattr(lib, name, fake(getattr(lib, name)))
+    # One library answer off by what its check would catch, or an invalid
+    # triple for `pell verify`: the command still exits 0 and reports exactly
+    # that check as false.  The compose case returns its first operand, of
+    # order 1, where the orders add to 2; the solve case squares the unit x
+    # of norm 1, so a convergent below it already has a square norm.
+    if module is not None:
+        lib = importlib.import_module(f"abelpell.{module}")
+        monkeypatch.setattr(lib, name, fake(getattr(lib, name)))
     code, report, err = run_json(capsys, *argv)
     assert (code, err) == (0, "")
     assert [c["name"] for c in report["checks"] if not c["ok"]] == [failed]
+
+
+def test_every_check_that_can_fail_has_a_false_case():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = {call.args[0].value for call in ast.walk(tree)
+             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "check"}
+    assert sorted(case.values[-1] for case in FALSE_CHECKS) == sorted(
+        names - set(CONSTANT_CHECKS))
+
+
+def test_a_failed_guard_exits_4(capsys, monkeypatch):
+    from abelpell import geometry
+
+    def guard(t):
+        raise AssertionError("e = 2 != g = 1")
+
+    monkeypatch.setattr(geometry, "hurwitz_report", guard)
+    code, out, err = run_cli(capsys, "abel", "hurwitz", *CONJUGATE_X3_X)
+    assert (code, out, err) == (4, "", "error: internal invariant failed: e = 2 != g = 1\n")
 
 
 def test_strata_nilpotency(capsys):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelpell.cli import main
-from abelpell.pell import INFLATE_CASES
+from abelpell.cases import INFLATE_CASES
 
 #: Valid triples (P, Q, R), so that examples get past verification.  Over
 #: x^2 - 1 they have orders 1 and 3 in both orientations lc(Q)/lc(P) = +-1, so

@@ -18,6 +18,10 @@ Every function that builds a ``PellTriple(...)`` directly, not through the
 verifying ``PellTriple.build``, is named in ``UNVERIFIED_TRIPLES``, so that a
 new unverified construction shows in the diff; each such producer proves its
 triple valid in its docstring.
+
+Every function that raises ``AssertionError`` itself is named in
+``LIBRARY_GUARDS``, so that a guard added or removed shows in the diff; the
+CLI exits 4 when one of them fires.
 """
 import ast
 from collections import Counter
@@ -259,3 +263,70 @@ def test_the_guard_flags_a_constant_check(tmp_path):
     (tmp_path / "cli.py").write_text(source.replace(
         anchor, "    return code, result, [check(\"moves_preserve_validity\", True)], lines\n"))
     assert constant_checks(tmp_path) == sorted(CONSTANT_CHECKS + ("moves_preserve_validity",))
+
+
+#: Each package function that raises ``AssertionError`` in its own body, not
+#: in a function nested in it, as ``module.qualified_name``.  Each guards what
+#: nothing else checks; a failed one exits the CLI with status 4.
+LIBRARY_GUARDS = (
+    "components.OrbitCertificate.__post_init__",
+    "components.component_count",
+    "components.component_count.image_key",
+    "geometry._base_of",
+    "geometry.hurwitz_report",
+    "geometry.multiplicity_partition",
+    "geometry.unassigned_branch",
+    "pell._sqrt_and_rest",
+    "pell.minimal_solution",
+    "pell.normalize",
+    "strata._integer_rank",
+    "strata.weighted_sigma",
+)
+
+
+def raises_assertion(node: ast.AST) -> bool:
+    if isinstance(node, ast.Assert):
+        return True
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return getattr(exc, "id", None) == "AssertionError"
+
+
+def library_guards(package: Path) -> list[str]:
+    out = []
+
+    def own_nodes(func: ast.AST):
+        """The nodes of a function's body, outside the functions and classes
+        defined in it."""
+        for child in ast.iter_child_nodes(func):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield child
+                yield from own_nodes(child)
+
+    def visit(node: ast.AST, module: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef) and any(map(raises_assertion,
+                                                                   own_nodes(child))):
+                    out.append(f"{module}.{name}")
+                visit(child, module, f"{name}.")
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+    return sorted(out)
+
+
+def test_library_guards_are_listed():
+    assert tuple(library_guards(PACKAGE)) == LIBRARY_GUARDS
+
+
+def test_the_inventory_flags_a_new_guard(tmp_path):
+    # A copy of the package that restates a rule pell_verify already checks.
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "geometry.py", "a") as handle:
+        handle.write("\n\ndef order_of(t):\n    if t.p.is_zero():\n"
+                     "        raise AssertionError(\"P = 0\")\n    return t.order\n")
+    assert library_guards(tmp_path) == sorted(LIBRARY_GUARDS + ("geometry.order_of",))

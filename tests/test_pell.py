@@ -12,6 +12,7 @@ from conftest import chebyshev_triple, kubert_r
 from test_parsing import int_digit_limit
 
 from abelpell import pell
+from abelpell.cases import INFLATE_CASES
 from abelpell.parsing import parse_poly
 from abelpell.rationals import rational_nth_root
 from abelpell.pell import (
@@ -595,8 +596,8 @@ def test_inflate_rejections():
         inflate(base, 2, "even_half")  # R(0) != 0
     with pytest.raises(ValueError):
         inflate(base, 1, "divides_g_plus_1")
-    with pytest.raises(ValueError, match="unknown inflation case"):
-        inflate(base, 2, "even")
+    with pytest.raises(ValueError, match="takes case 'divides_g_plus_1'"):
+        inflate(base, 2, "even")  # not a case name
     base2 = PellTriple.build(poly(1, 1), poly(1), poly(0, 2, 1))
     with pytest.raises(ValueError, match="takes case 'odd'"):
         inflate(base2, 3, "even_half")  # R(0) = 0 and m odd
@@ -706,7 +707,7 @@ def test_inflate_verifies_property(inputs):
     assert pell_verify(out.p, out.q, out.r).valid
     assert out.order == m * base.order and out.p == base.p.substitute_power(m)
     assert out.r * out.q * out.q == (base.r * base.q * base.q).substitute_power(m)
-    for wrong in set(pell.INFLATE_CASES) - {case}:
+    for wrong in set(INFLATE_CASES) - {case}:
         with pytest.raises(ValueError, match=f"takes case {case!r}"):
             inflate(base, m, wrong)
 

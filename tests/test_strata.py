@@ -1,6 +1,7 @@
 
 import dataclasses
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -134,20 +135,17 @@ def test_weighted_sigma_against_combinations():
 
 
 def test_weighted_sigma_rejects_a_wrong_expansion(monkeypatch):
-    # Each multiplication by (s - a_i) adds c to s * term and then -c to
-    # a_i * term; negating every second addition multiplies by (s + a_i).
-    add, calls = strata._add_term, itertools.count()
-    monkeypatch.setattr(
-        strata, "_add_term", lambda acc, exp, c: add(acc, exp, -c if next(calls) % 2 else c)
-    )
+    # A wrong binomial coefficient: C(k, 1) one too large.
+    monkeypatch.setattr(strata, "comb", lambda k, j: math.comb(k, j) + (j == 1))
     with pytest.raises(AssertionError, match="identity"):
         weighted_sigma([3, 2])
-    # Multiplying by (s - a_i^2) instead.
-    bump = strata._bump
-    monkeypatch.setattr(strata, "_add_term", add)
-    monkeypatch.setattr(strata, "_bump", lambda exp, i, k: bump(exp, i, 2 * k))
+    # Wrong exponents: each tuple reversed, so that a_2 takes the powers
+    # 0..2 of a_1 and a_1 those of a_2.
+    monkeypatch.setattr(strata, "comb", math.comb)
+    monkeypatch.setattr(strata, "product", lambda *ranges: (
+        js[::-1] for js in itertools.product(*ranges)))
     with pytest.raises(AssertionError, match="identity"):
-        weighted_sigma([2, 2])
+        weighted_sigma([3, 2])
 
 
 def test_nilpotence_identity_detects_a_wrong_generator():
