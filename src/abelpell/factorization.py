@@ -217,12 +217,8 @@ def _hensel_lift(f: list[int], factors: list[list[int]], p: int, modulus: int) -
 
 
 def _primitive(f: list[int]) -> list[int]:
-    """f divided by its content, with a positive leading coefficient."""
-    content = 0
-    for c in f:
-        content = gcd(content, c)
-    if f[-1] < 0:
-        content = -content
+    """f, whose leading coefficient is positive, divided by its content."""
+    content = gcd(*f)
     return [c // content for c in f]
 
 

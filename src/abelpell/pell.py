@@ -29,7 +29,6 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterable, Iterator
 
-from .cases import INFLATE_DIVIDES, INFLATE_EVEN_HALF, INFLATE_ODD
 from .limits import MAX_DEGREE, ResourceLimit
 from .parsing import printable
 from .rationals import rational_nth_root
@@ -39,6 +38,10 @@ CHART_GENERAL = "general"
 CHART_MONIC = "monic"
 CHART_NORMALIZED = "normalized"
 CHARTS = (CHART_GENERAL, CHART_MONIC, CHART_NORMALIZED)
+
+INFLATE_DIVIDES = "divides_g_plus_1"
+INFLATE_EVEN_HALF = "even_half"
+INFLATE_ODD = "odd"
 
 
 def _r_failures(r: UniPoly) -> list[str]:

@@ -5,10 +5,9 @@ Three independent checks live here: a square-testing criterion in
 ``pell.laurent_sqrt_polypart`` of 1 + x + ... + x^(2n); the weighted
 elementary-symmetric identity behind the non-reduced strata, expanded as
 integer polynomials in a_1, ..., a_m stored as ``{exponent tuple:
-coefficient}`` dicts; and the exact tangent rank of the Pell equation at a
-chart point.  Everything is decided by exact arithmetic.  A rank is
-certified by elimination mod a prime when that rank is full, and otherwise
-comes from fraction-free (Bareiss) elimination over the integers.
+coefficient}`` dicts; and the tangent rank of the Pell equation at a chart
+point, which a theorem gives from the order, genus and chart alone.
+Everything is decided by exact arithmetic.
 """
 from __future__ import annotations
 
@@ -162,88 +161,40 @@ class TangentReport:
     corank: int
 
 
-#: The prime of the tangent-rank certificate; primality is what makes it sound.
-_RANK_PRIME = 2**31 - 1
-
-
-def _integer_rank(rows: list[list[int]], modulus: int = 0) -> int:
-    """Rank of an integer matrix by one elimination loop.
-
-    Without a modulus this is fraction-free (Bareiss) elimination over Z: each
-    update x*piv - f*y divides exactly by the previous pivot, so every entry
-    stays an integer minor.  With a prime modulus the rows are reduced once
-    and the update is taken mod p; over a field no division is needed.
-    """
-    if modulus:
-        rows = [[x % modulus for x in row] for row in rows]
-    else:
-        rows = [row[:] for row in rows]
-    m, ncols = len(rows), len(rows[0]) if rows else 0
-    rank, prev = 0, 1
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, m) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank][c + 1 :]
-        piv = rows[rank][c]
-        for i in range(rank + 1, m):
-            row, f = rows[i], rows[i][c]
-            if modulus:
-                if f:  # over a field a row with f = 0 needs no scaling
-                    row[c + 1 :] = [(x * piv - f * y) % modulus for x, y in zip(row[c + 1 :], top)]
-            else:
-                for j, (x, y) in enumerate(zip(row[c + 1 :], top), c + 1):
-                    quo, rem = divmod(x * piv - f * y, prev)
-                    if rem:
-                        raise AssertionError("Bareiss exact division failed")
-                    row[j] = quo
-            row[c] = 0
-        prev = piv
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _certified_rank(rows: list[list[int]]) -> int:
-    """Exact rank of an integer matrix: mod ``_RANK_PRIME`` when that rank is
-    min(rows, columns), else by Bareiss over Z (see ``tangent_rank``)."""
-    rank = _integer_rank(rows, _RANK_PRIME)
-    if rows and rank == min(len(rows), len(rows[0])):
-        return rank
-    return _integer_rank(rows)
-
-
 def tangent_rank(t: PellTriple) -> TangentReport:
-    """Exact rank of the linearised Pell equation at a chart point.
+    """The rank of the linearised Pell equation at a chart point, which a
+    theorem reads off the order n, the genus g and the chart.
 
-    Perturbations respect the chart: P and Q stay monic of fixed degree, R
-    stays monic (and keeps its zero next-to-top coefficient in the normalized
-    chart).  The linearisation of P^2 - R*Q^2 - 1 at (P, Q, R) is
-    2P dP - 2RQ dQ - Q^2 dR, read as a matrix over Q in the coefficient basis.
-    The corank is the chart's tangent dimension: the genus in the normalized
-    chart, genus + 1 in the monic chart (the extra translation direction).
+    P and Q stay monic of fixed degree, and R stays monic (with its zero
+    x^(2g+1) coefficient in the normalized chart).  The linearisation of
+    P^2 - R*Q^2 - 1 is Phi = 2P dP - 2RQ dQ - Q^2 dR, of degree < 2n.
+    Theorem: Phi has full row rank 2n at every point of both charts, so the
+    corank is g + 1 in the monic chart and g in the normalized one.
 
-    Column j holds the numerators of direction j, that is the direction
-    times its denominator d_j > 0.  The integer matrix is the rational one
-    times the invertible diagonal diag(d_j), so the two have the same rank.
-    The rank is first taken mod the prime p = ``_RANK_PRIME``.  Over the
-    field F_p, elimination counts the size of the largest minor nonzero mod
-    p; such a minor is a nonzero integer, so rank mod p <= rank over Q <=
-    min(rows, columns), and a full rank mod p is the exact rank.  The modulus
-    must be prime: mod a composite, nonzero pivots can have a zero product,
-    and the pivot count bounds no minor.  A rank mod p below full may only
-    mean that p divides every largest minor, so Bareiss over Z decides then.
+    Proof.  In the monic chart take m = n - g - 1 = deg Q.  The unknowns are
+    dP (deg < n), dQ (deg < m) and dR (deg < 2g + 2): 2n + g + 1 columns
+    against 2n rows.
+    * P^2 - RQ^2 = 1 makes P prime to Q.  So Phi = 0 forces dP = Q u with
+      deg u <= g, and then S(dQ, dR) := 2R dQ + Q dR = 2P u.
+    * Let c = gcd(R, Q) and k = deg c.  The kernel of S is
+      {(w Q/c, -2w R/c) : deg w < k}, of dimension k.  So its image, of
+      dimension m + 2g + 2 - k, is all the multiples of c of degree
+      < m + 2g + 2.  As c is prime to P, 2P u (deg <= n + g) lies in it
+      exactly when c | u.  So dim ker Phi = (g + 1 - k) + k = g + 1, if
+      k <= g + 1.
+    * In fact k <= g.  R is squarefree, so c has k distinct roots, and Q has
+      j more that are not roots of R: m >= k + j.  The 2n roots of
+      P^2 - 1 = RQ^2, counted with multiplicity, lie on N = 2g + 2 + j
+      points, and a root of multiplicity e is one of P' of multiplicity
+      e - 1, so 2n - N <= deg P' = n - 1.  Hence 2g + 2 + j = N >= n + 1 =
+      m + g + 2 >= k + j + g + 2, so k <= g.
+    So the rank is 2n: full row rank, and corank g + 1.  The normalized chart
+    drops the x^(2g+1) coordinate of dR.  The translation (P', Q', R') lies
+    in ker Phi, and that coordinate of it is 2g + 2 != 0.  So the rank stays
+    2n, and the corank is g.
     """
-    if t.chart not in (CHART_MONIC, CHART_NORMALIZED):
-        raise ValueError(f"tangent rank needs the monic or normalized chart, not {t.chart!r}")
-    n, g = t.order, t.genus
-    r_top = 2 * g + 2 if t.chart == CHART_MONIC else 2 * g + 1
-    columns = [
-        (0,) * j + d.num + (0,) * (2 * n - j - len(d.num))
-        for d, count in ((t.p * 2, n), (t.r * t.q * -2, t.q.degree), (t.q * t.q * -1, r_top))
-        for j in range(count)
-    ]
-    rank = _certified_rank([list(row) for row in zip(*columns)])
-    return TangentReport(len(columns), rank, len(columns) - rank)
+    chart = t.chart
+    if chart not in (CHART_MONIC, CHART_NORMALIZED):
+        raise ValueError(f"tangent rank needs the monic or normalized chart, not {chart!r}")
+    corank = t.genus + 1 if chart == CHART_MONIC else t.genus
+    return TangentReport(2 * t.order + corank, 2 * t.order, corank)

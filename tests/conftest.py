@@ -4,11 +4,16 @@ The family: the order-1 solution over x^2 - 1, its Chebyshev-style powers up
 to order 10 (recurrence p_{k+1} = 2x p_k - p_{k-1} seeded by (1, x), and the
 matching q-sequence seeded by (0, 1)), and the four small solutions that
 exercise genus 0 and 1 in every chart.  Also Kubert's genus-1 quartics,
-whose units have every torsion order that Mazur allows over Q.
+whose units have every torsion order that Mazur allows over Q.  Also the
+exponent lists of the weighted symmetric systems, and the benchmark's
+workload module, loaded from its file.
 """
 from __future__ import annotations
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +86,36 @@ def kubert_r(n: int, t: Fraction) -> UniPoly:
     f = poly(0, 1)
     inner = f * f + f * (1 - c) + b
     return inner * inner + (f + 1 - c) * (4 * b)
+
+
+def exponent_lists(max_total: int):
+    """All lists [e_1, ..., e_m] with e_i >= 2 and sum (e_i - 1) <= max_total,
+    by length and then lexicographically."""
+
+    def lists(m: int, budget: int):
+        # m entries, each taking e - 1 >= 1 of the budget
+        if m == 0:
+            yield []
+            return
+        for e in range(2, budget - m + 3):
+            for rest in lists(m - 1, budget - (e - 1)):
+                yield [e, *rest]
+
+    for m in range(1, max_total + 1):
+        yield from lists(m, max_total)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py`` as a module, for the duration of a test module."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]

@@ -30,8 +30,7 @@ from abelpell.perms import (
 from abelpell.strata import nilpotence_identity_check, odd_nilpotency_check, tangent_rank, weighted_sigma
 from abelpell.unipoly import poly
 
-from conftest import chebyshev_triple, fixture_family, small_triples
-from test_strata import exponent_lists
+from conftest import chebyshev_triple, exponent_lists, fixture_family, small_triples
 
 
 def _criterion(number: int, name: str, body) -> None:

@@ -8,29 +8,13 @@ workload, and each CLI case of one round in process, and requires every
 operation's own check to pass.
 """
 import contextlib
-import importlib.util
 import io
-import sys
-from pathlib import Path
 
 import pytest
 
 from abelpell import cli
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SEED = 7
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
 
 
 @pytest.mark.parametrize("workload", ["cf_solve", "triple_analysis", "moduli_census"])

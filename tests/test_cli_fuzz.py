@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelpell.cli import main
-from abelpell.cases import INFLATE_CASES
+from abelpell.pell import INFLATE_DIVIDES, INFLATE_EVEN_HALF, INFLATE_ODD
 
 #: Valid triples (P, Q, R), so that examples get past verification.  Over
 #: x^2 - 1 they have orders 1 and 3 in both orientations lc(Q)/lc(P) = +-1, so
@@ -68,7 +68,8 @@ def argvs(draw) -> list[str]:
     else:
         argv += list(draw(TRIPLE))
         if command == "inflate":
-            argv += ["--m", small(-1, 4), "--case", draw(st.sampled_from(INFLATE_CASES))]
+            case = st.sampled_from([INFLATE_DIVIDES, INFLATE_EVEN_HALF, INFLATE_ODD]) | st.text(max_size=8)
+            argv += ["--m", small(-1, 4), "--case", draw(case)]
     return argv + draw(OUTPUT)
 
 

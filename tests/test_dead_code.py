@@ -149,7 +149,6 @@ def test_the_guard_flags_a_leftover_member(tmp_path):
 #: ``module.qualified_name(parameter)``.
 OPTIONAL_PARAMETERS = (
     "cli.main(argv)",
-    "strata._integer_rank(modulus)",
 )
 
 
@@ -279,7 +278,6 @@ LIBRARY_GUARDS = (
     "pell._sqrt_and_rest",
     "pell.minimal_solution",
     "pell.normalize",
-    "strata._integer_rank",
     "strata.weighted_sigma",
 )
 

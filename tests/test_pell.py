@@ -12,13 +12,15 @@ from conftest import chebyshev_triple, kubert_r
 from test_parsing import int_digit_limit
 
 from abelpell import pell
-from abelpell.cases import INFLATE_CASES
 from abelpell.parsing import parse_poly
 from abelpell.rationals import rational_nth_root
 from abelpell.pell import (
     CHART_GENERAL,
     CHART_MONIC,
     CHART_NORMALIZED,
+    INFLATE_DIVIDES,
+    INFLATE_EVEN_HALF,
+    INFLATE_ODD,
     Obstruction,
     PellTriple,
     cf_steps,
@@ -707,7 +709,7 @@ def test_inflate_verifies_property(inputs):
     assert pell_verify(out.p, out.q, out.r).valid
     assert out.order == m * base.order and out.p == base.p.substitute_power(m)
     assert out.r * out.q * out.q == (base.r * base.q * base.q).substitute_power(m)
-    for wrong in set(INFLATE_CASES) - {case}:
+    for wrong in {INFLATE_DIVIDES, INFLATE_EVEN_HALF, INFLATE_ODD} - {case}:
         with pytest.raises(ValueError, match=f"takes case {case!r}"):
             inflate(base, m, wrong)
 

@@ -11,36 +11,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelpell import strata
-from abelpell.factorization import _is_prime
 from abelpell.limits import MAX_DEGREE, ResourceLimit
-from abelpell.pell import PellTriple, inflate
+from abelpell.pell import (
+    CHART_GENERAL,
+    CHART_MONIC,
+    CHART_NORMALIZED,
+    Obstruction,
+    PellTriple,
+    inflate,
+    normalize,
+    pell_power,
+    pell_solve,
+)
 from abelpell.strata import (
+    TangentReport,
     format_monomials,
     nilpotence_identity_check,
     odd_nilpotency_check,
     tangent_rank,
     weighted_sigma,
 )
-from abelpell.unipoly import ONE, ZERO, UniPoly, poly
+from abelpell.unipoly import ONE, ZERO, UniPoly, gcd, poly
 
-RANK_PRIME = strata._RANK_PRIME
-
-
-def exponent_lists(max_total: int):
-    """All lists [e_1, ..., e_m] with e_i >= 2 and sum (e_i - 1) <= max_total,
-    by length and then lexicographically."""
-
-    def lists(m: int, budget: int):
-        # m entries, each taking e - 1 >= 1 of the budget
-        if m == 0:
-            yield []
-            return
-        for e in range(2, budget - m + 3):
-            for rest in lists(m - 1, budget - (e - 1)):
-                yield [e, *rest]
-
-    for m in range(1, max_total + 1):
-        yield from lists(m, max_total)
+from conftest import exponent_lists, fixture_family, kubert_r
+from test_geometry import chebyshev_and_inflated
+from test_pell import KUBERT_FIRES, KUBERT_T, inflation_inputs
 
 
 def sigma_by_combinations(exponents: list[int]) -> tuple[dict, ...]:
@@ -222,78 +217,129 @@ def test_tangent_corank_on_inflated_points():
 @st.composite
 def integer_matrices(draw):
     """Small integer matrices: random ones, and rank-deficient products A*B
-    with an inner dimension below min(rows, columns).  Entries are small or
-    small multiples of the certificate's prime, and either kind is scaled by
-    1 or by that prime, which makes every entry 0 mod p."""
+    with an inner dimension below min(rows, columns)."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    entries = st.integers(-9, 9) | st.integers(-2, 2).map(lambda k: k * RANK_PRIME)
 
     def block(rows, cols):
-        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+        return draw(st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
                              min_size=rows, max_size=rows))
 
     if draw(st.booleans()):
-        rows = block(m, n)
-    else:
-        k = draw(st.integers(0, min(m, n) - 1))
-        a, b = block(m, k), block(k, n)
-        rows = [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(n)] for i in range(m)]
-    scale = draw(st.sampled_from((1, RANK_PRIME)))
-    return [[scale * x for x in row] for row in rows]
+        return block(m, n)
+    k = draw(st.integers(0, min(m, n) - 1))
+    a, b = block(m, k), block(k, n)
+    return [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(n)] for i in range(m)]
+
+
+def bareiss_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination over
+    Z: each update x*piv - f*y divides exactly by the previous pivot, so
+    every entry stays an integer minor."""
+    rows = [row[:] for row in rows]
+    rank, prev = 0, 1
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        piv, top = rows[rank][c], rows[rank][c + 1 :]
+        for row in rows[rank + 1 :]:
+            f = row[c]
+            for j, (x, y) in enumerate(zip(row[c + 1 :], top), c + 1):
+                quo, rem = divmod(x * piv - f * y, prev)
+                assert not rem, "Bareiss exact division failed"
+                row[j] = quo
+            row[c] = 0
+        prev, rank = piv, rank + 1
+    return rank
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
-def test_certified_rank_matches_bareiss_and_sympy(rows):
-    expected = sympy.Matrix(rows).rank()
-    assert strata._integer_rank(rows) == expected
-    assert strata._certified_rank(rows) == expected
+def test_bareiss_rank_matches_sympy(rows):
+    assert bareiss_rank(rows) == sympy.Matrix(rows).rank()
 
 
-@pytest.fixture
-def bareiss_calls(monkeypatch):
-    """The matrices that reach Bareiss over Z (``_integer_rank`` without a
-    modulus), recorded as they are passed."""
-    calls, integer_rank = [], strata._integer_rank
+def bareiss_report(t: PellTriple, chart: str) -> TangentReport:
+    """The tangent rank by elimination: the linearisation 2P dP - 2RQ dQ -
+    Q^2 dR as an integer matrix, ranked by :func:`bareiss_rank`.
 
-    def counted(rows, modulus=0):
-        if not modulus:
-            calls.append(rows)
-        return integer_rank(rows, modulus)
-
-    monkeypatch.setattr(strata, "_integer_rank", counted)
-    return calls
-
-
-@pytest.mark.parametrize("rows, rank_mod_p, rank", [
-    # det = p: full rank over Q, rank 1 mod p.
-    ([[1, 1], [1, 1 + RANK_PRIME]], 1, 2),
-    # Row 3 is row 1 + row 2; the entry p, which no update reduces, must not
-    # be taken for a pivot.
-    ([[0, RANK_PRIME, 1], [1, 0, 0], [1, RANK_PRIME, 1]], 2, 2),
-])
-def test_certified_rank_falls_back_below_full_rank_mod_p(bareiss_calls, rows, rank_mod_p, rank):
-    assert strata._integer_rank(rows, RANK_PRIME) == rank_mod_p
-    assert not bareiss_calls
-    assert strata._certified_rank(rows) == rank
-    assert bareiss_calls == [rows]
-
-
-def test_tangent_rank_takes_no_fallback_on_fixtures(triples, bareiss_calls):
-    demo = [
-        PellTriple.build(poly(-1, 0, 1), poly(0, 1), poly(-2, 0, 1)),
-        PellTriple.build(poly(0, 0, 1), poly(1), poly(-1, 0, 0, 0, 1)),
-        PellTriple.build(poly(1, 0, 1), poly(0, 1), poly(2, 0, 1)),
+    dP, dQ and dR run over the coefficients below the tops of P, Q and R,
+    and, for the normalized chart, below x^(2g+1) in R.  Column j holds the
+    numerators of direction j, that is the direction times its denominator
+    d_j > 0, which leaves the rank as it is over Q.  Row i is the x^i
+    coefficient, i < 2n.
+    """
+    n, g = t.order, t.genus
+    r_top = 2 * g + 2 if chart == CHART_MONIC else 2 * g + 1
+    columns = [
+        (0,) * j + d.num + (0,) * (2 * n - j - len(d.num))
+        for d, count in ((t.p * 2, n), (t.r * t.q * -2, t.q.degree), (t.q * t.q * -1, r_top))
+        for j in range(count)
     ]
-    charted = [t for t in triples + demo if t.chart in ("monic", "normalized")]
-    assert len(charted) > len(demo)
-    for t in charted:
-        tangent_rank(t)
-    assert bareiss_calls == []
+    rank = bareiss_rank([list(row) for row in zip(*columns)])
+    return TangentReport(len(columns), rank, len(columns) - rank)
 
 
-def test_rank_modulus_is_prime():
-    # Mod a composite the certificate is unsound: nonzero pivots can have a
-    # zero product.
-    assert _is_prime(RANK_PRIME)
-    assert not _is_prime(RANK_PRIME + 2)
+def assert_tangent_rank_matches_bareiss(t: PellTriple) -> None:
+    assert bareiss_report(t, t.chart) == tangent_rank(t), t
+
+
+def charted(triples: list[PellTriple]) -> list[PellTriple]:
+    """The distinct points that ``normalize`` moves the triples to, in the
+    monic and the normalized chart (where Q holds the n-th root of 1/lc(P)
+    that this takes), and each normalized point translated by x -> x + 1,
+    which leaves the normalized chart for the monic one."""
+    moved = (normalize(t.p, t.q, t.r, chart) for t in triples for chart in (CHART_MONIC, CHART_NORMALIZED))
+    points = list(dict.fromkeys(t for t in moved if isinstance(t, PellTriple)))
+    return points + [PellTriple.build(*(f.compose_linear(1, 1) for f in (t.p, t.q, t.r)))
+                     for t in points if t.chart == CHART_NORMALIZED]
+
+
+def kubert_solutions() -> list[PellTriple]:
+    """The solutions over Kubert's quartics at t = 3, of order N or 2N for the
+    torsion orders N = 4-10 and 12, and their squares and cubes of order
+    <= 24 (elimination at order 24 already takes about a second)."""
+    units = [pell_solve(kubert_r(n, KUBERT_T[0]), 30) for n in KUBERT_FIRES]
+    return units + [pell_power(t, k) for t in units for k in (2, 3) if k * t.order <= 24]
+
+
+def test_tangent_rank_matches_bareiss_on_the_corpus():
+    corpus = charted(fixture_family() + chebyshev_and_inflated(20))
+    assert {t.chart for t in corpus} == {CHART_MONIC, CHART_NORMALIZED}
+    assert sum(gcd(t.r, t.q).degree >= 1 for t in corpus) >= 10
+    for t in corpus:
+        assert_tangent_rank_matches_bareiss(t)
+
+
+def test_full_row_rank_at_kubert_solutions_and_their_powers():
+    # lc(P) is no n-th power in Q at any of these, so no chart holds them and
+    # tangent_rank refuses them.  The proof never uses lc(P) = lc(Q) = 1:
+    # the linearisation that keeps the tops of P, Q and R fixed has full row
+    # rank 2n at every solution, which elimination confirms here.
+    for t in kubert_solutions():
+        assert t.chart == CHART_GENERAL
+        assert isinstance(normalize(t.p, t.q, t.r, CHART_MONIC), Obstruction)
+        with pytest.raises(ValueError, match="chart"):
+            tangent_rank(t)
+        for chart in (CHART_MONIC, CHART_NORMALIZED):
+            assert bareiss_report(t, chart).rank == 2 * t.order, (t, chart)
+
+
+def test_tangent_rank_matches_bareiss_on_workload_triples(workloads):
+    count = 0
+    for seed in (101, 102, 103):
+        for index in range(3):
+            for case in workloads.triple_cases(seed, index):
+                t = PellTriple.build(UniPoly(case.p), UniPoly(case.q), UniPoly(case.r))
+                if t.chart != CHART_GENERAL:
+                    assert_tangent_rank_matches_bareiss(t)
+                    count += 1
+    assert count == 9 * 90  # 45 inflation kinds a round, two triples each
+
+
+@settings(max_examples=40, deadline=None)
+@given(inflation_inputs())
+def test_tangent_rank_matches_bareiss_on_inflations(inputs):
+    for t in charted([inflate(*inputs)]):
+        assert_tangent_rank_matches_bareiss(t)
