@@ -87,8 +87,9 @@ def _cmd_pell_solve(args):
     expansion = pell.cf_steps(r)
     steps: list[pell.CFStep] = []
     # One lazy expansion, read by least_unit alone: up to the unit on a hit,
-    # and on a miss up to where its palindrome bound proves there is no unit
-    # of degree <= n_max.  The check lists the degrees it read, up to n_max.
+    # and on a miss up to where it proves there is no unit of degree <=
+    # n_max: step 0 when the expansion modulo its prime shows the miss, else
+    # the palindrome bound.  The check lists the degrees it read, up to n_max.
     # Only the steps' norms and degrees are read; minimal_solution builds the
     # unit's convergent.
     unit = pell.least_unit((steps.append(step) or step for step in expansion), args.n_max)
@@ -244,7 +245,7 @@ def _cmd_strata_nilpotency(args):
 
 
 def _cmd_strata_tangent_rank(args):
-    from . import pell, strata
+    from . import strata
 
     t = _triple_from_args(args)
     rep = strata.tangent_rank(t)
@@ -254,10 +255,8 @@ def _cmd_strata_tangent_rank(args):
         "rank": rep.rank,
         "corank": rep.corank,
     }
-    expected = t.genus if t.chart == pell.CHART_NORMALIZED else t.genus + 1
-    checks = [check("corank_is_chart_dimension", rep.corank == expected, expected=expected)]
     lines = [f"variables {rep.variables}, rank {rep.rank}, corank {rep.corank}"]
-    return EXIT_OK, result, checks, lines
+    return EXIT_OK, result, [], lines
 
 
 def _cmd_components_count(args):

@@ -169,15 +169,20 @@ def _is_prime(q: int) -> bool:
     return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
 
 
+def _squarefree_mod(f: list[int], p: int) -> bool:
+    """Whether f, whose leading coefficient p does not divide, is squarefree
+    modulo the prime p."""
+    fp = [c % p for c in f]
+    df = _trim([i * c % p for i, c in enumerate(fp)][1:])
+    return len(fp_gcd(fp, df, p)) == 1
+
+
 def _good_prime(f: list[int]) -> int:
     """The smallest odd prime not dividing lc(f) modulo which f stays squarefree."""
     p = 3
     while True:
-        if _is_prime(p) and f[-1] % p:
-            fp = [c % p for c in f]
-            df = _trim([i * c % p for i, c in enumerate(fp)][1:])
-            if len(fp_gcd(fp, df, p)) == 1:
-                return p
+        if _is_prime(p) and f[-1] % p and _squarefree_mod(f, p):
+            return p
         p += 2
 
 

@@ -11,9 +11,10 @@ convergent is built on demand, by the solver only for the unit.  The surds
 stay exact -- no series truncation enters the main loop.  One division per
 step gives the floor and, as its remainder, the next A; exact division keeps
 each surd reduced: the next denominator is (R - A^2)/B, which raises unless
-B divides R - A^2.  The period of a Pellian R is a palindrome, so a search
-up to order n_max that has not seen its middle by degree n_max // 2 + g + 1
-stops there (:func:`least_unit`).
+B divides R - A^2.  A miss is proved after step 0 when the expansion modulo
+a prime of good reduction finds no unit; otherwise the period of a Pellian R
+is a palindrome, so a search up to order n_max that has not seen its middle
+by degree n_max // 2 + g + 1 stops there (:func:`least_unit`).
 
 Solutions of a fixed R form a group under (P1 + sqrt(R) Q1)(P2 + sqrt(R) Q2);
 charts record how far a solution has been normalised:
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator
 from .limits import MAX_DEGREE, ResourceLimit
 from .parsing import printable
 from .rationals import rational_nth_root
-from .unipoly import UniPoly, is_squarefree
+from .unipoly import ONE, ZERO, UniPoly, is_squarefree
 
 CHART_GENERAL = "general"
 CHART_MONIC = "monic"
@@ -42,6 +43,11 @@ CHARTS = (CHART_GENERAL, CHART_MONIC, CHART_NORMALIZED)
 INFLATE_DIVIDES = "divides_g_plus_1"
 INFLATE_EVEN_HALF = "even_half"
 INFLATE_ODD = "odd"
+
+#: The prime modulo which :func:`least_unit` reads the degree of the unit
+#: before it expands past step 0: word-sized, so that products stay small,
+#: and far above any order the package searches.
+_PRIME = 2**31 - 1
 
 
 def _r_failures(r: UniPoly) -> list[str]:
@@ -191,8 +197,8 @@ class CFStep:
     def convergent(self) -> tuple[UniPoly, UniPoly]:
         """(P_k, Q_k) by the recurrence X_i = a_i X_(i-1) + X_(i-2), from
         (P_0, P_(-1)) = (a_0, 1) and (Q_0, Q_(-1)) = (1, 0)."""
-        p, p_prev = self.partial_quotients[0], UniPoly((1,))
-        q, q_prev = UniPoly((1,)), UniPoly(())
+        p, p_prev = self.partial_quotients[0], ONE
+        q, q_prev = ONE, ZERO
         for a in self.partial_quotients[1:]:
             p, p_prev = a * p + p_prev, p
             q, q_prev = a * q + q_prev, q
@@ -294,16 +300,77 @@ def _proportional(u: UniPoly, v: UniPoly) -> bool:
     return all(a * lv == b * lu for a, b in zip(u.num, v.num))
 
 
+def _unit_degree_mod_p(y: UniPoly, b: UniPoly, max_order: int) -> int | None:
+    """The degree a unit of R = Y^2 + B_1 of degree <= max_order must have,
+    read modulo the prime p = ``_PRIME`` from a_0 = Y and B_1.
+
+    When p is good for R (max_order < p, p divides no denominator of Y or
+    B_1, and R mod p is squarefree), this is the degree of the unit over F_p
+    if it is at most max_order, and None if there is none up to max_order
+    (why, see :func:`least_unit`).  When p is bad it is max_order itself.
+    The expansion is that of :func:`_cf_steps` over F_p, with the same exact
+    division of R - A_(k+1)^2 by B_k, on the modular kernel of
+    :mod:`abelpell.factorization`.
+    """
+    # deferred: a hit is answered at step 0 and never loads the kernel
+    from .factorization import _add, _squarefree_mod, _sub, fp_divmod, fp_mul
+
+    p = _PRIME
+    if max_order >= p or y.den % p == 0 or b.den % p == 0:
+        return max_order
+    y = fp_mul(y.num, [pow(y.den, -1, p)], p)
+    b = fp_mul(b.num, [pow(b.den, -1, p)], p)
+    r = _add(fp_mul(y, y, p), b, p)
+    if not _squarefree_mod(r, p):
+        return max_order
+    a, degree = y, len(y) - 1
+    while len(b) > 1:
+        partial, rem = fp_divmod(_add(a, y, p), b, p)
+        degree += len(partial) - 1
+        if degree > max_order:
+            return None
+        a = _sub(y, rem, p)
+        b, rest = fp_divmod(_sub(r, fp_mul(a, a, p), p), b, p)
+        if rest:
+            raise AssertionError("a surd modulo p is not reduced")
+    return degree
+
+
 def least_unit(steps: Iterable[CFStep], max_order: int) -> CFStep | None:
     """The fundamental unit: the first constant-norm step among ``steps``
     (the expansion of sqrt(R) from step 0) of degree up to ``max_order``;
     None if there is none.  No convergent is built.
 
-    A miss stops at the middle of the period it would have: None is returned
-    at the first step of degree above max_order // 2 + deg P_0 (deg P_0 =
-    g + 1) unless the centre test has fired by then.  The test fires at step
-    k when norm_k is a constant times norm_(k-1) or norm_(k-2); after that the
-    search runs on to max_order, so a false fire costs time, never an answer.
+    Most misses are proved after step 0.  If step 0 is not the unit, its
+    a_0 = Y and B_1 = -norm_0 give R = Y^2 + B_1, and the expansion is run
+    modulo the prime p = 2^31 - 1 (:func:`_unit_degree_mod_p`).  When p is
+    good for R and finds no unit of degree <= max_order over F_p, None is
+    returned; when it finds one of degree d, max_order becomes d.  When p is
+    bad, max_order stays.
+
+    Why this keeps every answer.  A unit P + Q sqrt(R) of degree d has the
+    divisor d (inf_- - inf_+) or its negative, with inf_+- the two points at
+    infinity of the curve y^2 = R, and a function with that divisor is a
+    unit of degree d.  So over a field of characteristic 0 or an odd p, the
+    least unit's degree is the order of the class of inf_+ - inf_- in the
+    Jacobian there (Abel, Crelle J. 1 (1826)).  A good p is a prime of good
+    reduction for the curve: R is p-integral and monic, so it keeps its
+    degree 2g + 2 mod p, and it stays squarefree; inf_+- reduce to the two
+    points at infinity mod p.  Reduction maps the Jacobian over Q to
+    the one over F_p and is injective on torsion of order prime to p (Katz,
+    Invent. Math. 62 (1981), appendix; Platonov, Russian Math. Surveys 69
+    (2014), reduces the polynomial Pell equation the same way).  So a unit
+    over Q of degree d <= max_order < p makes one over F_p of the same degree
+    d.  No unit over F_p up to max_order then proves a miss, and an F_p unit
+    of degree d leaves d as the only degree a unit over Q up to max_order
+    can have: the exact search to max_order = d gives the same answer.
+
+    The exact search stops a miss at the middle of the period it would
+    have: None is returned at the first step of degree above max_order // 2
+    + deg P_0 (deg P_0 = g + 1) unless the centre test has fired by then.
+    The test fires at step k when norm_k is a constant times norm_(k-1) or
+    norm_(k-2); after that the search runs on to max_order, so a false fire
+    costs time, never an answer.
 
     Why a unit of degree d <= max_order fires the test in time.  Write x_k =
     (A_k + sqrt(R))/B_k for the surds, so x_k = a_k + 1/x_(k+1), norm_k =
@@ -336,6 +403,9 @@ def least_unit(steps: Iterable[CFStep], max_order: int) -> CFStep | None:
         if step.constant_norm:
             return step
         if bound is None:
+            max_order = _unit_degree_mod_p(step.partial_quotients[0], -step.norm, max_order)
+            if max_order is None:
+                return None
             bound = max_order // 2 + degree
         if degree > bound:
             return None

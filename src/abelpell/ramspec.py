@@ -63,11 +63,16 @@ class RamSpec:
 
 def genus_of_ramspec(spec: RamSpec) -> int:
     """Genus of the double cover forced by the marked profiles: (t - 2)/2
-    where t counts their odd parts.  Odd t means no double cover exists."""
-    t = spec.odd_marked_parts()
-    if t < 2 or t % 2 == 1:
-        raise ValueError(f"odd-part count {t} admits no hyperelliptic double cover")
-    return (t - 2) // 2
+    where t counts their odd parts.
+
+    t is always even and at least 2, so no check is needed.  Each marked
+    profile is a partition of n, whose number of odd parts has the parity
+    of n, so t is even.  t = 0 would need two all-even marked members, and
+    a partition of n into even parts has ramification sum (e - 1) >= n/2,
+    so the two alone would exceed the total n - 1 that
+    :meth:`RamSpec.validate` enforces.
+    """
+    return (spec.odd_marked_parts() - 2) // 2
 
 
 def polt_dimension(spec: RamSpec) -> int:

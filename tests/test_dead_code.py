@@ -276,6 +276,7 @@ LIBRARY_GUARDS = (
     "geometry.multiplicity_partition",
     "geometry.unassigned_branch",
     "pell._sqrt_and_rest",
+    "pell._unit_degree_mod_p",
     "pell.minimal_solution",
     "pell.normalize",
     "strata.weighted_sigma",

@@ -160,6 +160,34 @@ def test_genus_of_ramspec():
     assert genus_of_ramspec(RamSpec(3, ((3,), (1, 1, 1)), ((3,), (1, 1, 1)))) == 1
 
 
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n with parts at most ``largest``, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for e in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - e, e):
+            yield (e, *rest)
+
+
+def test_marked_profiles_have_an_even_odd_part_count_of_at_least_2():
+    # Every pair of marked profiles up to n = 7: a RamSpec holds them (padded
+    # with simple branch points up to the total n - 1) exactly when their own
+    # ramification is at most n - 1, and then genus_of_ramspec's t is even
+    # and at least 2.
+    for n in range(1, 8):
+        for a in partitions(n):
+            for b in partitions(n):
+                ramification = sum(e - 1 for e in a + b)
+                pad = ((2,) + (1,) * (n - 2),) * max(n - 1 - ramification, 0)
+                if ramification > n - 1:
+                    with pytest.raises(ValueError):
+                        RamSpec(n, (a, b), (a, b))
+                    continue
+                t = RamSpec(n, (a, b, *pad), (a, b)).odd_marked_parts()
+                assert t % 2 == 0 and t >= 2
+
+
 def test_ramspec_validation():
     with pytest.raises(ValueError):
         RamSpec(3, ((3,), (2, 1)), ((3,), (2, 1)))  # total ramification 3 != 2

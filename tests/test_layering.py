@@ -49,6 +49,10 @@ def loaded_modules(argv: list[str], module: str = "abelpell") -> set[str]:
     ([], None),
     (["pell", "verify", "x^2", "1", "x^4-1"],
      {"geometry", "factorization", "components", "perms", "strata"}),
+    # A hit is answered at step 0, before the miss prefilter loads the
+    # modular kernel of factorization.
+    (["pell", "solve", "x^2-2"], {"geometry", "factorization", "components", "perms", "strata"}),
+    (["pell", "solve", "x^4+x+1", "--n-max", "10"], {"geometry", "components", "perms", "strata"}),
     (["components", "count", "--genus", "1", "--order", "4"],
      {"geometry", "factorization", "strata", "parsing", "unipoly", "pell", "rationals"}),
     (["components", "list", "--genus", "1", "--order", "4"],

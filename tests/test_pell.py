@@ -228,17 +228,43 @@ def built_degrees(monkeypatch) -> list[int]:
     return built
 
 
+# x^4 + x + 1 with x scaled by the prime of least_unit: the prime divides
+# the denominators of its coefficients, so it is bad for this R, and the
+# exact search runs with no prefilter.
+R_BAD_AT_P = affine_image(R_QUARTIC, pell._PRIME, 0)
+
+
+def test_a_miss_the_prefilter_proves_reads_step_0(monkeypatch):
+    # Modulo the prime, x^4 + x + 1 has no unit of degree <= 10.
+    refuse_convergents(monkeypatch)
+    built = built_degrees(monkeypatch)
+    assert pell_solve(R_QUARTIC, 10) is None
+    assert built == [2]
+
+
 def test_a_miss_builds_no_convergent(monkeypatch):
     refuse_convergents(monkeypatch)
-    assert pell_solve(R_QUARTIC, 20) is None
+    assert pell_solve(R_BAD_AT_P, 20) is None
 
 
 def test_a_miss_stops_at_half_n_max(monkeypatch):
-    # x^4 + x + 1 has no unit: its convergent degrees are 2, 3, 4, ..., and
-    # the search stops at the first above 10 // 2 + g + 1 = 7, not above 10.
+    # Like x^4 + x + 1, its image has no unit: its convergent degrees are 2,
+    # 3, 4, ..., and the search stops at the first above 10 // 2 + g + 1 =
+    # 7, not above 10.
     built = built_degrees(monkeypatch)
-    assert pell_solve(R_QUARTIC, 10) is None
+    assert pell_solve(R_BAD_AT_P, 10) is None
     assert built == list(range(2, 9))
+
+
+@pytest.mark.parametrize("r, max_order", [
+    (R_BAD_AT_P, 10),
+    (poly(1, pell._PRIME, 2, 0, 1), 10),  # (x^2 + 1)^2 + p x, a square mod p
+    (kubert_r(5, 3), pell._PRIME),  # a unit of degree p could be p-torsion
+], ids=str)
+def test_a_bad_prime_leaves_max_order(r, max_order):
+    assert is_squarefree(r)
+    assert pell._unit_degree_mod_p(*pell._sqrt_and_rest(r), max_order) == max_order
+    assert index_of(least_unit(cf_steps(r), max_order)) == plain_least_unit(r, max_order)
 
 
 def plain_least_unit(r, n_max):
@@ -353,11 +379,16 @@ def test_steps_past_the_unit_match_the_eager_expansion(text):
 @pytest.mark.parametrize("n", KUBERT_FIRES)
 def test_kubert_units(n, t):
     # The unit has the order n of the torsion point; the solution is the
-    # unit itself for odd n and its square for even n.
+    # unit itself for odd n and its square for even n.  The point reduces to
+    # one of order n modulo the prime of least_unit, which is good for these
+    # R, so the unit over F_p has degree n too.
     r = kubert_r(n, t)
     unit = fundamental_unit(r, 30)
     assert (unit.index, unit.degree) == (n - 2, n)
     assert pell_solve(r, 30).order == (n if n % 2 else 2 * n)
+    y, b = pell._sqrt_and_rest(r)
+    assert pell._unit_degree_mod_p(y, b, 30) == n
+    assert pell._unit_degree_mod_p(y, b, n - 1) is None
 
 
 AFFINE_X6 = parse_poly("x^6 + 9*x^5 + 135/4*x^4 + 135/2*x^3 + 1215/16*x^2 + 729/16*x - 729/64")
