@@ -86,12 +86,12 @@ def _cmd_pell_solve(args):
     r = parse_poly(args.r)
     expansion = pell.cf_steps(r)
     steps: list[pell.CFStep] = []
-    # One lazy expansion, read by least_unit alone: up to the unit on a hit,
-    # and on a miss up to where it proves there is no unit of degree <=
-    # n_max: step 0 when the expansion modulo its prime shows the miss, else
-    # the palindrome bound.  The check lists the degrees it read, up to n_max.
-    # Only the steps' norms and degrees are read; minimal_solution builds the
-    # unit's convergent.
+    # One lazy expansion, read by least_unit alone: up to the unit on a hit;
+    # on a miss, step 0 when the expansion modulo a prime of good reduction
+    # finds no unit of degree <= n_max, else up to the degree d of the unit
+    # there.  The check lists the degrees it read, up to n_max.  Only the
+    # steps' norms and degrees are read; minimal_solution builds the unit's
+    # convergent.
     unit = pell.least_unit((steps.append(step) or step for step in expansion), args.n_max)
     triple = pell.minimal_solution(r, unit, args.n_max)
     searched = [step.degree for step in steps if step.degree <= args.n_max]

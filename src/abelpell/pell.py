@@ -11,10 +11,9 @@ convergent is built on demand, by the solver only for the unit.  The surds
 stay exact -- no series truncation enters the main loop.  One division per
 step gives the floor and, as its remainder, the next A; exact division keeps
 each surd reduced: the next denominator is (R - A^2)/B, which raises unless
-B divides R - A^2.  A miss is proved after step 0 when the expansion modulo
-a prime of good reduction finds no unit; otherwise the period of a Pellian R
-is a palindrome, so a search up to order n_max that has not seen its middle
-by degree n_max // 2 + g + 1 stops there (:func:`least_unit`).
+B divides R - A^2.  A miss is decided modulo a prime of good reduction: the
+expansion there gives the only degree a unit over Q can have, and when it
+finds none, the search stops after step 0 (:func:`least_unit`).
 
 Solutions of a fixed R form a group under (P1 + sqrt(R) Q1)(P2 + sqrt(R) Q2);
 charts record how far a solution has been normalised:
@@ -44,9 +43,9 @@ INFLATE_DIVIDES = "divides_g_plus_1"
 INFLATE_EVEN_HALF = "even_half"
 INFLATE_ODD = "odd"
 
-#: The prime modulo which :func:`least_unit` reads the degree of the unit
-#: before it expands past step 0: word-sized, so that products stay small,
-#: and far above any order the package searches.
+#: The first prime modulo which :func:`least_unit` reads the degree of the
+#: unit before it expands past step 0: word-sized, so that products stay
+#: small, and far above any order the package searches.
 _PRIME = 2**31 - 1
 
 
@@ -291,45 +290,37 @@ def cf_steps(r: UniPoly) -> Iterator[CFStep]:
     return _cf_steps(r)
 
 
-def _proportional(u: UniPoly, v: UniPoly) -> bool:
-    """Whether the nonzero u is a constant times v: equal degrees, then the
-    integer numerators cross-multiplied against the leading ones."""
-    if len(u.num) != len(v.num):
-        return False
-    lu, lv = u.num[-1], v.num[-1]
-    return all(a * lv == b * lu for a, b in zip(u.num, v.num))
-
-
 def _unit_degree_mod_p(y: UniPoly, b: UniPoly, max_order: int) -> int | None:
-    """The degree a unit of R = Y^2 + B_1 of degree <= max_order must have,
-    read modulo the prime p = ``_PRIME`` from a_0 = Y and B_1.
+    """The degree of the unit over F_p of R = Y^2 + B_1, read from a_0 = Y
+    and B_1 at the first prime p >= ``_PRIME`` that is good for R; None if
+    there is none of degree <= max_order (why this decides a miss, see
+    :func:`least_unit`).
 
-    When p is good for R (max_order < p, p divides no denominator of Y or
-    B_1, and R mod p is squarefree), this is the degree of the unit over F_p
-    if it is at most max_order, and None if there is none up to max_order
-    (why, see :func:`least_unit`).  When p is bad it is max_order itself.
-    The expansion is that of :func:`_cf_steps` over F_p, with the same exact
-    division of R - A_(k+1)^2 by B_k, on the modular kernel of
-    :mod:`abelpell.factorization`.
+    p is good when it divides no denominator of Y or B_1 and R mod p is
+    squarefree; only finitely many primes are bad for one R, so the search
+    for a good one ends.  The expansion is that of :func:`_cf_steps` over
+    F_p, with the same exact division of R - A_(k+1)^2 by B_k, on the
+    modular kernel of :mod:`abelpell.factorization`.
     """
     # deferred: a hit is answered at step 0 and never loads the kernel
-    from .factorization import _add, _squarefree_mod, _sub, fp_divmod, fp_mul
+    from .factorization import _add, _is_prime, _squarefree_mod, _sub, fp_divmod, fp_mul
 
     p = _PRIME
-    if max_order >= p or y.den % p == 0 or b.den % p == 0:
-        return max_order
-    y = fp_mul(y.num, [pow(y.den, -1, p)], p)
-    b = fp_mul(b.num, [pow(b.den, -1, p)], p)
-    r = _add(fp_mul(y, y, p), b, p)
-    if not _squarefree_mod(r, p):
-        return max_order
-    a, degree = y, len(y) - 1
+    while True:
+        if y.den % p and b.den % p:
+            yp = fp_mul(y.num, [pow(y.den, -1, p)], p)
+            bp = fp_mul(b.num, [pow(b.den, -1, p)], p)
+            r = _add(fp_mul(yp, yp, p), bp, p)
+            if _squarefree_mod(r, p):
+                break
+        p = next(q for q in count(p + 2, 2) if _is_prime(q))
+    a, b, degree = yp, bp, len(yp) - 1
     while len(b) > 1:
-        partial, rem = fp_divmod(_add(a, y, p), b, p)
+        partial, rem = fp_divmod(_add(a, yp, p), b, p)
         degree += len(partial) - 1
         if degree > max_order:
             return None
-        a = _sub(y, rem, p)
+        a = _sub(yp, rem, p)
         b, rest = fp_divmod(_sub(r, fp_mul(a, a, p), p), b, p)
         if rest:
             raise AssertionError("a surd modulo p is not reduced")
@@ -341,12 +332,15 @@ def least_unit(steps: Iterable[CFStep], max_order: int) -> CFStep | None:
     (the expansion of sqrt(R) from step 0) of degree up to ``max_order``;
     None if there is none.  No convergent is built.
 
-    Most misses are proved after step 0.  If step 0 is not the unit, its
-    a_0 = Y and B_1 = -norm_0 give R = Y^2 + B_1, and the expansion is run
-    modulo the prime p = 2^31 - 1 (:func:`_unit_degree_mod_p`).  When p is
-    good for R and finds no unit of degree <= max_order over F_p, None is
-    returned; when it finds one of degree d, max_order becomes d.  When p is
-    bad, max_order stays.
+    If step 0 is not the unit, its a_0 = Y and B_1 = -norm_0 give R = Y^2 +
+    B_1, and the expansion is run modulo a prime p of good reduction for R
+    (:func:`_unit_degree_mod_p`) up to the same degree.  If it finds no
+    unit, there is none over Q, and the search stops after step 0; if it
+    finds one of degree d, a unit over Q can have no other degree, and the
+    exact search stops past d.  The degree searched is capped at
+    :data:`abelpell.limits.MAX_DEGREE`: a unit below the cap is found
+    whatever max_order is, and when there is none, a max_order above the cap
+    raises ``ResourceLimit``.
 
     Why this keeps every answer.  A unit P + Q sqrt(R) of degree d has the
     divisor d (inf_- - inf_+) or its negative, with inf_+- the two points at
@@ -360,65 +354,29 @@ def least_unit(steps: Iterable[CFStep], max_order: int) -> CFStep | None:
     the one over F_p and is injective on torsion of order prime to p (Katz,
     Invent. Math. 62 (1981), appendix; Platonov, Russian Math. Surveys 69
     (2014), reduces the polynomial Pell equation the same way).  So a unit
-    over Q of degree d <= max_order < p makes one over F_p of the same degree
-    d.  No unit over F_p up to max_order then proves a miss, and an F_p unit
-    of degree d leaves d as the only degree a unit over Q up to max_order
-    can have: the exact search to max_order = d gives the same answer.
-
-    The exact search stops a miss at the middle of the period it would
-    have: None is returned at the first step of degree above max_order // 2
-    + deg P_0 (deg P_0 = g + 1) unless the centre test has fired by then.
-    The test fires at step k when norm_k is a constant times norm_(k-1) or
-    norm_(k-2); after that the search runs on to max_order, so a false fire
-    costs time, never an answer.
-
-    Why a unit of degree d <= max_order fires the test in time.  Write x_k =
-    (A_k + sqrt(R))/B_k for the surds, so x_k = a_k + 1/x_(k+1), norm_k =
-    (-1)^(k+1) B_(k+1) and R - A_k^2 = B_k B_(k-1); put y_k = -1/conj(x_k).
-    Conjugating the recurrence gives y_(k+1) = a_k + 1/y_k, with y_1 = Y +
-    sqrt(R), Y = a_0.  For k >= 1 the surd is reduced: deg(sqrt(R) - A_k) <
-    deg B_k < deg(sqrt(R) + A_k) = g + 1 at infinity, so deg a_k <= g + 1
-    and y_k has positive degree.  Let B_r = c be the first constant
-    denominator (the unit is step r - 1).  Reducedness gives A_r = Y, so y_r
-    = c/(sqrt(R) - Y) = c x_1.  If y_(r+1-j) = e x_j for a constant e, the
-    polynomial parts give a_(r-j) = e a_j and the rest y_(r-j) = x_(j+1)/e;
-    so by induction y_(r+1-j) = c^(+-1) x_j.  As y_m = (A_m + sqrt(R))/B_(m-1),
-    this reads A_(r+1-j) = A_j and B_(r-j) proportional to B_j, with
-    deg a_(r-j) = deg a_j, for 1 <= j <= r - 1.  At h = r // 2 this gives
-    B_(h+1) ~ B_h when r is odd (j = h) and B_(h+1) ~ B_(h-1) when r is even
-    (j = h - 1): norm_h ~ norm_(h-1) or norm_(h-2), both earlier steps
-    unless r <= 2, when the unit is step h itself.  Summing the mirrored
-    degrees, d = g + 1 + sum_(0<j<r) deg a_j and deg P_h = (d + g + 1)/2 for
-    odd r, (d + g + 1 + deg a_h)/2 for even r; both are at most d // 2 + g + 1
-    <= max_order // 2 + g + 1, so the test fires before the bound is passed.
-    (The symmetry is Abel's palindromic period; see Berry, Arch. Math. 55
-    (1990), and van der Poorten and Tran, Monatsh. Math. 131 (2000).)
+    over Q of degree d makes one over F_p of the same degree d, as d <=
+    MAX_DEGREE < p.
     """
-    bound = None
-    recent: tuple[UniPoly, ...] = ()  # the norms of the last two steps
+    cap = min(max_order, MAX_DEGREE)
     for step in steps:
-        degree = step.degree
-        if degree > max_order:
-            return None
+        if step.degree > cap:
+            break
         if step.constant_norm:
             return step
-        if bound is None:
-            max_order = _unit_degree_mod_p(step.partial_quotients[0], -step.norm, max_order)
-            if max_order is None:
-                return None
-            bound = max_order // 2 + degree
-        if degree > bound:
-            return None
-        if bound < max_order and any(_proportional(step.norm, b) for b in recent):
-            bound = max_order
-        recent = (step.norm, *recent[:1])
+        if step.index == 0:
+            cap = _unit_degree_mod_p(step.partial_quotients[0], -step.norm, cap)
+            if cap is None:
+                break
+    if max_order > MAX_DEGREE:
+        raise ResourceLimit(f"no unit of degree <= {MAX_DEGREE}, and n_max = {max_order} "
+                            f"exceeds the cap of {MAX_DEGREE}")
     return None
 
 
 def fundamental_unit(r: UniPoly, max_order: int) -> CFStep | None:
     """The step of the least-degree convergent with constant norm, searching
     convergents of degree up to ``max_order``; None if there is none in range.
-    A miss expands only to degree max_order // 2 + g + 1 (see
+    A miss is decided modulo a prime of good reduction (see
     :func:`least_unit`)."""
     return least_unit(cf_steps(r), max_order)
 

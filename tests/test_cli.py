@@ -14,10 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_dead_code import CONSTANT_CHECKS
 from test_parsing import int_digit_limit
-from test_pell import (AFFINE_X6, KUBERT_FIRES, KUBERT_T, built_degrees, count_convergents,
-                       eager_cf_steps, proportional, refuse_convergents, small_squarefree)
+from test_pell import (ACCIDENTAL_TORSION, AFFINE_X6, KUBERT_FIRES, KUBERT_T, built_degrees,
+                       count_convergents, eager_cf_steps, refuse_convergents, small_squarefree)
 
-from abelpell import cli
+from abelpell import cli, pell
 from abelpell.cli import main, triple_json
 from abelpell.pell import pell_power, pell_solve
 from abelpell.unipoly import UniPoly, poly
@@ -424,8 +424,6 @@ def test_pell_solve_golden_output(capsys, name, argv, exit_code):
 
 
 def test_pell_solve_expands_once(capsys, monkeypatch):
-    from abelpell import pell
-
     calls = []
     steps = pell._cf_steps
     monkeypatch.setattr(pell, "_cf_steps", lambda r: calls.append(r) or steps(r))
@@ -457,34 +455,36 @@ def solve_report(r: UniPoly, n_max: int) -> tuple[int, dict]:
 @settings(max_examples=100, deadline=None)
 @given(small_squarefree(5), st.integers(1, 12))
 @example(poly(1, 1, 0, 0, 1), 10)
+@example(ACCIDENTAL_TORSION[5], 12)
+@example(ACCIDENTAL_TORSION[7], 12)
+@example(ACCIDENTAL_TORSION[9], 12)
+@example(ACCIDENTAL_TORSION[12], 12)
 def test_pell_solve_lists_what_the_search_read(r, n_max):
-    # The answer is the library's.  The orders are a prefix of the step
-    # degrees (from the eager expansion) that ends at the unit on a hit, and
-    # on a miss passes n_max // 2 + g + 1 by more than the step that ends the
-    # search only when a norm has been a constant times one of the two
-    # before it, which sends the search on to n_max.
+    # The answer is the library's.  The orders are the step degrees up to
+    # n_max (from the eager expansion) that the search read: on a hit, up to
+    # the unit; on a miss, step 0's alone (g + 1) when R has no unit of
+    # degree <= n_max modulo the prime of least_unit, else the degrees up to
+    # the unit's degree d there and the first one past it.
     g = r.degree // 2 - 1
     n_max = max(n_max, g + 1)
     code, report = solve_report(r, n_max)
     triple = pell_solve(r, n_max)
     assert (code, report["result"]["solution"]) == (
         (1, None) if triple is None else (0, triple_json(triple)))
-    degrees, norms = [], []
+    degrees, hit = [], False
     for _, _, p, _, norm in eager_cf_steps(r):
         if p.degree > n_max:
             break
         degrees.append(p.degree)
-        norms.append(norm)
-        if norm.degree <= 0:
+        if hit := norm.degree <= 0:
             break
     orders = report["checks"][0]["orders"]
-    assert orders == degrees[:len(orders)]
-    fired = any(proportional(norms[i], norms[i - back])
-                for i in range(len(orders) - 1) for back in (1, 2) if i >= back)
-    if norms[-1].degree <= 0 or fired:
+    if hit:
         assert orders == degrees
     else:
-        assert all(d <= n_max // 2 + g + 1 for d in orders[:-1])
+        d = pell._unit_degree_mod_p(*pell._sqrt_and_rest(r), n_max)
+        assert orders == ([g + 1] if d is None else
+                          [e for e in degrees if e <= d] + [e for e in degrees if e > d][:1])
 
 
 @pytest.mark.parametrize("t", KUBERT_T, ids=str)
@@ -539,6 +539,16 @@ def test_pell_solve_huge_n_max(capsys):
         assert code == 0 and report["inputs"].pop("n_max") == report["result"].pop("n_max")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def test_pell_solve_miss_past_the_degree_cap_exits_3(capsys):
+    # The search for a unit stops at the degree cap, so a miss with n_max
+    # above it cannot be proved and exits 3 at once, however large n_max is.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pell", "solve", "x^4+x+1", "--n-max", str(10**7))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and "exceeds the cap of 500" in err
+    assert "Traceback" not in err
 
 
 def test_out_unwritable_exit(capsys, tmp_path):

@@ -3,10 +3,11 @@ import json
 import random
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from conftest import chebyshev_triple, kubert_r
 from test_parsing import int_digit_limit
@@ -230,8 +231,9 @@ def built_degrees(monkeypatch) -> list[int]:
 
 # x^4 + x + 1 with x scaled by the prime of least_unit: the prime divides
 # the denominators of its coefficients, so it is bad for this R, and the
-# exact search runs with no prefilter.
+# search moves on to the next prime, 2^31 + 11.
 R_BAD_AT_P = affine_image(R_QUARTIC, pell._PRIME, 0)
+NEXT_PRIME = 2**31 + 11
 
 
 def test_a_miss_the_prefilter_proves_reads_step_0(monkeypatch):
@@ -247,24 +249,38 @@ def test_a_miss_builds_no_convergent(monkeypatch):
     assert pell_solve(R_BAD_AT_P, 20) is None
 
 
-def test_a_miss_stops_at_half_n_max(monkeypatch):
-    # Like x^4 + x + 1, its image has no unit: its convergent degrees are 2,
-    # 3, 4, ..., and the search stops at the first above 10 // 2 + g + 1 =
-    # 7, not above 10.
-    built = built_degrees(monkeypatch)
-    assert pell_solve(R_BAD_AT_P, 10) is None
-    assert built == list(range(2, 9))
-
-
-@pytest.mark.parametrize("r, max_order", [
-    (R_BAD_AT_P, 10),
-    (poly(1, pell._PRIME, 2, 0, 1), 10),  # (x^2 + 1)^2 + p x, a square mod p
-    (kubert_r(5, 3), pell._PRIME),  # a unit of degree p could be p-torsion
+@pytest.mark.parametrize("r, unit_degree", [
+    (R_BAD_AT_P, None),
+    (poly(1, pell._PRIME, 2, 0, 1), None),  # (x^2 + 1)^2 + p x, a square mod p
+    (affine_image(R_QUARTIC, pell._PRIME * NEXT_PRIME, 0), None),  # bad at both
+    (affine_image(kubert_r(7, 3), pell._PRIME, 0), 7),
+    (affine_image(kubert_r(7, 3), pell._PRIME * NEXT_PRIME, 0), 7),
 ], ids=str)
-def test_a_bad_prime_leaves_max_order(r, max_order):
+def test_a_bad_prime_moves_the_search_to_the_next_good_one(monkeypatch, r, unit_degree):
+    # A miss is still proved at step 0, and a unit is still found: a search
+    # that gave up at a bad prime would miss Kubert's unit of degree 7.
+    assert all(NEXT_PRIME % d for d in range(2, isqrt(NEXT_PRIME) + 1))
     assert is_squarefree(r)
-    assert pell._unit_degree_mod_p(*pell._sqrt_and_rest(r), max_order) == max_order
-    assert index_of(least_unit(cf_steps(r), max_order)) == plain_least_unit(r, max_order)
+    built = built_degrees(monkeypatch)
+    assert index_of(least_unit(cf_steps(r), 10)) == plain_least_unit(r, 10)
+    assert built == ([2] if unit_degree is None else list(range(2, unit_degree + 1)))
+
+
+# Kubert's quartic plus p x: modulo the prime of least_unit it is Kubert's
+# quartic, whose unit there has degree N, but it has no unit over Q of
+# degree <= 12.  The degree over F_p only bounds the exact search.
+ACCIDENTAL_TORSION = {n: kubert_r(n, 3) + poly(0, pell._PRIME) for n in (5, 7, 9, 12)}
+
+
+@pytest.mark.parametrize("n", ACCIDENTAL_TORSION)
+def test_accidental_torsion_is_searched_up_to_its_degree_mod_p(monkeypatch, n):
+    # The search reads every step up to degree N and stops at the first
+    # step past it.
+    r = ACCIDENTAL_TORSION[n]
+    built = built_degrees(monkeypatch)
+    assert least_unit(cf_steps(r), 12) is None
+    assert plain_least_unit(r, 12) is None
+    assert built[-2] == n < built[-1]
 
 
 def plain_least_unit(r, n_max):
@@ -306,30 +322,31 @@ def affine_l_squared_minus_c(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(small_squarefree(), affine_l_squared_minus_c()), st.data())
-def test_least_unit_matches_the_plain_search(r, data):
-    # Stopping a miss at the middle of the period never changes an answer.
-    n_max = data.draw(st.integers(r.degree // 2, 16))
+@given(st.one_of(small_squarefree(), affine_l_squared_minus_c()), st.integers(1, 16))
+@example(ACCIDENTAL_TORSION[5], 12)
+@example(ACCIDENTAL_TORSION[7], 12)
+@example(ACCIDENTAL_TORSION[9], 12)
+@example(ACCIDENTAL_TORSION[12], 12)
+def test_least_unit_matches_the_plain_search(r, n_max):
+    # Deciding a miss modulo a good prime never changes an answer.
+    n_max = max(n_max, r.degree // 2)
     assert index_of(least_unit(cf_steps(r), n_max)) == plain_least_unit(r, n_max)
     assert_verifies(pell_solve(r, n_max))
 
 
-# The fire (k, j, deg P_k) of the centre test, below, on Kubert's quartic of
-# order N, the same at t = 3 and t = 5/2; each unit is step N - 2.
+# The centre (k, j, deg P_k) of the period, as found below, on Kubert's
+# quartic of order N, the same at t = 3 and t = 5/2; each unit is step N - 2.
 KUBERT_FIRES = {4: (1, 0, 3), 5: (2, 0, 4), 6: (2, 1, 4), 7: (3, 1, 5),
                 8: (3, 2, 5), 9: (4, 2, 6), 10: (4, 3, 6), 12: (5, 4, 7)}
 KUBERT_T = (3, Fraction(5, 2))
 
-# Pellian R with long periods: (R, unit degree, index k of the step where the
-# centre test fires, the earlier step j whose norm is a constant times
-# norm_k, deg P_k).  An even period mirrors norm_k onto norm_(k-2), an odd
-# one onto norm_(k-1).  The third quartic is (x^2 - x - 2)^2 + 8x, the double
-# cover x = Y/X of the Tate normal form Y^2 + (1-c)XY - bY = X^3 - bX^2 with
-# the 7-torsion parameters b = -2, c = 2; the rest are Kubert's forms (see
-# ``conftest.kubert_r``).  The units of degree 9 and 7 each follow a
-# non-unit step past the bound (degree 8 > 9 // 2 + 3 at n_max = 9, degree
-# 6 > 7 // 2 + 2 at n_max = 7), so there a search whose test never fired
-# would miss the unit.
+# Pellian R with long periods: (R, unit degree, index k of the centre of the
+# period, the earlier step j whose norm is a constant times norm_k, deg P_k).
+# An even period mirrors norm_k onto norm_(k-2), an odd one onto
+# norm_(k-1).  The third quartic is (x^2 - x - 2)^2 + 8x, the double cover
+# x = Y/X of the Tate normal form Y^2 + (1-c)XY - bY = X^3 - bX^2 with the
+# 7-torsion parameters b = -2, c = 2; the rest are Kubert's forms (see
+# ``conftest.kubert_r``).
 LONG_PERIODS = [
     ("x^6-2*x^2+1", 6, 2, 0, 5),
     ("x^6+2*x^5+x^4-2*x^3+2*x^2+1", 9, 2, 1, 6),
@@ -355,8 +372,11 @@ def test_long_periods_against_the_plain_search(text, degree, k, j, centre_degree
 
 @pytest.mark.parametrize("text, degree, k, j, centre_degree", LONG_PERIODS, ids=str)
 def test_where_the_centre_test_fires(text, degree, k, j, centre_degree):
-    # The first step whose norm is a constant times one of the two before it,
-    # found by polynomial arithmetic rather than by the search's own test.
+    # The period of a Pellian R is a palindrome: with the unit at step r - 1,
+    # norm_(r-1-j) is a constant times norm_(j-1) for 1 <= j <= r - 1 (Abel;
+    # Berry, Arch. Math. 55 (1990); van der Poorten and Tran, Monatsh. Math.
+    # 131 (2000)).  So its centre, the first step whose norm is a constant
+    # times one of the two before it, has degree <= d // 2 + g + 1.
     r = parse_poly(text)
     steps = list(islice(cf_steps(r), k + 1))
     fired = [(i, i - back) for i in range(len(steps)) for back in (1, 2)
