@@ -6,11 +6,11 @@ It lives in a module of its own so that any layer can raise it without
 importing another layer; the CLI maps it to exit code 3.
 """
 
-#: Largest degree a parsed polynomial, an inflated solution, a unit sought by
-#: ``pell.least_unit`` or the square tested by ``strata.odd_nilpotency_check``
-#: may have.  The exact kernel is quadratic in the degree per operation and
-#: the Pell checks run gcds on these polynomials, so (x+1)^1000 already took
-#: seconds to verify; the cap is checked before the polynomial is built.
+#: Largest degree a parsed polynomial, an inflated solution or a unit sought
+#: by ``pell.least_unit`` may have.  The exact kernel is quadratic in the
+#: degree per operation and the Pell checks run gcds on these polynomials, so
+#: (x+1)^1000 already took seconds to verify; the cap is checked before the
+#: polynomial is built.
 MAX_DEGREE = 500
 
 #: Deepest parenthesis nesting the parser accepts.  Each level costs the

@@ -50,12 +50,6 @@ class RamSpec:
     def total_ramification(self) -> int:
         return sum(e - 1 for part in self.members for e in part)
 
-    def unassigned(self) -> tuple[Partition, ...]:
-        pool = list(self.members)
-        for marked in self.assigned:
-            pool.remove(marked)
-        return tuple(pool)
-
     def odd_marked_parts(self) -> int:
         """Number of odd parts (with multiplicity) among the two marked profiles."""
         return sum(1 for part in self.assigned for e in part if e % 2 == 1)
@@ -77,18 +71,15 @@ def genus_of_ramspec(spec: RamSpec) -> int:
 
 def polt_dimension(spec: RamSpec) -> int:
     """Dimension of the versal deformation space attached to the
-    specification.
+    specification: each part e of an unassigned member moves in e - 1
+    directions; a part over an assigned value stays a square (even e:
+    e/2 - 1) or a square times a linear factor (odd e: (e - 1)/2).
 
-    Each part r of an unassigned member moves in r-1 directions; a part over
-    an assigned value is constrained to stay a square (even r: r/2 - 1) or a
-    square times a linear factor (odd r: (r-1)/2).  Parts equal to 1
-    contribute nothing.  For a valid specification this always equals the
-    genus.
+    Theorem: it is the genus.  Proof.  For every part, (e - 1) minus its
+    marked contribution is floor(e/2).  So the dimension is the total of
+    (e - 1), which :meth:`RamSpec.validate` fixes at n - 1, less the sum of
+    floor(e/2) over the marked parts.  A partition of n with s odd parts has
+    sum floor(e/2) = (n - s)/2, so with t odd marked parts in all, the
+    dimension is (n - 1) - (2n - t)/2 = (t - 2)/2, :func:`genus_of_ramspec`.
     """
-    total = 0
-    for part in spec.unassigned():
-        total += sum(e - 1 for e in part)
-    for part in spec.assigned:
-        for e in part:
-            total += e // 2 - 1 if e % 2 == 0 else (e - 1) // 2
-    return total
+    return genus_of_ramspec(spec)

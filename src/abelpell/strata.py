@@ -1,44 +1,41 @@
-"""Symbolic verification of stratum-local structure.
-
-Three independent checks live here: a square-testing criterion in
-(Q[a]/(a^k))[t], reduced by homogeneity to the top-down square root
-``pell.laurent_sqrt_polypart`` of 1 + x + ... + x^(2n); the weighted
-elementary-symmetric identity behind the non-reduced strata, expanded as
-integer polynomials in a_1, ..., a_m stored as ``{exponent tuple:
-coefficient}`` dicts; and the tangent rank of the Pell equation at a chart
-point, which a theorem gives from the order, genus and chart alone.
-Everything is decided by exact arithmetic.
+"""Symbolic verification of stratum-local structure: the square criterion
+in (Q[a]/(a^k))[t] and the tangent rank of the Pell equation at a chart
+point, both theorems read off their proofs, and the weighted
+elementary-symmetric identity behind the non-reduced strata, expanded
+exactly as integer polynomials in a_1, ..., a_m stored as ``{exponent
+tuple: coefficient}`` dicts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
+from typing import TYPE_CHECKING
 
-from .limits import MAX_DEGREE, ResourceLimit
-from .pell import CHART_MONIC, CHART_NORMALIZED, PellTriple, _sqrt_and_rest
-from .unipoly import UniPoly
+if TYPE_CHECKING:
+    from .pell import PellTriple
 
 
 def odd_nilpotency_check(n: int, k: int) -> bool:
-    """Whether G = sum_{i=0..2n} a^i t^(2n-i) is a square in (Q[a]/(a^k))[t];
-    the criterion is that it is exactly when a^(n+1) = 0, i.e. k <= n+1.
+    """Whether G = sum_{i=0..2n} a^i t^(2n-i) is a square in (Q[a]/(a^k))[t].
+    Theorem: exactly when a^(n+1) = 0, i.e. k <= n + 1.
 
-    Decided constructively, by homogeneity in (a, t): G(t) = a^(2n) R(t/a)
-    with R = 1 + x + ... + x^(2n), so the top-down root of G (the leading
-    coefficient 1 is a unit; the sign is fixed to +) is a^n Y(t/a) with
-    Y = ``laurent_sqrt_polypart(R)``.  The remainder
-    G - (a^n Y(t/a))^2 = a^(2n) (R - Y^2)(t/a) turns each x^d term of R - Y^2
-    into a multiple of a^(2n-d) t^d, so its lowest power of a is
-    a^(2n - deg(R - Y^2)), and G is a square mod a^k exactly when R = Y^2 or
-    k <= 2n - deg(R - Y^2).  The degree 2n is capped at ``MAX_DEGREE``.
+    Proof.  G(t) = a^(2n) R(t/a) with R = 1 + x + ... + x^(2n), so the
+    top-down root of G (leading coefficient 1, sign +) is a^n Y(t/a), with Y
+    the polynomial part of sqrt(R).  The remainder a^(2n) (R - Y^2)(t/a)
+    turns each x^d term of R - Y^2 into a multiple of a^(2n-d) t^d, so G is
+    a square mod a^k exactly when R = Y^2 or k <= 2n - deg(R - Y^2).  Put
+    u = 1/x: R = x^(2n) (1 - u^(2n+1)) / (1 - u), and (1 - u)^(-1/2) =
+    sum_j c_j u^j with c_j = C(2j, j) / 4^j > 0, c_0 = 1.  The factor
+    1 - u^(2n+1) and its square root change no term below u^(2n+1), and
+    2n + 1 >= n + 2.  So Y = x^n sum_(j<=n) c_j u^j, and as (sum_j c_j u^j)^2
+    = 1 / (1 - u), R - Y^2 = x^(2n) (2 c_(n+1) u^(n+1) + O(u^(n+2))) =
+    2 c_(n+1) x^(n-1) + (lower terms).  So deg(R - Y^2) = n - 1, and the
+    bound is 2n - (n - 1) = n + 1.  The tests check the degree on the root.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    if 2 * n > MAX_DEGREE:
-        raise ResourceLimit(f"degree 2n = {2 * n} exceeds the cap of {MAX_DEGREE}")
-    _, rest = _sqrt_and_rest(UniPoly((1,) * (2 * n + 1)))
-    return rest.is_zero() or k <= 2 * n - rest.degree
+    return k <= n + 1
 
 
 # -- weighted elementary-symmetric systems -------------------------------------
@@ -193,6 +190,8 @@ def tangent_rank(t: PellTriple) -> TangentReport:
     in ker Phi, and that coordinate of it is 2g + 2 != 0.  So the rank stays
     2n, and the corank is g.
     """
+    from .pell import CHART_MONIC, CHART_NORMALIZED
+
     chart = t.chart
     if chart not in (CHART_MONIC, CHART_NORMALIZED):
         raise ValueError(f"tangent rank needs the monic or normalized chart, not {chart!r}")

@@ -488,10 +488,6 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
 
 
 def is_squarefree(p: UniPoly) -> bool:
-    if p.is_zero():
-        return False
-    if p.degree == 0:
-        return True
     return gcd(p, p.derivative()).degree == 0
 
 

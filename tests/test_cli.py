@@ -5,6 +5,7 @@ import importlib
 import io
 import itertools
 import json
+import re
 import time
 from pathlib import Path
 
@@ -138,11 +139,18 @@ def test_long_literal_exit(capsys, text, column):
 @pytest.mark.parametrize("argv", [
     ["pell", "verify", "(x+1)^3000", "1", "x^2-1"],
     ["pell", "inflate", "x", "1", "x^2-1", "--m", "100000", "--case", "divides_g_plus_1"],
-    ["strata", "nilpotency", "--n", "251", "--k", "3"],
 ])
 def test_degree_cap_exit(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and "exceeds the cap of 500" in err and out == ""
+
+
+@pytest.mark.parametrize("n, k, square", [("251", "3", "true"), ("100000", "3", "true"),
+                                          ("100000", "100002", "false")])
+def test_nilpotency_answers_past_the_degree_cap(capsys, n, k, square):
+    # The square criterion is a theorem, k <= n + 1, so no degree is capped.
+    code, out, err = run_cli(capsys, "strata", "nilpotency", "--n", n, "--k", k)
+    assert (code, out, err) == (0, f"square in Q[a]/(a^{k}): {square}\n", "")
 
 
 @pytest.mark.parametrize("command", ["count", "list"])
@@ -278,16 +286,10 @@ FALSE_CHECKS = [
                  INFLATE_X_PLUS_1, "order_multiplied", id="inflate_order"),
     pytest.param("geometry", "genus_of_ramspec", lambda real: lambda spec: real(spec) + 1,
                  ["abel", "ramspec", *CONJUGATE_X3_X], "genus_matches_triple", id="genus"),
-    pytest.param("geometry", "polt_dimension", lambda real: lambda spec: real(spec) + 1,
-                 ["abel", "ramspec", *CONJUGATE_X3_X], "deformation_dimension_equals_genus",
-                 id="dimension"),
     pytest.param("geometry", "hurwitz_report",
                  lambda real: lambda t: dataclasses.replace(rep := real(t), w=rep.w + 2),
                  ["abel", "hurwitz", *CONJUGATE_X3_X], "odd_count_is_2g_plus_2",
                  id="odd_count"),
-    pytest.param("strata", "odd_nilpotency_check", lambda real: lambda n, k: not real(n, k),
-                 ["strata", "nilpotency", "--n", "1", "--k", "3"], "matches_nilpotency_bound",
-                 id="nilpotency"),
     pytest.param("ramspec", "genus_of_ramspec", lambda real: lambda spec: real(spec) + 1,
                  ["components", "list", "--genus", "1", "--order", "2"], "ramspec_genus_matches",
                  id="list_genus"),
@@ -315,6 +317,31 @@ def test_every_check_that_can_fail_has_a_false_case():
              if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "check"}
     assert sorted(case.values[-1] for case in FALSE_CHECKS) == sorted(
         names - set(CONSTANT_CHECKS))
+
+
+def readme_check_table() -> dict[str, list[str]]:
+    """README's check table: each command's named checks, none for a
+    "none" row."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme[readme.index("| command | checks |"):].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return {command.strip().strip("`"): re.findall(r"`(\w+)`", checks)
+            for command, checks in rows}
+
+
+def test_readme_check_table_matches_the_handlers():
+    # Each row names, in order, the check(...) calls of its command's handler.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    handlers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")}
+    table = {"_cmd_" + re.sub("[ -]", "_", command): named
+             for command, named in readme_check_table().items()}
+    assert sorted(table) == sorted(handlers)
+    for name, named in table.items():
+        calls = sorted((call for call in ast.walk(handlers[name]) if isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "check"),
+                       key=lambda call: (call.lineno, call.col_offset))
+        assert [call.args[0].value for call in calls] == named, name
 
 
 def test_a_failed_guard_exits_4(capsys, monkeypatch):

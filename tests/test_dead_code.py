@@ -152,25 +152,32 @@ OPTIONAL_PARAMETERS = (
 )
 
 
-def optional_parameters(package: Path) -> list[str]:
-    out = []
-
-    def visit(node: ast.AST, module: str, prefix: str) -> None:
+def functions(package: Path):
+    """Each function and method of the package, at any depth, as
+    (``module.qualified_name``, node); a class only adds to the name."""
+    def visit(node: ast.AST, prefix: str):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = child.args
-                positional = args.posonlyargs + args.args
-                with_default = positional[len(positional) - len(args.defaults):] + [
-                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                    if default is not None]
-                out.extend(f"{module}.{prefix}{child.name}({arg.arg})" for arg in with_default)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, module, f"{prefix}{child.name}.")
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    yield name, child
+                yield from visit(child, f"{name}.")
             else:
-                visit(child, module, prefix)
+                yield from visit(child, prefix)
 
     for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        yield from ((f"{path.stem}.{name}", func) for name, func in visit(tree, ""))
+
+
+def optional_parameters(package: Path) -> list[str]:
+    out = []
+    for name, func in functions(package):
+        args = func.args
+        positional = args.posonlyargs + args.args
+        with_default = positional[len(positional) - len(args.defaults):] + [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        out.extend(f"{name}({arg.arg})" for arg in with_default)
     return sorted(out)
 
 
@@ -199,22 +206,10 @@ UNVERIFIED_TRIPLES = (
 
 
 def unverified_triples(package: Path) -> list[str]:
-    out = set()
-
-    def visit(node: ast.AST, module: str, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = f"{prefix}{child.name}"
-                if not isinstance(child, ast.ClassDef) and any(
-                        isinstance(call, ast.Call) and "PellTriple" in (
-                            getattr(call.func, "id", None), getattr(call.func, "attr", None))
-                        for call in ast.walk(child)):
-                    out.add(f"{module}.{name}")
-                visit(child, module, f"{name}.")
-
-    for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
-    return sorted(out)
+    return sorted({name for name, func in functions(package) if any(
+        isinstance(call, ast.Call) and "PellTriple" in (
+            getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        for call in ast.walk(func))})
 
 
 def test_unverified_triples_are_listed():
@@ -292,29 +287,18 @@ def raises_assertion(node: ast.AST) -> bool:
     return getattr(exc, "id", None) == "AssertionError"
 
 
+def own_nodes(func: ast.AST):
+    """The nodes of a function's body, outside the functions and classes
+    defined in it."""
+    for child in ast.iter_child_nodes(func):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child
+            yield from own_nodes(child)
+
+
 def library_guards(package: Path) -> list[str]:
-    out = []
-
-    def own_nodes(func: ast.AST):
-        """The nodes of a function's body, outside the functions and classes
-        defined in it."""
-        for child in ast.iter_child_nodes(func):
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield child
-                yield from own_nodes(child)
-
-    def visit(node: ast.AST, module: str, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = f"{prefix}{child.name}"
-                if not isinstance(child, ast.ClassDef) and any(map(raises_assertion,
-                                                                   own_nodes(child))):
-                    out.append(f"{module}.{name}")
-                visit(child, module, f"{name}.")
-
-    for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
-    return sorted(out)
+    return sorted(name for name, func in functions(package)
+                  if any(map(raises_assertion, own_nodes(func))))
 
 
 def test_library_guards_are_listed():

@@ -203,6 +203,51 @@ def test_polt_dimension_examples():
     assert polt_dimension(ramspec_of(T_GENUS0())) == 0
 
 
+def dimension_by_members(spec: RamSpec) -> int:
+    """Oracle: the deformation dimension summed member by member.  Each part
+    e of an unassigned member moves in e - 1 directions; a marked part stays
+    a square (even e: e/2 - 1) or a square times a linear factor (odd e:
+    (e - 1)/2)."""
+    pool = list(spec.members)
+    for marked in spec.assigned:
+        pool.remove(marked)
+    return sum(e - 1 for part in pool for e in part) + sum(
+        e // 2 - 1 if e % 2 == 0 else (e - 1) // 2 for part in spec.assigned for e in part)
+
+
+def all_ramspecs(max_order: int):
+    """Every valid RamSpec of order at most max_order: an ordered pair of
+    marked profiles, and a multiset of ramified partitions that brings the
+    total ramification to n - 1."""
+    def ramification(part):
+        return sum(e - 1 for e in part)
+
+    def multisets(ramified, total):
+        if total == 0:
+            yield ()
+        for i, part in enumerate(ramified):
+            if ramification(part) <= total:
+                for rest in multisets(ramified[i:], total - ramification(part)):
+                    yield (part, *rest)
+
+    for n in range(1, max_order + 1):
+        parts = list(partitions(n))
+        ramified = [part for part in parts if ramification(part)]
+        for a in parts:
+            for b in parts:
+                left = n - 1 - ramification(a) - ramification(b)
+                if left >= 0:
+                    for rest in multisets(ramified, left):
+                        yield RamSpec(n, (a, b, *rest), (a, b))
+
+
+def test_polt_dimension_matches_member_sum(triples):
+    specs = list(all_ramspecs(7))
+    assert len(specs) == 546
+    for spec in specs + [ramspec_of(t) for t in triples]:
+        assert polt_dimension(spec) == dimension_by_members(spec), spec
+
+
 def test_hurwitz_examples():
     rep = hurwitz_report(T_GENUS1())
     assert (rep.e, rep.e_prime, rep.w, rep.generic_stratum) == (1, 0, 4, True)

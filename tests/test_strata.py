@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelpell import strata
-from abelpell.limits import MAX_DEGREE, ResourceLimit
 from abelpell.pell import (
     CHART_GENERAL,
     CHART_MONIC,
     CHART_NORMALIZED,
     Obstruction,
     PellTriple,
+    _sqrt_and_rest,
     inflate,
     normalize,
     pell_power,
@@ -87,9 +87,14 @@ def test_odd_nilpotency_paper_values():
 
 
 def test_odd_nilpotency_exhaustive():
-    for n in range(1, 21):
+    # Oracle: the criterion k <= 2n - deg(R - Y^2) on the computed top-down
+    # root Y of R = 1 + x + ... + x^(2n), whose remainder the proof says has
+    # degree n - 1.
+    for n in [*range(1, 121), 250]:
+        rest = _sqrt_and_rest(UniPoly((1,) * (2 * n + 1)))[1]
+        assert rest.degree == n - 1, n
         for k in range(1, 2 * n + 3):
-            assert odd_nilpotency_check(n, k) == (k <= n + 1), (n, k)
+            assert odd_nilpotency_check(n, k) == (k <= 2 * n - rest.degree), (n, k)
 
 
 def test_odd_nilpotency_matches_truncated_ring_oracle():
@@ -102,8 +107,6 @@ def test_odd_nilpotency_bounds():
     for n, k in ((0, 1), (1, 0), (-1, -1)):
         with pytest.raises(ValueError):
             odd_nilpotency_check(n, k)
-    with pytest.raises(ResourceLimit, match="cap"):
-        odd_nilpotency_check(MAX_DEGREE // 2 + 1, 1)
 
 
 def test_weighted_sigma_examples():
