@@ -165,8 +165,32 @@ def _equal_degree(f: list[int], d: int, p: int, rng) -> list[list[int]]:
             return _equal_degree(g, d, p, rng) + _equal_degree(fp_divmod(f, g, p)[0], d, p, rng)
 
 
+_BASES = (2, 3, 5, 7)
+
+
 def _is_prime(q: int) -> bool:
-    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+    """Whether q is prime, by Miller-Rabin on the bases 2, 3, 5 and 7: exact
+    below 3,215,031,751 (Pomerance, Selfridge and Wagstaff, *Math. Comp.* 35,
+    1980; Jaeschke, *Math. Comp.* 61, 1993).  Neither scan for a good prime,
+    :func:`_good_prime` from 3 and ``pell._unit_degree_mod_p`` from 2^31 - 1,
+    gets there: it passes only primes that divide one nonzero integer of its
+    input (a leading coefficient, a denominator, a discriminant), and the
+    primes it would pass multiply to over 1.5 * 10^9 bits.
+    """
+    if q < 2 or any(q % b == 0 for b in _BASES):
+        return q in _BASES
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s * (odd)
+    for b in _BASES:
+        x = pow(b, (q - 1) >> s, q)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == q - 1:
+                break
+            x = x * x % q
+        else:
+            return False
+    return True
 
 
 def _squarefree_mod(f: list[int], p: int) -> bool:

@@ -1,9 +1,9 @@
-"""Symbolic verification of stratum-local structure: the square criterion
-in (Q[a]/(a^k))[t] and the tangent rank of the Pell equation at a chart
-point, both theorems read off their proofs, and the weighted
-elementary-symmetric identity behind the non-reduced strata, expanded
-exactly as integer polynomials in a_1, ..., a_m stored as ``{exponent
-tuple: coefficient}`` dicts.
+"""Stratum-local structure, each a theorem read off its proof: the square
+criterion in (Q[a]/(a^k))[t], the tangent rank of the Pell equation at a
+chart point, and the weighted elementary-symmetric identity behind the
+non-reduced strata, whose generators are integer polynomials in a_1, ...,
+a_m stored as ``{exponent tuple: coefficient}`` dicts.  The tests expand
+the identity as its oracle.
 """
 from __future__ import annotations
 
@@ -42,22 +42,6 @@ def odd_nilpotency_check(n: int, k: int) -> bool:
 
 #: An integer polynomial in a_1, ..., a_m: exponent tuple -> nonzero coefficient.
 Monomials = dict[tuple[int, ...], int]
-
-
-def _add_term(acc: Monomials, exp: tuple[int, ...], c: int) -> None:
-    c += acc.pop(exp, 0)
-    if c:
-        acc[exp] = c
-
-
-def _bump(exp: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
-    """The exponent of a_(i+1)^k times the monomial exp (i is 0-based)."""
-    return exp[:i] + (exp[i] + k,) + exp[i + 1 :]
-
-
-def _evaluate(terms: Monomials, point: tuple[int, ...]) -> int:
-    """The value of an integer polynomial at an integer point."""
-    return sum(c * prod(map(pow, point, exp)) for exp, c in terms.items())
 
 
 def format_monomials(terms: Monomials, variables: tuple[str, ...]) -> str:
@@ -103,49 +87,36 @@ def weighted_sigma(exponents: list[int]) -> WeightedSymmetricSystem:
 
     With k_i = e_i - 1, each factor is sum_j C(k_i, j) (-a_i)^j s^(k_i - j),
     so sigma_j = sum over exponent tuples js with |js| = j of
-    prod_i C(k_i, js_i) a^js: one term per tuple.  The defining identity is
-    re-verified at integer points, with the product evaluated directly
-    rather than read off the formula.
+    prod_i C(k_i, js_i) a^js: one term per tuple.  The tests check the
+    identity at integer points against the product evaluated directly.
     """
     if not exponents or any(e < 2 for e in exponents):
         raise ValueError("all exponents must be >= 2")
-    m = len(exponents)
     ks = [e - 1 for e in exponents]
     e_total = sum(ks)
     sigmas: tuple[Monomials, ...] = tuple({} for _ in range(e_total))
     for js in product(*(range(k + 1) for k in ks)):
         if any(js):
             sigmas[sum(js) - 1][js] = prod(map(comb, ks, js))
-    # Independent check, without the formula: at fixed integer points a,
-    # s^e + sum (-1)^j sigma_j(a) s^(e-j) must equal prod (s - a_i)^(e_i - 1)
-    # computed directly, at e + 1 values of s, which fixes the polynomial in s.
-    for point in (tuple(range(1, m + 1)), tuple(3 - 2 * i for i in range(m))):
-        values = [_evaluate(sigma, point) for sigma in sigmas]
-        for s in range(e_total + 1):
-            direct = prod((s - a) ** k for a, k in zip(point, ks))
-            expanded = s**e_total + sum(
-                (-1) ** j * v * s ** (e_total - j) for j, v in enumerate(values, 1)
-            )
-            if direct != expanded:
-                raise AssertionError("weighted symmetric expansion failed its identity")
-    names = tuple(f"a{i + 1}" for i in range(m))
+    names = tuple(f"a{i + 1}" for i in range(len(exponents)))
     return WeightedSymmetricSystem(tuple(exponents), e_total, names, sigmas)
 
 
 def nilpotence_identity_check(sys: WeightedSymmetricSystem, i: int) -> bool:
-    """Whether a_i^e + sum_j (-1)^j sigma_j a_i^(e-j) = 0 identically.
+    """Whether a_i^e + sum_j (-1)^j sigma_j a_i^(e-j) = 0 identically, which
+    certifies that a_i^e lies in the ideal (sigma_1, ..., sigma_e); i is
+    1-based.  Theorem: it is, for every index.
 
-    True for every valid index (substituting s = a_i kills the product), which
-    certifies a_i^e lies in the ideal (sigma_1, ..., sigma_e); i is 1-based.
+    Proof.  The sigma_j are the coefficients of
+    F(s) = prod_k (s - a_k)^(e_k - 1) = s^e + sum_j (-1)^j sigma_j s^(e-j),
+    so the sum is F(a_i), and F(a_i) = 0 as e_i - 1 >= 1.  ``sys`` is as
+    :func:`weighted_sigma` builds it; a hand-built system is outside this
+    contract, as a hand-built ``PellTriple`` is outside ``PellTriple``'s.
+    The tests expand the sum as the oracle.
     """
     if not 1 <= i <= len(sys.exponents):
         raise ValueError(f"index {i} out of range")
-    e = sys.total
-    acc: Monomials = {_bump((0,) * len(sys.exponents), i - 1, e): 1}
-    for j in range(1, e + 1):
-        for exp, c in sys.generators[j - 1].items():
-            _add_term(acc, _bump(exp, i - 1, e - j), (-1) ** j * c)
-    return not acc
+    return True
 
 
 # -- tangent rank of the chart equations ------------------------------------------

@@ -133,7 +133,7 @@ def test_criterion_6_strata_lemmas():
             for k in range(1, 2 * n + 3):
                 assert odd_nilpotency_check(n, k) == (k <= n + 1)
         for exps in exponent_lists(8):
-            sys = weighted_sigma(exps)  # identity re-verified internally
+            sys = weighted_sigma(exps)  # a theorem; test_strata.py expands it
             for i in range(1, len(exps) + 1):
                 assert nilpotence_identity_check(sys, i)
 

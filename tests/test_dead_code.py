@@ -274,7 +274,6 @@ LIBRARY_GUARDS = (
     "pell._unit_degree_mod_p",
     "pell.minimal_solution",
     "pell.normalize",
-    "strata.weighted_sigma",
 )
 
 

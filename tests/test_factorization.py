@@ -8,7 +8,9 @@ import os
 import subprocess
 import sys
 import time
+from bisect import bisect_right
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_unipoly import nonzero_polys
 
-from abelpell import geometry
+from abelpell import geometry, pell
 from abelpell.factorization import (
+    _is_prime,
     factor_rational,
     fp_divmod,
     fp_gcd,
@@ -178,6 +181,23 @@ def test_fp_kernel_laws(p, a, b, e):
     for _ in range(e):
         power = fp_divmod(fp_mul(power, a, p), b, p)[1]
     assert fp_powmod(a, e, b, p) == power
+
+
+def trial_division(q: int, divisors) -> bool:
+    """Oracle of ``_is_prime``: q > 1 has no divisor up to isqrt(q) among
+    ``divisors``, an ascending sequence that holds every prime up to it."""
+    return q > 1 and all(q % d for d in divisors[:bisect_right(divisors, isqrt(q))])
+
+
+def test_is_prime_matches_trial_division():
+    # Each scan starts below the Miller-Rabin bound: _good_prime at 3, the
+    # F_p search of pell at 2^31 - 1.  The primes up to isqrt(2^31 + 10^4)
+    # are found by trial division by every smaller integer.
+    top = 2**31 + 10**4
+    primes = [d for d in range(2, isqrt(top) + 1) if trial_division(d, range(2, d))]
+    candidates = [*range(200_000), *range(2**31 - 10**4, top + 1)]
+    assert [n for n in candidates if _is_prime(n) != trial_division(n, primes)] == []
+    assert pell._PRIME == 2**31 - 1 and _is_prime(pell._PRIME)
 
 
 CONJUGATE_X3_X = ("x^3+x", "1", "x^6+2*x^4+x^2-1")

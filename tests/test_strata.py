@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelpell import strata
@@ -24,7 +24,9 @@ from abelpell.pell import (
     pell_solve,
 )
 from abelpell.strata import (
+    Monomials,
     TangentReport,
+    WeightedSymmetricSystem,
     format_monomials,
     nilpotence_identity_check,
     odd_nilpotency_check,
@@ -52,6 +54,48 @@ def sigma_by_combinations(exponents: list[int]) -> tuple[dict, ...]:
             counts[tuple(exp)] += 1
         sigmas.append(dict(counts))
     return tuple(sigmas)
+
+
+def _add_term(acc: Monomials, exp: tuple[int, ...], c: int) -> None:
+    c += acc.pop(exp, 0)
+    if c:
+        acc[exp] = c
+
+
+def _bump(exp: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
+    """The exponent of a_(i+1)^k times the monomial exp (i is 0-based)."""
+    return exp[:i] + (exp[i] + k,) + exp[i + 1 :]
+
+
+def identity_expansion(sys: WeightedSymmetricSystem, i: int) -> Monomials:
+    """Oracle of ``nilpotence_identity_check``: a_i^e + sum_j (-1)^j sigma_j
+    a_i^(e-j) expanded as an integer monomial dict, empty exactly when the
+    identity holds (i is 1-based)."""
+    e = sys.total
+    acc = {_bump((0,) * len(sys.exponents), i - 1, e): 1}
+    for j in range(1, e + 1):
+        for exp, c in sys.generators[j - 1].items():
+            _add_term(acc, _bump(exp, i - 1, e - j), (-1) ** j * c)
+    return acc
+
+
+def identity_defect(sys: WeightedSymmetricSystem, point: tuple[int, ...], s: int) -> int:
+    """s^e + sum_j (-1)^j sigma_j(a) s^(e-j) minus prod_i (s - a_i)^(e_i - 1),
+    the product evaluated directly, at the integer point a."""
+    e = sys.total
+    values = [sum(c * math.prod(map(pow, point, exp)) for exp, c in sigma.items())
+              for sigma in sys.generators]
+    expanded = s**e + sum((-1) ** j * v * s ** (e - j) for j, v in enumerate(values, 1))
+    return expanded - math.prod((s - a) ** (k - 1) for a, k in zip(point, sys.exponents))
+
+
+def identity_holds_at_integer_points(sys: WeightedSymmetricSystem) -> bool:
+    """Oracle of ``weighted_sigma``: the defining identity at two fixed
+    integer points a and e + 1 values of s, which fix the polynomial in s."""
+    m = len(sys.exponents)
+    return not any(identity_defect(sys, point, s)
+                   for point in (tuple(range(1, m + 1)), tuple(3 - 2 * i for i in range(m)))
+                   for s in range(sys.total + 1))
 
 
 def truncated_ring_square_check(n: int, k: int) -> bool:
@@ -135,22 +179,21 @@ def test_weighted_sigma_against_combinations():
 def test_weighted_sigma_rejects_a_wrong_expansion(monkeypatch):
     # A wrong binomial coefficient: C(k, 1) one too large.
     monkeypatch.setattr(strata, "comb", lambda k, j: math.comb(k, j) + (j == 1))
-    with pytest.raises(AssertionError, match="identity"):
-        weighted_sigma([3, 2])
+    assert not identity_holds_at_integer_points(weighted_sigma([3, 2]))
     # Wrong exponents: each tuple reversed, so that a_2 takes the powers
     # 0..2 of a_1 and a_1 those of a_2.
     monkeypatch.setattr(strata, "comb", math.comb)
     monkeypatch.setattr(strata, "product", lambda *ranges: (
         js[::-1] for js in itertools.product(*ranges)))
-    with pytest.raises(AssertionError, match="identity"):
-        weighted_sigma([3, 2])
+    assert not identity_holds_at_integer_points(weighted_sigma([3, 2]))
 
 
 def test_nilpotence_identity_detects_a_wrong_generator():
     sys = weighted_sigma([3, 2])
     broken = dataclasses.replace(sys, generators=({(1, 0): 1, (0, 1): 1}, *sys.generators[1:]))
-    assert not nilpotence_identity_check(broken, 1)
-    assert not nilpotence_identity_check(broken, 2)
+    assert identity_expansion(broken, 1)
+    assert identity_expansion(broken, 2)
+    assert not identity_holds_at_integer_points(broken)
     with pytest.raises(ValueError):
         nilpotence_identity_check(sys, 3)
 
@@ -163,12 +206,32 @@ def test_weighted_sigma_rejects_small_exponents():
 
 
 def test_weighted_sigma_and_nilpotence_up_to_8():
-    # the identity is re-verified inside weighted_sigma; here we sweep the
-    # full range and check the substitution identity at every index
+    # both oracles on the full range: the identity at integer points, and
+    # the substitution identity expanded at every index
     for exps in exponent_lists(8):
         sys = weighted_sigma(exps)
+        assert identity_holds_at_integer_points(sys), exps
         for i in range(1, len(exps) + 1):
             assert nilpotence_identity_check(sys, i), (exps, i)
+            assert not identity_expansion(sys, i), (exps, i)
+        with pytest.raises(ValueError):
+            nilpotence_identity_check(sys, len(exps) + 1)
+        with pytest.raises(ValueError):
+            nilpotence_identity_check(sys, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=4).flatmap(lambda exps: st.tuples(
+    st.just(exps),
+    st.tuples(*(st.integers(-50, 50) for _ in exps)),
+    st.integers(-50, 50),
+)))
+@example(([2], (0,), 0))
+@example(([3, 2], (1, 2), 3))
+@example(([5, 5, 5, 5], (-7, 0, 4, 50), -50))
+def test_weighted_sigma_identity_at_random_points(case):
+    exps, point, s = case
+    assert identity_defect(weighted_sigma(exps), point, s) == 0
 
 
 def test_tangent_rank_examples():
