@@ -299,11 +299,23 @@ def _unit_degree_mod_p(y: UniPoly, b: UniPoly, max_order: int) -> int | None:
     p is good when it divides no denominator of Y or B_1 and R mod p is
     squarefree; only finitely many primes are bad for one R, so the search
     for a good one ends.  The expansion is that of :func:`_cf_steps` over
-    F_p, with the same exact division of R - A_(k+1)^2 by B_k, on the
-    modular kernel of :mod:`abelpell.factorization`.
+    F_p, on plain lists of residues (constant term first), one fused step at
+    a time with one inverse of lc(B_k) for both of its divisions by B_k.
+    A_k + Y has degree h = deg Y and leading coefficient 2 (A_k = Y - rem
+    with deg rem < h, and p is odd), so deg a_k = h - deg B_k is read off
+    without building the floor: only its remainder is kept.  B_(k+1) is the
+    exact division of R - A_(k+1)^2 by B_k, as over Q: it needs no floor,
+    and a remainder, which right arithmetic never leaves, raises as the
+    guard that each surd modulo p is reduced.
+
+    >>> r = UniPoly((0, 1, 0, 0, 1))  # x^4 + x
+    >>> _unit_degree_mod_p(*_sqrt_and_rest(r), 12)
+    3
+    >>> _unit_degree_mod_p(*_sqrt_and_rest(r + 1), 10) is None
+    True
     """
     # deferred: a hit is answered at step 0 and never loads the kernel
-    from .factorization import _add, _is_prime, _squarefree_mod, _sub, fp_divmod, fp_mul
+    from .factorization import _add, _is_prime, _squarefree_mod, fp_mul
 
     p = _PRIME
     while True:
@@ -314,16 +326,36 @@ def _unit_degree_mod_p(y: UniPoly, b: UniPoly, max_order: int) -> int | None:
             if _squarefree_mod(r, p):
                 break
         p = next(q for q in count(p + 2, 2) if _is_prime(q))
-    a, b, degree = yp, bp, len(yp) - 1
+    h = len(yp) - 1
+    a, b, degree = yp, bp, h
     while len(b) > 1:
-        partial, rem = fp_divmod(_add(a, yp, p), b, p)
-        degree += len(partial) - 1
+        db = len(b) - 1
+        degree += h - db
         if degree > max_order:
             return None
-        a = _sub(yp, rem, p)
-        b, rest = fp_divmod(_sub(r, fp_mul(a, a, p), p), b, p)
-        if rest:
+        inv = pow(b[-1], -1, p)
+        # rem = (A_k + Y) mod B_k, left in s[:db]; A_(k+1) = Y - rem
+        s = [u + v for u, v in zip(a, yp)]
+        for i in range(h, db - 1, -1):
+            c = s[i] * inv % p
+            for j in range(db):
+                s[i - db + j] -= c * b[j]
+        a = [(u - v) % p for u, v in zip(yp, s[:db])] + yp[db:]
+        # B_(k+1) = (R - A_(k+1)^2) / B_k, whose remainder is left in n[:db]
+        n = list(r)
+        for i, u in enumerate(a):
+            for j, v in enumerate(a):
+                n[i + j] -= u * v
+        quo = [0] * (2 * h - db + 1)
+        for i in range(2 * h, db - 1, -1):
+            c = quo[i - db] = n[i] * inv % p
+            for j in range(db):
+                n[i - db + j] -= c * b[j]
+        if any(c % p for c in n[:db]):
             raise AssertionError("a surd modulo p is not reduced")
+        while not quo[-1]:
+            quo.pop()
+        b = quo
     return degree
 
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import chebyshev_triple, kubert_r
 from test_parsing import int_digit_limit
 
-from abelpell import pell
+from abelpell import factorization, pell
+from abelpell.factorization import _add, _is_prime, _squarefree_mod, _sub, fp_divmod, fp_mul
 from abelpell.parsing import parse_poly
 from abelpell.rationals import rational_nth_root
 from abelpell.pell import (
@@ -409,6 +410,87 @@ def test_kubert_units(n, t):
     y, b = pell._sqrt_and_rest(r)
     assert pell._unit_degree_mod_p(y, b, 30) == n
     assert pell._unit_degree_mod_p(y, b, n - 1) is None
+
+
+def kernel_unit_degree_mod_p(y, b, max_order):
+    """The expansion modulo p on the generic modular kernel of
+    ``factorization``: the same good prime, then per step the floor by
+    ``fp_divmod``, its degree read off the quotient, and the exact division
+    checked on the remainder; the oracle of the fused loop."""
+    p = pell._PRIME
+    while True:
+        if y.den % p and b.den % p:
+            yp = fp_mul(y.num, [pow(y.den, -1, p)], p)
+            bp = fp_mul(b.num, [pow(b.den, -1, p)], p)
+            r = _add(fp_mul(yp, yp, p), bp, p)
+            if _squarefree_mod(r, p):
+                break
+        p = next(q for q in range(p + 2, 2 * p, 2) if _is_prime(q))
+    a, b, degree = yp, bp, len(yp) - 1
+    while len(b) > 1:
+        partial, rem = fp_divmod(_add(a, yp, p), b, p)
+        degree += len(partial) - 1
+        if degree > max_order:
+            return None
+        a = _sub(yp, rem, p)
+        b, rest = fp_divmod(_sub(r, fp_mul(a, a, p), p), b, p)
+        assert not rest
+    return degree
+
+
+# The a of the affine images in perfbench's cf_solve: they give R
+# denominators, which the reduction modulo p must invert.
+BENCH_AFFINE_A = (1, 2, 3, -1, -2, Fraction(1, 2), Fraction(2, 3), Fraction(3, 2))
+
+
+@st.composite
+def miss_like_r(draw):
+    """A monic squarefree R of degree 4, 6 or 8 with small integer
+    coefficients, as a miss of the benchmark draws them, or an affine
+    image of one."""
+    degree = draw(st.sampled_from([4, 6, 8]))
+    r = UniPoly(draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)) + [1])
+    assume(is_squarefree(r))
+    if draw(st.booleans()):
+        r = affine_image(r, draw(st.sampled_from(BENCH_AFFINE_A)), draw(st.integers(-3, 3)))
+    return r
+
+
+@settings(max_examples=150, deadline=None)
+@given(miss_like_r(), st.integers(1, 60))
+@example(R_BAD_AT_P, 20)
+@example(poly(1, pell._PRIME, 2, 0, 1), 20)  # (x^2 + 1)^2 + p x
+@example(ACCIDENTAL_TORSION[12], 12)
+@example(kubert_r(7, 3), 7)
+@example(parse_poly(LONG_PERIODS[1][0]), 9)  # a sextic unit: deg B_k is 2 or 1
+def test_the_fused_step_matches_the_kernel_loop(r, max_order):
+    y, b = pell._sqrt_and_rest(r)
+    assert pell._unit_degree_mod_p(y, b, max_order) == kernel_unit_degree_mod_p(y, b, max_order)
+
+
+def test_one_inverse_per_fused_step(monkeypatch):
+    # x^4 + x + 1 has no unit of degree <= 40 mod p; its steps 1 to 38 reach
+    # degree 40, and each takes one inverse.  The rest: two to reduce Y and
+    # B_1, and four in the squarefree test's gcd.  The kernel loop took 83.
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    for module in (pell, factorization):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    assert pell._unit_degree_mod_p(*pell._sqrt_and_rest(R_QUARTIC), 40) is None
+    assert len(calls) <= 44
+
+
+def test_the_fused_step_still_checks_its_exact_division(monkeypatch):
+    # R - A_(k+1)^2 is divisible by B_k whenever the step's arithmetic is
+    # right.  A wrong inverse of lc(B_k) leaves a remainder, and the guard
+    # raises.
+    monkeypatch.setattr(pell, "pow", lambda c, e, m: 2 * pow(c, e, m) % m, raising=False)
+    with pytest.raises(AssertionError, match="a surd modulo p is not reduced"):
+        pell._unit_degree_mod_p(*pell._sqrt_and_rest(R_QUARTIC), 40)
 
 
 AFFINE_X6 = parse_poly("x^6 + 9*x^5 + 135/4*x^4 + 135/2*x^3 + 1215/16*x^2 + 729/16*x - 729/64")
