@@ -24,11 +24,12 @@ as long as the divisor's leading coefficient is a unit; ``fp_gcd``,
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
-from math import gcd, isqrt
+from math import isqrt
 
 from .limits import ResourceLimit
-from .unipoly import UniPoly, squarefree_decomposition
+from .unipoly import UniPoly, _primitive, squarefree_decomposition
 
 #: Most subsets of lifted factors one recombination may try before it raises
 #: ``ResourceLimit``.  Irreducible polynomials with many modular factors (the
@@ -93,9 +94,16 @@ def fp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]
 
 
 def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic greatest common divisor modulo the prime p ([] when both are 0)."""
+    """Monic greatest common divisor modulo the prime p ([] when both are 0):
+    one inverse per step, and the remainder reduced in place."""
+    a, b = list(a), list(b)
     while b:
-        a, b = b, fp_divmod(a, b, p)[1]
+        db, low, inv = len(b) - 1, b[:-1], pow(b[-1], -1, p)
+        for i in range(len(a) - 1, db - 1, -1):
+            if c := a[i] * inv % p:
+                for j, y in enumerate(low, i - db):
+                    a[j] -= c * y
+        a, b = b, _trim([c % p for c in a[:db]])
     return _scale(a, pow(a[-1], -1, p), p) if a else a
 
 
@@ -150,12 +158,12 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
 
 def _equal_degree(f: list[int], d: int, p: int, rng) -> list[list[int]]:
     """The degree-d monic irreducible factors of f, a monic product of them,
-    modulo the odd prime p (Cantor-Zassenhaus)."""
+    modulo the odd prime p (Cantor-Zassenhaus); ``rng()`` is the generator."""
     n = len(f) - 1
     if n == d:
         return [f]
     while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
+        a = _trim([rng().randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
         g = fp_gcd(a, f, p)
@@ -172,10 +180,11 @@ def _is_prime(q: int) -> bool:
     """Whether q is prime, by Miller-Rabin on the bases 2, 3, 5 and 7: exact
     below 3,215,031,751 (Pomerance, Selfridge and Wagstaff, *Math. Comp.* 35,
     1980; Jaeschke, *Math. Comp.* 61, 1993).  Neither scan for a good prime,
-    :func:`_good_prime` from 3 and ``pell._unit_degree_mod_p`` from 2^31 - 1,
-    gets there: it passes only primes that divide one nonzero integer of its
-    input (a leading coefficient, a denominator, a discriminant), and the
-    primes it would pass multiply to over 1.5 * 10^9 bits.
+    :func:`_good_prime` from 3 and ``pell._unit_degree_mod_p`` from
+    ``pell._PRIME`` = 2^30 - 35, gets there: it passes only primes that
+    divide one nonzero integer of its input (a leading coefficient, a
+    denominator, a discriminant), and the primes it would pass multiply to
+    over 3 * 10^9 bits.
     """
     if q < 2 or any(q % b == 0 for b in _BASES):
         return q in _BASES
@@ -245,12 +254,6 @@ def _hensel_lift(f: list[int], factors: list[list[int]], p: int, modulus: int) -
             + _hensel_lift(h, factors[half:], p, modulus))
 
 
-def _primitive(f: list[int]) -> list[int]:
-    """f, whose leading coefficient is positive, divided by its content."""
-    content = gcd(*f)
-    return [c // content for c in f]
-
-
 def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
     """The irreducible factors over Z of the primitive f, from the monic
     lifts of its modular factors: subsets are tried smallest first, each
@@ -283,7 +286,7 @@ def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list
             cand = [lc]
             for i in subset:
                 cand = fp_mul(cand, lifted[i], modulus)
-            cand = _primitive([c - modulus if c > half else c for c in cand])
+            cand = _primitive([c - modulus if c > half else c for c in cand])[0]
             quo, rem = divmod(UniPoly(f), UniPoly(cand))
             if rem.is_zero():
                 found.append(cand)
@@ -299,7 +302,7 @@ def _factor_squarefree(part: UniPoly, rng) -> list[UniPoly]:
     """Monic irreducible factors over Q of a monic squarefree polynomial."""
     if part.degree == 1:
         return [part]
-    f = _primitive(list(part.num))
+    f = _primitive(part.num)[0]
     p = _good_prime(f)
     fp = _scale([c % p for c in f], pow(f[-1], -1, p), p)
     modular = [
@@ -332,7 +335,7 @@ def factor_rational(p: UniPoly) -> list[tuple[UniPoly, int]]:
         raise ValueError("cannot factor the zero polynomial")
     import random  # deferred: most commands never factor, and startup counts
 
-    rng = random.Random(0)
+    rng = cache(lambda: random.Random(0))  # seeded at its first draw: most parts need none
     out = [
         (factor, mult)
         for part, mult in squarefree_decomposition(p)

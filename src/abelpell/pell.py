@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 from .limits import MAX_DEGREE, ResourceLimit
 from .parsing import printable
 from .rationals import rational_nth_root
-from .unipoly import ONE, ZERO, UniPoly, is_squarefree
+from .unipoly import ONE, ZERO, UniPoly, _reduced, is_squarefree
 
 CHART_GENERAL = "general"
 CHART_MONIC = "monic"
@@ -44,9 +44,10 @@ INFLATE_EVEN_HALF = "even_half"
 INFLATE_ODD = "odd"
 
 #: The first prime modulo which :func:`least_unit` reads the degree of the
-#: unit before it expands past step 0: word-sized, so that products stay
-#: small, and far above any order the package searches.
-_PRIME = 2**31 - 1
+#: unit before it expands past step 0: far above any order the package
+#: searches, and the largest prime below 2^30, so that every residue is one
+#: 30-bit digit of a CPython int and every product of two is two.
+_PRIME = 2**30 - 35
 
 
 def _r_failures(r: UniPoly) -> list[str]:
@@ -248,7 +249,7 @@ def _sqrt_and_rest(r: UniPoly) -> tuple[UniPoly, UniPoly]:
         u.append(r.num[n - j] * powers[j - 1] - acc)
     # Over the denominator w^h, s_j x^(h-j) has numerator 2 u_j w^(h-j).
     top = [2 * u[half - d] * powers[d] for d in range(half)] + [powers[half]]
-    y = UniPoly(top) * Fraction(1, powers[half])
+    y = _reduced(top, powers[half])
     # Exact check of the defining property, independent of the recurrence.
     if (rest := r - y * y).degree >= half:
         raise AssertionError("square-root polynomial part failed its contract")
@@ -392,8 +393,9 @@ def least_unit(steps: Iterable[CFStep], max_order: int) -> CFStep | None:
     No cap bounds the time of one search: when inf_+ - inf_- is torsion
     modulo p but not over Q, the exact expansion runs to the F_p degree d,
     with heights that grow at each step.  R = D(x^m) + p*x, with D the
-    tests' ``kubert_r(12, 3)``, has d = 12m, and took 0.017, 0.11, 0.50
-    and 3.4 s at m = 1, 2, 3 and 5 on one core of an Intel Xeon, Python 3.11.
+    tests' ``kubert_r(12, 3)``, has d = 12m, and took 0.009, 0.055, 0.27
+    and 2.3 s at m = 1, 2, 3 and 5 (n_max = d) on one core of an Intel Xeon,
+    Python 3.11.
     """
     cap = min(max_order, MAX_DEGREE)
     for step in steps:

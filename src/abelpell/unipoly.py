@@ -15,9 +15,9 @@ content removed), which leaves the remainder unchanged, and then
 pseudo-divides lazily: the running remainder is scaled by lead / gcd(top,
 lead) per step, not by the whole leading coefficient.
 
-Resultants come from the Euclidean remainder sequence, not from a Sylvester
-determinant: res(a, b) = (-1)^(deg a * deg b) lc(b)^(deg a - deg r) res(b, r)
-with r = a mod b.
+The gcd and the resultant run that loop on the numerators alone, as the
+primitive and the subresultant remainder sequence, and build only their
+result: no step makes a ``UniPoly``, a ``Fraction`` or a Sylvester matrix.
 
 >>> poly(-2, 0, 1)
 UniPoly('x^2 - 2')
@@ -350,11 +350,9 @@ def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None
 
     b is replaced by its primitive integer part bp with a positive leading
     coefficient: the remainder does not change, and the quotient by b is
-    (den b / content b) times the quotient by bp.  The running remainder is
-    kept as integers over one running denominator; eliminating its top
-    coefficient scales it by lead // gcd(top, lead) only, so a monic bp never
-    scales it.  Without ``with_quotient`` the quotient returned is None.
-    A constant b leaves no remainder and scales a.
+    (den b / content b) times the quotient by bp.  Without ``with_quotient``
+    the quotient returned is None.  A constant b leaves no remainder and
+    scales a.
     """
     if not b.num:
         raise ZeroDivisionError("polynomial division by zero")
@@ -363,31 +361,45 @@ def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None
             return None, ZERO
         scale = b.den if b.num[0] > 0 else -b.den
         return _reduced([c * scale for c in a.num], a.den * abs(b.num[0])), ZERO
-    low = list(b.num)
-    content = _int_gcd(*low) if low[-1] > 0 else -_int_gcd(*low)
-    low = [c // content for c in low]
-    lead = low.pop()
-    dd = len(low)
-    rem, den = list(a.num), a.den
-    quo: list[tuple[int, int]] = []  # (numerator, denominator), top term first
-    for i in range(len(rem) - 1, dd - 1, -1):
-        top = rem[i]
-        g = _int_gcd(top, lead)
-        s, t = lead // g, top // g
-        if s != 1:
-            rem[:i] = [c * s for c in rem[:i]]
-            den *= s
-        # rem[i] itself is not updated: its new value is 0 and it is dropped.
-        for j, c in enumerate(low, i - dd):
-            rem[j] -= t * c
-        quo.append((t, den))
-    del rem[dd:]
+    (bp, content), rem, quo = _primitive(b.num), list(a.num), []
+    den = a.den * (scale := _pseudo_divide(rem, bp, quo))
     remainder = _reduced(rem, den)
     if not with_quotient:
         return None, remainder
-    scale = b.den if content > 0 else -b.den
-    quotient = _reduced([t * scale * (den // d) for t, d in reversed(quo)], den * abs(content))
+    sign = b.den if content > 0 else -b.den
+    quotient = _reduced([t * sign * (scale // s) for t, s in reversed(quo)], den * abs(content))
     return quotient, remainder
+
+
+def _primitive(num: Sequence[int]) -> tuple[list[int], int]:
+    """(num / c, c) for the content c of the integers num, signed so that
+    num / c ends in a positive entry; ([], 0) for no entries."""
+    c = -_int_gcd(*num) if num and num[-1] < 0 else _int_gcd(*num)
+    return [x // c for x in num], c
+
+
+def _pseudo_divide(rem: list[int], b: list[int], quo: list[tuple[int, int]]) -> int:
+    """The loop of every division: reduce the integers rem in place to the
+    trimmed remainder of s * rem by the integers b, whose lead is positive,
+    and return s.  Eliminating the top coefficient scales rem by lead //
+    gcd(top, lead) only, so a monic b never scales it.  Each quotient term,
+    top first, is appended to ``quo`` as (t, s so far), for t / (s so far).
+    """
+    low, lead, dd, scale = b[:-1], b[-1], len(b) - 1, 1
+    for i in range(len(rem) - 1, dd - 1, -1):
+        g = _int_gcd(rem[i], lead)
+        s, t = lead // g, rem[i] // g
+        if s != 1:
+            rem[:i] = [c * s for c in rem[:i]]
+            scale *= s
+        # rem[i] itself is not updated: its new value is 0 and it is dropped.
+        for j, c in enumerate(low, i - dd):
+            rem[j] -= t * c
+        quo.append((t, scale))
+    del rem[dd:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return scale
 
 
 def _operand(value: object) -> UniPoly | None:
@@ -442,17 +454,17 @@ def format_poly(p: UniPoly) -> str:
 
 
 def gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor by the Euclidean algorithm.
+    """Monic greatest common divisor, by the primitive remainder sequence on
+    the numerators; a / lc(a) for the last, primitive, a is in normal form.
 
     >>> gcd(poly(-1, 0, 1), poly(1, 1))
     UniPoly('x + 1')
     """
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    a, b = _primitive(p.num)[0], _primitive(q.num)[0]
+    while len(b) > 1:
+        _pseudo_divide(a, b, [])
+        a, b = b, _primitive(a)[0]
+    return ONE if b else _made(tuple(a), a[-1]) if a else ZERO
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -492,32 +504,37 @@ def is_squarefree(p: UniPoly) -> bool:
 
 
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:
-    """The resultant of two nonzero polynomials, by the Euclidean remainder
-    sequence.
+    """The resultant of two nonzero polynomials, by the subresultant
+    remainder sequence on integers (Collins, *J. ACM* 14, 1967; Brown and
+    Traub, *J. ACM* 18, 1971).
 
-    With r = a mod b, res(a, b) = (-1)^(deg a * deg b) lc(b)^(deg a - deg r)
-    res(b, r); a zero remainder (a common factor) gives 0, and a constant c
-    gives res(a, c) = c^(deg a).  Each step is one division, so the cost is
-    O(deg p * deg q) field operations.  Zero exactly when p and q have a
-    nontrivial common factor.
+    With p = c_p A / d_p and q = c_q B / d_q for primitive integer A and B,
+    res(p, q) = (c_p / d_p)^(deg B) (c_q / d_q)^(deg A) res(A, B).  With e =
+    deg A - deg B, the pseudo-remainder lc(B)^(e + 1) A mod B over g h^e is
+    exactly the next subresultant (g = h = 1 at first, then g = lc(B) and h
+    = g^e / h^(e - 1)); a zero one (a common factor) gives 0.
 
     >>> resultant(poly(-1, 1), poly(1, 1))
     Fraction(2, 1)
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
-    num = den = 1  # the product of the lc(b) powers so far, as num / den
-    a, b = p, q
-    while b.degree > 0:
-        r = a % b
-        if r.is_zero():
+    (a, ca), (b, cb) = _primitive(p.num), _primitive(q.num)
+    num, den = ca**q.degree * cb**p.degree, p.den**q.degree * q.den**p.degree
+    if len(a) < len(b):
+        a, b, num = b, a, num * (-1) ** (p.degree * q.degree)
+    g = h = 1
+    while len(b) > 1:
+        d, lead, num = len(a) - len(b), b[-1], num * (-1) ** ((len(a) - 1) * (len(b) - 1))
+        # the lazy scale divides lead^(d + 1), the full pseudo-division's
+        full = lead ** (d + 1) // _pseudo_divide(a, b, [])
+        if not a:
             return Fraction(0)
-        if a.degree * b.degree % 2:
-            num = -num
-        num *= b.num[-1] ** (a.degree - r.degree)
-        den *= b.den ** (a.degree - r.degree)
-        a, b = b, r
-    return Fraction(num * b.num[-1] ** a.degree, den * b.den**a.degree)
+        a, b = b, [c * full // (g * h**d) for c in a]
+        g, h = lead, lead**d // h ** (d - 1) if d else h
+    # b is constant: the last subresultant is b^(deg a) / h^(deg a - 1)
+    n = len(a) - 1
+    return Fraction(num * (b[0] ** n // h ** max(n - 1, 0)), den)
 
 
 def interpolate(values: Sequence[Rat]) -> UniPoly:

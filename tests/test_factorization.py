@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_unipoly import nonzero_polys
 
@@ -183,6 +183,30 @@ def test_fp_kernel_laws(p, a, b, e):
     assert fp_powmod(a, e, b, p) == power
 
 
+def kernel_fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Oracle of ``fp_gcd``: the Euclidean loop on ``fp_divmod``, made monic."""
+    while b:
+        a, b = b, fp_divmod(a, b, p)[1]
+    return fp_mul(a, [pow(a[-1], -1, p)], p) if a else a
+
+
+FP_WIDE = st.lists(st.integers(0, 2**31), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 5, 7, 101, pell._PRIME]), FP_WIDE, FP_WIDE, FP_WIDE)
+@example(3, [], [], [])  # both zero
+@example(5, [2], [], [1])  # a nonzero constant and zero
+@example(7, [1, 2, 1], [3, 3], [])  # a common root, b not monic
+@example(pell._PRIME, [1, 0, 1], [pell._PRIME - 1, 0, 1], [2, 1])  # coprime
+def test_fp_gcd_matches_the_divmod_loop_property(p, a, b, c):
+    a, b, c = reduced(a, p), reduced(b, p), reduced(c, p)
+    for x, y in ((a, b), (b, a), (fp_mul(a, c, p), fp_mul(b, c, p))):
+        held = (list(x), list(y))
+        assert fp_gcd(x, y, p) == kernel_fp_gcd(x, y, p)
+        assert (x, y) == held
+
+
 def trial_division(q: int, divisors) -> bool:
     """Oracle of ``_is_prime``: q > 1 has no divisor up to isqrt(q) among
     ``divisors``, an ascending sequence that holds every prime up to it."""
@@ -191,13 +215,15 @@ def trial_division(q: int, divisors) -> bool:
 
 def test_is_prime_matches_trial_division():
     # Each scan starts below the Miller-Rabin bound: _good_prime at 3, the
-    # F_p search of pell at 2^31 - 1.  The primes up to isqrt(2^31 + 10^4)
-    # are found by trial division by every smaller integer.
+    # F_p search of pell at the largest prime below 2^30.  The primes up to
+    # isqrt(2^31 + 10^4) are found by trial division by every smaller integer.
     top = 2**31 + 10**4
     primes = [d for d in range(2, isqrt(top) + 1) if trial_division(d, range(2, d))]
-    candidates = [*range(200_000), *range(2**31 - 10**4, top + 1)]
+    candidates = [*range(200_000), *range(2**30 - 10**4, 2**30 + 10**4 + 1),
+                  *range(2**31 - 10**4, top + 1)]
     assert [n for n in candidates if _is_prime(n) != trial_division(n, primes)] == []
-    assert pell._PRIME == 2**31 - 1 and _is_prime(pell._PRIME)
+    assert pell._PRIME == 2**30 - 35 and _is_prime(pell._PRIME)
+    assert not any(trial_division(n, primes) for n in range(pell._PRIME + 1, 2**30))
 
 
 CONJUGATE_X3_X = ("x^3+x", "1", "x^6+2*x^4+x^2-1")

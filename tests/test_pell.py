@@ -232,9 +232,10 @@ def built_degrees(monkeypatch) -> list[int]:
 
 # x^4 + x + 1 with x scaled by the prime of least_unit: the prime divides
 # the denominators of its coefficients, so it is bad for this R, and the
-# search moves on to the next prime, 2^31 + 11.
+# search moves on to the next prime, found here by trial division.
 R_BAD_AT_P = affine_image(R_QUARTIC, pell._PRIME, 0)
-NEXT_PRIME = 2**31 + 11
+NEXT_PRIME = next(n for n in range(pell._PRIME + 2, 2 * pell._PRIME, 2)
+                  if all(n % d for d in range(3, isqrt(n) + 1, 2)))
 
 
 def test_a_miss_the_prefilter_proves_reads_step_0(monkeypatch):

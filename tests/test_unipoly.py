@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from abelpell import unipoly
 from abelpell.unipoly import (
     UniPoly,
     gcd,
@@ -311,6 +312,57 @@ def test_kernel_matches_schoolbook_property(a, b, c):
         # Equal coefficients, equal representation: == and hash follow.
         rebuilt = UniPoly(oracles[name])
         assert p == rebuilt and hash(p) == hash(rebuilt), name
+
+
+# -- the remainder sequences against the Euclidean loops on UniPoly -----------
+
+
+def euclid_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Oracle of ``gcd``: the Euclidean algorithm on ``%``, made monic."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a % b
+    return a if a.is_zero() else a.monic()
+
+
+def euclid_resultant(p: UniPoly, q: UniPoly) -> Fraction:
+    """Oracle of ``resultant``: with r = a mod b, res(a, b) = (-1)^(deg a
+    deg b) lc(b)^(deg a - deg r) res(b, r), 0 at a zero remainder, and
+    res(a, c) = c^(deg a) for a constant c."""
+    out, a, b = Fraction(1), p, q
+    while b.degree > 0:
+        r = a % b
+        if r.is_zero():
+            return Fraction(0)
+        out *= (-1) ** (a.degree * b.degree) * b.leading ** (a.degree - r.degree)
+        a, b = b, r
+    return out * b.leading**a.degree
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys(5), polys(5), divisors(2))
+@example(UniPoly(()), UniPoly(()), poly(1))  # both zero
+@example(poly(0, 4, -6), UniPoly(()), poly(3))  # non-primitive and zero
+@example(poly(Fraction(-3, 2)), poly(1, 2, -3), poly(-2, 4))  # a constant
+@example(poly(1, 2), poly(0, 0, -3), poly(Fraction(1, 2), -1))  # deg a < deg b
+@example(poly(-1, 0, -1), poly(-1, 0, 0, -1), poly(5, 0, -10))  # negative leads
+@example(poly(BIG, -1, 0, BIG), poly(1, -BIG, Fraction(-7, 2**70 + 1)), poly(BIG, 1))
+def test_gcd_and_resultant_match_the_euclidean_oracles_property(a, b, c):
+    for p, q in ((a, b), (b, a), (a * c, b * c)):
+        assert gcd(p, q) == euclid_gcd(p, q)
+        if not p.is_zero() and not q.is_zero():
+            assert resultant(p, q) == euclid_resultant(p, q) == sylvester_resultant(p, q)
+
+
+def test_gcd_builds_one_polynomial(monkeypatch):
+    common, line = poly(-2, 0, 1), poly(1, 1)
+    p, q = poly(Fraction(1, 2), 0, 3) * common, poly(6, Fraction(4, 3)) * common
+    built = []
+    init = unipoly._init
+    monkeypatch.setattr(unipoly, "_init", lambda *args: built.append(args) or init(*args))
+    assert gcd(p, q) == common and len(built) == 1
+    assert resultant(p, q) == 0 and resultant(p, line) == p.evaluate(-1) == Fraction(-7, 2)
+    assert len(built) == 1
 
 
 @settings(max_examples=80, deadline=None)
