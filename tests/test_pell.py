@@ -230,12 +230,30 @@ def built_degrees(monkeypatch) -> list[int]:
     return built
 
 
+def next_prime(p: int) -> int:
+    """The least prime above the odd p, by trial division."""
+    return next(n for n in range(p + 2, 2 * p, 2)
+                if all(n % d for d in range(3, isqrt(n) + 1, 2)))
+
+
 # x^4 + x + 1 with x scaled by the prime of least_unit: the prime divides
 # the denominators of its coefficients, so it is bad for this R, and the
-# search moves on to the next prime, found here by trial division.
+# search moves on to the next prime.
 R_BAD_AT_P = affine_image(R_QUARTIC, pell._PRIME, 0)
-NEXT_PRIME = next(n for n in range(pell._PRIME + 2, 2 * pell._PRIME, 2)
-                  if all(n % d for d in range(3, isqrt(n) + 1, 2)))
+
+
+def bad_prime_cases(p: int) -> list:
+    """R bad at the first prime p of least_unit, or at p and the next, each
+    with the degree of its least unit over Q (None: none of degree <= 10)."""
+    q = next_prime(p)
+    cases = [
+        (affine_image(R_QUARTIC, p, 0), None),
+        (poly(1, p, 2, 0, 1), None),  # (x^2 + 1)^2 + p x, a square mod p
+        (affine_image(R_QUARTIC, p * q, 0), None),  # bad at both
+        (affine_image(kubert_r(7, 3), p, 0), 7),
+        (affine_image(kubert_r(7, 3), p * q, 0), 7),
+    ]
+    return [pytest.param(p, q, r, degree, id=f"{r}-{degree}") for r, degree in cases]
 
 
 def test_a_miss_the_prefilter_proves_reads_step_0(monkeypatch):
@@ -251,18 +269,16 @@ def test_a_miss_builds_no_convergent(monkeypatch):
     assert pell_solve(R_BAD_AT_P, 20) is None
 
 
-@pytest.mark.parametrize("r, unit_degree", [
-    (R_BAD_AT_P, None),
-    (poly(1, pell._PRIME, 2, 0, 1), None),  # (x^2 + 1)^2 + p x, a square mod p
-    (affine_image(R_QUARTIC, pell._PRIME * NEXT_PRIME, 0), None),  # bad at both
-    (affine_image(kubert_r(7, 3), pell._PRIME, 0), 7),
-    (affine_image(kubert_r(7, 3), pell._PRIME * NEXT_PRIME, 0), 7),
-], ids=str)
-def test_a_bad_prime_moves_the_search_to_the_next_good_one(monkeypatch, r, unit_degree):
+# The search does not depend on the prime it starts from: 2^31 - 1, the
+# first prime of an earlier least_unit, moves on the same way.
+@pytest.mark.parametrize("p, q, r, unit_degree",
+                         bad_prime_cases(pell._PRIME) + bad_prime_cases(2**31 - 1))
+def test_a_bad_prime_moves_the_search_to_the_next_good_one(monkeypatch, p, q, r, unit_degree):
     # A miss is still proved at step 0, and a unit is still found: a search
     # that gave up at a bad prime would miss Kubert's unit of degree 7.
-    assert all(NEXT_PRIME % d for d in range(2, isqrt(NEXT_PRIME) + 1))
+    assert all(q % d for d in range(2, isqrt(q) + 1))
     assert is_squarefree(r)
+    monkeypatch.setattr(pell, "_PRIME", p)
     built = built_degrees(monkeypatch)
     assert index_of(least_unit(cf_steps(r), 10)) == plain_least_unit(r, 10)
     assert built == ([2] if unit_degree is None else list(range(2, unit_degree + 1)))
