@@ -17,7 +17,9 @@ The modular kernel is plain functions on lists of ``int`` coefficients,
 constant term first, trailing zeros trimmed, entries reduced to [0, m).
 ``fp_mul`` and ``fp_divmod`` work modulo any m (Hensel lifting uses m = p^k)
 as long as the divisor's leading coefficient is a unit; ``fp_gcd``,
-``fp_xgcd`` and ``fp_powmod`` need a prime modulus.
+``fp_xgcd`` and ``fp_powmod`` need a prime modulus.  ``_fp_reduce`` is the one
+division loop modulo m, under ``fp_divmod``, ``fp_gcd`` and the fused step of
+``pell._unit_degree_mod_p``, and ``_good_prime`` the one good-prime scan.
 
 >>> factor_rational(UniPoly((-1, 0, 0, 0, 1)))
 [(UniPoly('x - 1'), 1), (UniPoly('x + 1'), 1), (UniPoly('x^2 + 1'), 1)]
@@ -25,7 +27,7 @@ as long as the divisor's leading coefficient is a unit; ``fp_gcd``,
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, count
 from math import isqrt
 
 from .limits import ResourceLimit
@@ -76,21 +78,27 @@ def fp_mul(a: list[int], b: list[int], m: int) -> list[int]:
     return _trim([c % m for c in out])
 
 
+def _fp_reduce(a: list[int], b: list[int], inv: int, m: int) -> list[int]:
+    """The quotient of the ints a by b modulo m, top term first, with inv
+    the inverse of lc(b) mod m: a is reduced in place and its remainder,
+    not yet taken mod m, is left in a[:deg b]."""
+    db = len(b) - 1
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        if c := a[i] * inv % m:
+            quo[i - db] = c
+            for j in range(db):
+                a[i - db + j] -= c * b[j]
+    return _trim(quo)
+
+
 def fp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by b modulo m; lc(b) must be a unit mod m."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, m)
-    quo = [0] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * inv % m
-        if c:
-            quo[i - db] = c
-            for j, y in enumerate(b):
-                rem[i - db + j] -= c * y
-    return _trim(quo), _trim([c % m for c in rem[:db]])
+    quo = _fp_reduce(rem, b, pow(b[-1], -1, m), m)
+    return quo, _trim([c % m for c in rem[:len(b) - 1]])
 
 
 def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -98,12 +106,8 @@ def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     one inverse per step, and the remainder reduced in place."""
     a, b = list(a), list(b)
     while b:
-        db, low, inv = len(b) - 1, b[:-1], pow(b[-1], -1, p)
-        for i in range(len(a) - 1, db - 1, -1):
-            if c := a[i] * inv % p:
-                for j, y in enumerate(low, i - db):
-                    a[j] -= c * y
-        a, b = b, _trim([c % p for c in a[:db]])
+        _fp_reduce(a, b, pow(b[-1], -1, p), p)
+        a, b = b, _trim([c % p for c in a[:len(b) - 1]])
     return _scale(a, pow(a[-1], -1, p), p) if a else a
 
 
@@ -179,12 +183,11 @@ _BASES = (2, 3, 5, 7)
 def _is_prime(q: int) -> bool:
     """Whether q is prime, by Miller-Rabin on the bases 2, 3, 5 and 7: exact
     below 3,215,031,751 (Pomerance, Selfridge and Wagstaff, *Math. Comp.* 35,
-    1980; Jaeschke, *Math. Comp.* 61, 1993).  Neither scan for a good prime,
-    :func:`_good_prime` from 3 and ``pell._unit_degree_mod_p`` from
-    ``pell._PRIME`` = 2^30 - 35, gets there: it passes only primes that
-    divide one nonzero integer of its input (a leading coefficient, a
-    denominator, a discriminant), and the primes it would pass multiply to
-    over 3 * 10^9 bits.
+    1980; Jaeschke, *Math. Comp.* 61, 1993).  :func:`_good_prime` does not
+    get there from its start, 3 or ``pell._PRIME`` = 2^30 - 35: it passes
+    only primes that divide one nonzero integer of its input (a leading
+    coefficient or a discriminant), and the primes it would pass multiply
+    to over 3 * 10^9 bits.
     """
     if q < 2 or any(q % b == 0 for b in _BASES):
         return q in _BASES
@@ -210,13 +213,13 @@ def _squarefree_mod(f: list[int], p: int) -> bool:
     return len(fp_gcd(fp, df, p)) == 1
 
 
-def _good_prime(f: list[int]) -> int:
-    """The smallest odd prime not dividing lc(f) modulo which f stays squarefree."""
-    p = 3
-    while True:
-        if _is_prime(p) and f[-1] % p and _squarefree_mod(f, p):
-            return p
-        p += 2
+def _good_prime(f: list[int], p: int) -> int:
+    """The first prime from the odd prime p up that does not divide lc(f)
+    and modulo which f stays squarefree; p itself is not tested for
+    primality."""
+    while not (f[-1] % p and _squarefree_mod(f, p)):
+        p = next(q for q in count(p + 2, 2) if _is_prime(q))
+    return p
 
 
 # -- Hensel lifting and recombination ------------------------------------------------
@@ -303,8 +306,8 @@ def _factor_squarefree(part: UniPoly, rng) -> list[UniPoly]:
     if part.degree == 1:
         return [part]
     f = _primitive(part.num)[0]
-    p = _good_prime(f)
-    fp = _scale([c % p for c in f], pow(f[-1], -1, p), p)
+    p = _good_prime(f, 3)
+    fp = _scale(f, pow(f[-1], -1, p), p)
     modular = [
         factor
         for g, d in _distinct_degree(fp, p)

@@ -297,11 +297,15 @@ def _unit_degree_mod_p(y: UniPoly, b: UniPoly, max_order: int) -> int | None:
     there is none of degree <= max_order (why this decides a miss, see
     :func:`least_unit`).
 
-    p is good when it divides no denominator of Y or B_1 and R mod p is
-    squarefree; only finitely many primes are bad for one R, so the search
-    for a good one ends.  The expansion is that of :func:`_cf_steps` over
-    F_p, on plain lists of residues (constant term first), one fused step at
-    a time with one inverse of lc(B_k) for both of its divisions by B_k.
+    p is good when it does not divide den R and R mod p is squarefree
+    (``factorization._good_prime`` on the numerators of R); only finitely
+    many primes are bad for one R, so the search for a good one ends.  Such
+    a p divides no denominator of Y or B_1, whose residues give R mod p:
+    den Y divides (4 den R)^h, h = deg Y, by the recurrence of
+    :func:`_sqrt_and_rest`, and B_1 = R - Y^2.  The expansion is that of
+    :func:`_cf_steps` over F_p, on plain lists of residues (constant term
+    first), one fused step at a time with one inverse of lc(B_k) for both of
+    its divisions by B_k.
     A_k + Y has degree h = deg Y and leading coefficient 2 (A_k = Y - rem
     with deg rem < h, and p is odd), so deg a_k = h - deg B_k is read off
     without building the floor: only its remainder is kept.  B_(k+1) is the
@@ -316,17 +320,12 @@ def _unit_degree_mod_p(y: UniPoly, b: UniPoly, max_order: int) -> int | None:
     True
     """
     # deferred: a hit is answered at step 0 and never loads the kernel
-    from .factorization import _add, _is_prime, _squarefree_mod, fp_mul
+    from .factorization import _add, _fp_reduce, _good_prime, _scale, fp_mul
 
-    p = _PRIME
-    while True:
-        if y.den % p and b.den % p:
-            yp = fp_mul(y.num, [pow(y.den, -1, p)], p)
-            bp = fp_mul(b.num, [pow(b.den, -1, p)], p)
-            r = _add(fp_mul(yp, yp, p), bp, p)
-            if _squarefree_mod(r, p):
-                break
-        p = next(q for q in count(p + 2, 2) if _is_prime(q))
+    p = _good_prime((y * y + b).num, _PRIME)
+    yp = _scale(y.num, pow(y.den, -1, p), p)
+    bp = _scale(b.num, pow(b.den, -1, p), p)
+    r = _add(fp_mul(yp, yp, p), bp, p)
     h = len(yp) - 1
     a, b, degree = yp, bp, h
     while len(b) > 1:
@@ -337,26 +336,16 @@ def _unit_degree_mod_p(y: UniPoly, b: UniPoly, max_order: int) -> int | None:
         inv = pow(b[-1], -1, p)
         # rem = (A_k + Y) mod B_k, left in s[:db]; A_(k+1) = Y - rem
         s = [u + v for u, v in zip(a, yp)]
-        for i in range(h, db - 1, -1):
-            c = s[i] * inv % p
-            for j in range(db):
-                s[i - db + j] -= c * b[j]
+        _fp_reduce(s, b, inv, p)
         a = [(u - v) % p for u, v in zip(yp, s[:db])] + yp[db:]
         # B_(k+1) = (R - A_(k+1)^2) / B_k, whose remainder is left in n[:db]
         n = list(r)
         for i, u in enumerate(a):
             for j, v in enumerate(a):
                 n[i + j] -= u * v
-        quo = [0] * (2 * h - db + 1)
-        for i in range(2 * h, db - 1, -1):
-            c = quo[i - db] = n[i] * inv % p
-            for j in range(db):
-                n[i - db + j] -= c * b[j]
+        b = _fp_reduce(n, b, inv, p)
         if any(c % p for c in n[:db]):
             raise AssertionError("a surd modulo p is not reduced")
-        while not quo[-1]:
-            quo.pop()
-        b = quo
     return degree
 
 

@@ -10,7 +10,8 @@ import sys
 import time
 from bisect import bisect_right
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from test_unipoly import nonzero_polys
 
 from abelpell import geometry, pell
 from abelpell.factorization import (
+    _good_prime,
     _is_prime,
     factor_rational,
     fp_divmod,
@@ -31,7 +33,7 @@ from abelpell.factorization import (
 )
 from abelpell.limits import ResourceLimit
 from abelpell.pell import PellTriple
-from abelpell.unipoly import UniPoly, poly
+from abelpell.unipoly import UniPoly, poly, resultant
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -183,14 +185,52 @@ def test_fp_kernel_laws(p, a, b, e):
     assert fp_powmod(a, e, b, p) == power
 
 
+def schoolbook_fp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Oracle of ``fp_divmod``: quotient and remainder of a by b modulo m,
+    each step subtracting c * b, its top term too, from a copy of a."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * inv % m
+        if c:
+            quo[i - db] = c
+            for j, y in enumerate(b):
+                rem[i - db + j] -= c * y
+    return reduced(quo, m), reduced(rem[:db], m)
+
+
 def kernel_fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Oracle of ``fp_gcd``: the Euclidean loop on ``fp_divmod``, made monic."""
+    """Oracle of ``fp_gcd``: the Euclidean loop on ``schoolbook_fp_divmod``,
+    made monic."""
     while b:
-        a, b = b, fp_divmod(a, b, p)[1]
+        a, b = b, schoolbook_fp_divmod(a, b, p)[1]
     return fp_mul(a, [pow(a[-1], -1, p)], p) if a else a
 
 
 FP_WIDE = st.lists(st.integers(0, 2**31), max_size=8)
+# Primes and, as Hensel lifting uses, prime powers.
+FP_MODULI = [3, 3**5, 7, 7**3, 101, 101**2, pell._PRIME, pell._PRIME**2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FP_MODULI), FP_WIDE, FP_WIDE, st.integers(1, 2**62))
+@example(3**5, [], [1, 2], 4)  # zero dividend
+@example(7, [5], [], 2)  # constant dividend and divisor
+@example(7**3, [5], [1, 2, 3], 5)  # constant dividend, longer divisor
+@example(pell._PRIME**2, [1, 2], [0, 0, 0], 1)  # a monomial divisor, longer
+@example(101, [1, 2, 3, 4, 5, 6, 7, 8], [9, 9], 100)  # a top term of -1
+def test_fp_divmod_matches_the_schoolbook_loop_property(m, a, low, lead):
+    # The divisor's leading coefficient is a unit modulo m.
+    if gcd(lead, m) != 1:
+        return
+    a, b = reduced(a, m), [c % m for c in low] + [lead % m]
+    held = list(a)
+    assert fp_divmod(a, b, m) == schoolbook_fp_divmod(a, b, m)
+    assert a == held
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,9 +254,11 @@ def trial_division(q: int, divisors) -> bool:
 
 
 def test_is_prime_matches_trial_division():
-    # Each scan starts below the Miller-Rabin bound: _good_prime at 3, the
-    # F_p search of pell at the largest prime below 2^30.  The primes up to
-    # isqrt(2^31 + 10^4) are found by trial division by every smaller integer.
+    # _good_prime, the one scan for a good prime, starts below the
+    # Miller-Rabin bound from either of its starts: 3 for factor_rational,
+    # the largest prime below 2^30 for the F_p search of pell.  The primes up
+    # to isqrt(2^31 + 10^4) are found by trial division by every smaller
+    # integer.
     top = 2**31 + 10**4
     primes = [d for d in range(2, isqrt(top) + 1) if trial_division(d, range(2, d))]
     candidates = [*range(200_000), *range(2**30 - 10**4, 2**30 + 10**4 + 1),
@@ -224,6 +266,41 @@ def test_is_prime_matches_trial_division():
     assert [n for n in candidates if _is_prime(n) != trial_division(n, primes)] == []
     assert pell._PRIME == 2**30 - 35 and _is_prime(pell._PRIME)
     assert not any(trial_division(n, primes) for n in range(pell._PRIME + 1, 2**30))
+
+
+def trial_good_prime(f: list[int]) -> int:
+    """Oracle of ``_good_prime(f, 3)``: the least odd prime, by trial
+    division, that divides neither lc(f) nor the resultant of f and f'
+    (modulo a p not dividing lc(f), f is squarefree exactly when p does not
+    divide that resultant)."""
+    res = resultant(UniPoly(f), UniPoly(f).derivative())
+    return next(p for p in count(3, 2)
+                if trial_division(p, range(2, p)) and f[-1] % p and res % p)
+
+
+@pytest.mark.parametrize("f, p", [
+    ([1, 1, 105], 11),  # 105 x^2 + x + 1: the lead is 3 * 5 * 7
+    ([-105, 0, 1], 11),  # x^2 - 105: the discriminant 420 is 4 * 3 * 5 * 7
+    ([7, 0, 15], 11),  # 15 x^2 + 7: 3 and 5 divide the lead, 7 the discriminant
+    ([1, 1, 1155], 13),  # and 11 too
+    ([-1155 * 13, 0, 1], 17),
+    ([1, 0, 0, 0, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23], 29),
+])
+def test_good_prime_matches_a_trial_division_scan(f, p):
+    assert _good_prime(f, 3) == trial_good_prime(f) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=6),
+       st.sets(st.sampled_from([3, 5, 7])), st.integers(1, 9))
+def test_good_prime_matches_a_trial_division_scan_property(low, lead_primes, lead):
+    # The lead is a multiple of the chosen primes among 3, 5 and 7.
+    for q in lead_primes:
+        lead *= q
+    f = low + [lead]
+    if resultant(UniPoly(f), UniPoly(f).derivative()) == 0:
+        return
+    assert _good_prime(f, 3) == trial_good_prime(f)
 
 
 CONJUGATE_X3_X = ("x^3+x", "1", "x^6+2*x^4+x^2-1")

@@ -119,3 +119,18 @@ def test_public_names_are_their_home_objects():
         assert getattr(sys.modules[value.__module__], name) is value, name
     with pytest.raises(AttributeError):
         abelpell.no_such_name
+
+
+def test_only_factorization_decides_a_good_prime():
+    # pell asks factorization._good_prime for its prime, and names neither
+    # of the tests that decide one.
+    deciders = {"_is_prime", "_squarefree_mod"}
+    for path in sorted((SRC / "abelpell").glob("*.py")):
+        if path.name == "factorization.py":
+            continue
+        tree = ast.parse(path.read_text())
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not named & deciders, (path.name, named & deciders)

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from conftest import chebyshev_triple, kubert_r
+from test_factorization import schoolbook_fp_divmod
 from test_parsing import int_digit_limit
 
 from abelpell import factorization, pell
-from abelpell.factorization import _add, _is_prime, _squarefree_mod, _sub, fp_divmod, fp_mul
+from abelpell.factorization import _add, _is_prime, _squarefree_mod, _sub, fp_mul
 from abelpell.parsing import parse_poly
 from abelpell.rationals import rational_nth_root
 from abelpell.pell import (
@@ -429,11 +430,11 @@ def test_kubert_units(n, t):
     assert pell._unit_degree_mod_p(y, b, n - 1) is None
 
 
-def kernel_unit_degree_mod_p(y, b, max_order):
-    """The expansion modulo p on the generic modular kernel of
-    ``factorization``: the same good prime, then per step the floor by
-    ``fp_divmod``, its degree read off the quotient, and the exact division
-    checked on the remainder; the oracle of the fused loop."""
+def kernel_good_prime(y, b):
+    """(p, Y mod p, B_1 mod p, R mod p) at the first prime p >= ``_PRIME``
+    that divides no denominator of Y or B_1 and modulo which R = Y^2 + B_1
+    stays squarefree: the rule put on Y and B_1, the oracle of
+    ``_good_prime`` on the numerators of R."""
     p = pell._PRIME
     while True:
         if y.den % p and b.den % p:
@@ -443,14 +444,23 @@ def kernel_unit_degree_mod_p(y, b, max_order):
             if _squarefree_mod(r, p):
                 break
         p = next(q for q in range(p + 2, 2 * p, 2) if _is_prime(q))
+    return p, yp, bp, r
+
+
+def kernel_unit_degree_mod_p(y, b, max_order):
+    """The expansion modulo p on the generic modular kernel: the good prime
+    of ``kernel_good_prime``, then per step the floor by the schoolbook
+    division, its degree read off the quotient, and the exact division
+    checked on the remainder; the oracle of the fused loop."""
+    p, yp, bp, r = kernel_good_prime(y, b)
     a, b, degree = yp, bp, len(yp) - 1
     while len(b) > 1:
-        partial, rem = fp_divmod(_add(a, yp, p), b, p)
+        partial, rem = schoolbook_fp_divmod(_add(a, yp, p), b, p)
         degree += len(partial) - 1
         if degree > max_order:
             return None
         a = _sub(yp, rem, p)
-        b, rest = fp_divmod(_sub(r, fp_mul(a, a, p), p), b, p)
+        b, rest = schoolbook_fp_divmod(_sub(r, fp_mul(a, a, p), p), b, p)
         assert not rest
     return degree
 
@@ -483,6 +493,39 @@ def miss_like_r(draw):
 def test_the_fused_step_matches_the_kernel_loop(r, max_order):
     y, b = pell._sqrt_and_rest(r)
     assert pell._unit_degree_mod_p(y, b, max_order) == kernel_unit_degree_mod_p(y, b, max_order)
+
+
+def assert_the_good_prime_is_the_kernel_one(r):
+    # An odd p does not divide den R exactly when it divides neither den Y
+    # nor den B_1: den Y divides (4 den R)^h, B_1 = R - Y^2, R = Y^2 + B_1.
+    y, b = pell._sqrt_and_rest(r)
+    h, w = y.degree, 4 * r.den
+    assert pow(w, h, y.den) == 0 and pow(w, 2 * h, b.den) == 0
+    found = []
+    good_prime = factorization._good_prime
+
+    def record(f, p):
+        found.append(good_prime(f, p))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(factorization, "_good_prime", record)
+        pell._unit_degree_mod_p(y, b, 1)
+    assert found == [kernel_good_prime(y, b)[0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(miss_like_r())
+def test_the_good_prime_rule_on_den_r_property(r):
+    assert_the_good_prime_is_the_kernel_one(r)
+
+
+@pytest.mark.parametrize("p, q, r, unit_degree",
+                         bad_prime_cases(pell._PRIME) + bad_prime_cases(2**31 - 1))
+def test_the_good_prime_rule_on_den_r_at_a_bad_prime(monkeypatch, p, q, r, unit_degree):
+    monkeypatch.setattr(pell, "_PRIME", p)
+    assert_the_good_prime_is_the_kernel_one(r)
+    assert factorization._good_prime(r.num, p) != p
 
 
 def test_one_inverse_per_fused_step(monkeypatch):
