@@ -92,7 +92,7 @@ def _cmd_pell_solve(args):
     # there.  The check lists the degrees it read, up to n_max.  Only the
     # steps' norms and degrees are read; minimal_solution builds the unit's
     # convergent.
-    unit = pell.least_unit((steps.append(step) or step for step in expansion), args.n_max)
+    unit = pell.least_unit(r, (steps.append(step) or step for step in expansion), args.n_max)
     triple = pell.minimal_solution(r, unit, args.n_max)
     searched = [step.degree for step in steps if step.degree <= args.n_max]
     checks = [check("orders_searched_up_to_n_max", True, orders=searched)]

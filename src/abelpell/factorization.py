@@ -19,7 +19,8 @@ constant term first, trailing zeros trimmed, entries reduced to [0, m).
 as long as the divisor's leading coefficient is a unit; ``fp_gcd``,
 ``fp_xgcd`` and ``fp_powmod`` need a prime modulus.  ``_fp_reduce`` is the one
 division loop modulo m, under ``fp_divmod``, ``fp_gcd`` and the fused step of
-``pell._unit_degree_mod_p``, and ``_good_prime`` the one good-prime scan.
+``pell._unit_degree_mod_p``, and ``_good_prime`` the one good-prime scan; it
+returns f reduced at the prime it picks, so no caller reduces f again.
 
 >>> factor_rational(UniPoly((-1, 0, 0, 0, 1)))
 [(UniPoly('x - 1'), 1), (UniPoly('x + 1'), 1), (UniPoly('x^2 + 1'), 1)]
@@ -206,20 +207,21 @@ def _is_prime(q: int) -> bool:
 
 
 def _squarefree_mod(f: list[int], p: int) -> bool:
-    """Whether f, whose leading coefficient p does not divide, is squarefree
-    modulo the prime p."""
-    fp = [c % p for c in f]
-    df = _trim([i * c % p for i, c in enumerate(fp)][1:])
-    return len(fp_gcd(fp, df, p)) == 1
+    """Whether the residues f modulo the prime p, with a nonzero lead, are
+    squarefree modulo p."""
+    df = _trim([i * c % p for i, c in enumerate(f)][1:])
+    return len(fp_gcd(f, df, p)) == 1
 
 
-def _good_prime(f: list[int], p: int) -> int:
-    """The first prime from the odd prime p up that does not divide lc(f)
-    and modulo which f stays squarefree; p itself is not tested for
-    primality."""
-    while not (f[-1] % p and _squarefree_mod(f, p)):
+def _good_prime(f: list[int], p: int) -> tuple[int, list[int]]:
+    """(q, f made monic mod q) at the first prime q from the odd prime p up
+    (p is not tested for primality) that does not divide lc(f) and modulo
+    which f stays squarefree.  f must be squarefree over Q, or no prime is
+    good and the scan never ends (x^2 loops forever): ``pell.cf_steps``
+    checks R, and the factorizer passes only parts of Yun's decomposition."""
+    while not (f[-1] % p and _squarefree_mod(fp := _scale(f, pow(f[-1], -1, p), p), p)):
         p = next(q for q in count(p + 2, 2) if _is_prime(q))
-    return p
+    return p, fp
 
 
 # -- Hensel lifting and recombination ------------------------------------------------
@@ -306,8 +308,7 @@ def _factor_squarefree(part: UniPoly, rng) -> list[UniPoly]:
     if part.degree == 1:
         return [part]
     f = _primitive(part.num)[0]
-    p = _good_prime(f, 3)
-    fp = _scale(f, pow(f[-1], -1, p), p)
+    p, fp = _good_prime(f, 3)
     modular = [
         factor
         for g, d in _distinct_degree(fp, p)

@@ -291,21 +291,20 @@ def cf_steps(r: UniPoly) -> Iterator[CFStep]:
     return _cf_steps(r)
 
 
-def _unit_degree_mod_p(y: UniPoly, b: UniPoly, max_order: int) -> int | None:
-    """The degree of the unit over F_p of R = Y^2 + B_1, read from a_0 = Y
-    and B_1 at the first prime p >= ``_PRIME`` that is good for R; None if
-    there is none of degree <= max_order (why this decides a miss, see
-    :func:`least_unit`).
+def _unit_degree_mod_p(r: UniPoly, y: UniPoly, max_order: int) -> int | None:
+    """The degree of the unit over F_p of R, read from R and a_0 = Y at the
+    first prime p >= ``_PRIME`` that is good for R; None if there is none
+    of degree <= max_order (why this decides a miss, see :func:`least_unit`).
 
-    p is good when it does not divide den R and R mod p is squarefree
-    (``factorization._good_prime`` on the numerators of R); only finitely
-    many primes are bad for one R, so the search for a good one ends.  Such
-    a p divides no denominator of Y or B_1, whose residues give R mod p:
-    den Y divides (4 den R)^h, h = deg Y, by the recurrence of
-    :func:`_sqrt_and_rest`, and B_1 = R - Y^2.  The expansion is that of
-    :func:`_cf_steps` over F_p, on plain lists of residues (constant term
-    first), one fused step at a time with one inverse of lc(B_k) for both of
-    its divisions by B_k.
+    p is good when it does not divide den R and R mod p is squarefree;
+    ``factorization._good_prime`` finds it on the numerators of R and
+    returns R mod p, so R is reduced once, there.  Only finitely many primes
+    are bad for one R, so the search for a good one ends.  Such a p divides
+    no denominator of Y: den Y divides (4 den R)^h, h = deg Y, by the
+    recurrence of :func:`_sqrt_and_rest`.  B_1 mod p is R - Y^2 mod p.  The
+    expansion is that of :func:`_cf_steps` over F_p, on plain lists of
+    residues (constant term first), one fused step at a time with one
+    inverse of lc(B_k) for both of its divisions by B_k.
     A_k + Y has degree h = deg Y and leading coefficient 2 (A_k = Y - rem
     with deg rem < h, and p is odd), so deg a_k = h - deg B_k is read off
     without building the floor: only its remainder is kept.  B_(k+1) is the
@@ -314,20 +313,18 @@ def _unit_degree_mod_p(y: UniPoly, b: UniPoly, max_order: int) -> int | None:
     guard that each surd modulo p is reduced.
 
     >>> r = UniPoly((0, 1, 0, 0, 1))  # x^4 + x
-    >>> _unit_degree_mod_p(*_sqrt_and_rest(r), 12)
+    >>> _unit_degree_mod_p(r, laurent_sqrt_polypart(r), 12)
     3
-    >>> _unit_degree_mod_p(*_sqrt_and_rest(r + 1), 10) is None
+    >>> _unit_degree_mod_p(r + 1, laurent_sqrt_polypart(r + 1), 10) is None
     True
     """
     # deferred: a hit is answered at step 0 and never loads the kernel
-    from .factorization import _add, _fp_reduce, _good_prime, _scale, fp_mul
+    from .factorization import _fp_reduce, _good_prime, _scale, _sub, fp_mul
 
-    p = _good_prime((y * y + b).num, _PRIME)
+    p, r = _good_prime(r.num, _PRIME)
     yp = _scale(y.num, pow(y.den, -1, p), p)
-    bp = _scale(b.num, pow(b.den, -1, p), p)
-    r = _add(fp_mul(yp, yp, p), bp, p)
     h = len(yp) - 1
-    a, b, degree = yp, bp, h
+    a, b, degree = yp, _sub(r, fp_mul(yp, yp, p), p), h
     while len(b) > 1:
         db = len(b) - 1
         degree += h - db
@@ -349,17 +346,17 @@ def _unit_degree_mod_p(y: UniPoly, b: UniPoly, max_order: int) -> int | None:
     return degree
 
 
-def least_unit(steps: Iterable[CFStep], max_order: int) -> CFStep | None:
+def least_unit(r: UniPoly, steps: Iterable[CFStep], max_order: int) -> CFStep | None:
     """The fundamental unit: the first constant-norm step among ``steps``
     (the expansion of sqrt(R) from step 0) of degree up to ``max_order``;
     None if there is none.  No convergent is built.
 
-    If step 0 is not the unit, its a_0 = Y and B_1 = -norm_0 give R = Y^2 +
-    B_1, and the expansion is run modulo a prime p of good reduction for R
-    (:func:`_unit_degree_mod_p`) up to the same degree.  If it finds no
-    unit, there is none over Q, and the search stops after step 0; if it
-    finds one of degree d, a unit over Q can have no other degree, and the
-    exact search stops past d.  The degree searched is capped at
+    If step 0 is not the unit, the expansion is run modulo a prime p of good
+    reduction for R up to the same degree (:func:`_unit_degree_mod_p`: R is
+    reduced once, at the prime the scan returns).  If it finds no unit,
+    there is none over Q, and the search stops after step 0; if it finds one
+    of degree d, a unit over Q can have no other degree, and the exact
+    search stops past d.  The degree searched is capped at
     :data:`abelpell.limits.MAX_DEGREE`: a unit below the cap is found
     whatever max_order is, and when there is none, a max_order above the cap
     raises ``ResourceLimit``.
@@ -393,7 +390,7 @@ def least_unit(steps: Iterable[CFStep], max_order: int) -> CFStep | None:
         if step.constant_norm:
             return step
         if step.index == 0:
-            cap = _unit_degree_mod_p(step.partial_quotients[0], -step.norm, cap)
+            cap = _unit_degree_mod_p(r, step.partial_quotients[0], cap)
             if cap is None:
                 break
     if max_order > MAX_DEGREE:
@@ -407,7 +404,7 @@ def fundamental_unit(r: UniPoly, max_order: int) -> CFStep | None:
     convergents of degree up to ``max_order``; None if there is none in range.
     A miss is decided modulo a prime of good reduction (see
     :func:`least_unit`)."""
-    return least_unit(cf_steps(r), max_order)
+    return least_unit(r, cf_steps(r), max_order)
 
 
 def minimal_solution(r: UniPoly, unit: CFStep | None, n_max: int) -> PellTriple | None:
@@ -460,7 +457,7 @@ def pell_solve(r: UniPoly, n_max: int) -> PellTriple | None:
     >>> pell_solve(poly(-2, 0, 1), 5).p
     UniPoly('x^2 - 1')
     """
-    return minimal_solution(r, least_unit(cf_steps(r), n_max), n_max)
+    return minimal_solution(r, least_unit(r, cf_steps(r), n_max), n_max)
 
 
 # -- group law ------------------------------------------------------------------

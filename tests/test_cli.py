@@ -509,7 +509,7 @@ def test_pell_solve_lists_what_the_search_read(r, n_max):
     if hit:
         assert orders == degrees
     else:
-        d = pell._unit_degree_mod_p(*pell._sqrt_and_rest(r), n_max)
+        d = pell._unit_degree_mod_p(r, pell.laurent_sqrt_polypart(r), n_max)
         assert orders == ([g + 1] if d is None else
                           [e for e in degrees if e <= d] + [e for e in degrees if e > d][:1])
 

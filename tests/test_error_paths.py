@@ -13,6 +13,7 @@ from abelpell.unipoly import gcd, is_squarefree, poly, squarefree_decomposition
 
 X = poly(0, 1)
 UNIT = PellTriple.build(X, poly(1), poly(-1, 0, 1))
+QUARTIC = poly(1, 1, 0, 0, 1)
 WORDS = ((0, 1), (1, 0), (0, 1))  # (sigma, s_1, tau) for g = 1
 
 
@@ -31,7 +32,8 @@ ROWS = [
     ("normalize-unknown-chart", lambda: normalize(UNIT.p, UNIT.q, UNIT.r, "bogus"),
      (ValueError, "unknown chart 'bogus'")),
     # x^4 + x + 1 has no unit; three steps end before any stopping rule does.
-    ("least_unit-finite-miss", lambda: least_unit(islice(cf_steps(poly(1, 1, 0, 0, 1)), 3), 100), None),
+    ("least_unit-finite-miss",
+     lambda: least_unit(QUARTIC, islice(cf_steps(QUARTIC), 3), 100), None),
     ("RamSpec-nonpositive-part", lambda: RamSpec(2, ((3, -1), (1, 1)), ((3, -1), (1, 1))),
      (ValueError, "nonpositive parts")),
     ("rational_nth_root-index-0", lambda: rational_nth_root(4, 0), (ValueError, "root index")),

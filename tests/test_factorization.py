@@ -287,7 +287,9 @@ def trial_good_prime(f: list[int]) -> int:
     ([1, 0, 0, 0, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23], 29),
 ])
 def test_good_prime_matches_a_trial_division_scan(f, p):
-    assert _good_prime(f, 3) == trial_good_prime(f) == p
+    # The scan also returns f made monic modulo the prime it picks.
+    assert trial_good_prime(f) == p
+    assert _good_prime(f, 3) == (p, reduced([c * pow(f[-1], -1, p) for c in f], p))
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,7 +302,8 @@ def test_good_prime_matches_a_trial_division_scan_property(low, lead_primes, lea
     f = low + [lead]
     if resultant(UniPoly(f), UniPoly(f).derivative()) == 0:
         return
-    assert _good_prime(f, 3) == trial_good_prime(f)
+    p = trial_good_prime(f)
+    assert _good_prime(f, 3) == (p, reduced([c * pow(f[-1], -1, p) for c in f], p))
 
 
 CONJUGATE_X3_X = ("x^3+x", "1", "x^6+2*x^4+x^2-1")

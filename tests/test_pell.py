@@ -13,7 +13,7 @@ from conftest import chebyshev_triple, kubert_r
 from test_factorization import schoolbook_fp_divmod
 from test_parsing import int_digit_limit
 
-from abelpell import factorization, pell
+from abelpell import factorization, pell, unipoly
 from abelpell.factorization import _add, _is_prime, _squarefree_mod, _sub, fp_mul
 from abelpell.parsing import parse_poly
 from abelpell.rationals import rational_nth_root
@@ -281,7 +281,7 @@ def test_a_bad_prime_moves_the_search_to_the_next_good_one(monkeypatch, p, q, r,
     assert is_squarefree(r)
     monkeypatch.setattr(pell, "_PRIME", p)
     built = built_degrees(monkeypatch)
-    assert index_of(least_unit(cf_steps(r), 10)) == plain_least_unit(r, 10)
+    assert index_of(least_unit(r, cf_steps(r), 10)) == plain_least_unit(r, 10)
     assert built == ([2] if unit_degree is None else list(range(2, unit_degree + 1)))
 
 
@@ -297,7 +297,7 @@ def test_accidental_torsion_is_searched_up_to_its_degree_mod_p(monkeypatch, n):
     # step past it.
     r = ACCIDENTAL_TORSION[n]
     built = built_degrees(monkeypatch)
-    assert least_unit(cf_steps(r), 12) is None
+    assert least_unit(r, cf_steps(r), 12) is None
     assert plain_least_unit(r, 12) is None
     assert built[-2] == n < built[-1]
 
@@ -349,7 +349,7 @@ def affine_l_squared_minus_c(draw):
 def test_least_unit_matches_the_plain_search(r, n_max):
     # Deciding a miss modulo a good prime never changes an answer.
     n_max = max(n_max, r.degree // 2)
-    assert index_of(least_unit(cf_steps(r), n_max)) == plain_least_unit(r, n_max)
+    assert index_of(least_unit(r, cf_steps(r), n_max)) == plain_least_unit(r, n_max)
     assert_verifies(pell_solve(r, n_max))
 
 
@@ -383,7 +383,7 @@ def proportional(u: UniPoly, v: UniPoly) -> bool:
 def test_long_periods_against_the_plain_search(text, degree, k, j, centre_degree):
     r = parse_poly(text)
     for n_max in range(3, 15):
-        unit = least_unit(cf_steps(r), n_max)
+        unit = least_unit(r, cf_steps(r), n_max)
         assert index_of(unit) == plain_least_unit(r, n_max)
         assert (unit is not None) == (n_max >= degree)
         assert_verifies(pell_solve(r, n_max))
@@ -425,9 +425,9 @@ def test_kubert_units(n, t):
     unit = fundamental_unit(r, 30)
     assert (unit.index, unit.degree) == (n - 2, n)
     assert pell_solve(r, 30).order == (n if n % 2 else 2 * n)
-    y, b = pell._sqrt_and_rest(r)
-    assert pell._unit_degree_mod_p(y, b, 30) == n
-    assert pell._unit_degree_mod_p(y, b, n - 1) is None
+    y = laurent_sqrt_polypart(r)
+    assert pell._unit_degree_mod_p(r, y, 30) == n
+    assert pell._unit_degree_mod_p(r, y, n - 1) is None
 
 
 def kernel_good_prime(y, b):
@@ -492,7 +492,7 @@ def miss_like_r(draw):
 @example(parse_poly(LONG_PERIODS[1][0]), 9)  # a sextic unit: deg B_k is 2 or 1
 def test_the_fused_step_matches_the_kernel_loop(r, max_order):
     y, b = pell._sqrt_and_rest(r)
-    assert pell._unit_degree_mod_p(y, b, max_order) == kernel_unit_degree_mod_p(y, b, max_order)
+    assert pell._unit_degree_mod_p(r, y, max_order) == kernel_unit_degree_mod_p(y, b, max_order)
 
 
 def assert_the_good_prime_is_the_kernel_one(r):
@@ -510,8 +510,9 @@ def assert_the_good_prime_is_the_kernel_one(r):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(factorization, "_good_prime", record)
-        pell._unit_degree_mod_p(y, b, 1)
-    assert found == [kernel_good_prime(y, b)[0]]
+        pell._unit_degree_mod_p(r, y, 1)
+    p, _, _, r_mod_p = kernel_good_prime(y, b)
+    assert found == [(p, r_mod_p)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -525,13 +526,13 @@ def test_the_good_prime_rule_on_den_r_property(r):
 def test_the_good_prime_rule_on_den_r_at_a_bad_prime(monkeypatch, p, q, r, unit_degree):
     monkeypatch.setattr(pell, "_PRIME", p)
     assert_the_good_prime_is_the_kernel_one(r)
-    assert factorization._good_prime(r.num, p) != p
+    assert factorization._good_prime(r.num, p)[0] != p
 
 
 def test_one_inverse_per_fused_step(monkeypatch):
     # x^4 + x + 1 has no unit of degree <= 40 mod p; its steps 1 to 38 reach
-    # degree 40, and each takes one inverse.  The rest: two to reduce Y and
-    # B_1, and four in the squarefree test's gcd.  The kernel loop took 83.
+    # degree 40, and each takes one inverse.  The rest: two to reduce R and
+    # Y, and four in the squarefree test's gcd.  The kernel loop took 83.
     calls = []
 
     def counting_pow(*args):
@@ -540,8 +541,19 @@ def test_one_inverse_per_fused_step(monkeypatch):
 
     for module in (pell, factorization):
         monkeypatch.setattr(module, "pow", counting_pow, raising=False)
-    assert pell._unit_degree_mod_p(*pell._sqrt_and_rest(R_QUARTIC), 40) is None
+    assert pell._unit_degree_mod_p(R_QUARTIC, laurent_sqrt_polypart(R_QUARTIC), 40) is None
     assert len(calls) <= 44
+
+
+def test_a_miss_mod_p_builds_no_polynomial(monkeypatch):
+    # R is reduced where the good prime is found, and B_1 mod p is R - Y^2
+    # mod p, so the expansion modulo p builds no UniPoly.
+    y = laurent_sqrt_polypart(R_QUARTIC)
+    built = []
+    init = unipoly._init
+    monkeypatch.setattr(unipoly, "_init", lambda *args: built.append(args) or init(*args))
+    assert pell._unit_degree_mod_p(R_QUARTIC, y, 40) is None
+    assert built == []
 
 
 def test_the_fused_step_still_checks_its_exact_division(monkeypatch):
@@ -550,7 +562,7 @@ def test_the_fused_step_still_checks_its_exact_division(monkeypatch):
     # raises.
     monkeypatch.setattr(pell, "pow", lambda c, e, m: 2 * pow(c, e, m) % m, raising=False)
     with pytest.raises(AssertionError, match="a surd modulo p is not reduced"):
-        pell._unit_degree_mod_p(*pell._sqrt_and_rest(R_QUARTIC), 40)
+        pell._unit_degree_mod_p(R_QUARTIC, laurent_sqrt_polypart(R_QUARTIC), 40)
 
 
 AFFINE_X6 = parse_poly("x^6 + 9*x^5 + 135/4*x^4 + 135/2*x^3 + 1215/16*x^2 + 729/16*x - 729/64")
@@ -570,15 +582,15 @@ def test_solve_checks_the_norm_of_the_unit():
     # least_unit reads only the surd norm; the solver builds the unit's
     # convergent and checks its norm against that one.
     steps = list(islice(cf_steps(R_MINUS2), 3))
-    assert least_unit(steps, 5).norm == poly(2)
+    assert least_unit(R_MINUS2, steps, 5).norm == poly(2)
     forged = [dataclasses.replace(steps[0], norm=poly(3))] + steps[1:]
     with pytest.raises(AssertionError):
-        minimal_solution(R_MINUS2, least_unit(forged, 5), 5)
+        minimal_solution(R_MINUS2, least_unit(R_MINUS2, forged, 5), 5)
 
 
 def test_minimal_solution_from_expanded_steps():
     for r in NORM_ORACLE_R:
-        unit = least_unit(list(islice(cf_steps(r), 14)), 12)
+        unit = least_unit(r, list(islice(cf_steps(r), 14)), 12)
         assert minimal_solution(r, unit, 12) == pell_solve(r, 12)
     with pytest.raises(ValueError):
         minimal_solution(R_QUARTIC, None, 1)  # n_max below genus + 1
@@ -600,7 +612,7 @@ def test_unit_and_its_square_against_the_expansion(r):
     # search is bounded, so a wrong convergent fails it instead of hanging.
     first = next(step for step in islice(cf_steps(r), 12)
                  if (step.p * step.p - r * step.q * step.q).degree <= 0)
-    unit = least_unit(cf_steps(r), 12)
+    unit = least_unit(r, cf_steps(r), 12)
     assert unit == first
     c = unit.norm.constant_value()
     assert rational_nth_root(c, 2) is None  # so the solution is the unit squared
