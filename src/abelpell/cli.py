@@ -44,8 +44,7 @@ def parse_poly(text: str) -> UniPoly:
 
 
 def poly_json(p: UniPoly) -> dict:
-    from .parsing import printable
-    from .unipoly import format_poly
+    from .unipoly import format_poly, printable
 
     # Handlers build the result before their text lines, so p is checked
     # here before anything prints it.
@@ -182,11 +181,7 @@ def _cmd_abel_ramspec(args):
     from . import geometry
 
     t = _triple_from_args(args)
-    # ramspec_of(t) spelled out, so that the branch classes are found once.
-    plus, minus, _ = geometry.assigned_profile(t)
-    branch = geometry.unassigned_branch(t)
-    members = [plus, minus] + [c.partition for c in branch for _ in range(c.count)]
-    spec = geometry.RamSpec(t.order, tuple(members), (plus, minus))
+    spec, branch = geometry._ramspec_and_classes(t)
     genus = geometry.genus_of_ramspec(spec)
     dim = geometry.polt_dimension(spec)
     result = {

@@ -256,13 +256,20 @@ def unassigned_branch(t: PellTriple) -> list[BranchClass]:
     return [BranchClass(factor, multiplicity_partition(factor, t.p, yun)) for factor, _ in factors]
 
 
+def _ramspec_and_classes(t: PellTriple) -> tuple[RamSpec, list[BranchClass]]:
+    """The spec of :func:`ramspec_of` and the branch classes it was read
+    from: the CLI prints both, and so finds the classes once."""
+    plus, minus, _ = assigned_profile(t)
+    classes = unassigned_branch(t)
+    members = [plus, minus]
+    for cls in classes:
+        members.extend([cls.partition] * cls.count)
+    return RamSpec(t.order, tuple(members), (plus, minus)), classes
+
+
 def ramspec_of(t: PellTriple) -> RamSpec:
     """The full ramification specification of the triple's line map."""
-    plus, minus, _ = assigned_profile(t)
-    members = [plus, minus]
-    for cls in unassigned_branch(t):
-        members.extend([cls.partition] * cls.count)
-    return RamSpec(t.order, tuple(members), (plus, minus))
+    return _ramspec_and_classes(t)[0]
 
 
 def hurwitz_report(t: PellTriple) -> HurwitzReport:

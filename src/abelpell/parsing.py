@@ -40,14 +40,6 @@ def _check_height(bits: int) -> None:
         raise ResourceLimit(f"coefficients of up to {bits} bits exceed the cap of {cap} bits")
 
 
-def printable(p: UniPoly) -> bool:
-    """Whether ``str(p)`` succeeds: no numerator or denominator of a
-    coefficient has more digits than the int-to-str digit limit."""
-    digits = getattr(sys, "get_int_max_str_digits", int)()
-    bound = 10**digits
-    return not digits or all(max(abs(c.numerator), c.denominator) < bound for c in p.coeffs)
-
-
 def _height_bits(p: UniPoly) -> int:
     """ceil(log2 max(sum |num|, den)): bounds every numerator and the
     denominator, and adds up under products; for c^e with an integer c >= 2,

@@ -24,15 +24,14 @@ charts record how far a solution has been normalised:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Iterable, Iterator
 
 from .limits import MAX_DEGREE, ResourceLimit
-from .parsing import printable
-from .rationals import rational_nth_root
-from .unipoly import ONE, ZERO, UniPoly, _reduced, is_squarefree
+from .unipoly import ONE, ZERO, Rat, UniPoly, _reduced, is_squarefree, printable
 
 CHART_GENERAL = "general"
 CHART_MONIC = "monic"
@@ -50,6 +49,50 @@ INFLATE_ODD = "odd"
 _PRIME = 2**30 - 35
 
 
+def int_nth_root(n: int, k: int) -> int | None:
+    """The exact k-th root of a nonnegative integer, or None.
+
+    Integers only: ``math.isqrt`` for square roots, otherwise Newton's
+    iteration from above on floor(n^(1/k)), so no radicand is too large.
+
+    >>> int_nth_root((10**20 + 1) ** 3, 3)
+    100000000000000000001
+    >>> int_nth_root(10**400 + 1, 2) is None
+    True
+    """
+    if n < 0:
+        raise ValueError("negative radicand")
+    if n in (0, 1):
+        return n
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+        while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = y
+    return r if r**k == n else None
+
+
+def rational_nth_root(c: Rat, k: int) -> Fraction | None:
+    """The exact k-th root of c in Q, or None.
+
+    For odd k a negative radicand yields the negative root; for even k it
+    yields None.
+    """
+    if k < 1:
+        raise ValueError("root index must be positive")
+    sign = 1
+    if c < 0:
+        if k % 2 == 0:
+            return None
+        sign, c = -1, -c
+    num = int_nth_root(c.numerator, k)
+    den = int_nth_root(c.denominator, k)
+    if num is None or den is None:
+        return None
+    return sign * Fraction(num, den)
+
+
 def _r_failures(r: UniPoly) -> list[str]:
     """Which of its rules R breaks: even degree >= 2, monic, squarefree."""
     failures = []
@@ -60,12 +103,6 @@ def _r_failures(r: UniPoly) -> list[str]:
     if not r.is_zero() and not is_squarefree(r):
         failures.append("R is not squarefree")
     return failures
-
-
-def _check_pell_r(r: UniPoly) -> None:
-    failures = _r_failures(r)
-    if failures:
-        raise ValueError("; ".join(failures))
 
 
 def _chart(monic: bool, normalized: bool) -> str:
@@ -287,7 +324,8 @@ def cf_steps(r: UniPoly) -> Iterator[CFStep]:
     >>> [step.p for step in islice(cf_steps(UniPoly((2, 0, 1))), 2)]
     [UniPoly('x'), UniPoly('x^2 + 1')]
     """
-    _check_pell_r(r)
+    if failures := _r_failures(r):
+        raise ValueError("; ".join(failures))
     return _cf_steps(r)
 
 

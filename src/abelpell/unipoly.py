@@ -19,6 +19,11 @@ The gcd and the resultant run that loop on the numerators alone, as the
 primitive and the subresultant remainder sequence, and build only their
 result: no step makes a ``UniPoly``, a ``Fraction`` or a Sylvester matrix.
 
+:func:`format_poly` prints a polynomial in the grammar that
+:mod:`abelpell.parsing` reads, and :func:`printable` says whether it can:
+``str(p)`` raises once a coefficient has more digits than the int-to-str
+digit limit.
+
 >>> poly(-2, 0, 1)
 UniPoly('x^2 - 2')
 >>> poly(-2, 0, 1).degree
@@ -30,6 +35,7 @@ Fraction(-8, 1)
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm
 from typing import Iterable, Sequence
@@ -448,6 +454,14 @@ def format_poly(p: UniPoly) -> str:
         else:
             parts.append(f" {sign} {body}")
     return "".join(parts)
+
+
+def printable(p: UniPoly) -> bool:
+    """Whether ``str(p)`` succeeds: no numerator or denominator of a
+    coefficient has more digits than the int-to-str digit limit."""
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    bound = 10**digits
+    return not digits or all(max(abs(c.numerator), c.denominator) < bound for c in p.coeffs)
 
 
 # -- classical exact algorithms ----------------------------------------------

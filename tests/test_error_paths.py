@@ -5,9 +5,11 @@ from itertools import islice
 import pytest
 
 from abelpell.components import apply_move
-from abelpell.pell import PellTriple, cf_steps, least_unit, normalize, pell_compose, pell_power, pell_verify
+from abelpell.pell import (
+    PellTriple, cf_steps, least_unit, normalize, pell_compose, pell_power, pell_verify,
+    rational_nth_root,
+)
 from abelpell.ramspec import RamSpec
-from abelpell.rationals import rational_nth_root
 from abelpell.strata import format_monomials
 from abelpell.unipoly import gcd, is_squarefree, poly, squarefree_decomposition
 

@@ -54,12 +54,11 @@ def loaded_modules(argv: list[str], module: str = "abelpell") -> set[str]:
     (["pell", "solve", "x^2-2"], {"geometry", "factorization", "components", "perms", "strata"}),
     (["pell", "solve", "x^4+x+1", "--n-max", "10"], {"geometry", "components", "perms", "strata"}),
     (["components", "count", "--genus", "1", "--order", "4"],
-     {"geometry", "factorization", "strata", "parsing", "unipoly", "pell", "rationals"}),
+     {"geometry", "factorization", "strata", "parsing", "unipoly", "pell"}),
     (["components", "list", "--genus", "1", "--order", "4"],
-     {"geometry", "factorization", "strata", "parsing", "unipoly", "pell", "rationals"}),
+     {"geometry", "factorization", "strata", "parsing", "unipoly", "pell"}),
     (["strata", "nilpotency", "--n", "3", "--k", "4"],
-     {"geometry", "factorization", "components", "perms", "pell", "unipoly", "parsing",
-      "rationals"}),
+     {"geometry", "factorization", "components", "perms", "pell", "unipoly", "parsing"}),
 ])
 def test_commands_load_only_their_layers(argv, absent):
     loaded = {m[len("abelpell."):] for m in loaded_modules(argv) if m.startswith("abelpell.")}
@@ -79,6 +78,13 @@ def test_parser_loads_no_dataclasses():
     # Every polynomial command parses its input: the parser builds no record type.
     loaded = loaded_modules([], "abelpell.parsing")
     assert "abelpell.parsing" in loaded and "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("module", ["abelpell.pell", "abelpell.geometry"])
+def test_the_solver_and_geometry_load_no_parser(module):
+    # The parser reads CLI input; the solver and the geometry take polynomials.
+    loaded = loaded_modules([], module)
+    assert module in loaded and "abelpell.parsing" not in loaded
 
 
 def test_components_imports_no_polynomial_layer():

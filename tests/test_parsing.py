@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelpell.limits import MAX_DEGREE, MAX_NESTING, ResourceLimit
-from abelpell.parsing import ParseError, parse_poly, printable
-from abelpell.unipoly import UniPoly, format_poly, poly
+from abelpell.parsing import ParseError, parse_poly
+from abelpell.unipoly import UniPoly, format_poly, poly, printable
 
 
 @contextlib.contextmanager

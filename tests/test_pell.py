@@ -16,7 +16,6 @@ from test_parsing import int_digit_limit
 from abelpell import factorization, pell, unipoly
 from abelpell.factorization import _add, _is_prime, _squarefree_mod, _sub, fp_mul
 from abelpell.parsing import parse_poly
-from abelpell.rationals import rational_nth_root
 from abelpell.pell import (
     CHART_GENERAL,
     CHART_MONIC,
@@ -37,6 +36,7 @@ from abelpell.pell import (
     pell_power,
     pell_solve,
     pell_verify,
+    rational_nth_root,
     unit_compose,
 )
 from abelpell.unipoly import UniPoly, is_squarefree, poly
@@ -637,8 +637,8 @@ def test_a_hit_squares_without_the_group_law(monkeypatch):
 def test_solve_checks_r_once(monkeypatch):
     # cf_steps checks R, and neither a hit nor a miss checks it again.
     calls, squarefree = [], []
-    check = pell._check_pell_r
-    monkeypatch.setattr(pell, "_check_pell_r", lambda r: calls.append(r) or check(r))
+    check = pell._r_failures
+    monkeypatch.setattr(pell, "_r_failures", lambda r: calls.append(r) or check(r))
     monkeypatch.setattr(pell, "is_squarefree", lambda r: squarefree.append(r) or is_squarefree(r))
     assert pell_solve(R_MINUS2, 5) is not None
     assert (len(calls), len(squarefree)) == (1, 1)

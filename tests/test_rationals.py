@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from abelpell.rationals import int_nth_root, rational_nth_root
+from abelpell.pell import int_nth_root, rational_nth_root
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
