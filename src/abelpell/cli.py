@@ -162,12 +162,13 @@ def _cmd_pell_inflate(args):
     from . import pell
 
     base = _triple_from_args(args)
-    out = pell.inflate(base, args.m, args.case)
+    case = pell._inflation_case(base, args.m) if args.case is None else args.case
+    out = pell.inflate(base, args.m, case)
     checks = [
         check("inflated_verifies", pell.pell_verify(out.p, out.q, out.r).valid),
         check("order_multiplied", out.order == args.m * base.order),
     ]
-    result = {"base": triple_json(base), "inflated": triple_json(out), "m": args.m, "case": args.case}
+    result = {"base": triple_json(base), "inflated": triple_json(out), "m": args.m, "case": case}
     lines = [
         f"P = {out.p}",
         f"Q = {out.q}",
@@ -332,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("p", "q", "r"):
         sp.add_argument(name)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--case", required=True)
+    sp.add_argument("--case", help="checked when given; derived from R(0) and --m otherwise")
     sp.set_defaults(func=_cmd_pell_inflate)
 
     g_abel = groups.add_parser("abel", help="ramification data of the induced line map")

@@ -1,17 +1,20 @@
 """Irreducible factorization over Q by Zassenhaus's algorithm.
 
 Each squarefree part of the input (Yun's decomposition gives the
-multiplicities) is scaled to a primitive integer polynomial f and factored
-modulo the smallest odd prime p that keeps f squarefree of full degree:
-distinct-degree factorization, then Cantor-Zassenhaus equal-degree splitting
-with a fixed-seed generator, so every run does the same work.  The modular
-factors are Hensel-lifted, quadratically, to a modulus past twice the leading
-coefficient times the Mignotte bound on the coefficients of any factor of f,
-and the true factors are found by trying products of subsets of the lifted
-factors, smallest first, by division (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 14-15; Cantor and Zassenhaus, *Math. Comp.* 36,
-1981).  Recombination is exponential in the number of modular factors in the
-worst case, so it is capped (``RECOMBINATION_LIMIT``).
+multiplicities) of degree 3 or more is scaled to a primitive integer
+polynomial f and factored modulo the smallest odd prime p that keeps f
+squarefree of full degree: distinct-degree factorization, then
+Cantor-Zassenhaus equal-degree splitting with a fixed-seed generator, so
+every run does the same work.  The modular factors are Hensel-lifted,
+quadratically, to a modulus past twice the leading coefficient times the
+Mignotte bound on the coefficients of any factor of f, and the true factors
+are found by trying products of subsets of the lifted factors, smallest
+first, by division (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+ch. 14-15; Cantor and Zassenhaus, *Math. Comp.* 36, 1981).  Recombination is
+exponential in the number of modular factors in the worst case, so it is
+capped (``RECOMBINATION_LIMIT``).  A linear part is its own factor, and a
+quadratic part is factored in closed form by its discriminant, so only parts
+of degree 3 and up run Zassenhaus.
 
 The modular kernel is plain functions on lists of ``int`` coefficients,
 constant term first, trailing zeros trimmed, entries reduced to [0, m).
@@ -27,6 +30,7 @@ returns f reduced at the prime it picks, so no caller reduces f again.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, count
 from math import isqrt
@@ -304,9 +308,26 @@ def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list
 
 
 def _factor_squarefree(part: UniPoly, rng) -> list[UniPoly]:
-    """Monic irreducible factors over Q of a monic squarefree polynomial."""
+    """Monic irreducible factors over Q of a monic squarefree polynomial: a
+    quadratic by its discriminant, degree 3 and up by :func:`_zassenhaus`.
+
+    The numerators c, b, a of a monic quadratic are primitive, and it splits
+    exactly when D = b^2 - 4ac is a square, into x + (b -+ sqrt(D)) / 2a.
+    """
     if part.degree == 1:
         return [part]
+    if part.degree == 2:
+        c, b, a = part.num
+        d = b * b - 4 * a * c
+        if d < 0 or (s := isqrt(d)) * s != d:
+            return [part]
+        return [UniPoly((Fraction(b - s, 2 * a), 1)), UniPoly((Fraction(b + s, 2 * a), 1))]
+    return _zassenhaus(part, rng)
+
+
+def _zassenhaus(part: UniPoly, rng) -> list[UniPoly]:
+    """Monic irreducible factors over Q of a monic squarefree polynomial of
+    degree >= 2, by the modular pipeline of the module docstring."""
     f = _primitive(part.num)[0]
     p, fp = _good_prime(f, 3)
     modular = [
@@ -331,12 +352,15 @@ def factor_rational(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """Monic irreducible factors of p over Q with multiplicities.
 
     The constant content is dropped; factors are sorted by degree and then by
-    coefficients so the output is deterministic.  Raises ``ResourceLimit``
-    when recombining the modular factors of a squarefree part would try more
-    than ``RECOMBINATION_LIMIT`` subsets.
+    coefficients so the output is deterministic.  A squarefree part of
+    degree 1 or 2 is answered directly, one of degree 3 or more by Zassenhaus.
+    Raises ``ResourceLimit`` when recombining the modular factors of such a
+    part would try more than ``RECOMBINATION_LIMIT`` subsets.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
+    if p.degree < 2:
+        return [(p.monic(), 1)] if p.degree else []
     import random  # deferred: most commands never factor, and startup counts
 
     rng = cache(lambda: random.Random(0))  # seeded at its first draw: most parts need none

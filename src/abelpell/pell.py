@@ -594,6 +594,13 @@ def normalize(p: UniPoly, q: UniPoly, r: UniPoly, target: str) -> PellTriple | O
 # -- root-of-unity fixed-point constructions -------------------------------------
 
 
+def _inflation_case(base: PellTriple, m: int) -> str:
+    """The case of :func:`inflate` that the base and m take."""
+    if base.r.coeff(0):
+        return INFLATE_DIVIDES
+    return INFLATE_ODD if m % 2 else INFLATE_EVEN_HALF
+
+
 def inflate(base: PellTriple, m: int, case: str) -> PellTriple:
     """Produce the order-m*n solution fixed by an order-m rotation.
 
@@ -622,12 +629,12 @@ def inflate(base: PellTriple, m: int, case: str) -> PellTriple:
         raise ResourceLimit(f"inflated order {order} exceeds the cap of {MAX_DEGREE}")
     if not (base.p.is_monic() and base.q.is_monic()):
         raise ValueError("inflation needs a base with monic P and Q")
-    r, q_shift, r_shift, fits = base.r, 0, 0, INFLATE_DIVIDES
-    if r.coeff(0) == 0:
-        r, q_shift, r_shift = r // UniPoly((0, 1)), m // 2, m % 2
-        fits = INFLATE_ODD if r_shift else INFLATE_EVEN_HALF
+    fits = _inflation_case(base, m)
     if case != fits:
         raise ValueError(f"this base takes case {fits!r} at m = {m}, not {case!r}")
+    r, q_shift, r_shift = base.r, 0, 0
+    if fits != INFLATE_DIVIDES:
+        r, q_shift, r_shift = r // UniPoly((0, 1)), m // 2, m % 2
     new_p = base.p.substitute_power(m)
     new_q = base.q.substitute_power(m).shift_degree(q_shift)
     new_r = r.substitute_power(m).shift_degree(r_shift)

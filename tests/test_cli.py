@@ -170,12 +170,14 @@ def test_components_size_cap_before_any_work(capsys, monkeypatch, command, order
 
 
 def test_abel_resource_exit(capsys, monkeypatch):
-    # x^3 - 3x has the branch values +-2: t^2 - 4 has two modular factors,
-    # and with no recombination allowed the command exits 3.
+    # x^5 + x leaves the branch factor 3125 t^4 + 256, irreducible over Q
+    # with three modular factors, and with no recombination allowed the
+    # command exits 3.  (A quadratic factor is split by its discriminant and
+    # never reaches recombination.)
     from abelpell import factorization
 
     monkeypatch.setattr(factorization, "RECOMBINATION_LIMIT", 0)
-    code, out, err = run_cli(capsys, "abel", "ramspec", "x^3-3*x", "1", "(x^3-3*x)^2-1")
+    code, out, err = run_cli(capsys, "abel", "ramspec", "x^5+x", "1", "(x^5+x)^2-1")
     assert code == 3 and "cap" in err and out == ""
 
 
@@ -239,6 +241,27 @@ def test_inflate(capsys):
     inflated = report["result"]["inflated"]
     assert inflated["r"]["text"] == "x^4 + 2*x"
     assert (inflated["order"], inflated["genus"]) == (3, 1)
+
+
+@pytest.mark.parametrize("triple, m, case", [
+    (["x", "1", "x^2-1"], "2", "divides_g_plus_1"),
+    (["x+1", "1", "x^2+2*x"], "2", "even_half"),
+    (["x+1", "1", "x^2+2*x"], "3", "odd"),
+])
+def test_inflate_derives_the_case(capsys, triple, m, case):
+    # Without --case, inflate takes the case R(0) and m fix and reports it;
+    # only the echoed inputs differ from a run given that case.
+    argv = ["pell", "inflate", *triple, "--m", m]
+    text = run_cli(capsys, *argv)
+    assert text[0] == 0 and text == run_cli(capsys, *argv, "--case", case)
+    code, derived, err = run_json(capsys, *argv)
+    code_given, given, err_given = run_json(capsys, *argv, "--case", case)
+    assert (code, err) == (code_given, err_given) == (0, "")
+    assert given["inputs"].pop("case") == derived["result"]["case"] == case
+    assert derived == given
+    # A case given is still checked: a wrong one is bad input, named.
+    code, out, err = run_cli(capsys, *argv, "--case", "even_half" if case == "odd" else "odd")
+    assert (code, out) == (2, "") and f"takes case {case!r}" in err
 
 
 def test_abel_ramspec(capsys):

@@ -5,11 +5,13 @@ rank in ``test_strata.py``, and nowhere else.
 """
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from itertools import count
 from math import gcd, isqrt
 from pathlib import Path
@@ -20,10 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_unipoly import nonzero_polys
 
-from abelpell import geometry, pell
+from abelpell import factorization, geometry, pell
 from abelpell.factorization import (
     _good_prime,
     _is_prime,
+    _zassenhaus,
     factor_rational,
     fp_divmod,
     fp_gcd,
@@ -33,7 +36,7 @@ from abelpell.factorization import (
 )
 from abelpell.limits import ResourceLimit
 from abelpell.pell import PellTriple
-from abelpell.unipoly import UniPoly, poly, resultant
+from abelpell.unipoly import UniPoly, is_squarefree, poly, resultant
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,6 +111,50 @@ def test_matches_sympy_on_products_property(parts, scale):
     for factor, mult in parts:
         p = p * factor**mult
     assert factor_rational(p) == sympy_factors(p)
+
+
+def test_small_workload_inputs_never_reach_the_modular_pipeline(monkeypatch):
+    # A squarefree part of degree <= 2 is answered in closed form, so no
+    # input of degree <= 2 runs distinct-degree factorization.
+    def fail(f, p):
+        raise AssertionError(f"distinct-degree factorization ran on {f} mod {p}")
+
+    monkeypatch.setattr(factorization, "_distinct_degree", fail)
+    small = [p for p in workload_factor_inputs() if p.degree <= 2]
+    assert small
+    for p in small:
+        factor_rational(p)
+
+
+HEIGHT = 2**256
+RATIONALS = st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT))
+NONZERO_RATIONALS = RATIONALS.filter(bool)
+
+
+@st.composite
+def quadratics(draw) -> UniPoly:
+    """A quadratic with rational coefficients of height up to 2^256: half of
+    them the product of two rational linear factors, so they split."""
+    if draw(st.booleans()):
+        linear = st.tuples(RATIONALS, NONZERO_RATIONALS)
+        return poly(*draw(linear)) * poly(*draw(linear))
+    return poly(draw(RATIONALS), draw(RATIONALS), draw(NONZERO_RATIONALS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(quadratics())
+@example(poly(0, 3, -6))  # a zero constant term and a negative lead
+@example(poly(0, 0, -5))  # a square: Yun leaves a linear part
+@example(poly(1, 0, -HEIGHT))  # splits: 1 - (2^128 x)^2
+@example(poly(-2, 0, -HEIGHT))  # irreducible, negative discriminant
+@example(poly(Fraction(HEIGHT - 1, HEIGHT), Fraction(-HEIGHT, 3), Fraction(7, HEIGHT + 1)))
+def test_quadratics_match_sympy_and_zassenhaus_property(p):
+    expected = sympy_factors(p)
+    assert factor_rational(p) == expected
+    if is_squarefree(p):
+        modular = _zassenhaus(p.monic(), cache(lambda: random.Random(0)))
+        modular.sort(key=lambda f: (f.degree, f.coeffs))
+        assert [(f, 1) for f in modular] == expected
 
 
 def test_explicit_cases():
@@ -306,23 +353,23 @@ def test_good_prime_matches_a_trial_division_scan_property(low, lead_primes, lea
     assert _good_prime(f, 3) == (p, reduced([c * pow(f[-1], -1, p) for c in f], p))
 
 
-CONJUGATE_X3_X = ("x^3+x", "1", "x^6+2*x^4+x^2-1")
+CONJUGATE_X5_X = ("x^5+x", "1", "(x^5+x)^2-1")
 
 
 @pytest.mark.parametrize("script", [
     "from abelpell.cli import main\n"
-    f"assert main(['abel', 'ramspec', *{CONJUGATE_X3_X!r}]) == 0\n"
-    f"assert main(['abel', 'hurwitz', *{CONJUGATE_X3_X!r}]) == 0\n",
+    f"assert main(['abel', 'ramspec', *{CONJUGATE_X5_X!r}]) == 0\n"
+    f"assert main(['abel', 'hurwitz', *{CONJUGATE_X5_X!r}]) == 0\n",
     "from abelpell import hurwitz_report, ramspec_of\n"
     "from abelpell.parsing import parse_poly\n"
     "from abelpell.pell import PellTriple\n"
-    f"t = PellTriple.build(*map(parse_poly, {CONJUGATE_X3_X!r}))\n"
-    "assert ramspec_of(t).members == ((2, 1), (2, 1), (1, 1, 1), (1, 1, 1))\n"
+    f"t = PellTriple.build(*map(parse_poly, {CONJUGATE_X5_X!r}))\n"
+    "assert ramspec_of(t).members == ((2, 1, 1, 1),) * 4 + ((1,) * 5,) * 2\n"
     "hurwitz_report(t)\n",
 ], ids=["cli", "library"])
 def test_runtime_never_imports_sympy(script):
-    # x^3 + x has the conjugate branch values t^2 = -4/27, so the modular
-    # factorization runs.
+    # x^5 + x has the conjugate branch values t^4 = -256/3125, a quartic, so
+    # the modular factorization runs.
     script += "import sys\nassert 'sympy' not in sys.modules, 'sympy was imported'\n"
     done = subprocess.run(
         [sys.executable, "-c", script],
