@@ -184,7 +184,6 @@ def _cmd_abel_ramspec(args):
     t = _triple_from_args(args)
     spec, branch = geometry._ramspec_and_classes(t)
     genus = geometry.genus_of_ramspec(spec)
-    dim = geometry.polt_dimension(spec)
     result = {
         "order": spec.order,
         "members": [list(m) for m in spec.members],
@@ -194,13 +193,14 @@ def _cmd_abel_ramspec(args):
             for c in branch
         ],
         "genus": genus,
-        "deformation_dimension": dim,
+        # The deformation dimension equals the genus (polt_dimension's proof).
+        "deformation_dimension": genus,
     }
     checks = [check("genus_matches_triple", genus == t.genus)]
     lines = [
         f"S = {{{', '.join(str(set_like) for set_like in result['members'])}}}",
         f"T = ({result['assigned'][0]}, {result['assigned'][1]})",
-        f"genus {genus}, deformation dimension {dim}",
+        f"genus {genus}, deformation dimension {genus}",
     ]
     return EXIT_OK, result, checks, lines
 
@@ -315,55 +315,43 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="abelpell", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
 
-    g_pell = groups.add_parser("pell", help="solve and transform Pell triples")
-    sub = g_pell.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("solve", parents=[common])
-    sp.add_argument("r")
-    sp.add_argument("--n-max", type=int, default=20, dest="n_max")
-    sp.set_defaults(func=_cmd_pell_solve)
-    sp = sub.add_parser("verify", parents=[common])
-    for name in ("p", "q", "r"):
-        sp.add_argument(name)
-    sp.set_defaults(func=_cmd_pell_verify)
-    sp = sub.add_parser("compose", parents=[common])
-    for name in ("p1", "q1", "p2", "q2", "r"):
-        sp.add_argument(name)
-    sp.set_defaults(func=_cmd_pell_compose)
-    sp = sub.add_parser("inflate", parents=[common])
-    for name in ("p", "q", "r"):
-        sp.add_argument(name)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--case", help="checked when given; derived from R(0) and --m otherwise")
-    sp.set_defaults(func=_cmd_pell_inflate)
+    subs = {
+        group: groups.add_parser(group, help=text).add_subparsers(dest="command", required=True)
+        for group, text in (
+            ("pell", "solve and transform Pell triples"),
+            ("abel", "ramification data of the induced line map"),
+            ("strata", "stratum-local checks"),
+            ("components", "moduli component counts"),
+        )
+    }
 
-    g_abel = groups.add_parser("abel", help="ramification data of the induced line map")
-    sub = g_abel.add_subparsers(dest="command", required=True)
-    for name, func in (("ramspec", _cmd_abel_ramspec), ("hurwitz", _cmd_abel_hurwitz)):
-        sp = sub.add_parser(name, parents=[common])
-        for arg in ("p", "q", "r"):
+    def command(group: str, name: str, func, *positionals: str) -> argparse.ArgumentParser:
+        sp = subs[group].add_parser(name, parents=[common])
+        for arg in positionals:
             sp.add_argument(arg)
         sp.set_defaults(func=func)
+        return sp
 
-    g_strata = groups.add_parser("strata", help="stratum-local checks")
-    sub = g_strata.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("nilpotency", parents=[common])
+    pqr = ("p", "q", "r")
+    sp = command("pell", "solve", _cmd_pell_solve, "r")
+    sp.add_argument("--n-max", type=int, default=20, dest="n_max")
+    command("pell", "verify", _cmd_pell_verify, *pqr)
+    command("pell", "compose", _cmd_pell_compose, "p1", "q1", "p2", "q2", "r")
+    sp = command("pell", "inflate", _cmd_pell_inflate, *pqr)
+    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--case", help="checked when given; derived from R(0) and --m otherwise")
+    command("abel", "ramspec", _cmd_abel_ramspec, *pqr)
+    command("abel", "hurwitz", _cmd_abel_hurwitz, *pqr)
+    sp = command("strata", "nilpotency", _cmd_strata_nilpotency)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(func=_cmd_strata_nilpotency)
-    sp = sub.add_parser("tangent-rank", parents=[common])
-    for arg in ("p", "q", "r"):
-        sp.add_argument(arg)
-    sp.set_defaults(func=_cmd_strata_tangent_rank)
-
-    g_comp = groups.add_parser("components", help="moduli component counts")
-    sub = g_comp.add_subparsers(dest="command", required=True)
+    command("strata", "tangent-rank", _cmd_strata_tangent_rank, *pqr)
     for name, func in (("count", _cmd_components_count), ("list", _cmd_components_list)):
-        sp = sub.add_parser(name, parents=[common])
+        sp = command("components", name, func)
         sp.add_argument("--genus", type=int, required=True)
         sp.add_argument("--order", type=int, required=True)
         if name == "count":
             sp.add_argument("--split", action="store_true")
-        sp.set_defaults(func=func)
 
     return parser
 

@@ -4,17 +4,17 @@ Each squarefree part of the input (Yun's decomposition gives the
 multiplicities) of degree 3 or more is scaled to a primitive integer
 polynomial f and factored modulo the smallest odd prime p that keeps f
 squarefree of full degree: distinct-degree factorization, then
-Cantor-Zassenhaus equal-degree splitting with a fixed-seed generator, so
-every run does the same work.  The modular factors are Hensel-lifted,
-quadratically, to a modulus past twice the leading coefficient times the
-Mignotte bound on the coefficients of any factor of f, and the true factors
-are found by trying products of subsets of the lifted factors, smallest
-first, by division (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-ch. 14-15; Cantor and Zassenhaus, *Math. Comp.* 36, 1981).  Recombination is
-exponential in the number of modular factors in the worst case, so it is
-capped (``RECOMBINATION_LIMIT``).  A linear part is its own factor, and a
-quadratic part is factored in closed form by its discriminant, so only parts
-of degree 3 and up run Zassenhaus.
+Cantor-Zassenhaus equal-degree splitting, where each call that draws seeds
+its own generator with 0, so every run does the same work.  The modular
+factors are Hensel-lifted, quadratically, to a modulus past twice the
+leading coefficient times the Mignotte bound on the coefficients of any
+factor of f, and the true factors are found by trying products of subsets of
+the lifted factors, smallest first, by division (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 14-15; Cantor and Zassenhaus, *Math. Comp.*
+36, 1981).  Recombination is exponential in the number of modular factors in
+the worst case, so it is capped (``RECOMBINATION_LIMIT``).  A linear part is
+its own factor, and a quadratic part is factored in closed form by its
+discriminant, so only parts of degree 3 and up run Zassenhaus.
 
 The modular kernel is plain functions on lists of ``int`` coefficients,
 constant term first, trailing zeros trimmed, entries reduced to [0, m).
@@ -31,7 +31,6 @@ returns f reduced at the prime it picks, so no caller reduces f again.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, count
 from math import isqrt
 
@@ -165,21 +164,25 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _equal_degree(f: list[int], d: int, p: int, rng) -> list[list[int]]:
+def _equal_degree(f: list[int], d: int, p: int) -> list[list[int]]:
     """The degree-d monic irreducible factors of f, a monic product of them,
-    modulo the odd prime p (Cantor-Zassenhaus); ``rng()`` is the generator."""
+    modulo the odd prime p (Cantor-Zassenhaus).  A call that must split
+    seeds its own generator, so its draws depend on f alone."""
     n = len(f) - 1
     if n == d:
         return [f]
+    import random  # deferred: most commands never factor, and startup counts
+
+    rng = random.Random(0)
     while True:
-        a = _trim([rng().randrange(p) for _ in range(n)])
+        a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
         g = fp_gcd(a, f, p)
         if len(g) == 1:
             g = fp_gcd(_sub(fp_powmod(a, (p**d - 1) // 2, f, p), [1], p), f, p)
         if 1 < len(g) <= n:
-            return _equal_degree(g, d, p, rng) + _equal_degree(fp_divmod(f, g, p)[0], d, p, rng)
+            return _equal_degree(g, d, p) + _equal_degree(fp_divmod(f, g, p)[0], d, p)
 
 
 _BASES = (2, 3, 5, 7)
@@ -307,7 +310,7 @@ def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list
     return found + [f]
 
 
-def _factor_squarefree(part: UniPoly, rng) -> list[UniPoly]:
+def _factor_squarefree(part: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors over Q of a monic squarefree polynomial: a
     quadratic by its discriminant, degree 3 and up by :func:`_zassenhaus`.
 
@@ -322,10 +325,10 @@ def _factor_squarefree(part: UniPoly, rng) -> list[UniPoly]:
         if d < 0 or (s := isqrt(d)) * s != d:
             return [part]
         return [UniPoly((Fraction(b - s, 2 * a), 1)), UniPoly((Fraction(b + s, 2 * a), 1))]
-    return _zassenhaus(part, rng)
+    return _zassenhaus(part)
 
 
-def _zassenhaus(part: UniPoly, rng) -> list[UniPoly]:
+def _zassenhaus(part: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors over Q of a monic squarefree polynomial of
     degree >= 2, by the modular pipeline of the module docstring."""
     f = _primitive(part.num)[0]
@@ -333,7 +336,7 @@ def _zassenhaus(part: UniPoly, rng) -> list[UniPoly]:
     modular = [
         factor
         for g, d in _distinct_degree(fp, p)
-        for factor in _equal_degree(g, d, p, rng)
+        for factor in _equal_degree(g, d, p)
     ]
     if len(modular) == 1:
         return [part]
@@ -359,15 +362,10 @@ def factor_rational(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if p.degree < 2:
-        return [(p.monic(), 1)] if p.degree else []
-    import random  # deferred: most commands never factor, and startup counts
-
-    rng = cache(lambda: random.Random(0))  # seeded at its first draw: most parts need none
     out = [
         (factor, mult)
         for part, mult in squarefree_decomposition(p)
-        for factor in _factor_squarefree(part, rng)
+        for factor in _factor_squarefree(part)
     ]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out

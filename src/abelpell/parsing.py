@@ -17,11 +17,10 @@ and parentheses nested deeper than :data:`abelpell.limits.MAX_NESTING` raise
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 from .limits import MAX_DEGREE, MAX_NESTING, ResourceLimit
-from .unipoly import UniPoly
+from .unipoly import UniPoly, digit_limit
 
 MAX_EXPONENT = 100_000
 
@@ -32,9 +31,9 @@ def _check_degree(degree: int) -> None:
 
 
 def _check_height(bits: int) -> None:
-    # Twice the bits of a number with the int-to-str digit limit (0, or absent
-    # before 3.10.7: none); _height_bits overshoots printable sizes by <= 2x.
-    digits = getattr(sys, "get_int_max_str_digits", int)()
+    # Twice the bits of a number with the int-to-str digit limit (0: none);
+    # _height_bits overshoots printable sizes by <= 2x.
+    digits = digit_limit()
     cap = 2 * math.ceil(digits * math.log2(10))
     if digits and bits > cap:
         raise ResourceLimit(f"coefficients of up to {bits} bits exceed the cap of {cap} bits")
@@ -83,7 +82,7 @@ class _Parser:
 
     def integer(self) -> int:
         start, digits = self.pos, self.run(_DIGITS)
-        limit = getattr(sys, "get_int_max_str_digits", int)()
+        limit = digit_limit()
         if limit and len(digits) > limit:
             raise ResourceLimit(
                 f"a number literal of {len(digits)} digits exceeds the limit of {limit} digits"

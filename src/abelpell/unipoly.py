@@ -22,7 +22,7 @@ result: no step makes a ``UniPoly``, a ``Fraction`` or a Sylvester matrix.
 :func:`format_poly` prints a polynomial in the grammar that
 :mod:`abelpell.parsing` reads, and :func:`printable` says whether it can:
 ``str(p)`` raises once a coefficient has more digits than the int-to-str
-digit limit.
+digit limit, which :func:`digit_limit` reads for this module and the parser.
 
 >>> poly(-2, 0, 1)
 UniPoly('x^2 - 2')
@@ -456,10 +456,16 @@ def format_poly(p: UniPoly) -> str:
     return "".join(parts)
 
 
+def digit_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 (or, before 3.10.7, no
+    limit at all) means none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
 def printable(p: UniPoly) -> bool:
     """Whether ``str(p)`` succeeds: no numerator or denominator of a
     coefficient has more digits than the int-to-str digit limit."""
-    digits = getattr(sys, "get_int_max_str_digits", int)()
+    digits = digit_limit()
     bound = 10**digits
     return not digits or all(max(abs(c.numerator), c.denominator) < bound for c in p.coeffs)
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -683,3 +684,54 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["result"]["solution"]["order"] == 2
+
+
+# The argument surface of every command, recorded from the parser: its
+# positionals in order, then each option as (strings, dest, type, default,
+# required, choices), then the handler.  Every command also takes COMMON.
+COMMON = (
+    (("--format",), "format", None, "text", False, ("text", "structured")),
+    (("--out",), "out", None, None, False, None),
+)
+PQR = ("p", "q", "r")
+SIZE = ((("--genus",), "genus", int, None, True, None),
+        (("--order",), "order", int, None, True, None))
+CLI_SURFACE = {
+    ("pell", "solve"): (("r",), ((("--n-max",), "n_max", int, 20, False, None),),
+                        "_cmd_pell_solve"),
+    ("pell", "verify"): (PQR, (), "_cmd_pell_verify"),
+    ("pell", "compose"): (("p1", "q1", "p2", "q2", "r"), (), "_cmd_pell_compose"),
+    ("pell", "inflate"): (PQR, ((("--m",), "m", int, None, True, None),
+                                (("--case",), "case", None, None, False, None)),
+                          "_cmd_pell_inflate"),
+    ("abel", "ramspec"): (PQR, (), "_cmd_abel_ramspec"),
+    ("abel", "hurwitz"): (PQR, (), "_cmd_abel_hurwitz"),
+    ("strata", "nilpotency"): ((), ((("--n",), "n", int, None, True, None),
+                                    (("--k",), "k", int, None, True, None)),
+                               "_cmd_strata_nilpotency"),
+    ("strata", "tangent-rank"): (PQR, (), "_cmd_strata_tangent_rank"),
+    ("components", "count"): ((), SIZE + ((("--split",), "split", None, False, False, None),),
+                              "_cmd_components_count"),
+    ("components", "list"): ((), SIZE, "_cmd_components_list"),
+}
+
+
+def test_cli_argument_surface():
+    def commands(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    surface = {}
+    for group, group_parser in commands(cli._build_parser()).items():
+        for name, sp in commands(group_parser).items():
+            positionals = tuple(a.dest for a in sp._actions if not a.option_strings)
+            options = tuple(
+                (tuple(a.option_strings), a.dest, a.type, a.default, a.required, a.choices)
+                for a in sp._actions
+                if a.option_strings and a.dest != "help"
+            )
+            surface[group, name] = (positionals, options, sp.get_default("func").__name__)
+    assert surface == {
+        key: (positionals, COMMON + options, handler)
+        for key, (positionals, options, handler) in CLI_SURFACE.items()
+    }

@@ -11,14 +11,13 @@ import sys
 import time
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache
 from itertools import count
 from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_unipoly import nonzero_polys
 
@@ -113,6 +112,51 @@ def test_matches_sympy_on_products_property(parts, scale):
     assert factor_rational(p) == sympy_factors(p)
 
 
+def integer_polys(max_degree: int):
+    """Integer polynomials of degree 1 to max_degree."""
+    return st.builds(
+        lambda low, lead: UniPoly(low + [lead]),
+        st.lists(st.integers(-20, 20), min_size=1, max_size=max_degree),
+        st.integers(-20, 20).filter(bool),
+    )
+
+
+# Both squarefree parts of (x^4 + 1)(x^4 + 2)^2 split modulo 3 into several
+# factors of one degree: two quadratics, and two linear factors beside x^2 + 1.
+X4_PLUS_1, X4_PLUS_2 = poly(1, 0, 0, 0, 1), poly(2, 0, 0, 0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_polys(5), integer_polys(5))
+@example(X4_PLUS_1, X4_PLUS_2)
+@example(X4_PLUS_2, X4_PLUS_1)
+def test_two_part_products_match_sympy_property(a, b):
+    # a * b^2 for coprime squarefree a and b: Yun's decomposition gives two
+    # parts, each factored on its own.
+    assume(is_squarefree(a) and is_squarefree(b) and resultant(a, b))
+    p = a * b**2
+    assert factor_rational(p) == sympy_factors(p)
+
+
+def test_each_part_that_splits_seeds_its_own_generator(monkeypatch):
+    parts, drawn = [], []
+    factor_squarefree = factorization._factor_squarefree
+    monkeypatch.setattr(factorization, "_factor_squarefree",
+                        lambda part: parts.append(part) or factor_squarefree(part))
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            assert seed == 0
+            drawn.append(parts[-1])
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    p = X4_PLUS_1 * X4_PLUS_2**2
+    assert factor_rational(p) == sympy_factors(p)
+    assert parts == [X4_PLUS_1, X4_PLUS_2]
+    assert set(drawn) == {X4_PLUS_1, X4_PLUS_2}
+
+
 def test_small_workload_inputs_never_reach_the_modular_pipeline(monkeypatch):
     # A squarefree part of degree <= 2 is answered in closed form, so no
     # input of degree <= 2 runs distinct-degree factorization.
@@ -152,7 +196,7 @@ def test_quadratics_match_sympy_and_zassenhaus_property(p):
     expected = sympy_factors(p)
     assert factor_rational(p) == expected
     if is_squarefree(p):
-        modular = _zassenhaus(p.monic(), cache(lambda: random.Random(0)))
+        modular = _zassenhaus(p.monic())
         modular.sort(key=lambda f: (f.degree, f.coeffs))
         assert [(f, 1) for f in modular] == expected
 
