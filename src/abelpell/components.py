@@ -130,7 +130,8 @@ def _ties(sigma: bytes, cycle: Perm, blocks: int) -> tuple[Tie, ...]:
     """The powers rho of ``cycle`` that minimise rho^-1 sigma rho: the first
     block decides the key unless it ties, so only these can give the least
     flattening of a tuple of ``blocks`` words starting with sigma."""
-    firsts = [_least_conjugate(sigma, (tie,)) for tie in _rotations(cycle, 1)]
+    table = sigma.ljust(256, b"\0")
+    firsts = [idx.translate(table).translate(rho) for rho, idx in _rotations(cycle, 1)]
     least = min(firsts)
     return tuple(tie for tie, first in zip(_rotations(cycle, blocks), firsts) if first == least)
 
@@ -146,7 +147,7 @@ def key_to_tuple(key: CanonicalKey | bytes, n: int) -> tuple[Perm, ...]:
     ``bytes`` key; a ragged last word raises ``ValueError``."""
     if len(key) % n:
         raise ValueError(f"key length {len(key)} is not a multiple of n = {n}")
-    return tuple(key[i : i + n] for i in range(0, len(key), n))
+    return tuple([key[i : i + n] for i in range(0, len(key), n)])
 
 
 def _admitted(g: int, n: int) -> bool:

@@ -367,5 +367,6 @@ def factor_rational(p: UniPoly) -> list[tuple[UniPoly, int]]:
         for part, mult in squarefree_decomposition(p)
         for factor in _factor_squarefree(part)
     ]
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    if len(out) > 1:
+        out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out

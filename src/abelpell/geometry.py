@@ -31,6 +31,8 @@ from .pell import PellTriple
 from .ramspec import Partition, RamSpec, genus_of_ramspec, polt_dimension
 from .unipoly import (
     UniPoly,
+    _made,
+    _reduced,
     gcd,
     interpolate,
     resultant,
@@ -85,8 +87,8 @@ def assigned_profile(t: PellTriple) -> tuple[Partition, Partition, Partition]:
         base, m = inflated
         plus, minus, _ = assigned_profile(base)
         ell = base.p
-        return (_lift(plus, m, ell, ell.coeff(0) == 1), _lift(minus, m, ell, ell.coeff(0) == -1),
-                (t.order,))
+        l0 = ell.num[0]  # L(0) = l0 / ell.den
+        return _lift(plus, m, ell, l0 == ell.den), _lift(minus, m, ell, l0 == -ell.den), (t.order,)
     common = gcd(t.r, t.q)
     fibres: tuple[list[int], list[int]] = ([], [])  # the parts over +1 and -1
     for f, k in squarefree_decomposition(t.q):
@@ -140,11 +142,6 @@ def _base_of(t: PellTriple) -> tuple[PellTriple, int] | None:
     return PellTriple(ell, q0, r0.shift_degree((2 * j + e) // m)), m
 
 
-# s - 1 and s + 1, built once: built per call they slowed triple_analysis.
-_S_MINUS_1 = UniPoly((-1, 1))
-_S_PLUS_1 = UniPoly((1, 1))
-
-
 def branch_polynomial(t: PellTriple) -> UniPoly:
     """res_x(P(x) - s, P'(x)) as a polynomial in the branch value s.
 
@@ -165,18 +162,30 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
     order.  A constant Q gives a = 0 and g + 1 = n, so the formula covers it
     too.
 
+    The sign and the ends are multiplied in on the integer numerators of the
+    interpolated factor, one synthetic pass per linear factor (the inverse
+    of :meth:`UniPoly.deflate`), and the result is built once.  It needs no
+    reduction: the content of a product is the product of the contents
+    (Gauss's lemma), and s -+ 1 are monic with integer coefficients, so the
+    numerators stay coprime to the denominator.
+
     T_3(x) = 4x^3 - 3x has its critical points +-1/2 over -+1:
 
     >>> t = PellTriple.build(UniPoly((0, -3, 0, 4)), UniPoly((-1, 0, 4)), UniPoly((-1, 0, 1)))
     >>> branch_polynomial(t)
     UniPoly('1728*x^2 - 1728')
     """
-    dp = t.p.derivative()
-    q, n = t.q.monic(), t.order
+    q, n, g = t.q.monic(), t.order, t.genus
     a = gcd(t.p - 1, q).degree
-    ends = _S_MINUS_1 ** a * _S_PLUS_1 ** (q.degree - a) * (-1) ** ((n + 1) * (t.genus + 1))
-    w = dp.exact_div(q)
-    return interpolate([resultant(t.p - s, w) for s in range(t.genus + 1)]) * ends
+    w = t.p.derivative().exact_div(q)
+    factor = interpolate([resultant(t.p - s, w) for s in range(g + 1)])
+    sign = (-1) ** ((n + 1) * (g + 1))
+    num = [sign * c for c in factor.num]
+    for root in [1] * a + [-1] * (q.degree - a):  # num <- num * (s - root)
+        num = [0, *num]
+        for i in range(len(num) - 1):
+            num[i] -= root * num[i + 1]
+    return _made(tuple(num), factor.den)
 
 
 def multiplicity_partition(m: UniPoly, p: UniPoly, yun: list[tuple[UniPoly, int]]) -> Partition:
@@ -241,14 +250,16 @@ def unassigned_branch(t: PellTriple) -> list[BranchClass]:
         base, m = inflated
         classes = unassigned_branch(base)
         ell = base.p
-        at_zero = UniPoly((-ell.coeff(0), 1))
-        if ell.coeff(0) not in (1, -1) and all(cls.factor != at_zero for cls in classes):
-            if not ell.coeff(1):
+        at_zero = _reduced([-ell.num[0], ell.den], ell.den)  # x - L(0)
+        if abs(ell.num[0]) != ell.den and all(cls.factor != at_zero for cls in classes):
+            if not ell.num[1]:
                 raise AssertionError(f"0 is a critical point of {ell} but L(0) is no branch value")
             classes.append(BranchClass(at_zero, (1,) * ell.degree))
         lifted = [BranchClass(cls.factor, _lift(cls.partition, m, ell, cls.factor == at_zero))
                   for cls in classes]
-        return sorted(lifted, key=lambda cls: (cls.factor.degree, cls.factor.coeffs))
+        if len(lifted) > 1:
+            lifted.sort(key=lambda cls: (cls.factor.degree, cls.factor.coeffs))
+        return lifted
     factors = factor_rational(branch_polynomial(t).deflate(1).deflate(-1))
     if not factors:
         return []

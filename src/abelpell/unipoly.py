@@ -502,6 +502,8 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     if p.degree == 0:
         return out
     f = p.monic()
+    if f.degree == 1:  # f' is a nonzero constant, so f is squarefree
+        return [(f, 1)]
     df = f.derivative()
     a = gcd(f, df)
     if a.degree == 0:

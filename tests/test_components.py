@@ -863,6 +863,21 @@ def test_canonical_key_is_least_over_all_powers(drawn, picks, power):
     assert canonical_key(comps) == brute_force_key(comps, powers)
 
 
+def test_ties_are_the_least_rotations_of_sigma():
+    # every involution sigma with n <= 7, over 1-4 blocks: the rotations
+    # whose conjugate of sigma is least, in the order of the powers
+    for n in range(1, 8):
+        cycle = standard_cycle(n)
+        powers = cycle_powers(cycle)
+        for blocks in range(1, 5):
+            rotations = components._rotations(cycle, blocks)
+            assert [rho[:n] for rho, _ in rotations] == list(map(bytes, powers))
+            for sigma in involutions(n):
+                firsts = [conjugate(sigma, rho) for rho in powers]
+                least = tuple(tie for tie, first in zip(rotations, firsts) if first == min(firsts))
+                assert components._ties(bytes(sigma), cycle, blocks) == least
+
+
 # -- the moves against their tuple formulas -------------------------------------------
 
 

@@ -515,6 +515,23 @@ def test_branch_polynomial_interpolates_g_plus_1_resultants(monkeypatch):
     assert len(calls) == t.genus + 1 == 4
 
 
+@pytest.mark.parametrize("t", [
+    chebyshev_of(poly(3, 1, 0, 0, 1), 5),  # roots of Q over +1 and over -1
+    PellTriple.build(poly(2, 1), poly(1), poly(3, 4, 1)),  # an order-1 base
+])
+def test_branch_polynomial_multiplies_no_polynomials(monkeypatch, t):
+    # the ends (s - 1)^a (s + 1)^(deg Q - a) and the sign go in on numerators
+    a = gcd(t.p - 1, t.q).degree
+    assert t.q.degree == 0 or 0 < a < t.q.degree
+    calls = []
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        method = getattr(UniPoly, name)
+        monkeypatch.setattr(UniPoly, name, lambda x, y, name=name, method=method:
+                            calls.append(name) or method(x, y))
+    branch_polynomial(t)
+    assert calls == []
+
+
 #: One SHA-256 over the reprs of branch_polynomial, unassigned_branch,
 #: ramspec_of and hurwitz_report on chebyshev_and_inflated(12), recorded
 #: from the n-node interpolation of res(P - s, P') and partitions off Yun(P').
@@ -527,6 +544,25 @@ def test_branch_data_pinned():
         for f in (branch_polynomial, unassigned_branch, ramspec_of, hurwitz_report):
             digest.update(repr(f(t)).encode())
     assert digest.hexdigest() == BRANCH_DATA_SHA256
+
+
+#: One SHA-256 over the reprs of unassigned_branch, ramspec_of and
+#: hurwitz_report on the 936 triples of the benchmark's triple_analysis
+#: workload, seeds 101-103, rounds 0-2 (Chebyshev and inflated alike).
+TRIPLE_ANALYSIS_SHA256 = "bb55a5f0569fa74fd1de63845bfec212308c165e0b0a8a56e57702cbe7c0919b"
+
+
+def test_triple_analysis_branch_data_pinned(workloads):
+    digest, count = hashlib.sha256(), 0
+    for seed in (101, 102, 103):
+        for index in range(3):
+            for case in workloads.triple_cases(seed, index):
+                t = PellTriple.build(UniPoly(case.p), UniPoly(case.q), UniPoly(case.r))
+                count += 1
+                for f in (unassigned_branch, ramspec_of, hurwitz_report):
+                    digest.update(repr(f(t)).encode())
+    assert count == 936
+    assert digest.hexdigest() == TRIPLE_ANALYSIS_SHA256
 
 
 def norm_partition(m: UniPoly, p: UniPoly) -> tuple[int, ...]:

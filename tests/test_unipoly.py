@@ -120,6 +120,16 @@ def test_squarefree_examples():
     ]
 
 
+def test_squarefree_decomposition_of_a_linear_input_runs_no_gcd(monkeypatch):
+    calls = []
+    monkeypatch.setattr(unipoly, "gcd", lambda p, q: calls.append((p, q)) or gcd(p, q))
+    assert squarefree_decomposition(poly(3, 2)) == [(poly(Fraction(3, 2), 1), 1)]
+    assert squarefree_decomposition(poly(Fraction(-1, 3), -5)) == [(poly(Fraction(1, 15), 1), 1)]
+    assert calls == []
+    squarefree_decomposition(poly(0, 0, 1))  # the wrapper does count a quadratic's gcds
+    assert calls
+
+
 def test_squarefree_reassembles(triples):
     rng = random.Random(7)
     fixtures = [t.p - 1 for t in triples] + [t.p + 1 for t in triples]
