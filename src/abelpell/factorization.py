@@ -4,17 +4,18 @@ Each squarefree part of the input (Yun's decomposition gives the
 multiplicities) of degree 3 or more is scaled to a primitive integer
 polynomial f and factored modulo the smallest odd prime p that keeps f
 squarefree of full degree: distinct-degree factorization, then
-Cantor-Zassenhaus equal-degree splitting, where each call that draws seeds
-its own generator with 0, so every run does the same work.  The modular
-factors are Hensel-lifted, quadratically, to a modulus past twice the
-leading coefficient times the Mignotte bound on the coefficients of any
-factor of f, and the true factors are found by trying products of subsets of
-the lifted factors, smallest first, by division (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 14-15; Cantor and Zassenhaus, *Math. Comp.*
-36, 1981).  Recombination is exponential in the number of modular factors in
-the worst case, so it is capped (``RECOMBINATION_LIMIT``).  A linear part is
-its own factor, and a quadratic part is factored in closed form by its
-discriminant, so only parts of degree 3 and up run Zassenhaus.
+Cantor-Zassenhaus equal-degree splitting, which draws from one generator
+seeded with 0 per part, made only when a distinct-degree product must split,
+so every run does the same work.  The modular factors are Hensel-lifted,
+quadratically, to a modulus past twice the leading coefficient times the
+Mignotte bound on the coefficients of any factor of f, and the true factors
+are found by trying products of subsets of the lifted factors, smallest
+first, by division (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+ch. 14-15; Cantor and Zassenhaus, *Math. Comp.* 36, 1981).  Recombination
+is exponential in the number of modular factors in the worst case, so it is
+capped (``RECOMBINATION_LIMIT``).  A linear part is its own factor, and a
+quadratic part is factored in closed form by its discriminant, so only parts
+of degree 3 and up run Zassenhaus.
 
 The modular kernel is plain functions on lists of ``int`` coefficients,
 constant term first, trailing zeros trimmed, entries reduced to [0, m).
@@ -33,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, count
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from .limits import ResourceLimit
 from .unipoly import UniPoly, _primitive, squarefree_decomposition
@@ -43,6 +45,9 @@ from .unipoly import UniPoly, _primitive, squarefree_decomposition
 #: prime) need about 2^(r - 1) tries for r modular factors; branch polynomials
 #: of the orders the package handles stay far below the cap.
 RECOMBINATION_LIMIT = 1 << 16
+
+if TYPE_CHECKING:
+    import random
 
 # -- the modular kernel ---------------------------------------------------------
 
@@ -164,16 +169,13 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _equal_degree(f: list[int], d: int, p: int) -> list[list[int]]:
+def _equal_degree(f: list[int], d: int, p: int, rng: random.Random | None) -> list[list[int]]:
     """The degree-d monic irreducible factors of f, a monic product of them,
-    modulo the odd prime p (Cantor-Zassenhaus).  A call that must split
-    seeds its own generator, so its draws depend on f alone."""
+    modulo the odd prime p (Cantor-Zassenhaus), drawing from the generator
+    ``rng`` (None when n = d, as nothing is drawn)."""
     n = len(f) - 1
     if n == d:
         return [f]
-    import random  # deferred: most commands never factor, and startup counts
-
-    rng = random.Random(0)
     while True:
         a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
@@ -182,7 +184,7 @@ def _equal_degree(f: list[int], d: int, p: int) -> list[list[int]]:
         if len(g) == 1:
             g = fp_gcd(_sub(fp_powmod(a, (p**d - 1) // 2, f, p), [1], p), f, p)
         if 1 < len(g) <= n:
-            return _equal_degree(g, d, p) + _equal_degree(fp_divmod(f, g, p)[0], d, p)
+            return _equal_degree(g, d, p, rng) + _equal_degree(fp_divmod(f, g, p)[0], d, p, rng)
 
 
 _BASES = (2, 3, 5, 7)
@@ -333,11 +335,12 @@ def _zassenhaus(part: UniPoly) -> list[UniPoly]:
     degree >= 2, by the modular pipeline of the module docstring."""
     f = _primitive(part.num)[0]
     p, fp = _good_prime(f, 3)
-    modular = [
-        factor
-        for g, d in _distinct_degree(fp, p)
-        for factor in _equal_degree(g, d, p)
-    ]
+    parts = _distinct_degree(fp, p)
+    rng = None
+    if any(len(g) - 1 > d for g, d in parts):
+        import random  # deferred: most commands never factor, and startup counts
+        rng = random.Random(0)
+    modular = [factor for g, d in parts for factor in _equal_degree(g, d, p, rng)]
     if len(modular) == 1:
         return [part]
     # Any factor of f has coefficients below sqrt(n + 1) 2^n max|f_i|

@@ -8,7 +8,7 @@ points are "unassigned".  Differentiating the Pell equation gives P' = Q*W
 with W of degree g, the integrand of Abel's integral of W dx / sqrt(R) =
 log(P + Q sqrt(R)) (Crelle J. 1 (1826)), and every root of Q lies over +-1;
 so the unassigned critical points are roots of W, and the branch polynomial
-needs only g + 1 resultants.
+needs g + 1 resultants for g >= 1, none at genus 0.
 An inflation P = L(x^m) (see :func:`abelpell.pell.inflate`) reads its fibres
 and branch classes off its base L, as the branch data of a composite come
 from its factors (Ritt, Trans. AMS 23 (1922)): x -> x^m is branched only
@@ -82,10 +82,15 @@ def assigned_profile(t: PellTriple) -> tuple[Partition, Partition, Partition]:
 
     An inflation P = L(x^m) lifts its base's partitions by :func:`_lift`.
     """
-    inflated = _base_of(t)
+    return _assigned_profile(t, _base_of(t))
+
+
+def _assigned_profile(t: PellTriple, inflated: tuple[PellTriple, int] | None,
+                      ) -> tuple[Partition, Partition, Partition]:
+    """:func:`assigned_profile` with t's :func:`_base_of` given."""
     if inflated:
         base, m = inflated
-        plus, minus, _ = assigned_profile(base)
+        plus, minus, _ = _assigned_profile(base, None)
         ell = base.p
         l0 = ell.num[0]  # L(0) = l0 / ell.den
         return _lift(plus, m, ell, l0 == ell.den), _lift(minus, m, ell, l0 == -ell.den), (t.order,)
@@ -126,7 +131,9 @@ def _base_of(t: PellTriple) -> tuple[PellTriple, int] | None:
     {0, m} as R Q^2 = P^2 - 1 is a polynomial in x^m; the base is
     (L, Q0, y^((2j + e)/m) R~(y)).  This inverts :func:`abelpell.pell.inflate`
     and covers a power of an inflation, or T_k of an even L, as well.  As m
-    is the largest, the base is never an inflation itself.  Substituting
+    is the largest, the base is never an inflation itself, so each public
+    call tests once and its lift analyses the base by the plain path, with
+    ``inflated`` None.  Substituting
     y = x^m shows that the base satisfies the Pell equation with a monic
     squarefree R whenever t does, so it is built unverified, its order, genus
     and chart read off it like any triple's.
@@ -160,7 +167,9 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
     even.  The last factor has degree g in s and is interpolated from its
     values at s = 0, 1, ..., g, so the work grows with the genus, not the
     order.  A constant Q gives a = 0 and g + 1 = n, so the formula covers it
-    too.
+    too, with no gcd for a.  At genus 0 nothing is interpolated: deg W = g =
+    0, so P' / q is the constant w = lc(P') = n lc(P), and res(A, c) =
+    c^(deg A) gives res(P - s, w) = w^n.
 
     The sign and the ends are multiplied in on the integer numerators of the
     interpolated factor, one synthetic pass per linear factor (the inverse
@@ -176,9 +185,12 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
     UniPoly('1728*x^2 - 1728')
     """
     q, n, g = t.q.monic(), t.order, t.genus
-    a = gcd(t.p - 1, q).degree
-    w = t.p.derivative().exact_div(q)
-    factor = interpolate([resultant(t.p - s, w) for s in range(g + 1)])
+    a = gcd(t.p - 1, q).degree if q.degree else 0
+    if g:
+        w = t.p.derivative().exact_div(q)
+        factor = interpolate([resultant(t.p - s, w) for s in range(g + 1)])
+    else:  # w = n lc(P)
+        factor = _reduced([(n * t.p.num[-1]) ** n], t.p.den ** n)
     sign = (-1) ** ((n + 1) * (g + 1))
     num = [sign * c for c in factor.num]
     for root in [1] * a + [-1] * (q.degree - a):  # num <- num * (s - root)
@@ -245,10 +257,14 @@ def unassigned_branch(t: PellTriple) -> list[BranchClass]:
     x (2, 1, 1, 1, 1)
     x + 2 (2, 2, 1, 1)
     """
-    inflated = _base_of(t)
+    return _unassigned_branch(t, _base_of(t))
+
+
+def _unassigned_branch(t: PellTriple, inflated: tuple[PellTriple, int] | None) -> list[BranchClass]:
+    """:func:`unassigned_branch` with t's :func:`_base_of` given."""
     if inflated:
         base, m = inflated
-        classes = unassigned_branch(base)
+        classes = _unassigned_branch(base, None)
         ell = base.p
         at_zero = _reduced([-ell.num[0], ell.den], ell.den)  # x - L(0)
         if abs(ell.num[0]) != ell.den and all(cls.factor != at_zero for cls in classes):
@@ -269,9 +285,10 @@ def unassigned_branch(t: PellTriple) -> list[BranchClass]:
 
 def _ramspec_and_classes(t: PellTriple) -> tuple[RamSpec, list[BranchClass]]:
     """The spec of :func:`ramspec_of` and the branch classes it was read
-    from: the CLI prints both, and so finds the classes once."""
-    plus, minus, _ = assigned_profile(t)
-    classes = unassigned_branch(t)
+    from: the CLI prints both, and so finds the classes, and t's base, once."""
+    inflated = _base_of(t)
+    plus, minus, _ = _assigned_profile(t, inflated)
+    classes = _unassigned_branch(t, inflated)
     members = [plus, minus]
     for cls in classes:
         members.extend([cls.partition] * cls.count)

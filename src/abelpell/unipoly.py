@@ -491,7 +491,9 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """Yun's gcd chain: p = lc * prod f_i^{m_i} with f_i monic, squarefree,
     pairwise coprime, and the m_i strictly increasing.
 
-    Valid unconditionally in characteristic zero.
+    Valid unconditionally in characteristic zero.  A linear input is
+    squarefree, and a quadratic one is a square exactly when its
+    discriminant is 0, so neither runs a gcd.
 
     >>> squarefree_decomposition(poly(0, 0, 1))
     [(UniPoly('x'), 2)]
@@ -504,6 +506,9 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     f = p.monic()
     if f.degree == 1:  # f' is a nonzero constant, so f is squarefree
         return [(f, 1)]
+    if f.degree == 2:  # numerators c, b, a: f = (x + b/2a)^2 when b^2 = 4ac
+        c, b, a = f.num
+        return [(_reduced([b, 2 * a], 2 * a), 2)] if b * b == 4 * a * c else [(f, 1)]
     df = f.derivative()
     a = gcd(f, df)
     if a.degree == 0:

@@ -267,9 +267,9 @@ LIBRARY_GUARDS = (
     "components.component_count",
     "components.component_count.image_key",
     "geometry._base_of",
+    "geometry._unassigned_branch",
     "geometry.hurwitz_report",
     "geometry.multiplicity_partition",
-    "geometry.unassigned_branch",
     "pell._sqrt_and_rest",
     "pell._unit_degree_mod_p",
     "pell.minimal_solution",

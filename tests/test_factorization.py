@@ -157,6 +157,26 @@ def test_each_part_that_splits_seeds_its_own_generator(monkeypatch):
     assert set(drawn) == {X4_PLUS_1, X4_PLUS_2}
 
 
+def test_a_factorization_seeds_one_generator(monkeypatch):
+    # x^3 - 4x + 3 = (x - 1)(x^2 + x - 3) is x(x - 1)(x + 1) modulo 3: the
+    # equal-degree step splits twice, from one generator.
+    seeds = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    p = poly(3, -4, 0, 1)
+    assert factorization._good_prime([3, -4, 0, 1], 3)[0] == 3
+    assert factor_rational(p) == sympy_factors(p)
+    assert seeds == [0]
+    seeds.clear()
+    assert factor_rational(poly(-1, -1, 0, 1)) == [(poly(-1, -1, 0, 1), 1)]  # irreducible mod 3
+    assert seeds == []
+
+
 def test_small_workload_inputs_never_reach_the_modular_pipeline(monkeypatch):
     # A squarefree part of degree <= 2 is answered in closed form, so no
     # input of degree <= 2 runs distinct-degree factorization.

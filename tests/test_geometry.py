@@ -454,11 +454,13 @@ def test_inflation_lift_matches_q_split_path_property(t):
 
 
 def inflation_bases() -> list[PellTriple]:
-    """(L, 1, L^2 - 1) for three L of degree 3."""
+    """(L, 1, L^2 - 1) for three L of degree 3 and two of degree 1."""
     return [PellTriple.build(ell, poly(1), ell * ell - 1) for ell in (
         poly(3, 0, 1, 1),  # L(0) = 3 with e0 = 2
         poly(2, 1, -2, 1),  # the critical point 1 over L(0) = 2, e0 = 1
         poly(1, 1, 0, 1),  # L(0) = 1 is assigned: the even_half and odd cases
+        poly(3, 1),  # order 1 and genus 0, as most of the benchmark's bases
+        poly(1, 1),  # order 1 with L(0) = 1 assigned
     )]
 
 
@@ -502,6 +504,28 @@ def test_hurwitz_report_of_an_inflation_computes_the_base_branch_twice(monkeypat
     monkeypatch.setattr(geometry, "branch_polynomial", lambda t: calls.append(t) or branch(t))
     hurwitz_report(inflate(base, 4, "divides_g_plus_1"))
     assert calls == [base, base]
+
+
+def test_genus_0_branch_polynomial_matches_n_node_oracle():
+    # T_k(c x) with R = x^2 - 1/c^2, and the order-1 bases: W is a constant.
+    family = [pell_power(PellTriple.build(poly(0, c), poly(c), poly(-1 / (c * c), 0, 1)), k)
+              for c in (Fraction(1), Fraction(3), Fraction(-2, 5)) for k in range(1, 11)]
+    family += [t for t in inflation_bases() if t.order == 1]
+    assert len(family) == 32 and all(t.genus == 0 for t in family)
+    for t in family:
+        assert branch_polynomial(t) == n_node_branch(t.p), t
+
+
+@pytest.mark.parametrize("f, calls", [
+    (assigned_profile, 1), (unassigned_branch, 1), (ramspec_of, 1), (hurwitz_report, 2)])
+def test_each_public_call_tests_for_an_inflation_once(monkeypatch, f, calls):
+    # The lift analyses the base by the plain path: a base is no inflation.
+    tested = []
+    base_of = geometry._base_of
+    monkeypatch.setattr(geometry, "_base_of", lambda t: tested.append(t) or base_of(t))
+    t = inflate(inflation_bases()[0], 2, "divides_g_plus_1")
+    f(t)
+    assert tested == [t] * calls
 
 
 def test_branch_polynomial_interpolates_g_plus_1_resultants(monkeypatch):

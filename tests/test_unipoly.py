@@ -126,8 +126,20 @@ def test_squarefree_decomposition_of_a_linear_input_runs_no_gcd(monkeypatch):
     assert squarefree_decomposition(poly(3, 2)) == [(poly(Fraction(3, 2), 1), 1)]
     assert squarefree_decomposition(poly(Fraction(-1, 3), -5)) == [(poly(Fraction(1, 15), 1), 1)]
     assert calls == []
-    squarefree_decomposition(poly(0, 0, 1))  # the wrapper does count a quadratic's gcds
+    squarefree_decomposition(poly(0, 0, 0, 1))  # the wrapper does count a cubic's gcds
     assert calls
+
+
+def test_squarefree_decomposition_of_a_quadratic_runs_no_gcd(monkeypatch):
+    calls = []
+    monkeypatch.setattr(unipoly, "gcd", lambda p, q: calls.append((p, q)) or gcd(p, q))
+    third = poly(Fraction(-1, 3), 1)
+    assert squarefree_decomposition(5 * third**2) == [(third, 2)]
+    assert squarefree_decomposition(poly(9, 12, 4)) == [(poly(Fraction(3, 2), 1), 2)]
+    assert squarefree_decomposition(poly(0, 0, -7)) == [(poly(0, 1), 2)]
+    for p in (poly(4, 0, 27), poly(-1, 0, 1), poly(Fraction(1, 2), 3, -2)):
+        assert squarefree_decomposition(p) == [(p.monic(), 1)]
+    assert calls == []
 
 
 def test_squarefree_reassembles(triples):
