@@ -18,7 +18,9 @@ quadratic part is factored in closed form by its discriminant, so only parts
 of degree 3 and up run Zassenhaus.
 
 The modular kernel is plain functions on lists of ``int`` coefficients,
-constant term first, trailing zeros trimmed, entries reduced to [0, m).
+constant term first, trailing zeros trimmed, entries reduced to [0, m); the
+integer loops under ``_add``, ``_sub`` and ``fp_mul`` are ``unipoly._axpy``
+and ``unipoly._convolve``, and ``unipoly._trim`` trims.
 ``fp_mul`` and ``fp_divmod`` work modulo any m (Hensel lifting uses m = p^k)
 as long as the divisor's leading coefficient is a unit; ``fp_gcd``,
 ``fp_xgcd`` and ``fp_powmod`` need a prime modulus.  ``_fp_reduce`` is the one
@@ -37,7 +39,7 @@ from math import isqrt
 from typing import TYPE_CHECKING
 
 from .limits import ResourceLimit
-from .unipoly import UniPoly, _primitive, squarefree_decomposition
+from .unipoly import UniPoly, _axpy, _convolve, _primitive, _trim, squarefree_decomposition
 
 #: Most subsets of lifted factors one recombination may try before it raises
 #: ``ResourceLimit``.  Irreducible polynomials with many modular factors (the
@@ -52,23 +54,12 @@ if TYPE_CHECKING:
 # -- the modular kernel ---------------------------------------------------------
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _add(a: list[int], b: list[int], m: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim([c % m for c in out])
+    return _trim([c % m for c in _axpy(a, b, 1)])
 
 
 def _sub(a: list[int], b: list[int], m: int) -> list[int]:
-    return _add(a, [-c for c in b], m)
+    return _trim([c % m for c in _axpy(a, b, -1)])
 
 
 def _scale(a: list[int], c: int, m: int) -> list[int]:
@@ -77,14 +68,7 @@ def _scale(a: list[int], c: int, m: int) -> list[int]:
 
 def fp_mul(a: list[int], b: list[int], m: int) -> list[int]:
     """The product a * b modulo m."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % m for c in out])
+    return _trim([c % m for c in _convolve(a, b)])
 
 
 def _fp_reduce(a: list[int], b: list[int], inv: int, m: int) -> list[int]:
@@ -332,7 +316,7 @@ def _factor_squarefree(part: UniPoly) -> list[UniPoly]:
 
 def _zassenhaus(part: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors over Q of a monic squarefree polynomial of
-    degree >= 2, by the modular pipeline of the module docstring."""
+    degree >= 3, by the modular pipeline of the module docstring."""
     f = _primitive(part.num)[0]
     p, fp = _good_prime(f, 3)
     parts = _distinct_degree(fp, p)

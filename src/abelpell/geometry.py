@@ -33,6 +33,7 @@ from .unipoly import (
     UniPoly,
     _made,
     _reduced,
+    _times_linear,
     gcd,
     interpolate,
     resultant,
@@ -193,10 +194,8 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
         factor = _reduced([(n * t.p.num[-1]) ** n], t.p.den ** n)
     sign = (-1) ** ((n + 1) * (g + 1))
     num = [sign * c for c in factor.num]
-    for root in [1] * a + [-1] * (q.degree - a):  # num <- num * (s - root)
-        num = [0, *num]
-        for i in range(len(num) - 1):
-            num[i] -= root * num[i + 1]
+    for root in [1] * a + [-1] * (q.degree - a):
+        num = _times_linear(num, root)
     return _made(tuple(num), factor.den)
 
 

@@ -345,10 +345,10 @@ def _unit_degree_mod_p(r: UniPoly, y: UniPoly, max_order: int) -> int | None:
     inverse of lc(B_k) for both of its divisions by B_k.
     A_k + Y has degree h = deg Y and leading coefficient 2 (A_k = Y - rem
     with deg rem < h, and p is odd), so deg a_k = h - deg B_k is read off
-    without building the floor: only its remainder is kept.  B_(k+1) is the
-    exact division of R - A_(k+1)^2 by B_k, as over Q: it needs no floor,
-    and a remainder, which right arithmetic never leaves, raises as the
-    guard that each surd modulo p is reduced.
+    before the step divides, so the degree cap stops the loop first; the
+    division builds the floor a_k too, and the loop drops it.  B_(k+1) = (R
+    - A_(k+1)^2) / B_k exactly: a remainder, never left by right arithmetic,
+    raises as the guard that each surd modulo p is reduced.
 
     >>> r = UniPoly((0, 1, 0, 0, 1))  # x^4 + x
     >>> _unit_degree_mod_p(r, laurent_sqrt_polypart(r), 12)
@@ -374,6 +374,7 @@ def _unit_degree_mod_p(r: UniPoly, y: UniPoly, max_order: int) -> int | None:
         _fp_reduce(s, b, inv, p)
         a = [(u - v) % p for u, v in zip(yp, s[:db])] + yp[db:]
         # B_(k+1) = (R - A_(k+1)^2) / B_k, whose remainder is left in n[:db]
+        # subtracted in place: R - _convolve(A, A) took about 5 % longer
         n = list(r)
         for i, u in enumerate(a):
             for j, v in enumerate(a):

@@ -10,10 +10,12 @@ no floating point and no epsilon anywhere.
 
 The ring operations never build a ``Fraction``: they work on the numerators
 and reduce each result once, with a single gcd of the denominator and all the
-numerators.  Division first makes the divisor primitive (integer numerators,
-content removed), which leaves the remainder unchanged, and then
-pseudo-divides lazily: the running remainder is scaled by lead / gcd(top,
-lead) per step, not by the whole leading coefficient.
+numerators.  Their list loops ``_trim``, ``_axpy`` (a + s * b), ``_convolve``
+and ``_times_linear`` (times x - c) serve :mod:`abelpell.factorization` and
+:mod:`abelpell.geometry` too.  Division first makes the divisor primitive
+(integer numerators, content removed), which leaves the remainder unchanged,
+and then pseudo-divides lazily: the running remainder is scaled by lead /
+gcd(top, lead) per step, not by the whole leading coefficient.
 
 The gcd and the resultant run that loop on the numerators alone, as the
 primitive and the subresultant remainder sequence, and build only their
@@ -65,9 +67,7 @@ class UniPoly:
         # to it already, so no gcd is needed here.
         den = lcm(*[c.denominator for c in cs])
         nums = [c.numerator * (den // c.denominator) for c in cs]
-        while nums and not nums[-1]:
-            nums.pop()
-        _init(self, tuple(nums), den)
+        _init(self, tuple(_trim(nums)), den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"UniPoly is immutable: cannot set {name!r}")
@@ -152,15 +152,7 @@ class UniPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return _reduced([c * other.numerator for c in self.num], self.den * other.denominator)
-        a, b = self.num, other.num
-        if not a or not b:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _reduced(out, self.den * other.den)
+        return _reduced(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -326,8 +318,7 @@ def _reduced(num: list[int], den: int) -> UniPoly:
     grows and then shrinks were left on the interpreter's free lists and
     raised peak RSS by about 2 MB.
     """
-    while num and not num[-1]:
-        num.pop()
+    _trim(num)
     if den != 1:
         g = _int_gcd(den, *num)
         if g != 1:
@@ -338,17 +329,44 @@ def _reduced(num: list[int], den: int) -> UniPoly:
 
 def _sum(a: UniPoly, b: UniPoly, sign: int) -> UniPoly:
     """a + sign * b over the lcm of the two denominators."""
-    if a.den == b.den:
-        den, sa, sb = a.den, 1, sign
-    else:
-        den = lcm(a.den, b.den)
-        sa, sb = den // a.den, sign * (den // b.den)
-    out = list(a.num) if sa == 1 else [c * sa for c in a.num]
-    if len(out) < len(b.num):
-        out.extend([0] * (len(b.num) - len(out)))
-    for i, c in enumerate(b.num):
-        out[i] += c * sb
-    return _reduced(out, den)
+    den = a.den if a.den == b.den else lcm(a.den, b.den)
+    sa, sb = den // a.den, sign * (den // b.den)
+    return _reduced(_axpy(a.num if sa == 1 else [c * sa for c in a.num], b.num, sb), den)
+
+
+def _trim(a: list[int]) -> list[int]:
+    """Drop the trailing zeros of a, in place, and return it."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _axpy(a: Sequence[int], b: Sequence[int], s: int) -> list[int]:
+    """a + s * b as a new list, the shorter padded with zeros; untrimmed."""
+    out = list(a)
+    if len(out) < len(b):
+        out.extend([0] * (len(b) - len(out)))
+    for i, c in enumerate(b):
+        out[i] += s * c
+    return out
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of a and b, untrimmed (all zeros when one is empty)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _times_linear(num: Sequence[int], c: int) -> list[int]:
+    """num * (x - c): the inverse of the synthetic pass of :meth:`UniPoly.deflate`."""
+    out = [0, *num]
+    for i in range(len(num)):
+        out[i] -= c * out[i + 1]
+    return out
 
 
 def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None, UniPoly]:
@@ -403,8 +421,7 @@ def _pseudo_divide(rem: list[int], b: list[int], quo: list[tuple[int, int]]) -> 
             rem[j] -= t * c
         quo.append((t, scale))
     del rem[dd:]
-    while rem and not rem[-1]:
-        rem.pop()
+    _trim(rem)
     return scale
 
 
@@ -582,8 +599,6 @@ def interpolate(values: Sequence[Rat]) -> UniPoly:
     acc, weight = d[-1:], 1
     for j in range(m - 2, -1, -1):  # acc <- acc * (s - j) + d_j (m-1)!/j!
         weight *= j + 1
-        acc = [0, *acc]
-        for i in range(len(acc) - 1):
-            acc[i] -= j * acc[i + 1]
+        acc = _times_linear(acc, j)
         acc[0] += d[j] * weight
     return _reduced(acc, den * weight)

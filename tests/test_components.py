@@ -484,6 +484,12 @@ def test_closure_rejects_a_flip_that_is_no_involution(monkeypatch):
         component_count(2, 5, "nonsplit")
 
 
+def test_certificate_checks_its_orbit_sizes():
+    # four keys in the orbits of a count of five
+    with pytest.raises(AssertionError, match="orbit sizes do not sum to the class count"):
+        components.OrbitCertificate(1, 4, "split", 5, 1, ((0,),), (4,))
+
+
 def test_closure_applies_each_split_move_once_per_key(monkeypatch):
     # The benchmark's tracer counts moves_applied through the module
     # attribute: |M| (g + 1) split images, and the nonsplit count adds one

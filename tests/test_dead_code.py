@@ -21,7 +21,8 @@ triple valid in its docstring.
 
 Every function that raises ``AssertionError`` itself is named in
 ``LIBRARY_GUARDS``, so that a guard added or removed shows in the diff; the
-CLI exits 4 when one of them fires.
+CLI exits 4 when one of them fires.  ``GUARD_TESTS`` names, for each guard, a
+test that trips it.
 """
 import ast
 from collections import Counter
@@ -277,6 +278,30 @@ LIBRARY_GUARDS = (
 )
 
 
+#: Each entry of ``LIBRARY_GUARDS`` and a test that trips it, as
+#: ``file::function`` in ``tests/``; a new guard needs a new entry here.
+GUARD_TESTS = {
+    "components.OrbitCertificate.__post_init__":
+        "test_components.py::test_certificate_checks_its_orbit_sizes",
+    "components.component_count":
+        "test_components.py::test_closure_rejects_a_flip_that_is_no_involution",
+    "components.component_count.image_key":
+        "test_components.py::test_closure_rejects_a_move_that_leaves_m",
+    "geometry._base_of": "test_geometry.py::test_base_of_checks_that_r_is_a_power_too",
+    "geometry._unassigned_branch":
+        "test_geometry.py::test_an_inflation_lift_needs_l0_among_the_base_branch_values",
+    "geometry.hurwitz_report":
+        "test_geometry.py::test_hurwitz_report_checks_e_on_the_generic_stratum",
+    "geometry.multiplicity_partition":
+        "test_geometry.py::test_multiplicity_partition_rejects_unequal_fibres",
+    "pell._sqrt_and_rest": "test_pell.py::test_square_root_checks_its_contract",
+    "pell._unit_degree_mod_p":
+        "test_pell.py::test_the_fused_step_still_checks_its_exact_division",
+    "pell.minimal_solution": "test_pell.py::test_solve_checks_the_norm_of_the_unit",
+    "pell.normalize": "test_pell.py::test_normalize_checks_its_target_chart",
+}
+
+
 def raises_assertion(node: ast.AST) -> bool:
     if isinstance(node, ast.Assert):
         return True
@@ -302,6 +327,16 @@ def library_guards(package: Path) -> list[str]:
 
 def test_library_guards_are_listed():
     assert tuple(library_guards(PACKAGE)) == LIBRARY_GUARDS
+
+
+def test_every_guard_has_a_test_that_trips_it():
+    # The named test exists and expects an AssertionError.
+    assert tuple(sorted(GUARD_TESTS)) == LIBRARY_GUARDS
+    for guard, test in GUARD_TESTS.items():
+        filename, name = test.split("::")
+        tree = ast.parse((Path(__file__).parent / filename).read_text())
+        found = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert len(found) == 1 and "AssertionError" in ast.unparse(found[0]), guard
 
 
 def test_the_inventory_flags_a_new_guard(tmp_path):

@@ -23,8 +23,10 @@ from test_unipoly import nonzero_polys
 
 from abelpell import factorization, geometry, pell
 from abelpell.factorization import (
+    _add,
     _good_prime,
     _is_prime,
+    _sub,
     _zassenhaus,
     factor_rational,
     fp_divmod,
@@ -356,6 +358,32 @@ def test_fp_gcd_matches_the_divmod_loop_property(p, a, b, c):
         held = (list(x), list(y))
         assert fp_gcd(x, y, p) == kernel_fp_gcd(x, y, p)
         assert (x, y) == held
+
+
+FP_SMALL = st.lists(st.integers(-3, 3), max_size=5)  # zeros, and sums that cancel
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 7**3, 101, pell._PRIME]), FP_SMALL | FP_WIDE, FP_SMALL | FP_WIDE)
+@example(3, [], [])  # both empty
+@example(5, [], [1, 2])  # one empty, on either side
+@example(5, [1, 2], [])
+@example(7, [1, 2, 3], [1, 2, 3])  # a - b cancels to zero
+@example(7, [1, 2, 3], [6, 5, 4])  # a + b cancels to zero modulo 7
+@example(5, [1, 2, 3], [0, 1, 2])  # only the top term of a + b cancels
+@example(7**3, [7, 14], [49])  # a product that vanishes modulo a prime power
+def test_fp_add_sub_mul_match_the_schoolbook_loops_property(m, a, b):
+    n = max(len(a), len(b))
+    pairs = list(zip(a + [0] * (n - len(a)), b + [0] * (n - len(b))))
+    product = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    held = (list(a), list(b))
+    assert _add(a, b, m) == reduced([x + y for x, y in pairs], m)
+    assert _sub(a, b, m) == reduced([x - y for x, y in pairs], m)
+    assert fp_mul(a, b, m) == reduced(product, m)
+    assert (a, b) == held
 
 
 def trial_division(q: int, divisors) -> bool:

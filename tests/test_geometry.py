@@ -258,6 +258,37 @@ def test_hurwitz_examples():
     assert rep.genus_check
 
 
+def test_hurwitz_report_checks_e_on_the_generic_stratum(monkeypatch):
+    # One more class with one simple ramification point keeps T_GENUS1 on the
+    # generic stratum but makes e = g + 1.
+    t = T_GENUS1()
+    branch = geometry.unassigned_branch
+    monkeypatch.setattr(geometry, "unassigned_branch", lambda t: branch(t) + [
+        BranchClass(poly(-5, 1), (2,) + (1,) * (t.order - 2))])
+    with pytest.raises(AssertionError, match="generic stratum but e = 2 != g = 1"):
+        hurwitz_report(t)
+
+
+def test_base_of_checks_that_r_is_a_power_too():
+    # P = x^3 + 1 is L(x^3), but R = x^2 is x^e R~(x^3) with e = 2, not 0 or 1
+    t = PellTriple(poly(1, 0, 0, 1), poly(1), poly(0, 0, 1))
+    with pytest.raises(AssertionError, match=r"has P = L\(x\^3\) but Q = x\^0 Q0"):
+        assigned_profile(t)
+
+
+def test_an_inflation_lift_needs_l0_among_the_base_branch_values(monkeypatch):
+    # L'(0) = 0 and L(0) = 5/27 is not +-1, so x - 5/27 is a branch class of
+    # the base; a factorization that loses it trips the lift's guard.
+    base = PellTriple.build(
+        poly(Fraction(5, 27), 0, -2, 1), poly(Fraction(-4, 3), 1),
+        poly(Fraction(-44, 81), Fraction(-22, 27), Fraction(-4, 3), Fraction(-4, 3), 1))
+    t = inflate(base, 2, "divides_g_plus_1")
+    assert poly(Fraction(-5, 27), 1) in [cls.factor for cls in unassigned_branch(base)]
+    monkeypatch.setattr(geometry, "factor_rational", lambda p: [])
+    with pytest.raises(AssertionError, match=r"0 is a critical point of .* but L\(0\) is no branch value"):
+        unassigned_branch(t)
+
+
 def squarefree_part(p: UniPoly) -> UniPoly:
     """Oracle: the monic radical, the product of the distinct irreducible factors."""
     acc = poly(1)

@@ -495,6 +495,14 @@ def test_the_fused_step_matches_the_kernel_loop(r, max_order):
     assert pell._unit_degree_mod_p(r, y, max_order) == kernel_unit_degree_mod_p(y, b, max_order)
 
 
+def test_square_root_checks_its_contract(monkeypatch):
+    # Y + 1 leaves R - (Y + 1)^2 = B_1 - 2Y - 1, of degree deg Y
+    reduced = pell._reduced
+    monkeypatch.setattr(pell, "_reduced", lambda num, den: reduced(num, den) + 1)
+    with pytest.raises(AssertionError, match="square-root polynomial part failed its contract"):
+        pell._sqrt_and_rest(R_QUARTIC)
+
+
 def assert_the_good_prime_is_the_kernel_one(r):
     # An odd p does not divide den R exactly when it divides neither den Y
     # nor den B_1: den Y divides (4 den R)^h, B_1 = R - Y^2, R = Y^2 + B_1.
@@ -745,6 +753,14 @@ def test_normalize_obstruction_names_the_root_in_english(order, ordinal):
     obs = normalize(t.p, t.q, t.r, CHART_MONIC)
     assert isinstance(obs, Obstruction) and obs.root_degree == order
     assert obs.message == f"requires a rational {ordinal} root of {2 ** (order - 1)}"
+
+
+def test_normalize_checks_its_target_chart(monkeypatch):
+    # a = 1/2 makes P = 2x + 1 monic; twice that root does not
+    root = pell.rational_nth_root
+    monkeypatch.setattr(pell, "rational_nth_root", lambda value, n: 2 * root(value, n))
+    with pytest.raises(AssertionError, match="normalisation missed its target chart"):
+        normalize(poly(1, 2), poly(2), poly(0, 1, 1), CHART_MONIC)
 
 
 def test_normalize_shift_clears_odd_part():
