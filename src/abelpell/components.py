@@ -81,10 +81,12 @@ def validate_tuple(words: tuple[Perm, ...]) -> None:
 
 
 def _check_words(words: tuple[Perm, ...]) -> int:
-    """The length n of two or more words that are each a permutation of 0, ..., n - 1."""
+    """The length n >= 1 of two or more words that are each a permutation of 0, ..., n - 1."""
     if len(words) < 2:
         raise ValueError("a monodromy tuple has at least two words")
     n = len(words[0])
+    if not n:
+        raise ValueError("every word must have length n >= 1")
     if any(len(word) != n for word in words):
         raise ValueError(f"every word must have length n = {n}")
     if any(sorted(word) != list(range(n)) for word in words):
@@ -144,7 +146,9 @@ def _least_conjugate(flat: bytes, ties: tuple[Tie, ...]) -> bytes:
 
 def key_to_tuple(key: CanonicalKey | bytes, n: int) -> tuple[Perm, ...]:
     """The words (sigma, s_1, ..., s_g, tau) of a flat key, ``bytes`` for a
-    ``bytes`` key; a ragged last word raises ``ValueError``."""
+    ``bytes`` key; n < 1 or a ragged last word raises ``ValueError``."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n = {n}")
     if len(key) % n:
         raise ValueError(f"key length {len(key)} is not a multiple of n = {n}")
     return tuple([key[i : i + n] for i in range(0, len(key), n)])

@@ -20,7 +20,8 @@ of degree 3 and up run Zassenhaus.
 The modular kernel is plain functions on lists of ``int`` coefficients,
 constant term first, trailing zeros trimmed, entries reduced to [0, m); the
 integer loops under ``_add``, ``_sub`` and ``fp_mul`` are ``unipoly._axpy``
-and ``unipoly._convolve``, and ``unipoly._trim`` trims.
+and ``unipoly._convolve``, ``unipoly._trim`` trims, and ``fp_powmod`` is
+``unipoly._power``, the square-and-multiply of ``UniPoly.__pow__``.
 ``fp_mul`` and ``fp_divmod`` work modulo any m (Hensel lifting uses m = p^k)
 as long as the divisor's leading coefficient is a unit; ``fp_gcd``,
 ``fp_xgcd`` and ``fp_powmod`` need a prime modulus.  ``_fp_reduce`` is the one
@@ -39,7 +40,7 @@ from math import isqrt
 from typing import TYPE_CHECKING
 
 from .limits import ResourceLimit
-from .unipoly import UniPoly, _axpy, _convolve, _primitive, _trim, squarefree_decomposition
+from .unipoly import UniPoly, _axpy, _convolve, _power, _primitive, _trim, squarefree_decomposition
 
 #: Most subsets of lifted factors one recombination may try before it raises
 #: ``ResourceLimit``.  Irreducible polynomials with many modular factors (the
@@ -121,14 +122,9 @@ def fp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], l
 
 def fp_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     """a^e modulo f and the prime p, by repeated squaring."""
-    result, base = fp_divmod([1], f, p)[1], fp_divmod(a, f, p)[1]
-    while e:
-        if e & 1:
-            result = fp_divmod(fp_mul(result, base, p), f, p)[1]
-        e >>= 1
-        if e:
-            base = fp_divmod(fp_mul(base, base, p), f, p)[1]
-    return result
+    if not e:
+        return fp_divmod([1], f, p)[1]
+    return _power(fp_divmod(a, f, p)[1], e, lambda u, v: fp_divmod(fp_mul(u, v, p), f, p)[1])
 
 
 # -- factoring modulo p ----------------------------------------------------------
@@ -171,34 +167,6 @@ def _equal_degree(f: list[int], d: int, p: int, rng: random.Random | None) -> li
             return _equal_degree(g, d, p, rng) + _equal_degree(fp_divmod(f, g, p)[0], d, p, rng)
 
 
-_BASES = (2, 3, 5, 7)
-
-
-def _is_prime(q: int) -> bool:
-    """Whether q is prime, by Miller-Rabin on the bases 2, 3, 5 and 7: exact
-    below 3,215,031,751 (Pomerance, Selfridge and Wagstaff, *Math. Comp.* 35,
-    1980; Jaeschke, *Math. Comp.* 61, 1993).  :func:`_good_prime` does not
-    get there from its start, 3 or ``pell._PRIME`` = 2^30 - 35: it passes
-    only primes that divide one nonzero integer of its input (a leading
-    coefficient or a discriminant), and the primes it would pass multiply
-    to over 3 * 10^9 bits.
-    """
-    if q < 2 or any(q % b == 0 for b in _BASES):
-        return q in _BASES
-    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s * (odd)
-    for b in _BASES:
-        x = pow(b, (q - 1) >> s, q)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == q - 1:
-                break
-            x = x * x % q
-        else:
-            return False
-    return True
-
-
 def _squarefree_mod(f: list[int], p: int) -> bool:
     """Whether the residues f modulo the prime p, with a nonzero lead, are
     squarefree modulo p."""
@@ -209,11 +177,12 @@ def _squarefree_mod(f: list[int], p: int) -> bool:
 def _good_prime(f: list[int], p: int) -> tuple[int, list[int]]:
     """(q, f made monic mod q) at the first prime q from the odd prime p up
     (p is not tested for primality) that does not divide lc(f) and modulo
-    which f stays squarefree.  f must be squarefree over Q, or no prime is
+    which f stays squarefree.  Each next prime is found by trial division by
+    the odd d <= isqrt(q).  f must be squarefree over Q, or no prime is
     good and the scan never ends (x^2 loops forever): ``pell.cf_steps``
     checks R, and the factorizer passes only parts of Yun's decomposition."""
     while not (f[-1] % p and _squarefree_mod(fp := _scale(f, pow(f[-1], -1, p), p), p)):
-        p = next(q for q in count(p + 2, 2) if _is_prime(q))
+        p = next(q for q in count(p + 2, 2) if all(q % d for d in range(3, isqrt(q) + 1, 2)))
     return p, fp
 
 

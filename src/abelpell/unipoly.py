@@ -12,10 +12,12 @@ The ring operations never build a ``Fraction``: they work on the numerators
 and reduce each result once, with a single gcd of the denominator and all the
 numerators.  Their list loops ``_trim``, ``_axpy`` (a + s * b), ``_convolve``
 and ``_times_linear`` (times x - c) serve :mod:`abelpell.factorization` and
-:mod:`abelpell.geometry` too.  Division first makes the divisor primitive
-(integer numerators, content removed), which leaves the remainder unchanged,
-and then pseudo-divides lazily: the running remainder is scaled by lead /
-gcd(top, lead) per step, not by the whole leading coefficient.
+:mod:`abelpell.geometry` too, and ``_power``, the square-and-multiply of
+``**``, serves ``factorization.fp_powmod``.  Division first makes the
+divisor primitive (integer numerators, content removed), which leaves the
+remainder unchanged, and then pseudo-divides lazily: the running remainder is
+scaled by lead / gcd(top, lead) per step, not by the whole leading
+coefficient.
 
 The gcd and the resultant run that loop on the numerators alone, as the
 primitive and the subresultant remainder sequence, and build only their
@@ -40,9 +42,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 Rat = int | Fraction
+T = TypeVar("T")
 
 
 class UniPoly:
@@ -165,15 +168,7 @@ class UniPoly:
             raise TypeError(f"the exponent {n!r} of a polynomial is not an integer")
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        # Square only while bits are left, and take the first factor as it is.
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return ONE if result is None else result
+        return _power(self, n, UniPoly.__mul__) if n else ONE
 
     def __divmod__(self, other: UniPoly | Rat) -> tuple[UniPoly, UniPoly]:
         """Euclidean division over the rationals (always exact).
@@ -367,6 +362,19 @@ def _times_linear(num: Sequence[int], c: int) -> list[int]:
     for i in range(len(num)):
         out[i] -= c * out[i + 1]
     return out
+
+
+def _power(base: T, n: int, mul: Callable[[T, T], T]) -> T:
+    """base^n for n >= 1 by square-and-multiply under the product ``mul``:
+    it squares only while bits are left, and takes the first factor as it is."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
 
 
 def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None, UniPoly]:

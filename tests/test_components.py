@@ -627,6 +627,7 @@ MALFORMED = [
     (((0, 0), (1, 0)), "permutation"),  # a repeated entry
     (((1, 0, 2), (2, 1, 0, 3)), "length"),  # tau on 4 points after sigma on 3
     (((5, 0, 1), (0, 1, 2)), "permutation"),  # sigma's 5 out of range
+    (((), ()), "length n >= 1"),  # empty words, not min() of an empty sequence
 ]
 
 
@@ -638,7 +639,7 @@ def test_malformed_tuples_rejected(words, message):
         tuple_ramspec(words)
     # canonical_key checks the shape only, not the monodromy conditions:
     # test_canonical_key_refuses_a_key_past_256_bytes keys (identity, cycle)
-    if message in ("length", "permutation"):
+    if message in ("length", "length n >= 1", "permutation"):
         with pytest.raises(ValueError, match=message):
             canonical_key(words)
 
@@ -657,6 +658,12 @@ def test_key_to_tuple_rejects_a_ragged_key():
     for key in ((0, 2, 1, 1, 0, 2, 7), bytes((0, 2, 1, 1, 0, 2, 7)), (0, 1)):
         with pytest.raises(ValueError, match="not a multiple of n = 3"):
             key_to_tuple(key, 3)
+
+
+def test_key_to_tuple_needs_n_at_least_1():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"need n >= 1, got n = {n}"):
+            key_to_tuple((0, 1, 1, 0), n)
 
 
 def test_tuple_ramspec_genus_everywhere():

@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 
 from abelpell.components import apply_move
+from abelpell.factorization import fp_divmod
 from abelpell.pell import (
     PellTriple, cf_steps, least_unit, normalize, pell_compose, pell_power, pell_verify,
     rational_nth_root,
@@ -41,6 +42,8 @@ ROWS = [
     ("rational_nth_root-index-0", lambda: rational_nth_root(4, 0), (ValueError, "root index")),
     ("format_monomials-empty", lambda: format_monomials({}, ()), "0"),
     ("UniPoly-delete-attribute", delete_attribute, (AttributeError, "cannot delete 'num'")),
+    # __eq__ gives NotImplemented for a non-UniPoly, and Python falls back to identity.
+    ("UniPoly-equals-int", lambda: poly(1) == 1, False),
     ("UniPoly-leading-of-zero", lambda: poly().leading, (ValueError, "no leading coefficient")),
     ("UniPoly-constant_value-of-x", lambda: X.constant_value(), (ValueError, "is not constant")),
     ("UniPoly-negative-power", lambda: X**-1, (ValueError, "negative power")),
@@ -53,6 +56,9 @@ ROWS = [
      (ValueError, "zero polynomial")),
     ("is_squarefree-zero", lambda: is_squarefree(poly()), False),
     ("is_squarefree-constant", lambda: is_squarefree(poly(3)), True),
+    ("pell_verify-zero-p", lambda: pell_verify(poly(), poly(1), poly(-1, 0, 1)).failures,
+     ("P is zero", "defect of P^2 - R*Q^2 - 1 is -x^2, expected 0")),
+    ("fp_divmod-by-zero", lambda: fp_divmod([1], [], 5), (ZeroDivisionError, "division by zero")),
     # A constant R breaks the degree rule only: 1 is squarefree.
     ("pell_verify-constant-r", lambda: pell_verify(X, poly(1), poly(1)).failures,
      ("R has degree 0, expected even degree >= 2", "defect of P^2 - R*Q^2 - 1 is x^2 - 2, expected 0")),

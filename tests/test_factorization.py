@@ -1,7 +1,8 @@
 """Zassenhaus factorization over Q, checked against sympy's ``factor_list``.
 
-sympy is only a test dependency: it is the oracle here and for the matrix
-rank in ``test_strata.py``, and nowhere else.
+sympy is only a test dependency: it is the oracle here, for the primes of
+the good-prime scan here and in ``test_pell.py``, and for the matrix rank
+in ``test_strata.py``, and nowhere else.
 """
 import hashlib
 import os
@@ -9,10 +10,9 @@ import random
 import subprocess
 import sys
 import time
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -25,7 +25,6 @@ from abelpell import factorization, geometry, pell
 from abelpell.factorization import (
     _add,
     _good_prime,
-    _is_prime,
     _sub,
     _zassenhaus,
     factor_rational,
@@ -386,35 +385,27 @@ def test_fp_add_sub_mul_match_the_schoolbook_loops_property(m, a, b):
     assert (a, b) == held
 
 
-def trial_division(q: int, divisors) -> bool:
-    """Oracle of ``_is_prime``: q > 1 has no divisor up to isqrt(q) among
-    ``divisors``, an ascending sequence that holds every prime up to it."""
-    return q > 1 and all(q % d for d in divisors[:bisect_right(divisors, isqrt(q))])
-
-
-def test_is_prime_matches_trial_division():
-    # _good_prime, the one scan for a good prime, starts below the
-    # Miller-Rabin bound from either of its starts: 3 for factor_rational,
-    # the largest prime below 2^30 for the F_p search of pell.  The primes up
-    # to isqrt(2^31 + 10^4) are found by trial division by every smaller
-    # integer.
-    top = 2**31 + 10**4
-    primes = [d for d in range(2, isqrt(top) + 1) if trial_division(d, range(2, d))]
-    candidates = [*range(200_000), *range(2**30 - 10**4, 2**30 + 10**4 + 1),
-                  *range(2**31 - 10**4, top + 1)]
-    assert [n for n in candidates if _is_prime(n) != trial_division(n, primes)] == []
-    assert pell._PRIME == 2**30 - 35 and _is_prime(pell._PRIME)
-    assert not any(trial_division(n, primes) for n in range(pell._PRIME + 1, 2**30))
+def test_good_prime_scans_to_the_next_prime():
+    # p0 x^2 + 1 is bad only at p0, which divides its lead (its discriminant
+    # is -4 p0), so the scan from p0 returns the prime after it.  The starts
+    # take in 3, the start of factor_rational, and pell._PRIME, the largest
+    # prime below 2^30 and the start of the F_p search.
+    assert pell._PRIME == 2**30 - 35 and sympy.isprime(pell._PRIME)
+    assert sympy.nextprime(pell._PRIME) > 2**30
+    starts = [*sympy.primerange(3, 1000), *sympy.primerange(2**30 - 1000, 2**30),
+              *sympy.primerange(2**31 - 1000, 2**31)]
+    assert starts[0] == 3 and pell._PRIME in starts
+    for p0 in starts:
+        assert _good_prime([1, 0, p0], p0)[0] == sympy.nextprime(p0), p0
 
 
 def trial_good_prime(f: list[int]) -> int:
-    """Oracle of ``_good_prime(f, 3)``: the least odd prime, by trial
-    division, that divides neither lc(f) nor the resultant of f and f'
-    (modulo a p not dividing lc(f), f is squarefree exactly when p does not
-    divide that resultant)."""
+    """Oracle of ``_good_prime(f, 3)``: the least odd prime, by sympy, that
+    divides neither lc(f) nor the resultant of f and f' (modulo a p not
+    dividing lc(f), f is squarefree exactly when p does not divide that
+    resultant)."""
     res = resultant(UniPoly(f), UniPoly(f).derivative())
-    return next(p for p in count(3, 2)
-                if trial_division(p, range(2, p)) and f[-1] % p and res % p)
+    return next(p for p in count(3, 2) if sympy.isprime(p) and f[-1] % p and res % p)
 
 
 @pytest.mark.parametrize("f, p", [

@@ -128,9 +128,9 @@ def test_public_names_are_their_home_objects():
 
 
 def test_only_factorization_decides_a_good_prime():
-    # pell asks factorization._good_prime for its prime, and names neither
-    # of the tests that decide one.
-    deciders = {"_is_prime", "_squarefree_mod"}
+    # pell asks factorization._good_prime for its prime, and does not name
+    # the test that decides one.
+    deciders = {"_squarefree_mod"}
     for path in sorted((SRC / "abelpell").glob("*.py")):
         if path.name == "factorization.py":
             continue

@@ -7,6 +7,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from conftest import chebyshev_triple, kubert_r
@@ -14,7 +15,7 @@ from test_factorization import schoolbook_fp_divmod
 from test_parsing import int_digit_limit
 
 from abelpell import factorization, pell, unipoly
-from abelpell.factorization import _add, _is_prime, _squarefree_mod, _sub, fp_mul
+from abelpell.factorization import _add, _squarefree_mod, _sub, fp_mul
 from abelpell.parsing import parse_poly
 from abelpell.pell import (
     CHART_GENERAL,
@@ -443,7 +444,7 @@ def kernel_good_prime(y, b):
             r = _add(fp_mul(yp, yp, p), bp, p)
             if _squarefree_mod(r, p):
                 break
-        p = next(q for q in range(p + 2, 2 * p, 2) if _is_prime(q))
+        p = sympy.nextprime(p)
     return p, yp, bp, r
 
 

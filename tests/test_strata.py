@@ -38,6 +38,7 @@ from abelpell.unipoly import ONE, ZERO, UniPoly, gcd, poly
 from conftest import exponent_lists, fixture_family, kubert_r
 from test_geometry import chebyshev_and_inflated
 from test_pell import KUBERT_FIRES, KUBERT_T, inflation_inputs
+from test_unipoly import bareiss
 
 
 def sigma_by_combinations(exponents: list[int]) -> tuple[dict, ...]:
@@ -297,38 +298,19 @@ def integer_matrices(draw):
     return [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(n)] for i in range(m)]
 
 
-def bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination over
-    Z: each update x*piv - f*y divides exactly by the previous pivot, so
-    every entry stays an integer minor."""
-    rows = [row[:] for row in rows]
-    rank, prev = 0, 1
-    for c in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        piv, top = rows[rank][c], rows[rank][c + 1 :]
-        for row in rows[rank + 1 :]:
-            f = row[c]
-            for j, (x, y) in enumerate(zip(row[c + 1 :], top), c + 1):
-                quo, rem = divmod(x * piv - f * y, prev)
-                assert not rem, "Bareiss exact division failed"
-                row[j] = quo
-            row[c] = 0
-        prev, rank = piv, rank + 1
-    return rank
-
-
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_bareiss_rank_matches_sympy(rows):
-    assert bareiss_rank(rows) == sympy.Matrix(rows).rank()
+    # The determinant is checked on the leading square block.
+    assert bareiss(rows)[0] == sympy.Matrix(rows).rank()
+    k = min(len(rows), len(rows[0]))
+    square = [row[:k] for row in rows[:k]]
+    assert bareiss(square)[1] == sympy.Matrix(square).det()
 
 
 def bareiss_report(t: PellTriple, chart: str) -> TangentReport:
     """The tangent rank by elimination: the linearisation 2P dP - 2RQ dQ -
-    Q^2 dR as an integer matrix, ranked by :func:`bareiss_rank`.
+    Q^2 dR as an integer matrix, ranked by :func:`bareiss`.
 
     dP, dQ and dR run over the coefficients below the tops of P, Q and R,
     and, for the normalized chart, below x^(2g+1) in R.  Column j holds the
@@ -343,7 +325,7 @@ def bareiss_report(t: PellTriple, chart: str) -> TangentReport:
         for d, count in ((t.p * 2, n), (t.r * t.q * -2, t.q.degree), (t.q * t.q * -1, r_top))
         for j in range(count)
     ]
-    rank = bareiss_rank([list(row) for row in zip(*columns)])
+    rank = bareiss([list(row) for row in zip(*columns)])[0]
     return TangentReport(len(columns), rank, len(columns) - rank)
 
 

@@ -153,37 +153,48 @@ def test_squarefree_reassembles(triples):
             assert is_squarefree(factor) and factor.is_monic()
 
 
-def sylvester_matrix(p: UniPoly, q: UniPoly) -> list[list[Fraction]]:
-    """The (deg p + deg q) square Sylvester matrix of two nonzero polynomials."""
+def sylvester_matrix(p: UniPoly, q: UniPoly) -> list[list[int]]:
+    """The (deg p + deg q) square Sylvester matrix of two nonzero
+    polynomials, on their numerators: its first deg q rows are scaled by
+    p.den and its last deg p rows by q.den."""
     m, n = p.degree, q.degree
-    size = m + n
-    prow = list(reversed(p.coeffs))
-    qrow = list(reversed(q.coeffs))
-    rows = [[Fraction(0)] * i + prow + [Fraction(0)] * (size - i - m - 1) for i in range(n)]
-    rows += [[Fraction(0)] * i + qrow + [Fraction(0)] * (size - i - n - 1) for i in range(m)]
+    prow, qrow = list(reversed(p.num)), list(reversed(q.num))
+    rows = [[0] * i + prow + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + qrow + [0] * (m - 1 - i) for i in range(m)]
     return rows
 
 
-def sylvester_resultant(p: UniPoly, q: UniPoly) -> Fraction:
-    """Oracle: the determinant of the Sylvester matrix, by exact Gaussian
-    elimination with pivots tested against literal zero."""
-    rows = sylvester_matrix(p, q)
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+def bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """(rank, det) of an integer matrix by fraction-free (Bareiss)
+    elimination over Z: each update x*piv - f*y divides exactly by the
+    previous pivot, so every entry stays an integer minor.  The determinant
+    is that of a square matrix: the last pivot, signed by the row swaps, when
+    the rank is full, and 0 otherwise."""
+    rows = [row[:] for row in rows]
+    rank, prev, sign = 0, 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    return det
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        piv, top = rows[rank][c], rows[rank][c + 1 :]
+        for row in rows[rank + 1 :]:
+            f = row[c]
+            for j, (x, y) in enumerate(zip(row[c + 1 :], top), c + 1):
+                quo, rem = divmod(x * piv - f * y, prev)
+                assert not rem, "Bareiss exact division failed"
+                row[j] = quo
+            row[c] = 0
+        prev, rank = piv, rank + 1
+    return rank, sign * prev if rank == len(rows) else 0
+
+
+def sylvester_resultant(p: UniPoly, q: UniPoly) -> Fraction:
+    """Oracle: the determinant of the Sylvester matrix, by :func:`bareiss` on
+    the numerators, divided by the scales of its rows."""
+    return Fraction(bareiss(sylvester_matrix(p, q))[1], p.den**q.degree * q.den**p.degree)
 
 
 COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=5)
