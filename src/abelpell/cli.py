@@ -4,8 +4,15 @@ Subcommands mirror the library: ``pell`` (solve / verify / compose /
 inflate), ``abel`` (ramspec / hurwitz), ``strata`` (nilpotency /
 tangent-rank) and ``components`` (count / list).  ``--format structured``
 emits a single JSON object with the command, its inputs, the result and the
-checks the command runs itself; the output is byte-identical across runs.  An
-invariant the library enforces where it is computed is not reported again: a
+checks the command runs itself; the output is byte-identical across runs.
+The result of ``pell verify``, ``abel hurwitz``, ``abel ramspec`` and
+``strata tangent-rank`` is the fields of the library's record
+(``PellCheck``, ``HurwitzReport``, ``RamSpec``, ``TangentReport``) plus
+named extra keys: ``chart`` for ``pell verify`` and ``strata
+tangent-rank``, and ``unassigned_classes``, ``genus`` and
+``deformation_dimension`` for ``abel ramspec``.  So a field added to or
+removed from one of those records changes that output.  An invariant the
+library enforces where it is computed is not reported again: a
 ``ValueError`` it raises exits 2, and a guard's ``AssertionError`` exits 4.
 
 A polynomial argument that starts with "-" reads as an option: put "--"
@@ -126,15 +133,7 @@ def _cmd_pell_verify(args):
 
     p, q, r = parse_poly(args.p), parse_poly(args.q), parse_poly(args.r)
     rep = pell.pell_verify(p, q, r)
-    result = {
-        "valid": rep.valid,
-        "failures": list(rep.failures),
-        "order": rep.order,
-        "genus": rep.genus,
-        "chart": rep.chart,
-        "monic": rep.monic,
-        "normalized": rep.normalized,
-    }
+    result = {**vars(rep), "chart": rep.chart}
     checks = [check("triple_valid", rep.valid)]
     if rep.valid:
         lines = [f"valid: order {rep.order}, genus {rep.genus}, chart {rep.chart}"]
@@ -185,9 +184,7 @@ def _cmd_abel_ramspec(args):
     spec, branch = geometry._ramspec_and_classes(t)
     genus = geometry.genus_of_ramspec(spec)
     result = {
-        "order": spec.order,
-        "members": [list(m) for m in spec.members],
-        "assigned": [list(m) for m in spec.assigned],
+        **vars(spec),
         "unassigned_classes": [
             {"factor": poly_json(c.factor), "count": c.count, "partition": list(c.partition)}
             for c in branch
@@ -198,8 +195,8 @@ def _cmd_abel_ramspec(args):
     }
     checks = [check("genus_matches_triple", genus == t.genus)]
     lines = [
-        f"S = {{{', '.join(str(set_like) for set_like in result['members'])}}}",
-        f"T = ({result['assigned'][0]}, {result['assigned'][1]})",
+        f"S = {{{', '.join(str(list(m)) for m in spec.members)}}}",
+        f"T = ({list(spec.assigned[0])}, {list(spec.assigned[1])})",
         f"genus {genus}, deformation dimension {genus}",
     ]
     return EXIT_OK, result, checks, lines
@@ -210,15 +207,7 @@ def _cmd_abel_hurwitz(args):
 
     t = _triple_from_args(args)
     rep = geometry.hurwitz_report(t)
-    result = {
-        "order": rep.order,
-        "genus": rep.genus,
-        "e": rep.e,
-        "e_prime": rep.e_prime,
-        "w": rep.w,
-        "genus_check": rep.genus_check,
-        "generic_stratum": rep.generic_stratum,
-    }
+    result = vars(rep)
     checks = [check("odd_count_is_2g_plus_2", rep.w == 2 * rep.genus + 2)]
     lines = [
         f"e = {rep.e}, e' = {rep.e_prime}, w = {rep.w}",
@@ -241,12 +230,7 @@ def _cmd_strata_tangent_rank(args):
 
     t = _triple_from_args(args)
     rep = strata.tangent_rank(t)
-    result = {
-        "chart": t.chart,
-        "variables": rep.variables,
-        "rank": rep.rank,
-        "corank": rep.corank,
-    }
+    result = {"chart": t.chart, **vars(rep)}
     lines = [f"variables {rep.variables}, rank {rep.rank}, corank {rep.corank}"]
     return EXIT_OK, result, [], lines
 

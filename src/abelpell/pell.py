@@ -31,7 +31,7 @@ from itertools import count
 from typing import Iterable, Iterator
 
 from .limits import MAX_DEGREE, ResourceLimit
-from .unipoly import ONE, ZERO, Rat, UniPoly, _reduced, is_squarefree, printable
+from .unipoly import ONE, ZERO, Rat, UniPoly, _power, _reduced, is_squarefree, printable
 
 CHART_GENERAL = "general"
 CHART_MONIC = "monic"
@@ -531,9 +531,7 @@ def pell_power(t: PellTriple, k: int) -> PellTriple:
     trivial unit."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    p, q = t.p, t.q
-    for _ in range(k - 1):
-        p, q = unit_compose(p, q, t.p, t.q, t.r)
+    p, q = _power((t.p, t.q), k, lambda u, v: unit_compose(*u, *v, t.r))
     return PellTriple(p, q, t.r)
 
 

@@ -13,11 +13,11 @@ and reduce each result once, with a single gcd of the denominator and all the
 numerators.  Their list loops ``_trim``, ``_axpy`` (a + s * b), ``_convolve``
 and ``_times_linear`` (times x - c) serve :mod:`abelpell.factorization` and
 :mod:`abelpell.geometry` too, and ``_power``, the square-and-multiply of
-``**``, serves ``factorization.fp_powmod``.  Division first makes the
-divisor primitive (integer numerators, content removed), which leaves the
-remainder unchanged, and then pseudo-divides lazily: the running remainder is
-scaled by lead / gcd(top, lead) per step, not by the whole leading
-coefficient.
+``**``, serves ``factorization.fp_powmod`` and ``pell.pell_power``.
+Division first makes the divisor primitive (integer numerators, content
+removed), which leaves the remainder unchanged, and then pseudo-divides
+lazily: the running remainder is scaled by lead / gcd(top, lead) per step,
+not by the whole leading coefficient.
 
 The gcd and the resultant run that loop on the numerators alone, as the
 primitive and the subresultant remainder sequence, and build only their
@@ -383,16 +383,10 @@ def _divide(a: UniPoly, b: UniPoly, with_quotient: bool) -> tuple[UniPoly | None
     b is replaced by its primitive integer part bp with a positive leading
     coefficient: the remainder does not change, and the quotient by b is
     (den b / content b) times the quotient by bp.  Without ``with_quotient``
-    the quotient returned is None.  A constant b leaves no remainder and
-    scales a.
+    the quotient returned is None.
     """
     if not b.num:
         raise ZeroDivisionError("polynomial division by zero")
-    if len(b.num) == 1:
-        if not with_quotient:
-            return None, ZERO
-        scale = b.den if b.num[0] > 0 else -b.den
-        return _reduced([c * scale for c in a.num], a.den * abs(b.num[0])), ZERO
     (bp, content), rem, quo = _primitive(b.num), list(a.num), []
     den = a.den * (scale := _pseudo_divide(rem, bp, quo))
     remainder = _reduced(rem, den)

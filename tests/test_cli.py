@@ -735,3 +735,30 @@ def test_cli_argument_surface():
         key: (positionals, COMMON + options, handler)
         for key, (positionals, options, handler) in CLI_SURFACE.items()
     }
+
+
+# One text run per command.  A handler builds its text lines apart from its
+# structured result, so the JSON goldens do not pin them: abel ramspec must
+# print its partitions as lists, not as the record's tuples.
+CONJUGATE = ["x^3+x", "1", "x^6+2*x^4+x^2-1"]
+TEXT_GOLDEN = {
+    ("pell", "solve"): ["x^4+2*x^3+5*x^2+4*x+3"],
+    ("pell", "verify"): ["1", "1", "2*x^3"],
+    ("pell", "compose"): CONJUGATE[:2] + CONJUGATE,
+    ("pell", "inflate"): ["x+2", "1", "x^2+4*x+3", "--m", "3"],
+    ("abel", "ramspec"): CONJUGATE,
+    ("abel", "hurwitz"): CONJUGATE,
+    ("strata", "nilpotency"): ["--n", "251", "--k", "3"],
+    ("strata", "tangent-rank"): CONJUGATE,
+    ("components", "count"): ["--genus", "2", "--order", "6"],
+    ("components", "list"): ["--genus", "1", "--order", "3"],
+}
+
+
+@pytest.mark.parametrize("command", TEXT_GOLDEN, ids=" ".join)
+def test_text_golden_output(capsys, command):
+    assert TEXT_GOLDEN.keys() == CLI_SURFACE.keys()
+    code, out, err = run_cli(capsys, *command, *TEXT_GOLDEN[command])
+    name = "_".join(command).replace("-", "_")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"text_{name}.txt").read_text()

@@ -3,7 +3,6 @@ import json
 import random
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -232,12 +231,6 @@ def built_degrees(monkeypatch) -> list[int]:
     return built
 
 
-def next_prime(p: int) -> int:
-    """The least prime above the odd p, by trial division."""
-    return next(n for n in range(p + 2, 2 * p, 2)
-                if all(n % d for d in range(3, isqrt(n) + 1, 2)))
-
-
 # x^4 + x + 1 with x scaled by the prime of least_unit: the prime divides
 # the denominators of its coefficients, so it is bad for this R, and the
 # search moves on to the next prime.
@@ -247,7 +240,7 @@ R_BAD_AT_P = affine_image(R_QUARTIC, pell._PRIME, 0)
 def bad_prime_cases(p: int) -> list:
     """R bad at the first prime p of least_unit, or at p and the next, each
     with the degree of its least unit over Q (None: none of degree <= 10)."""
-    q = next_prime(p)
+    q = sympy.nextprime(p)
     cases = [
         (affine_image(R_QUARTIC, p, 0), None),
         (poly(1, p, 2, 0, 1), None),  # (x^2 + 1)^2 + p x, a square mod p
@@ -278,7 +271,7 @@ def test_a_miss_builds_no_convergent(monkeypatch):
 def test_a_bad_prime_moves_the_search_to_the_next_good_one(monkeypatch, p, q, r, unit_degree):
     # A miss is still proved at step 0, and a unit is still found: a search
     # that gave up at a bad prime would miss Kubert's unit of degree 7.
-    assert all(q % d for d in range(2, isqrt(q) + 1))
+    assert sympy.isprime(q)
     assert is_squarefree(r)
     monkeypatch.setattr(pell, "_PRIME", p)
     built = built_degrees(monkeypatch)
