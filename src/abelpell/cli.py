@@ -20,8 +20,8 @@ after the options and before the polynomials, as in
 ``abel hurwitz -- -2*x^2+1 2*x x^2-1``, or write it in parentheses,
 ``"(-2*x^2+1)"``.
 
-Exit codes: 0 result, 1 empty result, 2 bad input, 3 resource limit,
-4 internal invariant failed.
+Exit codes: 0 result, 1 empty result, 2 bad input, 3 resource limit (an
+answer past the int-to-str digit limit included), 4 internal invariant failed.
 """
 from __future__ import annotations
 
@@ -51,12 +51,8 @@ def parse_poly(text: str) -> UniPoly:
 
 
 def poly_json(p: UniPoly) -> dict:
-    from .unipoly import format_poly, printable
+    from .unipoly import format_poly
 
-    # Handlers build the result before their text lines, so p is checked
-    # here before anything prints it.
-    if not printable(p):
-        raise ResourceLimit("a coefficient of the answer exceeds the int-to-str digit limit")
     return {"text": format_poly(p), "coefficients": [str(c) for c in p.coeffs]}
 
 

@@ -9,7 +9,7 @@ emits this grammar, so parse/print is a round trip.
 The text is read once, left to right, and the first error reached is raised:
 ``x)$`` fails on its ``)``, not on the ``$`` after it.  Anything outside the
 grammar is a position-annotated :class:`ParseError`.  A number literal longer
-than the int-to-str digit limit, a power or product whose degree would exceed
+than :func:`digit_limit`, a power or product whose degree would exceed
 :data:`abelpell.limits.MAX_DEGREE` or whose coefficients could not be printed,
 and parentheses nested deeper than :data:`abelpell.limits.MAX_NESTING` raise
 :class:`abelpell.limits.ResourceLimit` before they are computed.
@@ -17,12 +17,19 @@ and parentheses nested deeper than :data:`abelpell.limits.MAX_NESTING` raise
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .limits import MAX_DEGREE, MAX_NESTING, ResourceLimit
-from .unipoly import UniPoly, digit_limit
+from .unipoly import UniPoly
 
 MAX_EXPONENT = 100_000
+
+
+def digit_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 (or, before 3.10.7, no
+    limit at all) means none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def _check_degree(degree: int) -> None:

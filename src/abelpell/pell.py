@@ -31,7 +31,7 @@ from itertools import count
 from typing import Iterable, Iterator
 
 from .limits import MAX_DEGREE, ResourceLimit
-from .unipoly import ONE, ZERO, Rat, UniPoly, _power, _reduced, is_squarefree, printable
+from .unipoly import ONE, ZERO, Rat, UniPoly, _power, _reduced, format_poly, is_squarefree
 
 CHART_GENERAL = "general"
 CHART_MONIC = "monic"
@@ -146,7 +146,10 @@ def pell_verify(p: UniPoly, q: UniPoly, r: UniPoly) -> PellCheck:
     failures += _r_failures(r)
     defect = p * p - r * q * q - 1
     if not defect.is_zero():
-        shown = defect if printable(defect) else "nonzero and too large to print"
+        try:
+            shown = format_poly(defect)
+        except ResourceLimit:
+            shown = "nonzero and too large to print"
         failures.append(f"defect of P^2 - R*Q^2 - 1 is {shown}, expected 0")
     order = p.degree
     genus = r.degree // 2 - 1 if r.degree >= 2 else -1

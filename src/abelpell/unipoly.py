@@ -24,9 +24,8 @@ primitive and the subresultant remainder sequence, and build only their
 result: no step makes a ``UniPoly``, a ``Fraction`` or a Sylvester matrix.
 
 :func:`format_poly` prints a polynomial in the grammar that
-:mod:`abelpell.parsing` reads, and :func:`printable` says whether it can:
-``str(p)`` raises once a coefficient has more digits than the int-to-str
-digit limit, which :func:`digit_limit` reads for this module and the parser.
+:mod:`abelpell.parsing` reads.  It alone refuses, with ``ResourceLimit``, a
+coefficient past the int-to-str digit limit, and so ``str(p)`` does too.
 
 >>> poly(-2, 0, 1)
 UniPoly('x^2 - 2')
@@ -39,10 +38,11 @@ Fraction(-8, 1)
 """
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm
 from typing import Callable, Iterable, Sequence, TypeVar
+
+from .limits import ResourceLimit
 
 Rat = int | Fraction
 T = TypeVar("T")
@@ -447,7 +447,8 @@ ONE = UniPoly((1,))
 
 
 def format_poly(p: UniPoly) -> str:
-    """Human-readable form, parseable back by :func:`abelpell.parsing.parse_poly`.
+    """Human-readable form, parseable back by :func:`abelpell.parsing.parse_poly`;
+    a coefficient past the int-to-str digit limit raises ``ResourceLimit``.
 
     >>> format_poly(poly(-2, 0, 1))
     'x^2 - 2'
@@ -463,30 +464,20 @@ def format_poly(p: UniPoly) -> str:
             continue
         sign = "-" if c < 0 else "+"
         mag = -c if c < 0 else c
+        try:
+            digits = str(mag)
+        except ValueError:
+            raise ResourceLimit("a coefficient exceeds the int-to-str digit limit") from None
         if i == 0:
-            body = str(mag)
+            body = digits
         else:
             xpow = "x" if i == 1 else f"x^{i}"
-            body = xpow if mag == 1 else f"{mag}*{xpow}"
+            body = xpow if mag == 1 else f"{digits}*{xpow}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
         else:
             parts.append(f" {sign} {body}")
     return "".join(parts)
-
-
-def digit_limit() -> int:
-    """The interpreter's int-to-str digit limit; 0 (or, before 3.10.7, no
-    limit at all) means none."""
-    return getattr(sys, "get_int_max_str_digits", int)()
-
-
-def printable(p: UniPoly) -> bool:
-    """Whether ``str(p)`` succeeds: no numerator or denominator of a
-    coefficient has more digits than the int-to-str digit limit."""
-    digits = digit_limit()
-    bound = 10**digits
-    return not digits or all(max(abs(c.numerator), c.denominator) < bound for c in p.coeffs)
 
 
 # -- classical exact algorithms ----------------------------------------------

@@ -5,12 +5,13 @@ to order 10 (recurrence p_{k+1} = 2x p_k - p_{k-1} seeded by (1, x), and the
 matching q-sequence seeded by (0, 1)), and the four small solutions that
 exercise genus 0 and 1 in every chart.  Also Kubert's genus-1 quartics,
 whose units have every torsion order that Mazur allows over Q.  Also the
-exponent lists of the weighted symmetric systems, and the benchmark's
-workload module, loaded from its file.
+exponent lists of the weighted symmetric systems, the brute-force oracle of
+the class count, and the benchmark's workload module, loaded from its file.
 """
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,23 +19,23 @@ from pathlib import Path
 import pytest
 
 from abelpell.pell import PellTriple
+from abelpell.perms import compose_all, cycle_type, fixed_points, inverse, is_involution
 from abelpell.unipoly import UniPoly, poly
 
 
-def chebyshev_pair(k: int) -> tuple[UniPoly, UniPoly]:
-    """(p_k, q_k) over R = x^2 - 1: p from (1, x), q from (0, 1)."""
-    two_x = poly(0, 2)
-    p_prev, p = poly(1), poly(0, 1)
+def chebyshev_of(ell: UniPoly, k: int) -> PellTriple:
+    """T_k(L): P = T_k(L), Q = U_(k-1)(L), R = L^2 - 1."""
+    p_prev, p = poly(1), ell
     q_prev, q = poly(), poly(1)
     for _ in range(k - 1):
-        p_prev, p = p, two_x * p - p_prev
-        q_prev, q = q, two_x * q - q_prev
-    return p, q
+        p_prev, p = p, 2 * ell * p - p_prev
+        q_prev, q = q, 2 * ell * q - q_prev
+    return PellTriple.build(p, q, ell * ell - 1)
 
 
 def chebyshev_triple(k: int) -> PellTriple:
-    p, q = chebyshev_pair(k)
-    return PellTriple.build(p, q, poly(-1, 0, 1))
+    """(p_k, q_k, x^2 - 1): p from (1, x), q from (0, 1)."""
+    return chebyshev_of(poly(0, 1), k)
 
 
 def small_triples() -> list[PellTriple]:
@@ -103,6 +104,31 @@ def exponent_lists(max_total: int):
 
     for m in range(1, max_total + 1):
         yield from lists(m, max_total)
+
+
+def brute_force_class_count(g: int, n: int) -> int:
+    """Oracle of ``len(enumerate_m(g, n))``: the S_n-conjugation orbits of all
+    valid tuples (sigma, g transpositions, tau), with any n-cycle as product."""
+    perms = list(itertools.permutations(range(n)))
+    transpositions = [p for p in perms if cycle_type(p) == (2,) + (1,) * (n - 2)]
+    involutions_n = [p for p in perms if is_involution(p)]
+    tuples = []
+    for sigma in involutions_n:
+        for middles in itertools.product(transpositions, repeat=g):
+            for tau in involutions_n:
+                if fixed_points(sigma) + fixed_points(tau) != 2 * g + 2:
+                    continue
+                if cycle_type(compose_all((sigma, *middles, tau), n)) != (n,):
+                    continue
+                tuples.append((sigma, *middles, tau))
+    orbits = set()
+    for t in tuples:
+        orbit = frozenset(
+            tuple(tuple(rho[p[inverse(rho)[i]]] for i in range(n)) for p in t)
+            for rho in perms
+        )
+        orbits.add(orbit)
+    return len(orbits)
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -5,7 +5,6 @@ budget on the largest enumeration.  Run with ``pytest tests/test_acceptance.py
 -v -s`` to see the per-criterion lines.
 """
 import io
-import itertools
 import time
 from contextlib import redirect_stdout
 
@@ -20,17 +19,12 @@ from abelpell.components import (
 )
 from abelpell.geometry import hurwitz_report, polt_dimension, ramspec_of
 from abelpell.pell import inflate, pell_power, pell_solve, pell_verify
-from abelpell.perms import (
-    compose_all,
-    cycle_type,
-    fixed_points,
-    inverse,
-    is_involution,
-)
 from abelpell.strata import nilpotence_identity_check, odd_nilpotency_check, tangent_rank, weighted_sigma
 from abelpell.unipoly import poly
 
-from conftest import chebyshev_triple, exponent_lists, fixture_family, small_triples
+from conftest import (
+    brute_force_class_count, chebyshev_triple, exponent_lists, fixture_family, small_triples,
+)
 
 
 def _criterion(number: int, name: str, body) -> None:
@@ -140,29 +134,6 @@ def test_criterion_6_strata_lemmas():
     _criterion(6, "strata lemmas", body)
 
 
-def _brute_force_class_count(g: int, n: int) -> int:
-    perms = list(itertools.permutations(range(n)))
-    transpositions = [p for p in perms if cycle_type(p) == (2,) + (1,) * (n - 2)]
-    involutions_n = [p for p in perms if is_involution(p)]
-    tuples = []
-    for sigma in involutions_n:
-        for middles in itertools.product(transpositions, repeat=g):
-            for tau in involutions_n:
-                if fixed_points(sigma) + fixed_points(tau) != 2 * g + 2:
-                    continue
-                if cycle_type(compose_all((sigma, *middles, tau), n)) != (n,):
-                    continue
-                tuples.append((sigma, *middles, tau))
-    orbits = set()
-    for t in tuples:
-        orbit = frozenset(
-            tuple(tuple(rho[p[inverse(rho)[i]]] for i in range(n)) for p in t)
-            for rho in perms
-        )
-        orbits.add(orbit)
-    return len(orbits)
-
-
 def test_criterion_7_component_counts():
     def body():
         expected = {
@@ -187,7 +158,7 @@ def test_criterion_7_component_counts():
         assert applied > 0
         # base-cycle invariance by full-conjugation brute force for n <= 4
         for g, n in ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)):
-            assert _brute_force_class_count(g, n) == len(enumerate_m(g, n)), (g, n)
+            assert brute_force_class_count(g, n) == len(enumerate_m(g, n)), (g, n)
         # runtime budget: the largest advertised enumeration stays under a minute
         start = time.monotonic()
         component_count(3, 6, "split")

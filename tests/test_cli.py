@@ -106,6 +106,10 @@ def test_answer_too_large_to_print(capsys, argv, code_at_limit):
             "defect of P^2 - R*Q^2 - 1 is nonzero and too large to print, expected 0"]
     else:
         assert out == "" and "exceeds the int-to-str digit limit" in err
+        # Text mode prints through the same printer and refuses the same way.
+        with int_digit_limit(4300):
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and "exceeds the int-to-str digit limit" in err
     with int_digit_limit(0):
         code, out, err = run_cli(capsys, *argv)
     assert code == 0 and len(out) > 4400 and err == ""
@@ -265,6 +269,12 @@ def test_inflate_derives_the_case(capsys, triple, m, case):
     assert (code, out) == (2, "") and f"takes case {case!r}" in err
 
 
+def test_inflate_needs_a_monic_base(capsys):
+    # (2x, 2, x^2 - 1/4) is a valid triple in the general chart: bad input, named.
+    code, out, err = run_cli(capsys, "pell", "inflate", "2*x", "2", "x^2-1/4", "--m", "2")
+    assert (code, out) == (2, "") and "inflation needs a base with monic P and Q" in err
+
+
 def test_abel_ramspec(capsys):
     code, report, _ = run_json(capsys, "abel", "ramspec", "x^2", "1", "x^4-1")
     assert code == 0
@@ -421,8 +431,10 @@ def test_components_empty(capsys):
     assert code == 1 and report["result"]["m_count"] == 0
 
 
-@pytest.mark.parametrize("order", ["3", "999999"])
-def test_components_huge_genus_is_empty_at_once(capsys, monkeypatch, order):
+@pytest.mark.parametrize("genus, order", [("1000000", "3"), ("1000000", "999999"),
+                                          ("1000000000", "5")],
+                         ids=["3", "999999", "genus_1000000000-5"])
+def test_components_huge_genus_is_empty_at_once(capsys, monkeypatch, genus, order):
     # No order below g + 1 is feasible, so M is empty before any of the
     # g - 1 swap moves is listed or the standard n-cycle is built.
     from abelpell import components
@@ -432,7 +444,7 @@ def test_components_huge_genus_is_empty_at_once(capsys, monkeypatch, order):
 
     monkeypatch.setattr(components, "standard_cycle", fail)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "components", "count", "--genus", "1000000", "--order", order)
+    code, out, err = run_cli(capsys, "components", "count", "--genus", genus, "--order", order)
     assert time.perf_counter() - start < 1
     assert code == 1 and err == ""
     assert out == "|M| = 0, components = 0 (nonsplit)\norbit sizes: []\n"

@@ -1,5 +1,6 @@
 """Public error paths and edge answers that no other test reaches: one call
 per row, with the exception it raises or the value it returns."""
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from abelpell.components import apply_move
 from abelpell.factorization import fp_divmod
 from abelpell.pell import (
-    PellTriple, cf_steps, least_unit, normalize, pell_compose, pell_power, pell_verify,
+    PellTriple, cf_steps, inflate, least_unit, normalize, pell_compose, pell_power, pell_verify,
     rational_nth_root,
 )
 from abelpell.ramspec import RamSpec
@@ -31,6 +32,11 @@ ROWS = [
     ("pell_compose-different-r",
      lambda: pell_compose(UNIT, PellTriple.build(poly(-1, 0, 1), X, poly(-2, 0, 1))),
      (ValueError, "different R")),
+    # (2x, 2, x^2 - 1/4) is valid in the general chart, but not monic.
+    ("inflate-non-monic-base",
+     lambda: inflate(PellTriple.build(poly(0, 2), poly(2), poly(Fraction(-1, 4), 0, 1)), 2,
+                     "divides_g_plus_1"),
+     (ValueError, "inflation needs a base with monic P and Q")),
     ("pell_power-zero", lambda: pell_power(UNIT, 0), (ValueError, "power must be >= 1")),
     ("normalize-unknown-chart", lambda: normalize(UNIT.p, UNIT.q, UNIT.r, "bogus"),
      (ValueError, "unknown chart 'bogus'")),

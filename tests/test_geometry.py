@@ -2,7 +2,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from conftest import chebyshev_triple, fixture_family
+from conftest import chebyshev_of, chebyshev_triple, fixture_family
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_cli import ABEL_GOLDEN_TRIPLES
@@ -312,16 +312,6 @@ def stripped_branch_classes(t: PellTriple) -> list[BranchClass]:
         BranchClass(factor, multiplicity_partition(factor, t.p, yun))
         for factor, _ in factor_rational(squarefree_part(b))
     ]
-
-
-def chebyshev_of(ell: UniPoly, k: int) -> PellTriple:
-    """T_k(L): P = T_k(L), Q = U_(k-1)(L), R = L^2 - 1."""
-    p_prev, p = poly(1), ell
-    q_prev, q = poly(), poly(1)
-    for _ in range(k - 1):
-        p_prev, p = p, 2 * ell * p - p_prev
-        q_prev, q = q, 2 * ell * q - q_prev
-    return PellTriple.build(p, q, ell * ell - 1)
 
 
 def chebyshev_and_inflated(max_order: int) -> list[PellTriple]:

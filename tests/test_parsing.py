@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from abelpell.limits import MAX_DEGREE, MAX_NESTING, ResourceLimit
 from abelpell.parsing import ParseError, parse_poly
-from abelpell.unipoly import UniPoly, format_poly, poly, printable
+from abelpell.unipoly import UniPoly, format_poly, poly
 
 
 @contextlib.contextmanager
@@ -165,12 +165,16 @@ def test_literal_digit_limit():
 
 
 def test_printable_is_exact_at_the_digit_limit():
+    # format_poly alone decides: it prints up to the limit and raises past it.
+    nines = 10**4300 - 1
     with int_digit_limit(4300):
-        assert printable(poly(-(10**4300 - 1), Fraction(1, 10**4300 - 1)))
-        assert not printable(poly(10**4300))
-        assert not printable(poly(0, Fraction(1, 10**4300)))
+        assert format_poly(poly(-nines, Fraction(1, nines))) == f"1/{nines}*x - {nines}"
+        for p in (poly(10**4300), poly(0, Fraction(1, 10**4300))):
+            for show in (format_poly, str, repr):
+                with pytest.raises(ResourceLimit, match="exceeds the int-to-str digit limit"):
+                    show(p)
     with int_digit_limit(0):
-        assert printable(poly(10**9000))
+        assert format_poly(poly(10**9000)) == "1" + "0" * 9000
 
 
 def test_height_cap_follows_the_interpreter_limit():
