@@ -6,7 +6,11 @@ polynomial f and factored modulo the smallest odd prime p that keeps f
 squarefree of full degree: distinct-degree factorization, then
 Cantor-Zassenhaus equal-degree splitting, which draws from one generator
 seeded with 0 per part, made only when a distinct-degree product must split,
-so every run does the same work.  The modular factors are Hensel-lifted,
+so every run does the same work.  When f has more than one modular factor,
+degree analysis (Musser, *J. ACM* 22, 1975) reads the distinct-degree
+patterns at the next few good primes: the degree of a factor over Q is a
+sum of modular factor degrees at each prime, so f is irreducible when those
+sums meet only in 0 and deg f.  Otherwise the modular factors are Hensel-lifted,
 quadratically, to a modulus past twice the leading coefficient times the
 Mignotte bound on the coefficients of any factor of f, and the true factors
 are found by trying products of subsets of the lifted factors, smallest
@@ -26,8 +30,9 @@ and ``unipoly._convolve``, ``unipoly._trim`` trims, and ``fp_powmod`` is
 as long as the divisor's leading coefficient is a unit; ``fp_gcd``,
 ``fp_xgcd`` and ``fp_powmod`` need a prime modulus.  ``_fp_reduce`` is the one
 division loop modulo m, under ``fp_divmod``, ``fp_gcd`` and the fused step of
-``pell._unit_degree_mod_p``, and ``_good_prime`` the one good-prime scan; it
-returns f reduced at the prime it picks, so no caller reduces f again.
+``pell._unit_degree_mod_p``, ``_next_prime`` the one prime test, and
+``_good_prime`` the one good-prime scan; it returns f reduced at the prime it
+picks, so no caller reduces f again.
 
 >>> factor_rational(UniPoly((-1, 0, 0, 0, 1)))
 [(UniPoly('x - 1'), 1), (UniPoly('x + 1'), 1), (UniPoly('x^2 + 1'), 1)]
@@ -48,6 +53,12 @@ from .unipoly import UniPoly, _axpy, _convolve, _power, _primitive, _trim, squar
 #: prime) need about 2^(r - 1) tries for r modular factors; branch polynomials
 #: of the orders the package handles stay far below the cap.
 RECOMBINATION_LIMIT = 1 << 16
+
+#: How many good primes after the first one the degree analysis of
+#: :func:`_zassenhaus` reads before it lifts.  Each one is a distinct-degree
+#: factorization that a reducible part pays for nothing; on the cubic branch
+#: factors of genus-3 Chebyshev triples, 1 or 2 gave the least mean time of 1-4.
+_DEGREE_PRIMES = 2
 
 if TYPE_CHECKING:
     import random
@@ -174,16 +185,31 @@ def _squarefree_mod(f: list[int], p: int) -> bool:
     return len(fp_gcd(f, df, p)) == 1
 
 
+def _next_prime(p: int) -> int:
+    """The least prime q > p, for an odd p: trial division by the odd d <= isqrt(q)."""
+    return next(q for q in count(p + 2, 2) if all(q % d for d in range(3, isqrt(q) + 1, 2)))
+
+
 def _good_prime(f: list[int], p: int) -> tuple[int, list[int]]:
     """(q, f made monic mod q) at the first prime q from the odd prime p up
     (p is not tested for primality) that does not divide lc(f) and modulo
-    which f stays squarefree.  Each next prime is found by trial division by
-    the odd d <= isqrt(q).  f must be squarefree over Q, or no prime is
-    good and the scan never ends (x^2 loops forever): ``pell.cf_steps``
-    checks R, and the factorizer passes only parts of Yun's decomposition."""
+    which f stays squarefree, each next prime from :func:`_next_prime`.  f
+    must be squarefree over Q, or no prime is good and the scan never ends
+    (x^2 loops forever): ``pell.cf_steps`` checks R, and the factorizer
+    passes only parts of Yun's decomposition."""
     while not (f[-1] % p and _squarefree_mod(fp := _scale(f, pow(f[-1], -1, p), p), p)):
-        p = next(q for q in count(p + 2, 2) if all(q % d for d in range(3, isqrt(q) + 1, 2)))
+        p = _next_prime(p)
     return p, fp
+
+
+def _subset_sums(parts: list[tuple[list[int], int]]) -> int:
+    """Bit mask of the degrees k of the products of the modular factors in
+    the (g_d, d) pairs of :func:`_distinct_degree`."""
+    sums = 1
+    for g, d in parts:
+        for _ in range((len(g) - 1) // d):
+            sums |= sums << d
+    return sums
 
 
 # -- Hensel lifting and recombination ------------------------------------------------
@@ -285,7 +311,14 @@ def _factor_squarefree(part: UniPoly) -> list[UniPoly]:
 
 def _zassenhaus(part: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors over Q of a monic squarefree polynomial of
-    degree >= 3, by the modular pipeline of the module docstring."""
+    degree >= 3, by the modular pipeline of the module docstring.
+
+    The degree analysis (Musser, *J. ACM* 22, 1975) reads up to
+    ``_DEGREE_PRIMES`` more good primes before lifting.  An S3 cubic that
+    stays irreducible modulo one of them is proved irreducible there; x^4 +
+    1, two quadratics or four linear factors modulo every odd prime, is
+    lifted.
+    """
     f = _primitive(part.num)[0]
     p, fp = _good_prime(f, 3)
     parts = _distinct_degree(fp, p)
@@ -296,9 +329,15 @@ def _zassenhaus(part: UniPoly) -> list[UniPoly]:
     modular = [factor for g, d in parts for factor in _equal_degree(g, d, p, rng)]
     if len(modular) == 1:
         return [part]
+    n = len(f) - 1
+    sums, q = _subset_sums(parts), p
+    for _ in range(_DEGREE_PRIMES):
+        q, fq = _good_prime(f, _next_prime(q))
+        sums &= _subset_sums(_distinct_degree(fq, q))
+        if sums == 1 | 1 << n:
+            return [part]
     # Any factor of f has coefficients below sqrt(n + 1) 2^n max|f_i|
     # (Mignotte); lc(f) times it must fit in the symmetric range.
-    n = len(f) - 1
     bound = 2 * f[-1] * (isqrt(n + 1) + 1) * 2**n * max(abs(c) for c in f)
     modulus = p
     while modulus <= bound:

@@ -31,7 +31,10 @@ from .pell import PellTriple
 from .ramspec import Partition, RamSpec, genus_of_ramspec, polt_dimension
 from .unipoly import (
     UniPoly,
+    _axpy,
+    _convolve,
     _made,
+    _pseudo_divide,
     _reduced,
     _times_linear,
     gcd,
@@ -167,10 +170,16 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
     the sign being (-1)^((n + 1) deg Q) with deg Q = n - g - 1 and n (n + 1)
     even.  The last factor has degree g in s and is interpolated from its
     values at s = 0, 1, ..., g, so the work grows with the genus, not the
-    order.  A constant Q gives a = 0 and g + 1 = n, so the formula covers it
-    too, with no gcd for a.  At genus 0 nothing is interpolated: deg W = g =
-    0, so P' / q is the constant w = lc(P') = n lc(P), and res(A, c) =
-    c^(deg A) gives res(P - s, w) = w^n.
+    order.  With W = P' / q and one remainder rho = P mod W, of degree below
+    g, each value is res(P - s, W) = (-1)^(n g) lc(W)^(n - deg r) res(W, r)
+    for r = rho - s = (P - s) mod W (the remainder property of the
+    resultant; the sign swaps its arguments), and 0 when r = 0.  Only r's
+    constant term moves with s, so the factor before res(W, r) is one
+    constant, multiplied into the interpolated numerators.  A constant Q
+    gives a = 0 and g + 1 = n, so the formula covers it too, with no gcd for
+    a.  At genus 0 nothing is interpolated: deg W = g = 0, so P' / q is the
+    constant w = lc(P') = n lc(P), and res(A, c) = c^(deg A) gives
+    res(P - s, w) = w^n.
 
     The sign and the ends are multiplied in on the integer numerators of the
     interpolated factor, one synthetic pass per linear factor (the inverse
@@ -189,7 +198,11 @@ def branch_polynomial(t: PellTriple) -> UniPoly:
     a = gcd(t.p - 1, q).degree if q.degree else 0
     if g:
         w = t.p.derivative().exact_div(q)
-        factor = interpolate([resultant(t.p - s, w) for s in range(g + 1)])
+        rho = t.p % w
+        k = n - max(rho.degree, 0)
+        res = interpolate([resultant(w, r) if (r := rho - s).num else 0 for s in range(g + 1)])
+        lead = (-1) ** (n * g) * w.num[-1] ** k  # (-1)^(n g) lc(W)^k = lead / w.den^k
+        factor = _reduced([lead * c for c in res.num], res.den * w.den ** k)
     else:  # w = n lc(P)
         factor = _reduced([(n * t.p.num[-1]) ** n], t.p.den ** n)
     sign = (-1) ** ((n + 1) * (g + 1))
@@ -206,12 +219,16 @@ def multiplicity_partition(m: UniPoly, p: UniPoly, yun: list[tuple[UniPoly, int]
     order k.  ``yun`` lists squarefree f_k with exponents k that carry p''s
     multiplicities over m, as Yun(p') = lc * prod f_k^k does.  The points of
     multiplicity k + 1 over all the conjugates of theta together are the
-    roots of gcd(f_k, m(p) mod f_k), taken with m's integer numerator (a
-    constant multiple, so the same gcd); Galois conjugation shares them equally
+    roots of gcd(f_k, m(p) mod f_k); Galois conjugation shares them equally
     among the deg m conjugates, and every other point of the fibre is
     simple.  Gcds over Q suffice (dynamic evaluation: Della Dora,
     Dicrescenzo and Duval, EUROCAL '85); an m whose roots have different
     fibres fails the equal share and raises ``AssertionError``.
+
+    A nonzero constant multiple of m(p) mod f_k has the same gcd with f_k,
+    so it is computed on integers: Horner's rule on m's numerators with p's
+    pseudo-remainder by f_k and powers of p's denominator, each step
+    pseudo-reduced by f_k and the scale that brings tracked.
 
     >>> p = UniPoly((-2, 0, 1)) ** 2
     >>> multiplicity_partition(UniPoly((0, 1)), p, squarefree_decomposition(p.derivative()))
@@ -219,10 +236,16 @@ def multiplicity_partition(m: UniPoly, p: UniPoly, yun: list[tuple[UniPoly, int]
     """
     parts: list[int] = []
     for f, k in yun:
-        residue, value = p % f, UniPoly(())
-        for c in reversed(m.num):
-            value = (value * residue + c) % f
-        points, leftover = divmod(gcd(f, value).degree, m.degree)
+        # rho = s0 p.num mod f, so p = rho / c mod f with c = s0 p.den; then
+        # v = scale * c^(deg m) * m(rho / c) mod f when the loop ends.
+        rho = list(p.num)
+        c = _pseudo_divide(rho, f.num, []) * p.den
+        v, scale, power = [m.num[-1]], 1, 1
+        for coeff in reversed(m.num[:-1]):
+            power *= c
+            v = _axpy(_convolve(v, rho), [scale * coeff * power], 1)
+            scale *= _pseudo_divide(v, f.num, [])
+        points, leftover = divmod(gcd(f, _made(tuple(v), 1)).degree, m.degree)
         if leftover:
             raise AssertionError(f"{m} has roots with different fibres of {p}")
         parts.extend([k + 1] * points)

@@ -175,14 +175,15 @@ def test_components_size_cap_before_any_work(capsys, monkeypatch, command, order
 
 
 def test_abel_resource_exit(capsys, monkeypatch):
-    # x^5 + x leaves the branch factor 3125 t^4 + 256, irreducible over Q
-    # with three modular factors, and with no recombination allowed the
-    # command exits 3.  (A quadratic factor is split by its discriminant and
-    # never reaches recombination.)
+    # x^5 + 5x leaves the branch factor t^4 + 256, irreducible over Q with
+    # Galois group C2 x C2, like x^4 + 1: it splits modulo every prime, so
+    # the degree analysis cannot prove it irreducible, and with no
+    # recombination allowed the command exits 3.  (A quadratic factor is
+    # split by its discriminant and never reaches recombination.)
     from abelpell import factorization
 
     monkeypatch.setattr(factorization, "RECOMBINATION_LIMIT", 0)
-    code, out, err = run_cli(capsys, "abel", "ramspec", "x^5+x", "1", "(x^5+x)^2-1")
+    code, out, err = run_cli(capsys, "abel", "ramspec", "x^5+5*x", "1", "(x^5+5*x)^2-1")
     assert code == 3 and "cap" in err and out == ""
 
 

@@ -19,7 +19,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_unipoly import nonzero_polys
+from test_unipoly import COEFF, nonzero_polys
 
 from abelpell import factorization, geometry, pell
 from abelpell.factorization import (
@@ -190,6 +190,43 @@ def test_small_workload_inputs_never_reach_the_modular_pipeline(monkeypatch):
     for p in small:
         factor_rational(p)
 
+
+#: Irreducible cubics with Galois group S3 (no square discriminant), and two
+#: quartics that split modulo every prime, so the degree analysis cannot
+#: prove them irreducible: x^4 + 1 and x^4 - 10 x^2 + 1, the minimal
+#: polynomial of sqrt 2 + sqrt 3.
+S3_CUBICS = [poly(1, 1, 0, 1), poly(-1, -1, 0, 1), poly(-2, 0, 0, 1), poly(3, -4, 0, 1)]
+SPLIT_QUARTICS = [X4_PLUS_1, poly(1, 0, -10, 0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(S3_CUBICS + SPLIT_QUARTICS), COEFF.filter(bool), COEFF,
+                       st.integers(1, 2)), min_size=1, max_size=2),
+    nonzero_polys(3),
+)
+def test_degree_analysis_matches_sympy_property(parts, other):
+    # Each special part under x -> a x + b, which keeps its Galois group.
+    p = other
+    for f, a, b, mult in parts:
+        p = p * f.compose_linear(a, b) ** mult
+    assert factor_rational(p) == sympy_factors(p)
+
+
+def test_degree_analysis_lifts_only_what_it_cannot_prove_irreducible(monkeypatch):
+    # x^3 + x + 1 is (x - 1)(x^2 + x - 1) modulo 3, the first good prime,
+    # and irreducible modulo 5; x^4 + 1 splits modulo every odd prime.
+    lifted = []
+    hensel_lift = factorization._hensel_lift
+    monkeypatch.setattr(factorization, "_hensel_lift",
+                        lambda f, *args: lifted.append(f) or hensel_lift(f, *args))
+    cubic = S3_CUBICS[0]
+    p, fp = _good_prime(list(cubic.num), 3)
+    assert p == 3 and [d for _, d in factorization._distinct_degree(fp, p)] == [1, 2]
+    assert factor_rational(cubic) == [(cubic, 1)]
+    assert lifted == []
+    assert factor_rational(X4_PLUS_1) == [(X4_PLUS_1, 1)]
+    assert lifted
 
 HEIGHT = 2**256
 RATIONALS = st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT))

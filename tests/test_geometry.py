@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import chebyshev_of, chebyshev_triple, fixture_family
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_cli import ABEL_GOLDEN_TRIPLES
 from test_pell import LONG_PERIODS, chebyshev_bases, inflation_inputs
-from test_unipoly import sylvester_resultant
+from test_unipoly import COEFF, nonzero_polys, sylvester_resultant
 
 from abelpell.geometry import (
     BranchClass,
@@ -403,6 +403,47 @@ def test_branch_polynomial_matches_sylvester_oracle():
         assert branch_polynomial(t) == oracle
 
 
+def g_plus_1_node_branch(t: PellTriple, res=resultant) -> UniPoly:
+    """Oracle: the branch polynomial from g + 1 full resultants res(P - s, W)
+    of the degree-n P - s, interpolated, times the sign and the ends
+    (s - 1)^a (s + 1)^(deg Q - a), with ``res`` the resultant used."""
+    q, n, g = t.q.monic(), t.order, t.genus
+    w = t.p.derivative().exact_div(q)
+    a = gcd(t.p - 1, q).degree if q.degree else 0
+    factor = interpolate([res(t.p - s, w) for s in range(g + 1)])
+    return factor * (-1) ** ((n + 1) * (g + 1)) * poly(-1, 1) ** a * poly(1, 1) ** (q.degree - a)
+
+
+def test_branch_polynomial_matches_g_plus_1_resultant_oracles():
+    # The inflations of L = x have P = x^k, so P mod W is the constant 0
+    # and the value at s = 0 is 0, with no resultant.
+    cases = chebyshev_and_inflated(20)
+    assert any((t.p % t.p.derivative().exact_div(t.q.monic())).is_zero() for t in cases)
+    for t in cases:
+        assert branch_polynomial(t) == g_plus_1_node_branch(t), t
+    for t in chebyshev_and_inflated(12):
+        assert branch_polynomial(t) == g_plus_1_node_branch(t, sylvester_resultant), t
+
+
+@st.composite
+def genus_1_to_3_triples(draw) -> PellTriple:
+    """(cM, c, M^2 - 1/c^2) for a monic M of degree 2-4, so genus 1-3,
+    raised to a power: orders 2-12, constant and nonconstant Q."""
+    m_poly = poly(*draw(st.lists(COEFF, min_size=2, max_size=4)), 1)
+    c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]))
+    r = m_poly * m_poly - Fraction(1) / (c * c)
+    assume(is_squarefree(r))
+    base = PellTriple.build(m_poly * c, poly(c), r)
+    return pell_power(base, draw(st.integers(1, 12 // m_poly.degree)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(genus_1_to_3_triples())
+def test_branch_polynomial_matches_g_plus_1_resultant_oracles_property(t):
+    assert 1 <= t.genus <= 3
+    assert branch_polynomial(t) == g_plus_1_node_branch(t) == g_plus_1_node_branch(t, sylvester_resultant)
+
+
 def n_node_branch(p: UniPoly) -> UniPoly:
     """Oracle: res_x(p(x) - s, p'(x)) interpolated from its values at the
     deg p nodes s = 0 .. deg p - 1, with no use of Q."""
@@ -658,6 +699,44 @@ def test_multiplicity_partition_matches_norm_oracle_chebyshev():
     yun = squarefree_decomposition(t.p.derivative())
     for m in values:
         assert multiplicity_partition(m, t.p, yun) == norm_partition(m, t.p)
+
+
+def horner_partition(m: UniPoly, p: UniPoly, yun: list[tuple[UniPoly, int]]) -> tuple[int, ...]:
+    """Oracle: :func:`multiplicity_partition` with m(p) mod f_k by Horner's
+    rule in ``UniPoly`` arithmetic, reduced mod f_k at each step."""
+    parts = []
+    for f, k in yun:
+        residue, value = p % f, UniPoly(())
+        for c in reversed(m.num):
+            value = (value * residue + c) % f
+        points, leftover = divmod(gcd(f, value).degree, m.degree)
+        assert not leftover
+        parts.extend([k + 1] * points)
+    parts.extend([1] * (p.degree - sum(parts)))
+    return tuple(sorted(parts, reverse=True))
+
+
+def test_multiplicity_partition_matches_horner_oracle():
+    # Each branch factor of each triple, against Yun(W) as unassigned_branch
+    # reads it; P and W have rational coefficients in the inflations.
+    degrees = set()
+    for t in chebyshev_and_inflated(20) + [T_QUARTIC()]:
+        yun = squarefree_decomposition(t.p.derivative().exact_div(t.q))
+        for m, _ in factor_rational(branch_polynomial(t).deflate(1).deflate(-1)):
+            assert multiplicity_partition(m, t.p, yun) == horner_partition(m, t.p, yun), (t, m)
+            degrees.add(m.degree)
+    assert degrees == {1, 2, 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero_polys(6).filter(lambda p: p.degree >= 2))
+@example(poly(-3, -3, -2, -1, 3, 6))  # a cubic m and a reduction that scales
+def test_multiplicity_partition_matches_horner_oracle_property(p):
+    # Rational coefficients: p's denominator and non-integral Yun factors.
+    # The scale of a reduction by f_k enters from m's third coefficient on.
+    yun = squarefree_decomposition(p.derivative())
+    for m in branch_values(p):
+        assert multiplicity_partition(m, p, yun) == horner_partition(m, p, yun)
 
 
 SMALL = st.integers(min_value=-3, max_value=3)
